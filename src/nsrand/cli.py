@@ -65,7 +65,7 @@ class RunConfig:
 
 def load_config(args) -> RunConfig:
     cfg = RunConfig()
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
         try:
             data = json.loads(Path(path).read_text())
@@ -286,26 +286,36 @@ def cmd_bounds(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Global flags are accepted before and after the subcommand.  Unset
+    # flags leave no attribute (SUPPRESS), so a flag given before the
+    # subcommand is not reset by the subcommand's defaults, and an unset
+    # one leaves the config file's value in place.
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--config",
+                        help=f"JSON config path (or ${CONFIG_ENV_VAR})")
+    common.add_argument("--mode", choices=("exact", "float"))
+    common.add_argument("--float-tolerance", dest="float_tolerance",
+                        type=float)
+    common.add_argument("--orth-tolerance", dest="orth_tolerance", type=float)
+    common.add_argument("--output-format", dest="output_format",
+                        choices=("csv", "json"))
+    common.add_argument("--seed", type=int)
     parser = argparse.ArgumentParser(
-        prog="nsrand",
+        prog="nsrand", parents=[common],
         description="Device-independent randomness against no-signalling "
                     "adversaries: exact LP values, attacks, curves, bounds.")
-    parser.add_argument("--config", help=f"JSON config path (or ${CONFIG_ENV_VAR})")
-    parser.add_argument("--mode", choices=("exact", "float"))
-    parser.add_argument("--float-tolerance", dest="float_tolerance", type=float)
-    parser.add_argument("--orth-tolerance", dest="orth_tolerance", type=float)
-    parser.add_argument("--output-format", dest="output_format",
-                        choices=("csv", "json"))
-    parser.add_argument("--seed", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ns-value", help="no-signalling value of a game")
+    p = sub.add_parser("ns-value", parents=[common],
+                       help="no-signalling value of a game")
     p.add_argument("game", help="builtin name (%s) or JSON path"
                    % ", ".join(BUILTIN_GAMES))
     p.add_argument("--certificate", default="ns_value_certificate.json")
     p.set_defaults(func=cmd_ns_value)
 
-    p = sub.add_parser("tons", help="multi-round guessing probability")
+    p = sub.add_parser("tons", parents=[common],
+                       help="multi-round guessing probability")
     p.add_argument("--game", default="chsh")
     p.add_argument("--v", default="1", help="noise weight as p/q")
     p.add_argument("--n", type=int, default=2)
@@ -316,14 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="behavior JSON overriding the bundled product marginal")
     p.set_defaults(func=cmd_tons)
 
-    p = sub.add_parser("ks-attack", help="KS-set attack pipeline")
+    p = sub.add_parser("ks-attack", parents=[common],
+                       help="KS-set attack pipeline")
     p.add_argument("--ks", required=True,
                    help="builtin name (%s) or JSON path" % ", ".join(BUILTIN_KS))
     p.add_argument("--xstar", type=int, default=0, help="Alice basis index")
     p.add_argument("--out", default="attack_behavior.json")
     p.set_defaults(func=cmd_ks_attack)
 
-    p = sub.add_parser("curves", help="min-entropy curves CSV")
+    p = sub.add_parser("curves", parents=[common],
+                       help="min-entropy curves CSV")
     p.add_argument("--wmin", type=float, default=4.0)
     p.add_argument("--wmax", type=float, default=6.0)
     p.add_argument("--points", type=int, default=201)
@@ -332,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="curves.csv")
     p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("bounds", help="concentration bound sweep CSV")
+    p = sub.add_parser("bounds", parents=[common],
+                       help="concentration bound sweep CSV")
     p.add_argument("--n", default="1000000", help="comma-separated round counts")
     p.add_argument("--delta", type=float, default=0.03)
     p.add_argument("--kappa", type=float, default=0.03)

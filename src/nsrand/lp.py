@@ -1,14 +1,16 @@
 """Exact rational-arithmetic linear programming.
 
-Small instances are solved with a dense two-phase primal simplex using
-Bland's rule (guaranteed termination on the highly degenerate LPs that
-show up in no-signalling polytopes).  Larger instances are solved in
-floating point with HiGHS and then lifted back to exact rationals: the
-float primal/dual pair is rounded through a continued-fraction cascade
-and accepted only if primal feasibility, dual feasibility and equality
-of both objectives all hold in exact arithmetic.  If the lift fails the
-dense exact simplex runs as the fallback, so an "optimal" answer in
-exact mode always carries an exactly verified certificate.
+Every exact solve starts in floating point: HiGHS (via scipy) finds a
+vertex, and the float primal/dual pair is rounded to rationals through
+a continued-fraction cascade.  The rounded pair is accepted only if
+primal feasibility, dual feasibility and equality of both objectives
+all hold in exact arithmetic (the lift-and-verify scheme of QSopt_ex).
+A dense two-phase primal simplex over Fractions with Bland's rule
+(guaranteed termination on the highly degenerate LPs that show up in
+no-signalling polytopes) is kept as the last resort: it runs when the
+lift fails, and it re-proves an infeasible or unbounded verdict from
+HiGHS on small instances.  So an "optimal" answer in exact mode always
+carries an exactly verified certificate.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ _RELATIONS = (LE, EQ, GE)
 
 MAX = "max"
 MIN = "min"
-
-# Above this tableau size (rows * columns of the standard form) the
-# float-assisted path is tried before the dense exact simplex.
-EXACT_DIRECT_CELL_LIMIT = 60_000
 
 # Denominator bounds for the continued-fraction lift of float solutions.
 _DENOMINATOR_CASCADE = (1, 8, 72, 1024, 10**4, 10**6, 10**9, 10**12)
@@ -434,6 +432,11 @@ _IPM_ROW_THRESHOLD = 8000
 # Dense exact simplex is hopeless beyond this tableau size; exact mode
 # reports failure rather than silently running for days.
 _FALLBACK_CELL_LIMIT = 3_000_000
+# An infeasible or unbounded verdict from HiGHS carries no certificate
+# the lift could check.  Up to this tableau size (rows * columns of the
+# standard form) the dense exact simplex re-proves it in exact
+# arithmetic; larger instances take the float verdict.
+_VERDICT_RECHECK_CELL_LIMIT = 60_000
 
 
 def _scipy_solve(norm: LinProgram, method: Optional[str] = None):
@@ -537,10 +540,16 @@ def solve(lp: LinProgram, mode: str = "exact",
           float_tolerance: float = 1e-9) -> LpSolution:
     """Solve the LP.
 
-    In exact mode the returned optimum is exactly optimal (duality gap 0)
-    and ``certified`` is True; status infeasible/unbounded is reported via
-    ``status``, never by silent defaults.  In float mode primal and dual
-    objectives agree within ``float_tolerance``.
+    Exact mode is lift-first: HiGHS finds a float vertex, which is
+    rounded to rationals and accepted only when its certificate verifies
+    exactly.  The dense exact simplex runs only as the last resort: when
+    the lift fails on an instance within ``_FALLBACK_CELL_LIMIT`` (larger
+    ones raise ``LpError``), and to re-prove an infeasible or unbounded
+    verdict on an instance within ``_VERDICT_RECHECK_CELL_LIMIT``.  The
+    returned optimum is exactly optimal (duality gap 0) and ``certified``
+    is True; status infeasible/unbounded is reported via ``status``,
+    never by silent defaults.  In float mode primal and dual objectives
+    agree within ``float_tolerance``.
     """
     lp.validate()
     norm = lp.normalized()
@@ -561,37 +570,33 @@ def solve(lp: LinProgram, mode: str = "exact",
     if mode != "exact":
         raise LpError(f"unknown mode {mode!r}")
 
-    small = _std_cells(norm) <= EXACT_DIRECT_CELL_LIMIT
-    if small:
-        sol = _exact_simplex(norm)
-        if sol.status == LpSolution.OPTIMAL:
-            sol.certified = bool(verify_certificate(norm, sol))
-        return sol
-
-    # Float-assisted exact path for big instances: a vertex solution
-    # (dual simplex, or interior point with crossover on very large
-    # instances) is lifted back to rationals and certified exactly.
-    method = ("highs-ipm" if len(norm.constraints) > _IPM_ROW_THRESHOLD
-              else "highs-ds")
-    res, ub_idx, eq_idx, ub_rows = _scipy_solve(norm, method=method)
-    if res.status == 0:
-        dual_f = _floats_to_duals(norm, res, ub_idx, eq_idx, ub_rows)
-        lifted = _lift_exact(norm, list(map(float, res.x)), dual_f)
-        if lifted is not None:
-            return lifted
-        if _std_cells(norm) > _FALLBACK_CELL_LIMIT:
-            raise LpError(
-                "exact certification failed: the float solution did not lift "
-                "to rationals and the instance is too large for the dense "
-                f"exact simplex ({len(norm.constraints)} rows x "
-                f"{norm.num_vars} vars); use float mode")
-        log.warning("exact lift of float solution failed; "
-                    "falling back to dense exact simplex (%d rows x %d vars)",
-                    len(norm.constraints), norm.num_vars)
-    elif res.status == 2:
-        return LpSolution(LpSolution.INFEASIBLE, None, [], [], "exact")
-    elif res.status == 3:
-        return LpSolution(LpSolution.UNBOUNDED, None, [], [], "exact")
+    # A vertex solution (dual simplex, or interior point with crossover
+    # on very large instances) is lifted back to rationals and certified
+    # exactly; the dense exact simplex is the last resort.  scipy rejects
+    # an empty objective, so a zero-variable LP goes straight to it.
+    if norm.num_vars:
+        method = ("highs-ipm" if len(norm.constraints) > _IPM_ROW_THRESHOLD
+                  else "highs-ds")
+        res, ub_idx, eq_idx, ub_rows = _scipy_solve(norm, method=method)
+        cells = _std_cells(norm)
+        if res.status == 0:
+            dual_f = _floats_to_duals(norm, res, ub_idx, eq_idx, ub_rows)
+            lifted = _lift_exact(norm, list(map(float, res.x)), dual_f)
+            if lifted is not None:
+                return lifted
+            if cells > _FALLBACK_CELL_LIMIT:
+                raise LpError(
+                    "exact certification failed: the float solution did not "
+                    "lift to rationals and the instance is too large for the "
+                    f"dense exact simplex ({len(norm.constraints)} rows x "
+                    f"{norm.num_vars} vars); use float mode")
+            log.warning("exact lift of float solution failed; falling back "
+                        "to dense exact simplex (%d rows x %d vars)",
+                        len(norm.constraints), norm.num_vars)
+        elif res.status in (2, 3) and cells > _VERDICT_RECHECK_CELL_LIMIT:
+            status = LpSolution.INFEASIBLE if res.status == 2 \
+                else LpSolution.UNBOUNDED
+            return LpSolution(status, None, [], [], "exact")
 
     sol = _exact_simplex(norm)
     if sol.status == LpSolution.OPTIMAL:

@@ -54,6 +54,16 @@ def test_min_sense_and_free_variable():
     assert sol.certified
 
 
+def test_zero_variable_lp():
+    """An LP without variables is optimal at 0 or infeasible."""
+    sol = _solve(L.LinProgram(0, "max"))
+    assert sol.value == 0
+    assert sol.certified
+    lp = L.LinProgram(0, "max")
+    lp.add({}, "<=", -1)
+    assert _solve(lp).status == "infeasible"
+
+
 def test_upper_bound_normalization():
     lp = L.LinProgram(1, "max", {0: F(1)}, upper={0: F(5, 2)})
     sol = _solve(lp)
@@ -111,23 +121,72 @@ def test_float_mode_duality_gap_within_tolerance():
     assert L.verify_certificate(lp, sol)
 
 
-def test_lift_path_matches_direct_simplex(monkeypatch):
+def _three_var_lp():
+    lp = L.LinProgram(3, "max", {0: F(1), 1: F(2), 2: F(1)})
+    lp.add({0: 1, 1: 1}, "<=", F(3, 2))
+    lp.add({1: 1, 2: 1}, "==", 1)
+    lp.add({0: 1, 2: 1}, ">=", F(1, 3))
+    return lp
+
+
+def test_lift_path_matches_direct_simplex():
     """The float-assisted exact path returns the same certified optimum."""
-    def build():
-        lp = L.LinProgram(3, "max", {0: F(1), 1: F(2), 2: F(1)})
-        lp.add({0: 1, 1: 1}, "<=", F(3, 2))
-        lp.add({1: 1, 2: 1}, "==", 1)
-        lp.add({0: 1, 2: 1}, ">=", F(1, 3))
-        return lp
-    direct = _solve(build())
-    monkeypatch.setattr(L, "EXACT_DIRECT_CELL_LIMIT", 0)
-    lifted = _solve(build())
+    lp = _three_var_lp()
+    direct = L._exact_simplex(lp.normalized())
+    assert L.verify_certificate(lp, direct)
+    lifted = _solve(_three_var_lp())
     assert lifted.certified
     assert lifted.value == direct.value == F(5, 2)
 
 
+def _spy_on_dense_simplex(monkeypatch):
+    calls = []
+    dense = L._exact_simplex
+
+    def spy(norm):
+        sol = dense(norm)
+        calls.append(sol.status)
+        return sol
+    monkeypatch.setattr(L, "_exact_simplex", spy)
+    return calls
+
+
+def test_dense_simplex_is_the_last_resort_when_the_lift_fails(monkeypatch):
+    """With the lift failing, solve returns the dense simplex's optimum."""
+    calls = _spy_on_dense_simplex(monkeypatch)
+    monkeypatch.setattr(L, "_lift_exact", lambda norm, primal, dual: None)
+    sol = _solve(_three_var_lp())
+    assert calls == ["optimal"]
+    assert sol.status == "optimal"
+    assert sol.certified
+    assert sol.value == F(5, 2)
+    assert L.verify_certificate(_three_var_lp(), sol)
+
+
+def test_small_infeasible_and_unbounded_verdicts_from_dense_simplex(
+        monkeypatch):
+    """HiGHS's infeasible/unbounded verdict is re-proved exactly when small,
+    and taken as is above the re-check size limit."""
+    infeasible = L.LinProgram(1, "max", {0: F(1)})
+    infeasible.add({0: 1}, ">=", 2)
+    infeasible.add({0: 1}, "<=", 1)
+    unbounded = L.LinProgram(1, "max", {0: F(1)})
+    unbounded.add({0: 1}, ">=", 1)
+
+    calls = _spy_on_dense_simplex(monkeypatch)
+    assert _solve(infeasible).status == "infeasible"
+    assert _solve(unbounded).status == "unbounded"
+    assert calls == ["infeasible", "unbounded"]
+
+    monkeypatch.setattr(L, "_VERDICT_RECHECK_CELL_LIMIT", 0)
+    assert _solve(infeasible).status == "infeasible"
+    assert _solve(unbounded).status == "unbounded"
+    assert calls == ["infeasible", "unbounded"]
+
+
 def test_random_cross_check_against_float_solver():
-    """Exact simplex agrees with HiGHS in status and value on random LPs."""
+    """Exact solve, dense exact simplex and HiGHS agree in status and value
+    on random LPs."""
     rng = random.Random(20240817)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -140,10 +199,14 @@ def test_random_cross_check_against_float_solver():
             lp.add({j: 1}, "<=", 7)
         exact = _solve(lp)
         approx = _solve(lp, mode="float")
+        direct = L._exact_simplex(lp.normalized())
         assert exact.status == approx.status
+        assert direct.status == exact.status
         if exact.status == "optimal":
             assert exact.certified
             assert abs(float(exact.value) - approx.value) < 1e-7
+            assert direct.value == exact.value
+            assert L.verify_certificate(lp, direct)
 
 
 def test_dump_format():

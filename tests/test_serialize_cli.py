@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nsrand import cli, games as G, serialize as S
+from nsrand import cli, games as G, lp as L, nsvalues as NV, serialize as S
 
 
 class TestSerialization:
@@ -73,6 +73,26 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.strip() == "8/9"
 
+    def test_ns_value_certificates_verify_exactly(self, tmp_path, capsys):
+        """Every built-in game's certificate file holds a primal/dual pair
+        that verifies exactly against the rebuilt behavior LP."""
+        for name, make in cli.BUILTIN_GAMES.items():
+            cert = tmp_path / f"{name}.json"
+            code = cli.main(["ns-value", name, "--certificate", str(cert)])
+            assert code == 0
+            payload = json.loads(cert.read_text())
+            assert capsys.readouterr().out.strip() == payload["value"]
+            assert payload["certified"] is True
+            game = make()
+            prog, _ = NV._behavior_lp(game, G.game_value_coefficients(game))
+            sol = L.LpSolution(L.LpSolution.OPTIMAL,
+                               S.parse_frac(payload["value"]),
+                               [S.parse_frac(x) for x in payload["primal"]],
+                               [S.parse_frac(y) for y in payload["dual"]],
+                               "exact")
+            report = L.verify_certificate(prog, sol)
+            assert report, (name, report.reasons[:3])
+
     def test_ns_value_game_file(self, tmp_path, capsys):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(S.game_to_dict(G.make_chsh_game())))
@@ -94,6 +114,30 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "2,1/2,tons,5/8,5/8,yes" in out
+
+    def test_global_flags_on_either_side_of_subcommand(self, tmp_path,
+                                                       capsys):
+        """Global flags work before and after the subcommand, and a
+        flag overrides the config file from either side."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "float"}))
+        tail = ["--v", "1/2", "--n", "2"]
+        as_float = "2,1/2,tons,0.625,5/8,yes"
+        as_exact = "2,1/2,tons,5/8,5/8,yes"
+        runs = (
+            (["tons", "--v", "1/2", "--n", "1", "--mode", "exact"],
+             "1,1/2,tons,3/4,,n/a"),
+            (["--mode", "float", "tons"] + tail, as_float),
+            (["tons"] + tail + ["--mode", "float"], as_float),
+            (["tons"] + tail + ["--config", str(cfg)], as_float),
+            (["--mode", "exact", "tons"] + tail + ["--config", str(cfg)],
+             as_exact),
+            (["--config", str(cfg), "tons"] + tail + ["--mode", "exact"],
+             as_exact),
+        )
+        for argv, row in runs:
+            assert cli.main(argv) == 0, argv
+            assert row in capsys.readouterr().out, argv
 
     def test_tons_size_cap(self, capsys):
         code = cli.main(["tons", "--v", "1", "--n", "7"])
