@@ -7,7 +7,9 @@ with verification report), curves (min-entropy curves CSV) and bounds
 configuration and embed reproducibility manifests.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 infeasible parameters or size caps, 3 input errors.
+2 infeasible parameters or size caps, 3 input errors, 4 certification
+failure (no exactly verified certificate, or a float optimum outside
+--float-tolerance).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 from . import bounds as bounds_mod
 from . import chain as chain_mod
 from . import games, ksattack, nsvalues, serialize, tons
-from .lp import LpError, LpSizeError
+from .lp import CertificationError, LpError, LpSizeError
 
 CONFIG_ENV_VAR = "NSRAND_CONFIG"
 
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_CERTIFICATION_FAILURE = 4
 
 BUILTIN_GAMES = {
     "chain": games.make_chain_game,
@@ -174,7 +177,8 @@ def cmd_tons(args, cfg: RunConfig) -> int:
               f"to insist)", file=sys.stderr)
         mode = "float"
     pg = tons.tons_guessing_probability(game, marginal, x_star, scenario,
-                                        mode=mode)
+                                        mode=mode,
+                                        float_tolerance=cfg.float_tolerance)
     formula: Optional[Fraction] = None
     if args.game == "chsh" and args.scenario == "tons" and not args.marginal:
         if n == 2:
@@ -367,6 +371,9 @@ def main(argv=None) -> int:
             ksattack.KsError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (CertificationError, nsvalues.UncertifiedError) as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION_FAILURE
     except (bounds_mod.InfeasibleParamsError, nsvalues.InfeasibleError,
             LpSizeError, LpError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -6,14 +6,26 @@ the time-ordered (TONS) or the block (ABNS) no-signalling constraint
 family.  Strings are flattened round-major; the adversary holds one
 subnormalized block per candidate output string, and by default the sum
 of the blocks is pinned to a given n-round marginal behavior.
+
+A fixed marginal is usually invariant under some per-round output
+relabellings (the noisy PR box under flipping both outputs of a round).
+Such a relabelling, applied to Eve's guess as well, maps the whole LP onto
+itself, and an invariant LP has an invariant optimum.  The LP is
+therefore solved on its symmetric slice: one variable per orbit of the
+generated group (Boedi, Herr & Joswig, Math. Program. 137 (2013)).  For
+the noisy PR box the slice is a single block instead of one per guess.
+Rounds are never permuted: the TONS rows are time-ordered.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from . import lp as L
 from .games import (Behavior, Game, GameError, encode_string,
@@ -254,6 +266,117 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     return TonsLp(prog, var, scenario, num_causal, num_marg)
 
 
+def _relabel_strings(perm: Sequence[int], base: int, rounds: int,
+                     k: int) -> np.ndarray:
+    """Image of every round-major string when round k's symbol is permuted."""
+    strings = np.arange(base ** rounds)
+    weight = base ** (rounds - 1 - k)
+    digit = strings // weight % base
+    return strings + (np.asarray(perm)[digit] - digit) * weight
+
+
+def _relabelled_strings(relabelling, scenario: CausalScenario):
+    k, alice, bob = relabelling
+    n = scenario.rounds
+    return (_relabel_strings(alice, scenario.alice_outputs, n, k),
+            _relabel_strings(bob, scenario.bob_outputs, n, k))
+
+
+def marginal_relabellings(marginal: Behavior,
+                          scenario: CausalScenario) -> list[tuple]:
+    """Per-round output relabellings that fix the marginal exactly.
+
+    Each is ``(k, alice_perm, bob_perm)``: round k's Alice and Bob
+    symbols go through the two permutations, inputs stay put.  Entries
+    are compared exactly, so a float marginal only matches bit for bit.
+    """
+    table = np.zeros(scenario.string_sizes, dtype=object)
+    for ((A, B), (X, Y)), p in marginal.table.items():
+        table[A, B, X, Y] = p
+    identity = (tuple(range(scenario.alice_outputs)),
+                tuple(range(scenario.bob_outputs)))
+    found = []
+    for k in range(scenario.rounds):
+        for alice in itertools.permutations(identity[0]):
+            for bob in itertools.permutations(identity[1]):
+                if (alice, bob) == identity:
+                    continue
+                ia, ib = _relabelled_strings((k, alice, bob), scenario)
+                if (table[ia][:, ib] == table).all():
+                    found.append((k, alice, bob))
+    return found
+
+
+def relabelling_images(built: TonsLp, relabellings) -> list[np.ndarray]:
+    """Variable permutation of the guessing LP induced by each relabelling.
+
+    Alice's relabelling acts on Eve's guess ``e`` as on Alice's string,
+    so the objective ``[A = e]`` is fixed along with every row.
+    """
+    SA, SB, SX, SY = built.scenario.string_sizes
+    index = np.empty((SA, SA, SB, SX, SY), dtype=np.int64)
+    for key, j in built.var.items():
+        index[key] = j
+    images = []
+    for relabelling in relabellings:
+        ia, ib = _relabelled_strings(relabelling, built.scenario)
+        image = np.empty(built.program.num_vars, dtype=np.int64)
+        image[index.ravel()] = index[ia][:, ia][:, :, ib].ravel()
+        images.append(image)
+    return images
+
+
+def orbit_quotient(prog: L.LinProgram,
+                   images: Sequence[np.ndarray]) -> L.LinProgram:
+    """The LP restricted to points constant on each variable orbit.
+
+    ``images`` are variable permutations that map ``prog`` onto itself.
+    The quotient has one column per orbit of the group they generate, the
+    objective and each row summed per orbit, and each distinct row once;
+    its optimum is the optimum of ``prog``.
+    """
+    if not images:
+        return prog
+    # Label propagation: every variable takes the least label reachable
+    # through the generators; at the fixed point labels are constant on
+    # orbits (each generator has finite order) and distinct across them.
+    labels = np.arange(prog.num_vars)
+    while True:
+        new = labels
+        for image in images:
+            new = np.minimum(new, new[image])
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    orbits, col = np.unique(labels, return_inverse=True)
+    col = col.tolist()
+
+    quotient = L.LinProgram(
+        len(orbits), prog.sense,
+        lower={col[j]: lo for j, lo in prog.lower.items()},
+        upper={col[j]: up for j, up in prog.upper.items()})
+    for j, c in prog.objective.items():
+        quotient.objective[col[j]] = quotient.objective.get(col[j], 0) + c
+    # Rows are summed over integer numerators on a common denominator:
+    # Fraction additions would cost more than the solve.
+    den = math.lcm(*{c.denominator for con in prog.constraints
+                     for _, c in con.coeffs})
+    seen = set()
+    for con in prog.constraints:
+        sums: dict[int, int] = {}
+        for j, c in con.coeffs:
+            q = col[j]
+            sums[q] = sums.get(q, 0) + c.numerator * (den // c.denominator)
+        key = (tuple(sorted((q, s) for q, s in sums.items() if s)),
+               con.rel, con.rhs)
+        if key not in seen:
+            seen.add(key)
+            quotient.constraints.append(L.Constraint(
+                tuple((q, Fraction(s, den)) for q, s in key[0]),
+                con.rel, con.rhs))
+    return quotient
+
+
 def tons_guessing_probability(game: Game, marginal: Behavior,
                               x_star: Sequence[int], scenario: CausalScenario,
                               mode: str = "exact",
@@ -261,16 +384,24 @@ def tons_guessing_probability(game: Game, marginal: Behavior,
                               constraint_mode: str = FIXED_MARGINAL,
                               omega_star=None,
                               exact_round_cap: int = EXACT_ROUND_CAP,
-                              float_round_cap: int = FLOAT_ROUND_CAP) -> Number:
+                              float_round_cap: int = FLOAT_ROUND_CAP,
+                              float_tolerance: float = 1e-9) -> Number:
     """Eve's optimal probability of guessing Alice's full output string.
 
-    Raises InfeasibleError when the marginal is not attainable within the
+    In fixed-marginal mode the LP is solved on the slice fixed by the
+    marginal's output relabellings (see the module docstring).  Raises
+    InfeasibleError when the marginal is not attainable within the
     causal set, and LpSizeError beyond the configured round caps.
     """
     _check_caps(scenario, mode, exact_round_cap, float_round_cap)
     built = build_guessing_lp(game, marginal, x_star, scenario, y_ref,
                               constraint_mode, omega_star)
-    sol = _solve_certified(built.program, mode)
+    program = built.program
+    if constraint_mode == FIXED_MARGINAL:
+        relabellings = marginal_relabellings(marginal, scenario)
+        program = orbit_quotient(program,
+                                 relabelling_images(built, relabellings))
+    sol = _solve_certified(program, mode, float_tolerance)
     return sol.value
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from nsrand import games
+from nsrand import lp as L
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,16 @@ def chain_guessing_game(chain_game):
 @pytest.fixture(scope="session")
 def magic_square_game():
     return games.make_magic_square_game()
+
+
+@pytest.fixture
+def perturbed_float_solver(monkeypatch):
+    """HiGHS answers shifted by 1e-6 in every primal coordinate."""
+    real = L._scipy_solve
+
+    def perturbed(norm, method=None):
+        res, *rest = real(norm, method)
+        res.x = res.x + 1e-6
+        return (res, *rest)
+
+    monkeypatch.setattr(L, "_scipy_solve", perturbed)

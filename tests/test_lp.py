@@ -139,6 +139,14 @@ def test_lift_path_matches_direct_simplex():
     assert lifted.value == direct.value == F(5, 2)
 
 
+def test_float_optimum_is_checked_at_float_tolerance(perturbed_float_solver):
+    """A float optimum off by 1e-6 fails at 1e-9 and passes at 1e-3."""
+    with pytest.raises(L.CertificationError, match="tolerance 1e-09"):
+        L.solve(_three_var_lp(), mode="float", float_tolerance=1e-9)
+    sol = L.solve(_three_var_lp(), mode="float", float_tolerance=1e-3)
+    assert sol.value == pytest.approx(2.5)
+
+
 def _spy_on_dense_simplex(monkeypatch):
     calls = []
     dense = L._exact_simplex

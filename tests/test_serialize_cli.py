@@ -144,6 +144,39 @@ class TestCli:
         assert code == cli.EXIT_INFEASIBLE
         assert "cap" in capsys.readouterr().err
 
+    def test_exact_certification_failure_exit_code(self, monkeypatch,
+                                                   capsys):
+        """A failed exact lift with no dense fallback is not "infeasible"."""
+        monkeypatch.setattr(L, "_lift_exact", lambda *args: None)
+        monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
+        code = cli.main(["--mode", "exact", "tons", "--v", "1/2", "--n", "2"])
+        assert code == cli.EXIT_CERTIFICATION_FAILURE == 4
+        assert "certification failed" in capsys.readouterr().err
+
+    def test_uncertified_optimum_exit_code(self, tmp_path, monkeypatch,
+                                           capsys):
+        uncertified = L.LpSolution(L.LpSolution.OPTIMAL, F(1), [], [],
+                                   "exact", certified=False)
+        monkeypatch.setattr(L, "solve", lambda *args, **kwargs: uncertified)
+        code = cli.main(["ns-value", "chsh",
+                         "--certificate", str(tmp_path / "c.json")])
+        assert code == cli.EXIT_CERTIFICATION_FAILURE
+        assert "certification failed" in capsys.readouterr().err
+
+    def test_float_tolerance_is_honoured(self, tmp_path, capsys,
+                                         perturbed_float_solver):
+        """A float optimum off by 1e-6 exits 4 at the default tolerance
+        and passes when --float-tolerance admits it."""
+        cert = str(tmp_path / "c.json")
+        runs = (["--mode", "float", "ns-value", "chsh-guessing",
+                 "--certificate", cert],
+                ["--mode", "float", "tons", "--v", "1/2", "--n", "2"])
+        for argv in runs:
+            assert cli.main(argv) == cli.EXIT_CERTIFICATION_FAILURE, argv
+            assert "tolerance 1e-09" in capsys.readouterr().err
+            assert cli.main(argv + ["--float-tolerance", "1e-3"]) == 0, argv
+            capsys.readouterr()
+
     def test_ks_attack_single_basis(self, tmp_path, capsys):
         out = tmp_path / "attack.json"
         code = cli.main(["ks-attack", "--ks", "single_basis",
