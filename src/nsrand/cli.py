@@ -52,8 +52,6 @@ class RunConfig:
     mode: str = "exact"
     float_tolerance: float = 1e-9
     orth_tolerance: float = 1e-9
-    output_format: str = "csv"
-    seed: int = 0
     mode_explicit: bool = False
 
     def validate(self) -> None:
@@ -61,9 +59,6 @@ class RunConfig:
             raise serialize.InputFormatError(f"unknown mode {self.mode!r}")
         if self.float_tolerance <= 0 or self.orth_tolerance <= 0:
             raise serialize.InputFormatError("tolerances must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise serialize.InputFormatError(
-                f"unknown output format {self.output_format!r}")
 
 
 def load_config(args) -> RunConfig:
@@ -74,14 +69,12 @@ def load_config(args) -> RunConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise serialize.InputFormatError(f"config file {path}: {exc}") from exc
-        for field in ("mode", "float_tolerance", "orth_tolerance",
-                      "output_format", "seed"):
+        for field in ("mode", "float_tolerance", "orth_tolerance"):
             if field in data:
                 setattr(cfg, field, data[field])
                 if field == "mode":
                     cfg.mode_explicit = True
-    for field in ("mode", "float_tolerance", "orth_tolerance",
-                  "output_format", "seed"):
+    for field in ("mode", "float_tolerance", "orth_tolerance"):
         value = getattr(args, field, None)
         if value is not None:
             setattr(cfg, field, value)
@@ -240,7 +233,8 @@ def cmd_curves(args, cfg: RunConfig) -> int:
         step_q = (Fraction(6) - 4) / (args.lp_samples - 1) \
             if args.lp_samples > 1 else Fraction(0)
         samples = [4 + i * step_q for i in range(args.lp_samples)]
-        lp_rows = nsvalues.chain_ns_guessing_curve(samples, mode=cfg.mode)
+        lp_rows = nsvalues.chain_ns_guessing_curve(
+            samples, mode=cfg.mode, float_tolerance=cfg.float_tolerance)
         header, rows_lp = serialize.guessing_curve_rows(lp_rows)
         lp_path = Path(args.out).with_suffix(".lp.csv")
         serialize.write_csv(lp_path, header, rows_lp, manifest)
@@ -302,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--float-tolerance", dest="float_tolerance",
                         type=float)
     common.add_argument("--orth-tolerance", dest="orth_tolerance", type=float)
-    common.add_argument("--output-format", dest="output_format",
-                        choices=("csv", "json"))
-    common.add_argument("--seed", type=int)
     parser = argparse.ArgumentParser(
         prog="nsrand", parents=[common],
         description="Device-independent randomness against no-signalling "

@@ -5,7 +5,9 @@ conditional-probability behaviors with exact rational entries, and the
 specific games used throughout the package: the 3-input chained game in
 its complete-support variant, CHSH, tripartite guessing games, and the
 Mermin-Peres magic square.  Multi-round strings are flattened with
-round-major mixed-radix indexing throughout.
+round-major mixed-radix indexing throughout.  ``ns_marginal_groups`` is
+the one source of no-signalling marginal rows, single-round and
+time-ordered, for every LP builder and verifier.
 """
 
 from __future__ import annotations
@@ -172,6 +174,97 @@ def decode_string(value: int, base: int, rounds: int) -> tuple[int, ...]:
         value, d = divmod(value, base)
         digits.append(d)
     return tuple(reversed(digits))
+
+
+# ---------------------------------------------------------------------------
+# no-signalling marginal rows
+# ---------------------------------------------------------------------------
+
+# Marginal families: (name, parties whose outputs are summed out).  The
+# summed parties' inputs must not change the remaining marginal.  A
+# bipartite behavior has the first two, a tripartite one all six.
+NS_FAMILIES = (
+    ("A|x", (0,)),
+    ("B|y", (1,)),
+    ("E|z", (2,)),
+    ("AB|xy", (0, 1)),
+    ("AE|xz", (0, 2)),
+    ("BE|yz", (1, 2)),
+)
+
+
+# Bob's family first: the row order of the blockwise guessing LPs.
+BLOCK_FAMILIES = (NS_FAMILIES[1], NS_FAMILIES[0])
+
+
+def ns_families(parties: int) -> tuple:
+    """Every marginal family of a bipartite or tripartite behavior."""
+    return NS_FAMILIES[:2] if parties == 2 else NS_FAMILIES
+
+
+def ns_marginal_groups(output_sizes: Sequence[int], input_sizes: Sequence[int],
+                       families, rounds: int = 1, time_ordered: bool = False):
+    """Groups of marginal sums that no-signalling requires to be equal.
+
+    Sizes are per round and party; keys are ``Behavior.table`` keys of
+    round-major strings.  At level i a family sums its parties' outputs
+    after round i, and the sum may not depend on their inputs after round
+    i.  Levels are 0..rounds-1 if ``time_ordered`` (TONS), else 0 alone.
+
+    Yields ``(family name, kept outputs, [(inputs, keys), ...])``: one
+    entry per input suffix of the summed parties, all-zero suffix first.
+    Order: level, family, kept parties' output strings then input
+    strings, summed parties' prefix outputs then prefix inputs, suffix.
+    """
+    n = rounds
+    parties = range(len(output_sizes))
+    for i in (range(n) if time_ordered else (0,)):
+        for name, summed in families:
+            kept = [p for p in parties if p not in summed]
+            # A string is prefix * span + suffix: kept parties fix whole
+            # strings (span 1), summed parties their first i rounds.
+            out_span = [1 if p in kept else output_sizes[p] ** (n - i)
+                        for p in parties]
+            in_span = [1 if p in kept else input_sizes[p] ** (n - i)
+                       for p in parties]
+            for kept_outs, kept_ins, pre_outs, pre_ins in itertools.product(
+                    _strings(output_sizes, kept, n),
+                    _strings(input_sizes, kept, n),
+                    _strings(output_sizes, summed, i),
+                    _strings(input_sizes, summed, i)):
+                outs = list(_extensions(
+                    _merge(kept, kept_outs, summed, pre_outs), out_span))
+                yield name, kept_outs, [
+                    (ins, [(o, ins) for o in outs]) for ins in _extensions(
+                        _merge(kept, kept_ins, summed, pre_ins), in_span)]
+
+
+def _strings(sizes, parties, rounds: int):
+    """Every tuple of the parties' encoded strings of ``rounds`` rounds."""
+    return itertools.product(*(range(sizes[p] ** rounds) for p in parties))
+
+
+def _merge(kept, kept_vals, summed, summed_vals) -> list[int]:
+    """Values in party order from the kept and the summed parties' values."""
+    merged = dict(zip(kept, kept_vals)) | dict(zip(summed, summed_vals))
+    return [merged[p] for p in sorted(merged)]
+
+
+def _extensions(prefixes, spans):
+    """Every tuple of strings that extend the per-party prefixes."""
+    return itertools.product(*(range(pre * span, (pre + 1) * span)
+                               for pre, span in zip(prefixes, spans)))
+
+
+def ns_equality_rows(output_sizes: Sequence[int], input_sizes: Sequence[int],
+                     families, rounds: int = 1, time_ordered: bool = False):
+    """Rows ``{key: +-1}``, one per non-reference entry of each
+    ``ns_marginal_groups`` group: its marginal sum minus the reference."""
+    for _, _, entries in ns_marginal_groups(output_sizes, input_sizes,
+                                            families, rounds, time_ordered):
+        ref = dict.fromkeys(entries[0][1], -1)
+        for _, keys in entries[1:]:
+            yield dict.fromkeys(keys, 1) | ref
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ graph, search exhaustively for {0, 1/2, 1} assignments that place weight
 1 on a chosen vector, turn assignments into bipartite no-signalling
 behaviors winning the associated game, assemble the tripartite behavior
 that lets an eavesdropper guess one player's outputs perfectly, and
-verify every claimed property in exact arithmetic.
+verify every claimed property in exact arithmetic (the no-signalling
+marginals through ``games.ns_marginal_groups``).
 
 The bipartite behavior realizes the assignment as both marginals by
 solving one small exact transportation problem per input pair, supported
@@ -23,7 +24,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterator, Optional, Sequence
 
-from .games import Alphabet, Behavior, Game, bell_value
+from .games import (Alphabet, Behavior, Game, bell_value, ns_families,
+                    ns_marginal_groups)
 
 ComplexRational = tuple[Fraction, Fraction]
 
@@ -380,9 +382,10 @@ def with_base_split(ks: KSSet, alice_bases: Sequence[int],
     return restricted
 
 
-def make_ks_game(ks: KSSet, tol: float = DEFAULT_ORTH_TOL) -> Game:
+def make_ks_game(ks: KSSet, graph: Optional[OrthGraph] = None) -> Game:
     """Pseudotelepathy game of the set: losing events are orthogonal pairs."""
-    graph = build_orth_graph(ks, tol)
+    if graph is None:
+        graph = build_orth_graph(ks)
     nx, ny = len(ks.alice_bases), len(ks.bob_bases)
     d = ks.dim
     pi = {(x, y): Fraction(1, nx * ny) for x in range(nx) for y in range(ny)}
@@ -441,7 +444,7 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
                   f"no marginal-preserving coupling for input pairs "
                   f"{fallback_pairs}" if fallback_pairs else "")
     behavior = Behavior((len(ks.alice_bases), len(ks.bob_bases)), (d, d), table)
-    inner = verify_behavior(behavior, game=make_ks_game(ks))
+    inner = verify_behavior(behavior, game=make_ks_game(ks, graph))
     report.checks.extend(inner.checks)
 
     # Marginals must reproduce the assignment on both sides.
@@ -557,15 +560,6 @@ def tripartite_attack(ks: KSSet, x_star: int,
 # verification
 # ---------------------------------------------------------------------------
 
-def _marginal_families(parties: int):
-    # (summed-out party tuple, varied input slots); single- and two-party
-    # no-signalling directions, every bipartition.
-    if parties == 2:
-        return [((0,), (0,)), ((1,), (1,))]
-    return [((0,), (0,)), ((1,), (1,)), ((2,), (2,)),
-            ((0, 1), (0, 1)), ((0, 2), (0, 2)), ((1, 2), (1, 2))]
-
-
 def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport:
     """Exhaustive exact property report; never raises on defects.
 
@@ -590,41 +584,24 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
     report.record("normalization", not bad_norm,
                   f"per-input sums off at {bad_norm[:3]}" if bad_norm else "")
 
-    for summed, varied in _marginal_families(b.parties):
-        kept = [p for p in range(b.parties) if p not in summed]
-        fixed_in = [p for p in range(b.parties) if p not in varied]
-        label = "ns-" + "".join("ABE"[p] for p in summed) + \
-                "-indep-" + "".join("xyz"[p] for p in varied)
-        bad = None
-        for kept_outs in itertools.product(
-                *(range(b.output_sizes[p]) for p in kept)):
-            for fixed_vals in itertools.product(
-                    *(range(b.input_sizes[p]) for p in fixed_in)):
-                ref_val = None
-                for varied_vals in itertools.product(
-                        *(range(b.input_sizes[p]) for p in varied)):
-                    ins = [0] * b.parties
-                    for p, v in zip(fixed_in, fixed_vals):
-                        ins[p] = v
-                    for p, v in zip(varied, varied_vals):
-                        ins[p] = v
-                    total = Fraction(0)
-                    for summed_outs in itertools.product(
-                            *(range(b.output_sizes[p]) for p in summed)):
-                        outs = [0] * b.parties
-                        for p, o in zip(kept, kept_outs):
-                            outs[p] = o
-                        for p, o in zip(summed, summed_outs):
-                            outs[p] = o
-                        total += b.entry(tuple(outs), tuple(ins))
-                    if ref_val is None:
-                        ref_val = total
-                    elif total != ref_val and bad is None:
-                        bad = (kept_outs, fixed_vals, varied_vals)
-            if bad:
-                break
-        report.record(label, bad is None,
-                      f"first violation at {bad}" if bad else "")
+    # Per family, the first marginal sum off its reference, reported as
+    # (kept outputs, kept inputs, summed parties' inputs).
+    families = ns_families(b.parties)
+    bad: dict = {}
+    for name, kept_outs, entries in ns_marginal_groups(
+            b.output_sizes, b.input_sizes, families):
+        sums = [sum((b.entry(*key) for key in keys), start=Fraction(0))
+                for _, keys in entries]
+        off = [ins for (ins, _), s in zip(entries, sums) if s != sums[0]]
+        if off and name not in bad:
+            summed = dict(families)[name]
+            bad[name] = (kept_outs,
+                         tuple(v for p, v in enumerate(off[0])
+                               if p not in summed),
+                         tuple(off[0][p] for p in summed))
+    for name, _ in families:
+        report.record("ns-" + name.replace("|", "-indep-"), name not in bad,
+                      f"first violation at {bad[name]}" if name in bad else "")
 
     if game is not None:
         leaked = []

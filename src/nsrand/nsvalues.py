@@ -4,7 +4,8 @@ Exact LP values of games over the no-signalling polytope, the
 epsilon-almost-no-signalling relaxation with its dual certificate, and
 the single-round adversarial guessing probability obtained from convex
 decompositions into subnormalized no-signalling blocks (one block per
-guess of the adversary).
+guess of the adversary).  All no-signalling rows come from
+``games.ns_marginal_groups``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import lp as L
-from .games import (Game, GameError, chain_i3_coefficients,
-                    game_value_coefficients, make_chain_game)
+from .games import (BLOCK_FAMILIES, NS_FAMILIES, Game, GameError,
+                    chain_i3_coefficients, game_value_coefficients,
+                    make_chain_game, ns_equality_rows, ns_families,
+                    ns_marginal_groups)
 
 Number = Union[Fraction, float]
 
@@ -32,88 +35,29 @@ class UncertifiedError(RuntimeError):
     """Exact mode could not produce a verified optimality certificate."""
 
 
-# Family tags of the six marginal constraint groups of a tripartite
-# behavior: (parties summed out, input slots whose value is varied).
-TRIPARTITE_FAMILIES = (
-    ("A|x", (0,), (0,)),
-    ("B|y", (1,), (1,)),
-    ("E|z", (2,), (2,)),
-    ("AB|xy", (0, 1), (0, 1)),
-    ("AE|xz", (0, 2), (0, 2)),
-    ("BE|yz", (1, 2), (1, 2)),
-)
-BIPARTITE_FAMILIES = (
-    ("A|x", (0,), (0,)),
-    ("B|y", (1,), (1,)),
-)
-
-
-def _axes(sizes: Sequence[int]):
-    return [range(s) for s in sizes]
-
-
-def _marginal_terms(out_sizes, summed, kept_outs, ins):
-    """Variable keys of one marginal sum: fixed kept outputs, summed rest."""
-    terms = []
-    ranges = [range(out_sizes[p]) if p in summed else (kept_outs[p],)
-              for p in range(len(out_sizes))]
-    for outs in itertools.product(*ranges):
-        terms.append((outs, ins))
-    return terms
-
-
-def _ns_equalities(out_sizes, in_sizes, families, var):
-    """Reference-input equality rows expressing exact no-signalling."""
-    rows = []
-    nparties = len(out_sizes)
-    for name, summed, varied in families:
-        if len(summed) > 1:
-            continue  # two-party families are implied at epsilon = 0
-        kept = [p for p in range(nparties) if p not in summed]
-        fixed_in = [p for p in range(nparties) if p not in varied]
-        for kept_outs in itertools.product(*(range(out_sizes[p]) for p in kept)):
-            full_kept = [0] * nparties
-            for p, o in zip(kept, kept_outs):
-                full_kept[p] = o
-            for fixed_vals in itertools.product(*(range(in_sizes[p]) for p in fixed_in)):
-                def build_ins(varied_vals):
-                    ins = [0] * nparties
-                    for p, v in zip(fixed_in, fixed_vals):
-                        ins[p] = v
-                    for p, v in zip(varied, varied_vals):
-                        ins[p] = v
-                    return tuple(ins)
-                ref = build_ins(tuple(0 for _ in varied))
-                for varied_vals in itertools.product(
-                        *(range(in_sizes[p]) for p in varied)):
-                    if all(v == 0 for v in varied_vals):
-                        continue
-                    other = build_ins(varied_vals)
-                    coeffs: dict[int, Fraction] = {}
-                    for key in _marginal_terms(out_sizes, summed, full_kept, other):
-                        coeffs[var[key]] = coeffs.get(var[key], Fraction(0)) + 1
-                    for key in _marginal_terms(out_sizes, summed, full_kept, ref):
-                        coeffs[var[key]] = coeffs.get(var[key], Fraction(0)) - 1
-                    rows.append(coeffs)
-    return rows
-
-
-def _behavior_lp(game: Game, objective_coeffs) -> tuple[L.LinProgram, dict]:
-    """LP over the exact no-signalling polytope of the game's shape."""
-    out_sizes, in_sizes = game.output_sizes, game.input_sizes
+def _normalized_lp(game: Game, objective) -> tuple[L.LinProgram, dict]:
+    """LP over normalized behaviors of the game's shape, one row per input."""
     var = {}
-    for ins in itertools.product(*_axes(in_sizes)):
-        for outs in itertools.product(*_axes(out_sizes)):
+    for ins in game.inputs():
+        for outs in game.outputs():
             var[(outs, ins)] = len(var)
     prog = L.LinProgram(len(var), "max",
                         {var[key]: Fraction(c)
-                         for key, c in objective_coeffs.items()})
-    for ins in itertools.product(*_axes(in_sizes)):
-        prog.add({var[(outs, ins)]: 1
-                  for outs in itertools.product(*_axes(out_sizes))}, "==", 1)
-    families = TRIPARTITE_FAMILIES if game.parties == 3 else BIPARTITE_FAMILIES
-    for coeffs in _ns_equalities(out_sizes, in_sizes, families, var):
-        prog.add(coeffs, "==", 0)
+                         for key, c in objective.items()})
+    for ins in game.inputs():
+        prog.add({var[(outs, ins)]: 1 for outs in game.outputs()}, "==", 1)
+    return prog, var
+
+
+def _behavior_lp(game: Game, objective_coeffs) -> tuple[L.LinProgram, dict]:
+    """LP over the exact no-signalling polytope of the game's shape.
+
+    The single-party families suffice: they imply the two-party ones.
+    """
+    prog, var = _normalized_lp(game, objective_coeffs)
+    for row in ns_equality_rows(game.output_sizes, game.input_sizes,
+                                NS_FAMILIES[:game.parties]):
+        prog.add({var[key]: c for key, c in row.items()}, "==", 0)
     return prog, var
 
 
@@ -162,59 +106,21 @@ def eps_ns_value(game: Game, epsilon, mode: str = "exact") -> EpsNsReport:
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise GameError("epsilon must be nonnegative")
-    out_sizes, in_sizes = game.output_sizes, game.input_sizes
-    nparties = game.parties
-    var = {}
-    for ins in itertools.product(*_axes(in_sizes)):
-        for outs in itertools.product(*_axes(out_sizes)):
-            var[(outs, ins)] = len(var)
-    prog = L.LinProgram(len(var), "max",
-                        {var[key]: Fraction(c)
-                         for key, c in game_value_coefficients(game).items()})
-
-    norm_rows = []
-    for ins in itertools.product(*_axes(in_sizes)):
-        norm_rows.append(ins)
-        prog.add({var[(outs, ins)]: 1
-                  for outs in itertools.product(*_axes(out_sizes))}, "==", 1)
-
-    families = TRIPARTITE_FAMILIES if nparties == 3 else BIPARTITE_FAMILIES
+    prog, var = _normalized_lp(game, game_value_coefficients(game))
     tau_rows = []  # (family, kept outs, from-inputs, to-inputs)
-    for name, summed, varied in families:
-        kept = [p for p in range(nparties) if p not in summed]
-        fixed_in = [p for p in range(nparties) if p not in varied]
-        for kept_outs in itertools.product(*(range(out_sizes[p]) for p in kept)):
-            full_kept = [0] * nparties
-            for p, o in zip(kept, kept_outs):
-                full_kept[p] = o
-            for fixed_vals in itertools.product(
-                    *(range(in_sizes[p]) for p in fixed_in)):
-                varied_space = list(itertools.product(
-                    *(range(in_sizes[p]) for p in varied)))
-                for va, vb in itertools.permutations(varied_space, 2):
-                    def build_ins(vv):
-                        ins = [0] * nparties
-                        for p, v in zip(fixed_in, fixed_vals):
-                            ins[p] = v
-                        for p, v in zip(varied, vv):
-                            ins[p] = v
-                        return tuple(ins)
-                    ia, ib = build_ins(va), build_ins(vb)
-                    coeffs: dict[int, Fraction] = {}
-                    for key in _marginal_terms(out_sizes, summed, full_kept, ia):
-                        coeffs[var[key]] = coeffs.get(var[key], Fraction(0)) + 1
-                    for key in _marginal_terms(out_sizes, summed, full_kept, ib):
-                        coeffs[var[key]] = coeffs.get(var[key], Fraction(0)) - 1
-                    prog.add(coeffs, "<=", epsilon)
-                    tau_rows.append((name, tuple(kept_outs), ia, ib))
+    for name, kept_outs, entries in ns_marginal_groups(
+            game.output_sizes, game.input_sizes, ns_families(game.parties)):
+        for (ia, keys_a), (ib, keys_b) in itertools.permutations(entries, 2):
+            coeffs = {var[key]: 1 for key in keys_a}
+            coeffs.update((var[key], -1) for key in keys_b)
+            prog.add(coeffs, "<=", epsilon)
+            tau_rows.append((name, kept_outs, ia, ib))
 
     sol = _solve_certified(prog, mode)
-    n_norm = len(norm_rows)
-    normalization = {ins: sol.dual[i] for i, ins in enumerate(norm_rows)}
+    normalization = dict(zip(game.inputs(), sol.dual))
     tau: dict = {}
-    for offset, key in enumerate(tau_rows):
-        family = key[0]
-        tau.setdefault(family, {})[key[1:]] = sol.dual[n_norm + offset]
+    for key, dual in zip(tau_rows, sol.dual[len(normalization):]):
+        tau.setdefault(key[0], {})[key[1:]] = dual
     return EpsNsReport(epsilon, sol.value, normalization, tau, sol)
 
 
@@ -270,35 +176,20 @@ def _guessing_lp(game: Game, x_star: int, w_star, relation: str,
 
     var = {}
     for e in range(na):
-        for x in range(nx):
-            for y in range(ny):
-                for a in range(na):
-                    for b in range(nb):
-                        var[(e, a, b, x, y)] = len(var)
+        for ins in game.inputs():
+            for outs in game.outputs():
+                var[(e, *outs, *ins)] = len(var)
     objective = {var[(e, e, b, x_star, y_ref)]: Fraction(1)
                  for e in range(na) for b in range(nb)}
     prog = L.LinProgram(len(var), "max", objective)
 
     # Per-block no-signalling (homogeneous, valid for subnormalized blocks).
+    rows = list(ns_equality_rows(game.output_sizes, game.input_sizes,
+                                 BLOCK_FAMILIES))
     for e in range(na):
-        for a in range(na):
-            for x in range(nx):
-                for y in range(1, ny):
-                    coeffs = {}
-                    for b in range(nb):
-                        coeffs[var[(e, a, b, x, y)]] = Fraction(1)
-                        coeffs[var[(e, a, b, x, 0)]] = \
-                            coeffs.get(var[(e, a, b, x, 0)], Fraction(0)) - 1
-                    prog.add(coeffs, "==", 0)
-        for b in range(nb):
-            for y in range(ny):
-                for x in range(1, nx):
-                    coeffs = {}
-                    for a in range(na):
-                        coeffs[var[(e, a, b, x, y)]] = Fraction(1)
-                        coeffs[var[(e, a, b, 0, y)]] = \
-                            coeffs.get(var[(e, a, b, 0, y)], Fraction(0)) - 1
-                    prog.add(coeffs, "==", 0)
+        for row in rows:
+            prog.add({var[(e, *outs, *ins)]: c
+                      for (outs, ins), c in row.items()}, "==", 0)
 
     # The summed decomposition is a normalized behavior.
     prog.add({var[(e, a, b, 0, 0)]: 1 for e in range(na)
@@ -319,7 +210,8 @@ def single_round_guessing(game: Game, x_star: int, w_star,
                           functional: Optional[dict] = None,
                           mode: str = "exact",
                           y_ref: int = 0,
-                          with_solution: bool = False):
+                          with_solution: bool = False,
+                          float_tolerance: float = 1e-9):
     """Adversarial guessing probability of Alice's output at ``x_star``.
 
     Maximizes the probability that the block label matches Alice's output
@@ -332,12 +224,13 @@ def single_round_guessing(game: Game, x_star: int, w_star,
     if relation not in (EQ_RELATION, GE_RELATION):
         raise GameError(f"relation must be '==' or '>=', got {relation!r}")
     prog, _ = _guessing_lp(game, x_star, w_star, relation, functional, y_ref)
-    sol = _solve_certified(prog, mode)
+    sol = _solve_certified(prog, mode, float_tolerance)
     return (sol.value, sol, prog) if with_solution else sol.value
 
 
 def chain_ns_guessing_curve(samples: Sequence, mode: str = "exact",
-                            x_star: int = 0) -> list[tuple[Fraction, Number]]:
+                            x_star: int = 0, float_tolerance: float = 1e-9
+                            ) -> list[tuple[Fraction, Number]]:
     """No-signalling guessing curve of the chained expression.
 
     For every sampled value w in [4, 6] the LP optimum is checked to equal
@@ -351,7 +244,8 @@ def chain_ns_guessing_curve(samples: Sequence, mode: str = "exact",
         if not 4 <= w <= 6:
             raise GameError(f"sample {w} outside [4, 6]")
         pg = single_round_guessing(game, x_star, w, EQ_RELATION,
-                                   functional=functional, mode=mode)
+                                   functional=functional, mode=mode,
+                                   float_tolerance=float_tolerance)
         expected = 2 - w / 4
         if mode == "exact" and pg != expected:
             raise RuntimeError(

@@ -3,9 +3,10 @@
 Builds the LP for an adversary guessing Alice's full output string over n
 sequential rounds, where each conditional device behavior satisfies either
 the time-ordered (TONS) or the block (ABNS) no-signalling constraint
-family.  Strings are flattened round-major; the adversary holds one
-subnormalized block per candidate output string, and by default the sum
-of the blocks is pinned to a given n-round marginal behavior.
+family (``games.ns_equality_rows`` over n rounds).  Strings are flattened
+round-major; the adversary holds one subnormalized block per candidate
+output string, and by default the sum of the blocks is pinned to a given
+n-round marginal behavior.
 
 A fixed marginal is usually invariant under some per-round output
 relabellings (the noisy PR box under flipping both outputs of a round).
@@ -28,8 +29,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import lp as L
-from .games import (Behavior, Game, GameError, encode_string,
-                    game_value_coefficients)
+from .games import (BLOCK_FAMILIES, Behavior, Game, GameError,
+                    encode_string, game_value_coefficients, ns_equality_rows)
 from .nsvalues import _solve_certified
 
 Number = Union[Fraction, float]
@@ -78,54 +79,16 @@ class CausalScenario:
 def build_causal_constraints(scenario: CausalScenario) -> list[dict]:
     """Homogeneous equality rows of the scenario over one behavior block.
 
-    Rows are dicts mapping (A, B, X, Y) string keys to +-1 coefficients;
-    each row states that a partial sum with a given suffix of one party's
-    inputs equals the same sum with the all-zero reference suffix.  TONS
-    emits both directions of every prefix level i in 0..n-1; ABNS only the
-    full-block level i = 0.
+    Rows are ``games.ns_equality_rows``, Bob's family first: dicts
+    mapping ``((A, B), (X, Y))`` string keys to +-1.  Each states that a
+    partial sum with a given suffix of one party's inputs equals the same
+    sum with the all-zero reference suffix.  TONS emits both directions
+    of every prefix level i in 0..n-1; ABNS only the full-block level 0.
     """
-    n = scenario.rounds
-    na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
-                      scenario.alice_inputs, scenario.bob_inputs)
-    levels = range(n) if scenario.kind == TONS else (0,)
-    rows: list[dict] = []
-
-    def emit(i: int, out_base: int, in_base: int, other_out_base: int,
-             other_in_base: int, bob_side: bool):
-        # One party's outputs past round i are summed out; the resulting
-        # partial sum must not depend on that party's inputs past round i.
-        # Kept coordinates: the first i rounds of the summed party, plus
-        # the other party's full strings.
-        ref_suffix = (0,) * (n - i)
-        for other_out in range(other_out_base ** n):
-            for other_in in range(other_in_base ** n):
-                for keep in itertools.product(range(out_base), repeat=i):
-                    for in_keep in itertools.product(range(in_base), repeat=i):
-                        for suffix in itertools.product(range(in_base),
-                                                        repeat=n - i):
-                            if suffix == ref_suffix:
-                                continue
-                            coeffs: dict = {}
-                            for tail in itertools.product(range(out_base),
-                                                          repeat=n - i):
-                                out_enc = encode_string(keep + tail, out_base)
-                                for sgn, in_tail in ((1, suffix),
-                                                     (-1, ref_suffix)):
-                                    in_enc = encode_string(in_keep + in_tail,
-                                                           in_base)
-                                    if bob_side:
-                                        key = (other_out, out_enc,
-                                               other_in, in_enc)
-                                    else:
-                                        key = (out_enc, other_out,
-                                               in_enc, other_in)
-                                    coeffs[key] = coeffs.get(key, 0) + sgn
-                            rows.append(coeffs)
-
-    for i in levels:
-        emit(i, nb, ny, na, nx, bob_side=True)   # future b free of future y
-        emit(i, na, nx, nb, ny, bob_side=False)  # future a free of future x
-    return rows
+    return list(ns_equality_rows(
+        (scenario.alice_outputs, scenario.bob_outputs),
+        (scenario.alice_inputs, scenario.bob_inputs), BLOCK_FAMILIES,
+        scenario.rounds, time_ordered=scenario.kind == TONS))
 
 
 def causal_constraint_count(scenario: CausalScenario) -> int:
@@ -146,8 +109,8 @@ def satisfies_causal_constraints(behavior: Behavior,
     """Evaluate the scenario's equality rows directly on a behavior."""
     for row in build_causal_constraints(scenario):
         total = Fraction(0)
-        for (A, B, X, Y), c in row.items():
-            total += c * behavior.entry((A, B), (X, Y))
+        for key, c in row.items():
+            total += c * behavior.entry(*key)
         if total != 0:
             return False
     return True
@@ -212,8 +175,8 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     causal_rows = build_causal_constraints(scenario)
     for e in range(SA):
         for row in causal_rows:
-            prog.add({var[(e,) + key]: Fraction(c) for key, c in row.items()},
-                     "==", 0)
+            prog.add({var[(e, *outs, *ins)]: c
+                      for (outs, ins), c in row.items()}, "==", 0)
     num_causal = len(causal_rows) * SA
 
     num_marg = 0

@@ -202,6 +202,20 @@ class TestPeres24:
         assert report.all_passed, report.summary()
         assert K.attack_affine_dimension(list(attack.blocks.values()), 0) >= 3
 
+    def test_attack_builds_the_orthogonality_graph_once(self, monkeypatch):
+        """Every candidate block reuses the attack's graph for its game."""
+        ks = K.load_bundled_ks("peres24")
+        calls = []
+        real = K.build_orth_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(K, "build_orth_graph", counting)
+        K.tripartite_attack(ks, 0)
+        assert len(calls) == 1
+
 
 class TestBaseSplit:
     def test_projection_from_augmented_set(self, cabello):

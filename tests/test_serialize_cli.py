@@ -170,7 +170,9 @@ class TestCli:
         cert = str(tmp_path / "c.json")
         runs = (["--mode", "float", "ns-value", "chsh-guessing",
                  "--certificate", cert],
-                ["--mode", "float", "tons", "--v", "1/2", "--n", "2"])
+                ["--mode", "float", "tons", "--v", "1/2", "--n", "2"],
+                ["--mode", "float", "curves", "--points", "2",
+                 "--lp-samples", "2", "--out", str(tmp_path / "c.csv")])
         for argv in runs:
             assert cli.main(argv) == cli.EXIT_CERTIFICATION_FAILURE, argv
             assert "tolerance 1e-09" in capsys.readouterr().err

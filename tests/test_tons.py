@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsrand import games as G
+from nsrand import ksattack as K
 from nsrand import lp as L
 from nsrand import nsvalues as NV
 from nsrand import tons as T
@@ -40,7 +41,9 @@ def _random_ns_behavior(rng):
     table = {((a, b), (x, y)): F(0) for a in range(2) for b in range(2)
              for x in range(2) for y in range(2)}
     weights = [F(rng.randint(0, 8)) for _ in range(3)]
-    total = sum(weights) or F(1)
+    if not any(weights):
+        weights[0] = F(1)  # an all-zero mixture is not a behavior
+    total = sum(weights)
     for weight in weights:
         kind = rng.random() < 0.5
         if kind:
@@ -93,6 +96,45 @@ class TestCausalConstraints:
                  for x in range(2) for y in range(2)}
         signalling = G.Behavior((2, 2), (2, 2), table)
         assert not T.satisfies_causal_constraints(signalling, scenario)
+
+
+class TestNsRowProperties:
+    """The no-signalling rows, evaluated by the LP builders' generator and
+    by the verifiers, on random NS boxes and on a signalling perturbation."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_ns_boxes_satisfy_every_row(self, seed):
+        box = _random_ns_behavior(random.Random(seed))
+        families = G.ns_families(2)
+        for n, behavior in ((1, box), (2, G.product_behavior(box, 2))):
+            for time_ordered in (False, True):
+                for row in G.ns_equality_rows((2, 2), (2, 2), families, n,
+                                              time_ordered):
+                    assert sum(c * behavior.entry(*key)
+                               for key, c in row.items()) == 0
+            assert K.verify_behavior(behavior).all_passed
+        assert T.satisfies_causal_constraints(
+            box, T.CausalScenario(T.TONS, 1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), x=st.integers(0, 1),
+           y=st.integers(0, 1), data=st.data())
+    def test_alice_output_shift_fails_exactly_ns_b(self, seed, x, y, data):
+        """Moving mass between Alice's outputs at one (x, y) makes her
+        marginal depend on y, and on nothing else."""
+        table = dict(_random_ns_behavior(random.Random(seed)).table)
+        a, b = data.draw(st.sampled_from(sorted(
+            outs for (outs, ins), p in table.items()
+            if ins == (x, y) and p > 0)))
+        moved = table[((a, b), (x, y))] / 2
+        table[((a, b), (x, y))] -= moved
+        table[((1 - a, b), (x, y))] += moved
+        signalling = G.Behavior((2, 2), (2, 2), table)
+        report = K.verify_behavior(signalling)
+        assert [c.name for c in report.failures()] == ["ns-B-indep-y"]
+        assert not T.satisfies_causal_constraints(
+            signalling, T.CausalScenario(T.TONS, 1))
 
 
 class TestGuessingProbability:
