@@ -539,19 +539,24 @@ def tripartite_attack(ks: KSSet, x_star: int,
                 ab_table[(key_out, key_in)] = total * inv_d
     ab_marginal = Behavior((nx, ny), (d, d), ab_table)
 
-    table: dict = {}
-    for z in range(nx):
-        for x in range(nx):
-            for y in range(ny):
-                for u in range(d):
-                    for w in range(d):
-                        for e in range(d):
-                            if z == x_star:
-                                p = inv_d * blocks[e].entry((u, w), (x, y))
-                            else:
-                                p = inv_d * ab_marginal.entry((u, w), (x, y))
-                            if p:
-                                table[((u, w, e), (x, y, z))] = p
+    # Entries for z = x_star come from Eve's blocks, all others from the
+    # (u, w) marginal; each is scaled by 1/d once and reused across z.
+    def scaled(b: Behavior) -> dict:
+        return {key: inv_d * p for key, p in b.table.items() if p}
+
+    scaled_blocks = [scaled(blocks[e]) for e in range(d)]
+    scaled_ab = scaled(ab_marginal)
+    guessed, unguessed = {}, {}
+    for x, y, u, w, e in itertools.product(range(nx), range(ny), range(d),
+                                           range(d), range(d)):
+        key = ((u, w), (x, y))
+        if key in scaled_blocks[e]:
+            guessed[((u, w, e), (x, y))] = scaled_blocks[e][key]
+        if key in scaled_ab:
+            unguessed[((u, w, e), (x, y))] = scaled_ab[key]
+    table = {(outs, (x, y, z)): p for z in range(nx)
+             for (outs, (x, y)), p in
+             (guessed if z == x_star else unguessed).items()}
     behavior = Behavior((nx, ny, nx), (d, d, d), table)
     return AttackBehavior(behavior, x_star, chosen, blocks, ab_marginal)
 
@@ -613,8 +618,8 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
                     leaked.append((outs, ins))
         report.record("zero-mass-on-losing-events", not leaked,
                       f"mass on losing events {leaked[:3]}" if leaked else "")
-        report.record("wins-game", bell_value(b, game) == 1,
-                      f"value {bell_value(b, game)}")
+        value = bell_value(b, game)
+        report.record("wins-game", value == 1, f"value {value}")
     return report
 
 

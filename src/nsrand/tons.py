@@ -16,10 +16,16 @@ therefore solved on its symmetric slice: one variable per orbit of the
 generated group (Boedi, Herr & Joswig, Math. Program. 137 (2013)).  For
 the noisy PR box the slice is a single block instead of one per guess.
 Rounds are never permuted: the TONS rows are time-ordered.
+
+The slice is built directly, without the 2^n-block LP.  The full LP is
+built only when the marginal has no symmetry, in per-round-value mode,
+and as the test oracle: ``orbit_quotient`` of the full LP under
+``relabelling_images`` is the slice, row for row.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +48,9 @@ FIXED_MARGINAL = "fixed-marginal"
 PER_ROUND_VALUE = "per-round-value"
 
 EXACT_ROUND_CAP = 3
-FLOAT_ROUND_CAP = 4
+# Four rounds give a 65,536-variable slice for the noisy PR box: minutes
+# in HiGHS, and its float optimum misses the default tolerance.
+FLOAT_ROUND_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,8 @@ def satisfies_causal_constraints(behavior: Behavior,
 
 @dataclass
 class TonsLp:
-    """Assembled guessing LP with its variable index map."""
+    """Assembled guessing LP with its variable index map: ``var`` maps
+    each ``(e, A, B, X, Y)`` key to its column (its orbit's on a slice)."""
 
     program: L.LinProgram
     var: dict
@@ -139,17 +148,37 @@ def _check_caps(scenario: CausalScenario, mode: str,
             f"n <= {cap} in {mode} mode")
 
 
+def _check_marginal(marginal: Optional[Behavior],
+                    scenario: CausalScenario) -> None:
+    if marginal is None:
+        raise GameError("fixed-marginal mode needs a marginal behavior")
+    SA, SB, SX, SY = scenario.string_sizes
+    if marginal.output_sizes != (SA, SB) or marginal.input_sizes != (SX, SY):
+        raise GameError("marginal shape does not match the scenario")
+
+
 def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                       x_star: Sequence[int], scenario: CausalScenario,
                       y_ref: Optional[Sequence[int]] = None,
                       constraint_mode: str = FIXED_MARGINAL,
-                      omega_star=None) -> TonsLp:
+                      omega_star=None, relabellings=()) -> TonsLp:
     """Assemble the multi-round guessing LP.
 
     In fixed-marginal mode the blocks must sum to ``marginal`` exactly; in
     the experimental per-round-value mode they must instead reproduce game
     value ``omega_star`` in every round conditioned on each past-input
     history (averaged over past outputs).
+
+    Given ``relabellings`` (fixed-marginal mode, see
+    ``marginal_relabellings``), the LP is built directly on its symmetric
+    slice: one column per variable orbit, the objective and each row
+    summed per orbit, each distinct row once, and ``var`` maps every key to
+    its orbit's column.  This is ``orbit_quotient`` of the full LP, row for
+    row, without building the full LP: only the least guess of each guess
+    orbit contributes causal rows, because the rows of the other blocks
+    are their images and fold onto the same slice rows.  With no
+    relabellings (no symmetry, per-round-value mode, or the full LP as a
+    test oracle) every variable is its own column.
     """
     n = scenario.rounds
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
@@ -159,39 +188,71 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
         raise GameError(f"x_star must be {n} symbols below {nx}")
     x_enc = encode_string(list(x_star), nx)
     y_enc = 0 if y_ref is None else encode_string(list(y_ref), ny)
+    if constraint_mode == FIXED_MARGINAL:
+        _check_marginal(marginal, scenario)
+    elif relabellings:
+        raise GameError("relabellings need fixed-marginal mode")
 
-    var = {}
+    # Variables are numbered with e, X, Y, A, B from major to minor;
+    # labels[e, A, B, X, Y] is the least variable of each one's orbit.
+    block = SA * SB * SX * SY
+    index = np.arange(SA * block).reshape(SA, SX, SY, SA, SB)
+    labels = _orbit_minima(index.transpose(0, 3, 4, 1, 2),
+                           [_relabelled_strings(r, scenario)
+                            for r in relabellings])
+    orbits, col = np.unique(labels, return_inverse=True)
+    col = col.reshape(labels.shape)
+    keys = itertools.product(range(SA), range(SX), range(SY), range(SA),
+                             range(SB))
+    var = {(e, A, B, X, Y): j for (e, X, Y, A, B), j in
+           zip(keys, col.transpose(0, 3, 4, 1, 2).ravel().tolist())}
+
+    objective: dict[int, Fraction] = {}
     for e in range(SA):
-        for X in range(SX):
-            for Y in range(SY):
-                for A in range(SA):
-                    for B in range(SB):
-                        var[(e, A, B, X, Y)] = len(var)
+        for B in range(SB):
+            j = var[(e, e, B, x_enc, y_enc)]
+            objective[j] = objective.get(j, 0) + Fraction(1)
+    prog = L.LinProgram(len(orbits), "max", objective)
 
-    objective = {var[(e, e, B, x_enc, y_enc)]: Fraction(1)
-                 for e in range(SA) for B in range(SB)}
-    prog = L.LinProgram(len(var), "max", objective)
+    seen = set()
+    fraction = functools.cache(Fraction)  # coefficients are small integers
+
+    def add_row(terms, rhs) -> int:
+        """Append sum(c x_j) == rhs summed per column; on the slice a row
+        already present is dropped.  Returns the number of rows added."""
+        sums: dict[int, int] = {}
+        for j, c in terms:
+            sums[j] = sums.get(j, 0) + c
+        coeffs = tuple(sorted((j, c) for j, c in sums.items() if c))
+        rhs = Fraction(rhs)
+        if relabellings:
+            if (coeffs, rhs) in seen:
+                return 0
+            seen.add((coeffs, rhs))
+        prog.constraints.append(L.Constraint(
+            tuple((j, fraction(c)) for j, c in coeffs), L.EQ, rhs))
+        return 1
 
     causal_rows = build_causal_constraints(scenario)
-    for e in range(SA):
+    num_causal = 0
+    # Block e's rows fold onto those of the least guess in e's orbit, so
+    # only that block emits them.  Variables are numbered guess-major: the
+    # least variable of the orbit of (e, 0, 0, 0, 0) lies in that block.
+    for e in np.flatnonzero(labels[:, 0, 0, 0, 0] >= np.arange(SA) * block):
+        cols = col[e].tolist()
         for row in causal_rows:
-            prog.add({var[(e, *outs, *ins)]: c
-                      for (outs, ins), c in row.items()}, "==", 0)
-    num_causal = len(causal_rows) * SA
+            num_causal += add_row(
+                [(cols[A][B][X][Y], c) for ((A, B), (X, Y)), c in row.items()],
+                0)
 
     num_marg = 0
     if constraint_mode == FIXED_MARGINAL:
-        if marginal is None:
-            raise GameError("fixed-marginal mode needs a marginal behavior")
-        if marginal.output_sizes != (SA, SB) or marginal.input_sizes != (SX, SY):
-            raise GameError("marginal shape does not match the scenario")
-        for X in range(SX):
-            for Y in range(SY):
-                for A in range(SA):
-                    for B in range(SB):
-                        prog.add({var[(e, A, B, X, Y)]: 1 for e in range(SA)},
-                                 "==", marginal.entry((A, B), (X, Y)))
-                        num_marg += 1
+        entries = itertools.product(range(SX), range(SY), range(SA),
+                                    range(SB))
+        per_entry = col.transpose(3, 4, 1, 2, 0).reshape(-1, SA).tolist()
+        for (X, Y, A, B), cols in zip(entries, per_entry):
+            num_marg += add_row([(j, 1) for j in cols],
+                                marginal.entry((A, B), (X, Y)))
     elif constraint_mode == PER_ROUND_VALUE:
         if omega_star is None:
             raise GameError("per-round-value mode needs omega_star")
@@ -245,6 +306,25 @@ def _relabelled_strings(relabelling, scenario: CausalScenario):
             _relabel_strings(bob, scenario.bob_outputs, n, k))
 
 
+def _orbit_minima(index: np.ndarray, moves) -> np.ndarray:
+    """Least entry of ``index[e, A, B, X, Y]`` over each orbit of the group
+    generated by the string relabellings ``moves`` (pairs of Alice and Bob
+    string images), Alice's also acting on the guess ``e``.
+
+    Label propagation: every entry takes the least label reachable through
+    the generators; at the fixed point labels are constant on orbits (each
+    generator has finite order) and distinct across them.
+    """
+    labels = index
+    while True:
+        new = labels
+        for ia, ib in moves:
+            new = np.minimum(new, new[ia][:, ia][:, :, ib])
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def marginal_relabellings(marginal: Behavior,
                           scenario: CausalScenario) -> list[tuple]:
     """Per-round output relabellings that fix the marginal exactly.
@@ -253,6 +333,7 @@ def marginal_relabellings(marginal: Behavior,
     symbols go through the two permutations, inputs stay put.  Entries
     are compared exactly, so a float marginal only matches bit for bit.
     """
+    _check_marginal(marginal, scenario)
     table = np.zeros(scenario.string_sizes, dtype=object)
     for ((A, B), (X, Y)), p in marginal.table.items():
         table[A, B, X, Y] = p
@@ -357,15 +438,11 @@ def tons_guessing_probability(game: Game, marginal: Behavior,
     causal set, and LpSizeError beyond the configured round caps.
     """
     _check_caps(scenario, mode, exact_round_cap, float_round_cap)
+    relabellings = (marginal_relabellings(marginal, scenario)
+                    if constraint_mode == FIXED_MARGINAL else ())
     built = build_guessing_lp(game, marginal, x_star, scenario, y_ref,
-                              constraint_mode, omega_star)
-    program = built.program
-    if constraint_mode == FIXED_MARGINAL:
-        relabellings = marginal_relabellings(marginal, scenario)
-        program = orbit_quotient(program,
-                                 relabelling_images(built, relabellings))
-    sol = _solve_certified(program, mode, float_tolerance)
-    return sol.value
+                              constraint_mode, omega_star, relabellings)
+    return _solve_certified(built.program, mode, float_tolerance).value
 
 
 def iid_guessing_baseline(game: Game, single_round_marginal: Behavior,

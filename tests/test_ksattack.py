@@ -136,6 +136,22 @@ class TestTripartiteAttack:
         assert sum(b.entry((u, w, 0), (0, 0, 1))
                    for u in range(d) for w in range(d)) == F(1, d)
 
+    def test_table_entries_follow_the_construction(self, cabello):
+        """P(u, w, e | x, y, z) is Eve's block e over d at z = x_star and
+        the (u, w) marginal over d elsewhere; zero entries are left out."""
+        attack = K.tripartite_attack(cabello, 2)
+        d = cabello.dim
+        nx, ny = len(cabello.alice_bases), len(cabello.bob_bases)
+        expected = {}
+        for z, x, y, u, w, e in itertools.product(
+                range(nx), range(nx), range(ny), range(d), range(d),
+                range(d)):
+            source = attack.blocks[e] if z == 2 else attack.ab_marginal
+            p = source.entry((u, w), (x, y)) / d
+            if p:
+                expected[((u, w, e), (x, y, z))] = p
+        assert list(attack.behavior.table.items()) == list(expected.items())
+
     def test_missing_assignment_rejected(self, single_basis):
         with pytest.raises(K.KsAttackError, match="missing"):
             K.tripartite_attack(single_basis, 0, assignments={})

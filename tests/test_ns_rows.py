@@ -53,6 +53,16 @@ PINNED = {
         "325c90d40dc1e289edcb146d8c2e4416e978dc3cd660dfbd54ea1c72603a3594",
     "guessing:magic:2":
         "ee77a708f3d5076e26fbdaa7be34af4f980c5053efd8095d30eee78e21c90493",
+    # Symmetric slices of the TONS/ABNS LPs at v = 1/2, built directly;
+    # digests taken from the orbit quotient of the full LP.
+    "slice:abns:2":
+        "20794d60e63d5f45bd41c96ffc43fde93fc0793fab756602b60b0f6915707b80",
+    "slice:abns:3":
+        "0574e719a635053ecf233986520c3581eed72dc9f20e6615583d48e3a40d3412",
+    "slice:tons:2":
+        "602f6e03507d8d7e053cb6157565f71d7fee25ced1ff01eed5c68ca959319b1a",
+    "slice:tons:3":
+        "4d0110ef79f54a0a2583809cf01d59b47b9086698ffa537ec5051aeacc55a552",
     "tons:1":
         "b90a5ea31f05cbcb6b5167d2df6b968dffbd1552d6b29fee9abf4bf5c3888d75",
     "tons:2":
@@ -90,11 +100,17 @@ def _program(label):
         game = {"chain": G.make_chain_game,
                 "magic": G.make_magic_square_game}[name]()
         return NV._guessing_lp(game, int(x_star), 1, NV.EQ_RELATION, None)[0]
+    sliced = kind == "slice"
+    if sliced:
+        kind, _, rest = rest.partition(":")
     n = int(rest)
     chsh = G.make_chsh_game()
     marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 2))), n)
     scenario = T.CausalScenario.for_game(kind, n, chsh)
-    return T.build_guessing_lp(chsh, marginal, (0,) * n, scenario).program
+    relabellings = (T.marginal_relabellings(marginal, scenario) if sliced
+                    else ())
+    return T.build_guessing_lp(chsh, marginal, (0,) * n, scenario,
+                               relabellings=relabellings).program
 
 
 @pytest.mark.parametrize("label", sorted(PINNED))

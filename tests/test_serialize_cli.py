@@ -144,6 +144,17 @@ class TestCli:
         assert code == cli.EXIT_INFEASIBLE
         assert "cap" in capsys.readouterr().err
 
+    def test_four_round_float_is_over_the_cap(self, monkeypatch, capsys):
+        """n = 4 is refused with its size report before any LP is built."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("the LP was built")
+
+        monkeypatch.setattr(cli.tons, "build_guessing_lp", no_build)
+        code = cli.main(["--mode", "float", "tons", "--v", "1/2", "--n", "4"])
+        assert code == cli.EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "variables" in err and "n <= 3 in float mode" in err
+
     def test_exact_certification_failure_exit_code(self, monkeypatch,
                                                    capsys):
         """A failed exact lift with no dense fallback is not "infeasible"."""

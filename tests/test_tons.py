@@ -275,6 +275,19 @@ def _flip_average(box, flips):
     return G.Behavior((2, 2), (2, 2), table)
 
 
+def _direct_and_oracle_slice(game, marginal, scenario):
+    """``dump_lp`` of the slice built directly and of the full LP's orbit
+    quotient under the marginal's relabellings."""
+    n = scenario.rounds
+    relabellings = T.marginal_relabellings(marginal, scenario)
+    direct = T.build_guessing_lp(game, marginal, (0,) * n, scenario,
+                                 relabellings=relabellings)
+    full = T.build_guessing_lp(game, marginal, (0,) * n, scenario)
+    oracle = T.orbit_quotient(full.program,
+                              T.relabelling_images(full, relabellings))
+    return L.dump_lp(direct.program), L.dump_lp(oracle)
+
+
 def _full_and_slice(game, marginal, scenario, mode="exact"):
     """Optimum of the full guessing LP and of its symmetric slice."""
     n = scenario.rounds
@@ -349,6 +362,43 @@ class TestSymmetricSlice:
             assert T.marginal_relabellings(marginal, scenario)
         full, sliced = _full_and_slice(game, marginal, scenario)
         assert sliced == full
+        direct, oracle = _direct_and_oracle_slice(game, marginal, scenario)
+        assert direct == oracle
+
+    @pytest.mark.parametrize("kind,n", SCENARIOS)
+    def test_direct_slice_is_the_quotient_of_the_full_lp(self, chsh_game,
+                                                         kind, n):
+        """Row for row, in the same order, at every noise level."""
+        scenario = T.CausalScenario.for_game(kind, n, chsh_game)
+        for v in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
+            direct, oracle = _direct_and_oracle_slice(
+                chsh_game, _pr_product(v, n), scenario)
+            assert direct == oracle, v
+
+    @pytest.mark.parametrize("kind,n", SCENARIOS)
+    def test_direct_slice_maps_each_key_to_its_orbit(self, chsh_game, kind,
+                                                     n):
+        """``var`` is constant along every relabelling (Alice's acting on
+        the guess too) and reaches every slice column."""
+        scenario = T.CausalScenario.for_game(kind, n, chsh_game)
+        relabellings = T.marginal_relabellings(_pr_product(F(1, 2), n),
+                                               scenario)
+        built = T.build_guessing_lp(chsh_game, _pr_product(F(1, 2), n),
+                                    (0,) * n, scenario,
+                                    relabellings=relabellings)
+        assert set(built.var.values()) == set(range(built.program.num_vars))
+        for relabelling in relabellings:
+            ia, ib = T._relabelled_strings(relabelling, scenario)
+            for (e, A, B, X, Y), j in built.var.items():
+                assert built.var[(ia[e], ia[A], ib[B], X, Y)] == j
+
+    def test_relabellings_need_fixed_marginal_mode(self, chsh_game):
+        scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
+        with pytest.raises(G.GameError, match="fixed-marginal"):
+            T.build_guessing_lp(chsh_game, None, (0,), scenario,
+                                constraint_mode=T.PER_ROUND_VALUE,
+                                omega_star=F(3, 4),
+                                relabellings=[(0, (1, 0), (1, 0))])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_symmetric_signalling_marginal_stays_infeasible(self, chsh_game,
@@ -381,5 +431,8 @@ class TestSymmetricSlice:
         quotient = T.orbit_quotient(built.program,
                                     T.relabelling_images(built, relabellings))
         assert quotient.num_vars == built.program.num_vars
+        direct, oracle = _direct_and_oracle_slice(chsh_game, marginal,
+                                                  scenario)
+        assert direct == oracle == L.dump_lp(built.program)
         assert T.tons_guessing_probability(chsh_game, marginal, (0,) * n,
                                            scenario) == 1
