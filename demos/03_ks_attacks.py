@@ -29,7 +29,7 @@ for name in ("single_basis", "cabello18", "peres24"):
     print(f"   tripartite attack: {status}")
     print(f"   Alice-Bob marginal wins the game: value "
           f"{bell_value(attack.ab_marginal, game)}")
-    dim = attack_affine_dimension(list(attack.blocks.values()), 0)
+    dim = attack_affine_dimension(list(attack.blocks.values()))
     print(f"   affine dimension of the {ks.dim} attack marginals: {dim} "
           f"(lower-bounds the quantum-reachable face by d - 1 = {ks.dim - 1})")
     print()

@@ -54,6 +54,15 @@ class RunConfig:
     orth_tolerance: float = 1e-9
     mode_explicit: bool = False
 
+    def hashed(self) -> dict:
+        """The manifest's config: every field that can change an output.
+
+        ``mode_explicit`` is left out: with it, the same run under the
+        default mode and under an explicit ``--mode exact`` would differ
+        only in the config hash.
+        """
+        return {k: v for k, v in asdict(self).items() if k != "mode_explicit"}
+
     def validate(self) -> None:
         if self.mode not in ("exact", "float"):
             raise serialize.InputFormatError(f"unknown mode {self.mode!r}")
@@ -65,10 +74,7 @@ def load_config(args) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise serialize.InputFormatError(f"config file {path}: {exc}") from exc
+        data = _read_json(path, "config file")
         for field in ("mode", "float_tolerance", "orth_tolerance"):
             if field in data:
                 setattr(cfg, field, data[field])
@@ -84,36 +90,33 @@ def load_config(args) -> RunConfig:
     return cfg
 
 
+def _read_json(spec: str, what: str):
+    """Parse the JSON file at ``spec``; read and parse errors are input
+    errors naming ``what`` the file is."""
+    try:
+        return json.loads(Path(spec).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise serialize.InputFormatError(f"cannot read {what} {spec}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise serialize.InputFormatError(
+            f"{what} {spec}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+
+
 def _resolve_game(spec: str) -> tuple[games.Game, list[Path]]:
     if spec in BUILTIN_GAMES:
         return BUILTIN_GAMES[spec](), []
-    path = Path(spec)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise serialize.InputFormatError(f"cannot read game file {spec}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise serialize.InputFormatError(
-            f"game file {spec}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return serialize.game_from_dict(data), [path]
+    return serialize.game_from_dict(_read_json(spec, "game file")), [Path(spec)]
 
 
 def _resolve_ks(spec: str, orth_tol: float) -> tuple[ksattack.KSSet, list[Path]]:
     if spec in BUILTIN_KS:
         return ksattack.load_bundled_ks(spec, orth_tol=orth_tol), []
-    path = Path(spec)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise serialize.InputFormatError(f"cannot read KS file {spec}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise serialize.InputFormatError(
-            f"KS file {spec}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    data = _read_json(spec, "KS file")
     try:
         ks = ksattack.ks_from_dict(data, orth_tol=orth_tol)
     except ksattack.KsError as exc:
         raise serialize.InputFormatError(f"KS file {spec}: {exc}")
-    return ks, [path]
+    return ks, [Path(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,8 @@ def cmd_ns_value(args, cfg: RunConfig) -> int:
     sol = nsvalues._solve_certified(prog, cfg.mode, cfg.float_tolerance)
     value = sol.value
     print(serialize.frac_str(value) if cfg.mode == "exact" else repr(value))
-    manifest = serialize.build_manifest(asdict(cfg) | {"game": args.game}, inputs)
+    manifest = serialize.build_manifest(cfg.hashed() | {"game": args.game},
+                                        inputs)
     certificate = {
         "game": game.name or args.game,
         "value": serialize.frac_str(value) if cfg.mode == "exact" else value,
@@ -148,11 +152,10 @@ def cmd_tons(args, cfg: RunConfig) -> int:
     n = args.n
     scenario = tons.CausalScenario.for_game(args.scenario, n, game)
     # Enforce the size cap before materializing the product marginal.
-    tons._check_caps(scenario, cfg.mode, tons.EXACT_ROUND_CAP,
-                     tons.FLOAT_ROUND_CAP)
+    tons._check_caps(scenario, cfg.mode)
     if args.marginal:
         marginal = serialize.behavior_from_dict(
-            json.loads(Path(args.marginal).read_text()))
+            _read_json(args.marginal, "marginal file"))
         inputs.append(Path(args.marginal))
     elif args.game == "chsh":
         marginal = games.product_behavior(
@@ -193,15 +196,16 @@ def cmd_tons(args, cfg: RunConfig) -> int:
 
 def cmd_ks_attack(args, cfg: RunConfig) -> int:
     ks, inputs = _resolve_ks(args.ks, cfg.orth_tolerance)
-    attack = ksattack.tripartite_attack(ks, args.xstar)
-    report = ksattack.verify_behavior(attack, game=ksattack.make_ks_game(ks))
-    dim = ksattack.attack_affine_dimension(list(attack.blocks.values()),
-                                           args.xstar)
+    graph = ksattack.build_orth_graph(ks, cfg.orth_tolerance)
+    attack = ksattack.tripartite_attack(ks, args.xstar, graph=graph)
+    report = ksattack.verify_behavior(attack,
+                                      game=ksattack.make_ks_game(ks, graph))
+    dim = ksattack.attack_affine_dimension(list(attack.blocks.values()))
     print(report.summary())
     print(f"affine dimension of the {ks.dim} attack marginals: {dim} "
           f"(d - 1 = {ks.dim - 1})")
     manifest = serialize.build_manifest(
-        asdict(cfg) | {"ks": args.ks, "xstar": args.xstar}, inputs)
+        cfg.hashed() | {"ks": args.ks, "xstar": args.xstar}, inputs)
     payload = serialize.behavior_to_dict(attack.behavior)
     payload["verification"] = {c.name: c.passed for c in report.checks}
     payload["affine_dimension"] = dim
@@ -220,8 +224,8 @@ def cmd_curves(args, cfg: RunConfig) -> int:
     grid = [args.wmin + i * step for i in range(args.points)]
     points = chain_mod.emit_min_entropy_curves(grid)
     manifest = serialize.build_manifest(
-        asdict(cfg) | {"wmin": args.wmin, "wmax": args.wmax,
-                       "points": args.points, "lp_samples": args.lp_samples})
+        cfg.hashed() | {"wmin": args.wmin, "wmax": args.wmax,
+                        "points": args.points, "lp_samples": args.lp_samples})
     rows = [[repr(p.w),
              "" if p.pg_quantum is None else repr(p.pg_quantum),
              "" if p.hmin_quantum is None else repr(p.hmin_quantum),
@@ -274,8 +278,8 @@ def cmd_bounds(args, cfg: RunConfig) -> int:
                      repr(row["guess_bound"]), repr(row["headline"]),
                      repr(row["hmin_rate"])])
     manifest = serialize.build_manifest(
-        asdict(cfg) | {"n": args.n, "delta": args.delta, "kappa": args.kappa,
-                       "gamma": args.gamma, "omega_star": args.omega_star})
+        cfg.hashed() | {"n": args.n, "delta": args.delta, "kappa": args.kappa,
+                        "gamma": args.gamma, "omega_star": args.omega_star})
     serialize.write_csv(args.out, ["n", "delta", "kappa", "gamma",
                                    "abort_bound", "guess_bound", "headline",
                                    "hmin_rate"], rows, manifest)
@@ -362,7 +366,7 @@ def main(argv=None) -> int:
             ksattack.KsError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (CertificationError, nsvalues.UncertifiedError) as exc:
+    except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILURE
     except (bounds_mod.InfeasibleParamsError, nsvalues.InfeasibleError,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -33,6 +34,8 @@ ASSIGNMENT_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 DEFAULT_ORTH_TOL = 1e-9
 DEFAULT_NORM_TOL = 1e-9
+# Assignments tried per outcome before an attack gives up on it.
+ASSIGNMENT_SEARCH_LIMIT = 20000
 
 
 class KsError(ValueError):
@@ -52,13 +55,7 @@ def _to_component(value) -> ComplexRational:
         re, im = value
     else:
         re, im = value, 0
-    def conv(t):
-        if isinstance(t, str):
-            return Fraction(t)
-        if isinstance(t, float):
-            return Fraction(t)
-        return Fraction(t)
-    return (conv(re), conv(im))
+    return (Fraction(re), Fraction(im))
 
 
 def inner_product(u: Sequence[ComplexRational],
@@ -270,10 +267,7 @@ def enumerate_assignments(graph: OrthGraph, target: int) -> Iterator[Assignment]
 def _max_flow_coupling(supply: list[Fraction], demand: list[Fraction],
                        allowed: set[tuple[int, int]]) -> Optional[dict]:
     """Exact transportation plan on allowed arcs, or None if infeasible."""
-    denoms = [f.denominator for f in supply + demand if f]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // _gcd(scale, d)
+    scale = math.lcm(*(f.denominator for f in supply + demand))
     src = [int(f * scale) for f in supply]
     snk = [int(f * scale) for f in demand]
     if sum(src) != sum(snk):
@@ -334,12 +328,6 @@ def _max_flow_coupling(supply: list[Fraction], demand: list[Fraction],
         snk_left[found[1]] -= bottleneck
         pushed += bottleneck
     return {arc: Fraction(f, scale) for arc, f in flow.items() if f}
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +469,18 @@ class AttackBehavior:
 
 def tripartite_attack(ks: KSSet, x_star: int,
                       assignments: Optional[dict[int, Assignment]] = None,
-                      search_limit: int = 20000) -> AttackBehavior:
+                      graph: Optional[OrthGraph] = None) -> AttackBehavior:
     """Attack letting Eve guess Alice's output for input ``x_star`` perfectly.
 
     With ``assignments`` omitted, the per-outcome assignments are searched
     exhaustively among valid ones (value 1 on the outcome's vector) until
-    each bipartite block passes full verification.  Raises KsAttackError
-    listing the outcomes for which no working assignment exists.
+    each bipartite block passes full verification.  ``graph`` is the
+    set's orthogonality graph, built at the default tolerance when
+    omitted.  Raises KsAttackError listing the outcomes for which no
+    working assignment exists.
     """
-    graph = build_orth_graph(ks)
+    if graph is None:
+        graph = build_orth_graph(ks)
     if not 0 <= x_star < len(ks.alice_bases):
         raise KsError(f"x_star {x_star} is not an Alice basis index")
     d = ks.dim
@@ -509,7 +500,7 @@ def tripartite_attack(ks: KSSet, x_star: int,
             candidates = enumerate_assignments(graph, target)
         found = None
         for count, cand in enumerate(candidates):
-            if count >= search_limit:
+            if count >= ASSIGNMENT_SEARCH_LIMIT:
                 break
             if cand.values[target] != 1:
                 raise KsAttackError(
@@ -526,7 +517,8 @@ def tripartite_attack(ks: KSSet, x_star: int,
     if failures:
         raise KsAttackError(
             f"no verified attack block for outcomes {failures} "
-            f"(searched up to {search_limit} assignments each)", failures)
+            f"(searched up to {ASSIGNMENT_SEARCH_LIMIT} assignments each)",
+            failures)
 
     nx, ny = len(ks.alice_bases), len(ks.bob_bases)
     inv_d = Fraction(1, d)
@@ -657,8 +649,7 @@ def _verify_attack(attack: AttackBehavior,
     return report
 
 
-def attack_affine_dimension(attacks: Sequence[Behavior],
-                            x_star: Optional[int] = None) -> int:
+def attack_affine_dimension(attacks: Sequence[Behavior]) -> int:
     """Affine dimension of a family of behaviors (exact rational rank)."""
     if len(attacks) < 2:
         raise KsAttackError("need at least two behaviors")

@@ -1,16 +1,19 @@
 """Exact rational-arithmetic linear programming.
 
-Every exact solve starts in floating point: HiGHS (via scipy) finds a
-vertex, and the float primal/dual pair is rounded to rationals through
-a continued-fraction cascade.  The rounded pair is accepted only if
-primal feasibility, dual feasibility and equality of both objectives
-all hold in exact arithmetic (the lift-and-verify scheme of QSopt_ex).
-A dense two-phase primal simplex over Fractions with Bland's rule
-(guaranteed termination on the highly degenerate LPs that show up in
-no-signalling polytopes) is kept as the last resort: it runs when the
-lift fails, and it re-proves an infeasible or unbounded verdict from
-HiGHS on small instances.  So an "optimal" answer in exact mode always
-carries an exactly verified certificate.
+Both modes make one HiGHS call through scipy: dual simplex, or interior
+point with crossover on instances above ``_IPM_ROW_THRESHOLD`` rows.
+Float mode checks the HiGHS optimum against its certificate at a
+tolerance.  Exact mode rounds the float primal/dual pair to rationals
+through a continued-fraction cascade and accepts it only if primal
+feasibility, dual feasibility and equality of both objectives all hold
+in exact arithmetic (the lift-and-verify scheme of QSopt_ex).  A dense
+two-phase primal simplex over Fractions with Bland's rule (guaranteed
+termination on the highly degenerate LPs that show up in no-signalling
+polytopes) is kept as the last resort: it runs when the lift or HiGHS
+itself fails on an instance within ``_FALLBACK_CELL_LIMIT``, and it
+re-proves an infeasible or unbounded verdict from HiGHS on small
+instances.  So an "optimal" answer in exact mode always carries an
+exactly verified certificate.
 """
 
 from __future__ import annotations
@@ -429,7 +432,7 @@ def _exact_simplex(norm: LinProgram) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# float path (HiGHS) and the exact lift
+# HiGHS and the exact lift
 # ---------------------------------------------------------------------------
 
 # Beyond this row count HiGHS dual simplex becomes impractical on the
@@ -445,16 +448,23 @@ _FALLBACK_CELL_LIMIT = 3_000_000
 # standard form) the dense exact simplex re-proves it in exact
 # arithmetic; larger instances take the float verdict.
 _VERDICT_RECHECK_CELL_LIMIT = 60_000
+# HiGHS statuses with a verdict; any other status is a solver failure.
+_HIGHS_STATUS = {0: LpSolution.OPTIMAL, 2: LpSolution.INFEASIBLE,
+                 3: LpSolution.UNBOUNDED}
 
 
-def _scipy_solve(norm: LinProgram, method: Optional[str] = None):
+def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str]:
+    """One HiGHS solve of the normalized LP.
+
+    Returns a float ``LpSolution`` (primal and duals in this module's
+    sign convention) and HiGHS's message; the solution is None when
+    HiGHS fails, that is, ends with a status other than optimal,
+    infeasible or unbounded.  ``linprog`` is looked up on each call, so
+    a wrapper installed on ``scipy.optimize`` sees every solve.
+    """
     import numpy as np
     from scipy import sparse
     from scipy.optimize import linprog
-
-    if method is None:
-        method = ("highs-ipm" if len(norm.constraints) > _IPM_ROW_THRESHOLD
-                  else "highs")
 
     n = norm.num_vars
     sign = 1.0 if norm.sense == MIN else -1.0
@@ -462,53 +472,48 @@ def _scipy_solve(norm: LinProgram, method: Optional[str] = None):
     for j, cj in norm.objective.items():
         c[j] = sign * float(cj)
 
-    ub_rows, ub_rhs, ub_idx = [], [], []
-    eq_rows, eq_rhs, eq_idx = [], [], []
-    for k, con in enumerate(norm.constraints):
-        if con.rel == EQ:
-            eq_rows.append(con)
-            eq_rhs.append(float(con.rhs))
-            eq_idx.append(k)
-        elif con.rel == LE:
-            ub_rows.append((con, 1.0))
-            ub_rhs.append(float(con.rhs))
-            ub_idx.append(k)
-        else:
-            ub_rows.append((con, -1.0))
-            ub_rhs.append(-float(con.rhs))
-            ub_idx.append(k)
+    # (row index, constraint, sign): linprog takes A_ub x <= b_ub, so >=
+    # rows enter negated.
+    ub = [(k, con, 1.0 if con.rel == LE else -1.0)
+          for k, con in enumerate(norm.constraints) if con.rel != EQ]
+    eq = [(k, con, 1.0) for k, con in enumerate(norm.constraints)
+          if con.rel == EQ]
 
-    def matrix(rows, flip=False):
+    def matrix(rows):
+        if not rows:
+            return None
         data, ri, ci = [], [], []
-        for i, entry in enumerate(rows):
-            con, s = entry if flip else (entry, 1.0)
+        for i, (_, con, s) in enumerate(rows):
             for j, cf in con.coeffs:
                 ri.append(i)
                 ci.append(j)
                 data.append(s * float(cf))
         return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
 
-    A_ub = matrix(ub_rows, flip=True) if ub_rows else None
-    A_eq = matrix(eq_rows) if eq_rows else None
-    bounds = [(None, None) if norm.is_free(j) else (0, None) for j in range(n)]
-    res = linprog(c, A_ub=A_ub, b_ub=ub_rhs or None, A_eq=A_eq,
-                  b_eq=eq_rhs or None, bounds=bounds, method=method)
-    return res, ub_idx, eq_idx, ub_rows
+    def rhs(rows):
+        return [s * float(con.rhs) for _, con, s in rows] or None
 
+    method = ("highs-ipm" if len(norm.constraints) > _IPM_ROW_THRESHOLD
+              else "highs-ds")
+    res = linprog(c, A_ub=matrix(ub), b_ub=rhs(ub), A_eq=matrix(eq),
+                  b_eq=rhs(eq),
+                  bounds=[(None, None) if norm.is_free(j) else (0, None)
+                          for j in range(n)],
+                  method=method)
+    status = _HIGHS_STATUS.get(res.status)
+    if status != LpSolution.OPTIMAL:
+        return (None if status is None else
+                LpSolution(status, None, [], [], "float")), res.message
 
-def _floats_to_duals(norm: LinProgram, res, ub_idx, eq_idx, ub_rows) -> list[float]:
-    # Map HiGHS marginals back to this module's dual sign convention.
-    m = len(norm.constraints)
-    dual = [0.0] * m
-    sense_sign = -1.0 if norm.sense == MAX else 1.0
-    if ub_idx:
-        for pos, k in enumerate(ub_idx):
-            row_sign = ub_rows[pos][1]
-            dual[k] = sense_sign * row_sign * float(res.ineqlin.marginals[pos])
-    if eq_idx:
-        for pos, k in enumerate(eq_idx):
-            dual[k] = sense_sign * float(res.eqlin.marginals[pos])
-    return dual
+    # HiGHS marginals belong to the minimised, <=-form problem; undo the
+    # objective sign and the row negation.
+    dual = [0.0] * len(norm.constraints)
+    for rows, lin in ((ub, res.ineqlin), (eq, res.eqlin)):
+        for (k, _, s), mk in zip(rows, lin.marginals):
+            dual[k] = sign * s * float(mk)
+    value = -res.fun if norm.sense == MAX else res.fun
+    return (LpSolution(LpSolution.OPTIMAL, value, list(map(float, res.x)),
+                       dual, "float"), res.message)
 
 
 def _snap(x: float) -> float:
@@ -548,73 +553,70 @@ def solve(lp: LinProgram, mode: str = "exact",
           float_tolerance: float = 1e-9) -> LpSolution:
     """Solve the LP.
 
-    Exact mode is lift-first: HiGHS finds a float vertex, which is
-    rounded to rationals and accepted only when its certificate verifies
-    exactly.  The dense exact simplex runs only as the last resort: when
-    the lift fails on an instance within ``_FALLBACK_CELL_LIMIT`` (larger
-    ones raise ``LpError``), and to re-prove an infeasible or unbounded
-    verdict on an instance within ``_VERDICT_RECHECK_CELL_LIMIT``.  The
-    returned optimum is exactly optimal (duality gap 0) and ``certified``
-    is True; status infeasible/unbounded is reported via ``status``,
-    never by silent defaults.  A float-mode optimum is checked with
-    ``verify_certificate`` at ``float_tolerance`` (primal and dual
-    feasibility and the objective gap) and raises ``CertificationError``
-    when it fails.
+    Both modes make one HiGHS call (``_highs``): dual simplex, or
+    interior point with crossover above ``_IPM_ROW_THRESHOLD`` rows.  A
+    float-mode optimum is checked with ``verify_certificate`` at
+    ``float_tolerance`` (primal and dual feasibility and the objective
+    gap) and raises ``CertificationError`` when it fails; a HiGHS
+    failure raises ``LpError``.
+
+    Exact mode is lift-first: the HiGHS vertex is rounded to rationals
+    and accepted only when its certificate verifies exactly.  The dense
+    exact simplex runs only as the last resort: when the lift fails or
+    HiGHS fails on an instance within ``_FALLBACK_CELL_LIMIT`` (larger
+    ones raise ``CertificationError``), and to re-prove an infeasible or
+    unbounded verdict on an instance within
+    ``_VERDICT_RECHECK_CELL_LIMIT``.  The returned optimum is exactly
+    optimal (duality gap 0) and ``certified`` is True; status
+    infeasible/unbounded is reported via ``status``, never by silent
+    defaults.
     """
     lp.validate()
     norm = lp.normalized()
+    if mode not in ("exact", "float"):
+        raise LpError(f"unknown mode {mode!r}")
+    # scipy rejects an empty objective, so a zero-variable exact LP goes
+    # straight to the dense exact simplex.
+    if mode == "exact" and not norm.num_vars:
+        return _dense_certified(norm)
 
+    sol, message = _highs(norm)
     if mode == "float":
-        res, ub_idx, eq_idx, ub_rows = _scipy_solve(norm)
-        if res.status == 2:
-            return LpSolution(LpSolution.INFEASIBLE, None, [], [], "float")
-        if res.status == 3:
-            return LpSolution(LpSolution.UNBOUNDED, None, [], [], "float")
-        if res.status != 0:
-            raise LpError(f"float solver failed: {res.message}")
-        value = -res.fun if norm.sense == MAX else res.fun
-        dual = _floats_to_duals(norm, res, ub_idx, eq_idx, ub_rows)
-        sol = LpSolution(LpSolution.OPTIMAL, value, list(map(float, res.x)),
-                         dual, "float")
-        report = verify_certificate(norm, sol, float_tolerance)
-        if not report:
-            raise CertificationError(
-                f"float optimum fails its certificate at tolerance "
-                f"{float_tolerance:g} ({len(report.reasons)} residuals): "
-                + "; ".join(report.reasons[:3]))
+        if sol is None:
+            raise LpError(f"float solver failed: {message}")
+        if sol.status == LpSolution.OPTIMAL:
+            report = verify_certificate(norm, sol, float_tolerance)
+            if not report:
+                raise CertificationError(
+                    f"float optimum fails its certificate at tolerance "
+                    f"{float_tolerance:g} ({len(report.reasons)} residuals): "
+                    + "; ".join(report.reasons[:3]))
         return sol
 
-    if mode != "exact":
-        raise LpError(f"unknown mode {mode!r}")
-
-    # A vertex solution (dual simplex, or interior point with crossover
-    # on very large instances) is lifted back to rationals and certified
-    # exactly; the dense exact simplex is the last resort.  scipy rejects
-    # an empty objective, so a zero-variable LP goes straight to it.
-    if norm.num_vars:
-        method = ("highs-ipm" if len(norm.constraints) > _IPM_ROW_THRESHOLD
-                  else "highs-ds")
-        res, ub_idx, eq_idx, ub_rows = _scipy_solve(norm, method=method)
-        cells = _std_cells(norm)
-        if res.status == 0:
-            dual_f = _floats_to_duals(norm, res, ub_idx, eq_idx, ub_rows)
-            lifted = _lift_exact(norm, list(map(float, res.x)), dual_f)
+    cells = _std_cells(norm)
+    if sol is not None and sol.status != LpSolution.OPTIMAL:
+        if cells > _VERDICT_RECHECK_CELL_LIMIT:
+            return LpSolution(sol.status, None, [], [], "exact")
+    else:
+        if sol is None:
+            reason = f"HiGHS failed ({message})"
+        else:
+            lifted = _lift_exact(norm, sol.primal, sol.dual)
             if lifted is not None:
                 return lifted
-            if cells > _FALLBACK_CELL_LIMIT:
-                raise CertificationError(
-                    "no exact certificate: the float solution did not "
-                    "lift to rationals and the instance is too large for the "
-                    f"dense exact simplex ({len(norm.constraints)} rows x "
-                    f"{norm.num_vars} vars); use float mode")
-            log.warning("exact lift of float solution failed; falling back "
-                        "to dense exact simplex (%d rows x %d vars)",
-                        len(norm.constraints), norm.num_vars)
-        elif res.status in (2, 3) and cells > _VERDICT_RECHECK_CELL_LIMIT:
-            status = LpSolution.INFEASIBLE if res.status == 2 \
-                else LpSolution.UNBOUNDED
-            return LpSolution(status, None, [], [], "exact")
+            reason = "the float solution did not lift to rationals"
+        if cells > _FALLBACK_CELL_LIMIT:
+            raise CertificationError(
+                f"no exact certificate: {reason} and the instance is too "
+                f"large for the dense exact simplex ({len(norm.constraints)} "
+                f"rows x {norm.num_vars} vars); use float mode")
+        log.warning("%s; falling back to dense exact simplex "
+                    "(%d rows x %d vars)", reason, len(norm.constraints),
+                    norm.num_vars)
+    return _dense_certified(norm)
 
+
+def _dense_certified(norm: LinProgram) -> LpSolution:
     sol = _exact_simplex(norm)
     if sol.status == LpSolution.OPTIMAL:
         sol.certified = bool(verify_certificate(norm, sol))

@@ -31,10 +31,6 @@ class InfeasibleError(RuntimeError):
     """The requested constraint set admits no behavior."""
 
 
-class UncertifiedError(RuntimeError):
-    """Exact mode could not produce a verified optimality certificate."""
-
-
 def _normalized_lp(game: Game, objective) -> tuple[L.LinProgram, dict]:
     """LP over normalized behaviors of the game's shape, one row per input."""
     var = {}
@@ -69,7 +65,7 @@ def _solve_certified(prog: L.LinProgram, mode: str,
     if sol.status != L.LpSolution.OPTIMAL:
         raise RuntimeError(f"unexpected LP status {sol.status}")
     if mode == "exact" and not sol.certified:
-        raise UncertifiedError("no exact optimality certificate obtained")
+        raise L.CertificationError("no exact optimality certificate obtained")
     return sol
 
 

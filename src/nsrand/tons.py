@@ -136,15 +136,14 @@ class TonsLp:
     num_marginal_rows: int
 
 
-def _check_caps(scenario: CausalScenario, mode: str,
-                exact_round_cap: int, float_round_cap: int) -> None:
-    cap = exact_round_cap if mode == "exact" else float_round_cap
+def _check_caps(scenario: CausalScenario, mode: str) -> None:
+    cap = EXACT_ROUND_CAP if mode == "exact" else FLOAT_ROUND_CAP
     if scenario.rounds > cap:
         sa, sb, sx, sy = scenario.string_sizes
         raise L.LpSizeError(
             f"{scenario.kind} at n={scenario.rounds} needs "
             f"{sa * (sa * sb * sx * sy)} variables "
-            f"({sa} blocks x {sa * sb * sx * sy} entries); the default cap is "
+            f"({sa} blocks x {sa * sb * sx * sy} entries); the cap is "
             f"n <= {cap} in {mode} mode")
 
 
@@ -427,17 +426,15 @@ def tons_guessing_probability(game: Game, marginal: Behavior,
                               y_ref: Optional[Sequence[int]] = None,
                               constraint_mode: str = FIXED_MARGINAL,
                               omega_star=None,
-                              exact_round_cap: int = EXACT_ROUND_CAP,
-                              float_round_cap: int = FLOAT_ROUND_CAP,
                               float_tolerance: float = 1e-9) -> Number:
     """Eve's optimal probability of guessing Alice's full output string.
 
     In fixed-marginal mode the LP is solved on the slice fixed by the
     marginal's output relabellings (see the module docstring).  Raises
     InfeasibleError when the marginal is not attainable within the
-    causal set, and LpSizeError beyond the configured round caps.
+    causal set, and LpSizeError beyond the round caps.
     """
-    _check_caps(scenario, mode, exact_round_cap, float_round_cap)
+    _check_caps(scenario, mode)
     relabellings = (marginal_relabellings(marginal, scenario)
                     if constraint_mode == FIXED_MARGINAL else ())
     built = build_guessing_lp(game, marginal, x_star, scenario, y_ref,

@@ -27,11 +27,11 @@ def magic_square_game():
 @pytest.fixture
 def perturbed_float_solver(monkeypatch):
     """HiGHS answers shifted by 1e-6 in every primal coordinate."""
-    real = L._scipy_solve
+    real = L._highs
 
-    def perturbed(norm, method=None):
-        res, *rest = real(norm, method)
-        res.x = res.x + 1e-6
-        return (res, *rest)
+    def perturbed(norm):
+        sol, message = real(norm)
+        sol.primal = [x + 1e-6 for x in sol.primal]
+        return sol, message
 
-    monkeypatch.setattr(L, "_scipy_solve", perturbed)
+    monkeypatch.setattr(L, "_highs", perturbed)

@@ -133,7 +133,7 @@ def test_criterion_7_ks_attack_pipeline():
         attack = K.tripartite_attack(ks, 0)
         report = K.verify_behavior(attack, game=K.make_ks_game(ks))
         assert report.all_passed, f"{name}:\n{report.summary()}"
-        dim = K.attack_affine_dimension(list(attack.blocks.values()), 0)
+        dim = K.attack_affine_dimension(list(attack.blocks.values()))
         assert dim >= expect_dim, f"{name}: affine dimension {dim}"
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"pipeline took {elapsed:.1f}s"

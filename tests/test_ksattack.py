@@ -191,22 +191,22 @@ class TestAffineDimension:
     def test_identical_behaviors_have_dimension_zero(self, single_basis):
         attack = K.tripartite_attack(single_basis, 0)
         block = attack.blocks[0]
-        assert K.attack_affine_dimension([block] * 3, 0) == 0
+        assert K.attack_affine_dimension([block] * 3) == 0
 
     def test_single_basis_synthetic_exactly_two(self, single_basis):
         """The three deterministic d = 3 blocks span an affine plane."""
         attack = K.tripartite_attack(single_basis, 0)
-        assert K.attack_affine_dimension(list(attack.blocks.values()), 0) == 2
+        assert K.attack_affine_dimension(list(attack.blocks.values())) == 2
 
     def test_cabello_at_least_d_minus_one(self, cabello):
         attack = K.tripartite_attack(cabello, 0)
-        dim = K.attack_affine_dimension(list(attack.blocks.values()), 0)
+        dim = K.attack_affine_dimension(list(attack.blocks.values()))
         assert dim >= cabello.dim - 1
 
     def test_needs_two_behaviors(self, single_basis):
         attack = K.tripartite_attack(single_basis, 0)
         with pytest.raises(K.KsAttackError):
-            K.attack_affine_dimension([attack.blocks[0]], 0)
+            K.attack_affine_dimension([attack.blocks[0]])
 
 
 class TestPeres24:
@@ -216,7 +216,7 @@ class TestPeres24:
         attack = K.tripartite_attack(ks, 0)
         report = K.verify_behavior(attack, game=K.make_ks_game(ks))
         assert report.all_passed, report.summary()
-        assert K.attack_affine_dimension(list(attack.blocks.values()), 0) >= 3
+        assert K.attack_affine_dimension(list(attack.blocks.values())) >= 3
 
     def test_attack_builds_the_orthogonality_graph_once(self, monkeypatch):
         """Every candidate block reuses the attack's graph for its game."""

@@ -171,6 +171,28 @@ def test_dense_simplex_is_the_last_resort_when_the_lift_fails(monkeypatch):
     assert L.verify_certificate(_three_var_lp(), sol)
 
 
+def test_highs_failure_falls_back_only_within_the_size_cap(monkeypatch):
+    """A failed HiGHS solve (status 4) falls back to the dense simplex on
+    a small instance; above ``_FALLBACK_CELL_LIMIT`` exact mode raises
+    CertificationError without entering it, and float mode raises."""
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs:
+                        OptimizeResult(status=4, message="numerical trouble"))
+    calls = _spy_on_dense_simplex(monkeypatch)
+    sol = _solve(_three_var_lp())
+    assert calls == ["optimal"]
+    assert sol.certified and sol.value == F(5, 2)
+
+    monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
+    with pytest.raises(L.CertificationError, match="numerical trouble"):
+        _solve(_three_var_lp())
+    assert calls == ["optimal"]
+    with pytest.raises(L.LpError, match="float solver failed"):
+        _solve(_three_var_lp(), mode="float")
+
+
 def test_small_infeasible_and_unbounded_verdicts_from_dense_simplex(
         monkeypatch):
     """HiGHS's infeasible/unbounded verdict is re-proved exactly when small,

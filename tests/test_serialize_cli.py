@@ -109,6 +109,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "line" in err
 
+    def test_unreadable_marginal_is_input_error(self, tmp_path, capsys):
+        """A missing, malformed or binary --marginal file exits 3, not
+        with a traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path / "missing.json", bad, binary):
+            code = cli.main(["tons", "--n", "1", "--marginal", str(path)])
+            assert code == cli.EXIT_INPUT_ERROR, path
+            assert "input error" in capsys.readouterr().err
+
+    def test_default_and_explicit_exact_mode_write_identical_files(
+            self, tmp_path, capsys):
+        """Naming the default mode changes no byte of the certificate."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(["ns-value", "chsh", "--certificate", str(a)]) == 0
+        assert cli.main(["--mode", "exact", "ns-value", "chsh",
+                         "--certificate", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+
     def test_tons_row_matches_formula(self, capsys):
         code = cli.main(["tons", "--v", "1/2", "--n", "2"])
         assert code == 0
@@ -199,6 +221,22 @@ class TestCli:
         assert "[PASS]" in text and "[FAIL]" not in text
         payload = json.loads(out.read_text())
         assert payload["affine_dimension"] == 2
+
+    def test_orth_tolerance_reaches_the_orthogonality_graph(self, tmp_path,
+                                                            capsys):
+        """A set orthogonal only within --orth-tolerance is attacked at
+        that tolerance, not rejected by the graph's default one."""
+        data = {"dim": 3, "bases": [[0, 1, 2]],
+                "vectors": [[["1", "0"], ["1/10000000", "0"], ["0", "0"]],
+                            [["0", "0"], ["1", "0"], ["0", "0"]],
+                            [["0", "0"], ["0", "0"], ["1", "0"]]]}
+        path = tmp_path / "tilted.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["ks-attack", "--ks", str(path), "--orth-tolerance",
+                         "1e-6", "--out", str(tmp_path / "attack.json")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "[PASS]" in captured.out and "[FAIL]" not in captured.out
 
     def test_ks_attack_rejects_non_unit_vector(self, tmp_path, capsys):
         data = {
