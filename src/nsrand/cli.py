@@ -70,17 +70,31 @@ class RunConfig:
             raise serialize.InputFormatError("tolerances must be positive")
 
 
+# Config file fields: the JSON types each accepts, and their name.
+_CONFIG_FIELDS = {"mode": (str, "a string"),
+                  "float_tolerance": ((int, float), "a number"),
+                  "orth_tolerance": ((int, float), "a number")}
+
+
 def load_config(args) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
         data = _read_json(path, "config file")
-        for field in ("mode", "float_tolerance", "orth_tolerance"):
+        if not isinstance(data, dict):
+            raise serialize.InputFormatError(
+                f"config file {path}: the top level must be a JSON object")
+        for field, (types, name) in _CONFIG_FIELDS.items():
             if field in data:
-                setattr(cfg, field, data[field])
+                value = data[field]
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise serialize.InputFormatError(
+                        f"config file {path}: {field} must be {name}, "
+                        f"not {json.dumps(value)}")
+                setattr(cfg, field, value)
                 if field == "mode":
                     cfg.mode_explicit = True
-    for field in ("mode", "float_tolerance", "orth_tolerance"):
+    for field in _CONFIG_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
             setattr(cfg, field, value)
@@ -151,20 +165,21 @@ def cmd_tons(args, cfg: RunConfig) -> int:
         raise bounds_mod.InfeasibleParamsError(f"v = {v} outside [0, 1]")
     n = args.n
     scenario = tons.CausalScenario.for_game(args.scenario, n, game)
-    # Enforce the size cap before materializing the product marginal.
-    tons._check_caps(scenario, cfg.mode)
+    x_star = tuple(int(ch) for ch in args.xstar) if args.xstar else (0,) * n
+    marginal = None
     if args.marginal:
         marginal = serialize.behavior_from_dict(
             _read_json(args.marginal, "marginal file"))
         inputs.append(Path(args.marginal))
-    elif args.game == "chsh":
+    # Enforce the size cap before materializing the product marginal.
+    tons._check_caps(scenario, cfg.mode, marginal, x_star)
+    if marginal is None and args.game == "chsh":
         marginal = games.product_behavior(
             games.make_pr_v(games.NoisyPRParams(v)), n)
-    else:
+    elif marginal is None:
         raise serialize.InputFormatError(
             "the bundled product marginal exists for --game chsh only; "
             "supply a behavior file via --marginal")
-    x_star = tuple(int(ch) for ch in args.xstar) if args.xstar else (0,) * n
     mode = cfg.mode
     if not cfg.mode_explicit and mode == "exact" and n >= 3:
         # Exact mode is the default for n <= 2; bigger instances fall back

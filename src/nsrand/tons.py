@@ -8,19 +8,25 @@ round-major; the adversary holds one subnormalized block per candidate
 output string, and by default the sum of the blocks is pinned to a given
 n-round marginal behavior.
 
-A fixed marginal is usually invariant under some per-round output
-relabellings (the noisy PR box under flipping both outputs of a round).
-Such a relabelling, applied to Eve's guess as well, maps the whole LP onto
-itself, and an invariant LP has an invariant optimum.  The LP is
-therefore solved on its symmetric slice: one variable per orbit of the
-generated group (Boedi, Herr & Joswig, Math. Program. 137 (2013)).  For
-the noisy PR box the slice is a single block instead of one per guess.
-Rounds are never permuted: the TONS rows are time-ordered.
+A fixed marginal is usually invariant under some local relabellings of
+single rounds (Barrett et al., PRA 71, 022101 (2005)): a permutation of
+each party's inputs and, per input, of its outputs.  Alice's input
+permutation must fix x*, and her output permutation at x* also acts on
+Eve's guess.  Such a relabelling maps the TONS and ABNS sets, the blocks'
+sum and hence the feasible set onto themselves; Eve's objective is fixed
+on the feasible set, though not term by term (a Bob input permutation
+moves the reference input, which Alice's marginal ignores).  An invariant
+LP has an invariant optimum, so the LP is solved on its symmetric slice:
+one variable per orbit of the generated group (Boedi, Herr & Joswig,
+Math. Program. 137 (2013)).  The noisy PR box is fixed per round by
+flipping both outputs and by flipping Bob's input while Alice's output
+shifts by her input (y -> y + 1, a -> a + x): the three-round slice has
+512 columns instead of 32,768, and certifies exactly at every noise
+level tried.  Rounds are never permuted: the TONS rows are time-ordered.
 
 The slice is built directly, without the 2^n-block LP.  The full LP is
 built only when the marginal has no symmetry, in per-round-value mode,
-and as the test oracle: ``orbit_quotient`` of the full LP under
-``relabelling_images`` is the slice, row for row.
+and as a test oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -47,9 +54,12 @@ ABNS = "abns"
 FIXED_MARGINAL = "fixed-marginal"
 PER_ROUND_VALUE = "per-round-value"
 
+# Four rounds give a 4,096-variable slice for the noisy PR box, built and
+# solved in 2-7 s (TONS: about half of it emitting 79,360 causal rows
+# through dicts), but TONS at v = 1/4 does not lift to an exact
+# certificate and at v = 11/12 both kinds' float optima miss the default
+# tolerance.
 EXACT_ROUND_CAP = 3
-# Four rounds give a 65,536-variable slice for the noisy PR box: minutes
-# in HiGHS, and its float optimum misses the default tolerance.
 FLOAT_ROUND_CAP = 3
 
 
@@ -126,34 +136,161 @@ def satisfies_causal_constraints(behavior: Behavior,
 
 @dataclass
 class TonsLp:
-    """Assembled guessing LP with its variable index map: ``var`` maps
-    each ``(e, A, B, X, Y)`` key to its column (its orbit's on a slice)."""
+    """Assembled guessing LP with its variable index map: ``columns[v]``
+    is the column of variable v (its orbit's on a slice), variables
+    numbered with e, X, Y, A, B from major to minor."""
 
     program: L.LinProgram
-    var: dict
+    columns: np.ndarray
     scenario: CausalScenario
     num_causal_rows: int
     num_marginal_rows: int
 
+    @functools.cached_property
+    def var(self) -> dict:
+        """The column of every ``(e, A, B, X, Y)`` key."""
+        SA, SB, SX, SY = self.scenario.string_sizes
+        keys = itertools.product(range(SA), range(SX), range(SY), range(SA),
+                                 range(SB))
+        return {(e, A, B, X, Y): j for (e, X, Y, A, B), j in
+                zip(keys, self.columns.tolist())}
 
-def _check_caps(scenario: CausalScenario, mode: str) -> None:
+
+def _check_caps(scenario: CausalScenario, mode: str,
+                marginal: Optional[Behavior] = None,
+                x_star: Optional[Sequence[int]] = None) -> None:
+    """Raise LpSizeError beyond the round cap of ``mode``.
+
+    The report gives a lower bound on the slice that would be solved when
+    ``marginal`` has the scenario's shape: the group of its relabellings
+    has prod_k (|fixing relabellings of round k| + 1) elements, so there
+    are at least (full variables) / |G| orbits.  Otherwise it gives the
+    full LP's size.
+    """
     cap = EXACT_ROUND_CAP if mode == "exact" else FLOAT_ROUND_CAP
-    if scenario.rounds > cap:
-        sa, sb, sx, sy = scenario.string_sizes
-        raise L.LpSizeError(
-            f"{scenario.kind} at n={scenario.rounds} needs "
-            f"{sa * (sa * sb * sx * sy)} variables "
-            f"({sa} blocks x {sa * sb * sx * sy} entries); the cap is "
-            f"n <= {cap} in {mode} mode")
+    n = scenario.rounds
+    if n <= cap:
+        return
+    sa, sb, sx, sy = scenario.string_sizes
+    full = sa * (sa * sb * sx * sy)
+    if marginal is not None and _shape_matches(marginal, scenario):
+        per_round = Counter(r.k for r in
+                            marginal_symmetries(marginal, scenario, x_star))
+        order = math.prod(per_round[k] + 1 for k in range(n))
+        size = (f"its symmetric slice has at least {-(-full // order)} "
+                f"variables ({full} in the full LP over a group of {order} "
+                f"local relabellings)")
+    else:
+        size = (f"the full LP has {full} variables ({sa} blocks x "
+                f"{full // sa} entries)")
+    raise L.LpSizeError(f"{scenario.kind} at n={n}: {size}; the cap is "
+                        f"n <= {cap} in {mode} mode")
+
+
+def _shape_matches(marginal: Behavior, scenario: CausalScenario) -> bool:
+    SA, SB, SX, SY = scenario.string_sizes
+    return marginal.output_sizes == (SA, SB) and \
+        marginal.input_sizes == (SX, SY)
 
 
 def _check_marginal(marginal: Optional[Behavior],
                     scenario: CausalScenario) -> None:
     if marginal is None:
         raise GameError("fixed-marginal mode needs a marginal behavior")
-    SA, SB, SX, SY = scenario.string_sizes
-    if marginal.output_sizes != (SA, SB) or marginal.input_sizes != (SX, SY):
+    if not _shape_matches(marginal, scenario):
         raise GameError("marginal shape does not match the scenario")
+
+
+def _check_x_star(x_star: Sequence[int], scenario: CausalScenario) -> None:
+    n, nx = scenario.rounds, scenario.alice_inputs
+    if len(x_star) != n or any(not 0 <= x < nx for x in x_star):
+        raise GameError(f"x_star must be {n} symbols below {nx}")
+
+
+@dataclass(frozen=True)
+class LocalRelabelling:
+    """A relabelling of round ``k`` alone.
+
+    Alice's round-k input x becomes ``alice_inputs[x]`` and her output a
+    becomes ``alice_outputs[x][a]``; Bob's likewise.  An output-only
+    relabelling ``(k, alice, bob)`` is the one with identity inputs and
+    the same output permutation at every input.
+    """
+
+    k: int
+    alice_inputs: tuple[int, ...]
+    alice_outputs: tuple[tuple[int, ...], ...]
+    bob_inputs: tuple[int, ...]
+    bob_outputs: tuple[tuple[int, ...], ...]
+
+
+def _as_local(relabelling, scenario: CausalScenario) -> LocalRelabelling:
+    if isinstance(relabelling, LocalRelabelling):
+        return relabelling
+    k, alice, bob = relabelling
+    nx, ny = scenario.alice_inputs, scenario.bob_inputs
+    return LocalRelabelling(k, tuple(range(nx)), (tuple(alice),) * nx,
+                            tuple(range(ny)), (tuple(bob),) * ny)
+
+
+def _party_images(inputs, outputs, n_out: int, n_in: int, rounds: int,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Images of every (output string, input string) pair of one party
+    under a round-k relabelling, as two arrays indexed [output, input]."""
+    w_out, w_in = n_out ** (rounds - 1 - k), n_in ** (rounds - 1 - k)
+    strings_out = np.arange(n_out ** rounds)[:, None]
+    strings_in = np.arange(n_in ** rounds)[None, :]
+    o, i = strings_out // w_out % n_out, strings_in // w_in % n_in
+    image_out = strings_out + (np.asarray(outputs)[i, o] - o) * w_out
+    image_in = strings_in + (np.asarray(inputs)[i] - i) * w_in
+    return image_out, np.broadcast_to(image_in, image_out.shape)
+
+
+def _string_images(r: LocalRelabelling, scenario: CausalScenario):
+    """(A', X') indexed [A, X] and (B', Y') indexed [B, Y]."""
+    n = scenario.rounds
+    return (_party_images(r.alice_inputs, r.alice_outputs,
+                          scenario.alice_outputs, scenario.alice_inputs,
+                          n, r.k),
+            _party_images(r.bob_inputs, r.bob_outputs, scenario.bob_outputs,
+                          scenario.bob_inputs, n, r.k))
+
+
+def _variable_map(r: LocalRelabelling, scenario: CausalScenario,
+                  x_star: Sequence[int]) -> np.ndarray:
+    """The relabelling as a permutation of the guessing LP's variables,
+    numbered with e, X, Y, A, B from major to minor; the guess e goes
+    through Alice's output permutation at x*_k."""
+    if r.alice_inputs[x_star[r.k]] != x_star[r.k]:
+        raise GameError(f"relabelling of round {r.k} moves x* = "
+                        f"{x_star[r.k]}")
+    SA, SB, SX, SY = scenario.string_sizes
+    (A2, X2), (B2, Y2) = _string_images(r, scenario)
+    guess = A2[:, encode_string(list(x_star), scenario.alice_inputs)]
+    # Broadcast the [A, X] and [B, Y] images onto the [e, X, Y, A, B] axes.
+    A2, X2 = (m.T[None, :, None, :, None] for m in (A2, X2))
+    B2, Y2 = (m.T[None, None, :, None, :] for m in (B2, Y2))
+    image = ((((guess[:, None, None, None, None] * SX + X2) * SY + Y2) * SA
+              + A2) * SB + B2)
+    return image.ravel()
+
+
+def _orbit_minima(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """Least index in the orbit of each of ``range(size)`` under the group
+    generated by the permutations ``maps``.
+
+    Label propagation: every index takes the least label reachable through
+    the generators; at the fixed point labels are constant on orbits (each
+    generator has finite order) and distinct across them.
+    """
+    labels = np.arange(size)
+    while True:
+        new = labels
+        for image in maps:
+            new = np.minimum(new, new[image])
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def build_guessing_lp(game: Game, marginal: Optional[Behavior],
@@ -168,14 +305,16 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     value ``omega_star`` in every round conditioned on each past-input
     history (averaged over past outputs).
 
-    Given ``relabellings`` (fixed-marginal mode, see
-    ``marginal_relabellings``), the LP is built directly on its symmetric
-    slice: one column per variable orbit, the objective and each row
-    summed per orbit, each distinct row once, and ``var`` maps every key to
-    its orbit's column.  This is ``orbit_quotient`` of the full LP, row for
-    row, without building the full LP: only the least guess of each guess
-    orbit contributes causal rows, because the rows of the other blocks
-    are their images and fold onto the same slice rows.  With no
+    Given ``relabellings`` (fixed-marginal mode: ``LocalRelabelling``s as
+    from ``marginal_symmetries``, or output-only ``(k, alice, bob)``
+    tuples as from ``marginal_relabellings``), the LP is built directly on
+    its symmetric slice: one column per variable orbit, numbered by each
+    orbit's least variable, the objective and each row summed per orbit,
+    each distinct row once, and ``var`` maps every key to its orbit's
+    column.  Only the least guess of each guess orbit contributes causal
+    rows: the group acts on the guess through the guess alone, and the
+    rows of block g(e) are, on the slice, combinations of those of block
+    e (under output-only relabellings they are the same rows).  With no
     relabellings (no symmetry, per-round-value mode, or the full LP as a
     test oracle) every variable is its own column.
     """
@@ -183,8 +322,7 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
                       scenario.alice_inputs, scenario.bob_inputs)
     SA, SB, SX, SY = scenario.string_sizes
-    if len(x_star) != n or any(not 0 <= x < nx for x in x_star):
-        raise GameError(f"x_star must be {n} symbols below {nx}")
+    _check_x_star(x_star, scenario)
     x_enc = encode_string(list(x_star), nx)
     y_enc = 0 if y_ref is None else encode_string(list(y_ref), ny)
     if constraint_mode == FIXED_MARGINAL:
@@ -193,25 +331,21 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
         raise GameError("relabellings need fixed-marginal mode")
 
     # Variables are numbered with e, X, Y, A, B from major to minor;
-    # labels[e, A, B, X, Y] is the least variable of each one's orbit.
+    # labels[v] is the least variable of v's orbit.
     block = SA * SB * SX * SY
-    index = np.arange(SA * block).reshape(SA, SX, SY, SA, SB)
-    labels = _orbit_minima(index.transpose(0, 3, 4, 1, 2),
-                           [_relabelled_strings(r, scenario)
-                            for r in relabellings])
+    labels = _orbit_minima(SA * block, [
+        _variable_map(_as_local(r, scenario), scenario, x_star)
+        for r in relabellings])
     orbits, col = np.unique(labels, return_inverse=True)
-    col = col.reshape(labels.shape)
-    keys = itertools.product(range(SA), range(SX), range(SY), range(SA),
-                             range(SB))
-    var = {(e, A, B, X, Y): j for (e, X, Y, A, B), j in
-           zip(keys, col.transpose(0, 3, 4, 1, 2).ravel().tolist())}
+    built = TonsLp(L.LinProgram(len(orbits), "max"), col, scenario, 0, 0)
+    prog = built.program
+    # by_block[e, A, B, X, Y] is the column of that key.
+    by_block = col.reshape(SA, SX, SY, SA, SB).transpose(0, 3, 4, 1, 2)
 
-    objective: dict[int, Fraction] = {}
+    # Summed per orbit, the objective is exact on the invariant points.
     for e in range(SA):
-        for B in range(SB):
-            j = var[(e, e, B, x_enc, y_enc)]
-            objective[j] = objective.get(j, 0) + Fraction(1)
-    prog = L.LinProgram(len(orbits), "max", objective)
+        for j in by_block[e, e, :, x_enc, y_enc].tolist():
+            prog.objective[j] = prog.objective.get(j, 0) + Fraction(1)
 
     seen = set()
     fraction = functools.cache(Fraction)  # coefficients are small integers
@@ -233,33 +367,37 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
         return 1
 
     causal_rows = build_causal_constraints(scenario)
-    num_causal = 0
-    # Block e's rows fold onto those of the least guess in e's orbit, so
-    # only that block emits them.  Variables are numbered guess-major: the
-    # least variable of the orbit of (e, 0, 0, 0, 0) lies in that block.
-    for e in np.flatnonzero(labels[:, 0, 0, 0, 0] >= np.arange(SA) * block):
-        cols = col[e].tolist()
+    # Variables are numbered guess-major: the least variable of the orbit
+    # of (e, 0, 0, 0, 0) lies in the block of the least guess in e's orbit.
+    for e in np.flatnonzero(labels[::block] >= np.arange(SA) * block):
+        cols = by_block[e].tolist()
         for row in causal_rows:
-            num_causal += add_row(
+            built.num_causal_rows += add_row(
                 [(cols[A][B][X][Y], c) for ((A, B), (X, Y)), c in row.items()],
                 0)
 
-    num_marg = 0
     if constraint_mode == FIXED_MARGINAL:
-        entries = itertools.product(range(SX), range(SY), range(SA),
-                                    range(SB))
-        per_entry = col.transpose(3, 4, 1, 2, 0).reshape(-1, SA).tolist()
-        for (X, Y, A, B), cols in zip(entries, per_entry):
-            num_marg += add_row([(j, 1) for j in cols],
-                                marginal.entry((A, B), (X, Y)))
+        entries = list(itertools.product(range(SX), range(SY), range(SA),
+                                         range(SB)))
+        per_entry = col.reshape(SA, block).T
+        # Entries of one orbit, and only those, share their columns: keep
+        # the first entry of each.
+        kept = np.unique(np.sort(per_entry, axis=1), axis=0,
+                         return_index=True)[1]
+        for i in np.sort(kept).tolist():
+            X, Y, A, B = entries[i]
+            built.num_marginal_rows += add_row(
+                [(j, 1) for j in per_entry[i].tolist()],
+                marginal.entry((A, B), (X, Y)))
     elif constraint_mode == PER_ROUND_VALUE:
         if omega_star is None:
             raise GameError("per-round-value mode needs omega_star")
         coeffs_value = game_value_coefficients(game)
+        var = built.var
         # Summed blocks form a normalized behavior.
         prog.add({var[(e, A, B, 0, 0)]: 1 for e in range(SA)
                   for A in range(SA) for B in range(SB)}, "==", 1)
-        num_marg += 1
+        built.num_marginal_rows += 1
         for i in range(n):
             for x_past in itertools.product(range(nx), repeat=i):
                 for y_past in itertools.product(range(ny), repeat=i):
@@ -282,46 +420,95 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                                     j = var[(e, A, B, X, Y)]
                                     row[j] = row.get(j, Fraction(0)) + c
                     prog.add(row, "==", Fraction(omega_star))
-                    num_marg += 1
+                    built.num_marginal_rows += 1
     else:
         raise GameError(f"unknown constraint mode {constraint_mode!r}")
 
-    return TonsLp(prog, var, scenario, num_causal, num_marg)
+    return built
 
 
-def _relabel_strings(perm: Sequence[int], base: int, rounds: int,
-                     k: int) -> np.ndarray:
-    """Image of every round-major string when round k's symbol is permuted."""
-    strings = np.arange(base ** rounds)
-    weight = base ** (rounds - 1 - k)
-    digit = strings // weight % base
-    return strings + (np.asarray(perm)[digit] - digit) * weight
+def _marginal_table(marginal: Behavior,
+                    scenario: CausalScenario) -> np.ndarray:
+    """The marginal indexed [A, B, X, Y] as integer numerators over their
+    common denominator (int64 when they fit): exact, and comparing it
+    is ten times faster than comparing Fractions."""
+    _check_marginal(marginal, scenario)
+    keys = np.array([(A, B, X, Y) for (A, B), (X, Y) in marginal.table],
+                    dtype=np.int64).reshape(-1, 4)
+    values = [Fraction(p) for p in marginal.table.values()]
+    den = math.lcm(*(p.denominator for p in values))
+    nums = [p.numerator * (den // p.denominator) for p in values]
+    dtype = np.int64 if max(map(abs, nums), default=0) < 2 ** 63 else object
+    table = np.zeros(scenario.string_sizes, dtype=dtype)
+    table[tuple(keys.T)] = np.array(nums, dtype=dtype)
+    return table
 
 
-def _relabelled_strings(relabelling, scenario: CausalScenario):
-    k, alice, bob = relabelling
-    n = scenario.rounds
-    return (_relabel_strings(alice, scenario.alice_outputs, n, k),
-            _relabel_strings(bob, scenario.bob_outputs, n, k))
+def _round_candidates(scenario: CausalScenario, k: int,
+                      x_k: Optional[int]):
+    """Non-identity relabellings of round k, Alice's side outermost: the
+    output-only ones when ``x_k`` is None, else the local ones whose Alice
+    input permutation fixes x_k."""
+    na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
+                      scenario.alice_inputs, scenario.bob_inputs)
+    perms = itertools.permutations
+    if x_k is None:
+        alice = [(tuple(range(nx)), (p,) * nx) for p in perms(range(na))]
+        bob = [(tuple(range(ny)), (p,) * ny) for p in perms(range(nb))]
+    else:
+        alice = [(xs, outs) for xs in perms(range(nx)) if xs[x_k] == x_k
+                 for outs in itertools.product(perms(range(na)), repeat=nx)]
+        bob = [(ys, outs) for ys in perms(range(ny))
+               for outs in itertools.product(perms(range(nb)), repeat=ny)]
+    for a in alice:
+        for b in bob:
+            if (a, b) != (alice[0], bob[0]):   # the identity comes first
+                yield LocalRelabelling(k, *a, *b)
 
 
-def _orbit_minima(index: np.ndarray, moves) -> np.ndarray:
-    """Least entry of ``index[e, A, B, X, Y]`` over each orbit of the group
-    generated by the string relabellings ``moves`` (pairs of Alice and Bob
-    string images), Alice's also acting on the guess ``e``.
+def _fixing(table: np.ndarray, scenario: CausalScenario, candidates):
+    """The candidates under which the marginal table is unchanged."""
+    SA, SB, SX, SY = scenario.string_sizes
+    flat = table.ravel()
+    found = []
+    for r in candidates:
+        (A2, X2), (B2, Y2) = _string_images(r, scenario)
+        image = (((A2[:, None, :, None] * SB + B2[None, :, None, :]) * SX
+                  + X2[:, None, :, None]) * SY + Y2[None, :, None, :])
+        if (flat[image] == table).all():
+            found.append(r)
+    return found
 
-    Label propagation: every entry takes the least label reachable through
-    the generators; at the fixed point labels are constant on orbits (each
-    generator has finite order) and distinct across them.
+
+# Candidates per round above which the search keeps to output relabellings:
+# (nx - 1)! ny! na!^nx nb!^ny local ones, 32 for a 2x2x2x2 round.
+_LOCAL_SEARCH_LIMIT = 4096
+
+
+def marginal_symmetries(marginal: Behavior, scenario: CausalScenario,
+                        x_star: Sequence[int]) -> list[LocalRelabelling]:
+    """Local relabellings of single rounds that fix the marginal and x*.
+
+    Round k's candidates are every Bob input permutation, every Alice
+    input permutation fixing x*_k and, per input, every output
+    permutation of each party; those under which every marginal entry is
+    unchanged are returned, round by round.  In each round they and the
+    identity form a group, so the group they generate has
+    prod_k (|round k's| + 1) elements.  Entries are compared exactly, so
+    a float marginal only matches bit for bit.  Rounds with more than
+    ``_LOCAL_SEARCH_LIMIT`` candidates are searched for output
+    relabellings only.
     """
-    labels = index
-    while True:
-        new = labels
-        for ia, ib in moves:
-            new = np.minimum(new, new[ia][:, ia][:, :, ib])
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
+    _check_x_star(x_star, scenario)
+    table = _marginal_table(marginal, scenario)
+    na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
+                      scenario.alice_inputs, scenario.bob_inputs)
+    f = math.factorial
+    local = (f(nx - 1) * f(ny) * f(na) ** nx * f(nb) ** ny
+             <= _LOCAL_SEARCH_LIMIT)
+    return [r for k in range(scenario.rounds)
+            for r in _fixing(table, scenario, _round_candidates(
+                scenario, k, x_star[k] if local else None))]
 
 
 def marginal_relabellings(marginal: Behavior,
@@ -329,95 +516,13 @@ def marginal_relabellings(marginal: Behavior,
     """Per-round output relabellings that fix the marginal exactly.
 
     Each is ``(k, alice_perm, bob_perm)``: round k's Alice and Bob
-    symbols go through the two permutations, inputs stay put.  Entries
-    are compared exactly, so a float marginal only matches bit for bit.
+    symbols go through the two permutations, inputs stay put.
     """
-    _check_marginal(marginal, scenario)
-    table = np.zeros(scenario.string_sizes, dtype=object)
-    for ((A, B), (X, Y)), p in marginal.table.items():
-        table[A, B, X, Y] = p
-    identity = (tuple(range(scenario.alice_outputs)),
-                tuple(range(scenario.bob_outputs)))
-    found = []
-    for k in range(scenario.rounds):
-        for alice in itertools.permutations(identity[0]):
-            for bob in itertools.permutations(identity[1]):
-                if (alice, bob) == identity:
-                    continue
-                ia, ib = _relabelled_strings((k, alice, bob), scenario)
-                if (table[ia][:, ib] == table).all():
-                    found.append((k, alice, bob))
-    return found
-
-
-def relabelling_images(built: TonsLp, relabellings) -> list[np.ndarray]:
-    """Variable permutation of the guessing LP induced by each relabelling.
-
-    Alice's relabelling acts on Eve's guess ``e`` as on Alice's string,
-    so the objective ``[A = e]`` is fixed along with every row.
-    """
-    SA, SB, SX, SY = built.scenario.string_sizes
-    index = np.empty((SA, SA, SB, SX, SY), dtype=np.int64)
-    for key, j in built.var.items():
-        index[key] = j
-    images = []
-    for relabelling in relabellings:
-        ia, ib = _relabelled_strings(relabelling, built.scenario)
-        image = np.empty(built.program.num_vars, dtype=np.int64)
-        image[index.ravel()] = index[ia][:, ia][:, :, ib].ravel()
-        images.append(image)
-    return images
-
-
-def orbit_quotient(prog: L.LinProgram,
-                   images: Sequence[np.ndarray]) -> L.LinProgram:
-    """The LP restricted to points constant on each variable orbit.
-
-    ``images`` are variable permutations that map ``prog`` onto itself.
-    The quotient has one column per orbit of the group they generate, the
-    objective and each row summed per orbit, and each distinct row once;
-    its optimum is the optimum of ``prog``.
-    """
-    if not images:
-        return prog
-    # Label propagation: every variable takes the least label reachable
-    # through the generators; at the fixed point labels are constant on
-    # orbits (each generator has finite order) and distinct across them.
-    labels = np.arange(prog.num_vars)
-    while True:
-        new = labels
-        for image in images:
-            new = np.minimum(new, new[image])
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    orbits, col = np.unique(labels, return_inverse=True)
-    col = col.tolist()
-
-    quotient = L.LinProgram(
-        len(orbits), prog.sense,
-        lower={col[j]: lo for j, lo in prog.lower.items()},
-        upper={col[j]: up for j, up in prog.upper.items()})
-    for j, c in prog.objective.items():
-        quotient.objective[col[j]] = quotient.objective.get(col[j], 0) + c
-    # Rows are summed over integer numerators on a common denominator:
-    # Fraction additions would cost more than the solve.
-    den = math.lcm(*{c.denominator for con in prog.constraints
-                     for _, c in con.coeffs})
-    seen = set()
-    for con in prog.constraints:
-        sums: dict[int, int] = {}
-        for j, c in con.coeffs:
-            q = col[j]
-            sums[q] = sums.get(q, 0) + c.numerator * (den // c.denominator)
-        key = (tuple(sorted((q, s) for q, s in sums.items() if s)),
-               con.rel, con.rhs)
-        if key not in seen:
-            seen.add(key)
-            quotient.constraints.append(L.Constraint(
-                tuple((q, Fraction(s, den)) for q, s in key[0]),
-                con.rel, con.rhs))
-    return quotient
+    table = _marginal_table(marginal, scenario)
+    return [(r.k, r.alice_outputs[0], r.bob_outputs[0])
+            for k in range(scenario.rounds)
+            for r in _fixing(table, scenario,
+                             _round_candidates(scenario, k, None))]
 
 
 def tons_guessing_probability(game: Game, marginal: Behavior,
@@ -430,12 +535,12 @@ def tons_guessing_probability(game: Game, marginal: Behavior,
     """Eve's optimal probability of guessing Alice's full output string.
 
     In fixed-marginal mode the LP is solved on the slice fixed by the
-    marginal's output relabellings (see the module docstring).  Raises
+    marginal's local relabellings (see the module docstring).  Raises
     InfeasibleError when the marginal is not attainable within the
     causal set, and LpSizeError beyond the round caps.
     """
-    _check_caps(scenario, mode)
-    relabellings = (marginal_relabellings(marginal, scenario)
+    _check_caps(scenario, mode, marginal, x_star)
+    relabellings = (marginal_symmetries(marginal, scenario, x_star)
                     if constraint_mode == FIXED_MARGINAL else ())
     built = build_guessing_lp(game, marginal, x_star, scenario, y_ref,
                               constraint_mode, omega_star, relabellings)

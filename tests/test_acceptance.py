@@ -44,7 +44,8 @@ def test_criterion_1_tons_n2_exact(chsh_game):
 
 
 def test_criterion_2_tons_n3_float(chsh_game):
-    """TONS n=3: float LP within 1e-6 of 1 - 7v/8 for v above sqrt(5)-2."""
+    """TONS n=3: float LP within 1e-6 of 1 - 7v/8 for v above sqrt(5)-2,
+    and the exact LP equal to it."""
     scenario = T.CausalScenario.for_game(T.TONS, 3, chsh_game)
     worst_err = 0.0
     worst_time = 0.0
@@ -59,7 +60,10 @@ def test_criterion_2_tons_n3_float(chsh_game):
         worst_time = max(worst_time, elapsed)
         assert err <= 1e-6, f"v={v}: error {err:.2e}"
         assert elapsed < 120, f"v={v} took {elapsed:.1f}s"
-    _report("2 (TONS n=3 float, 1 - 7v/8)", True,
+        exact = T.tons_guessing_probability(chsh_game, marginal, (0, 0, 0),
+                                            scenario, mode="exact")
+        assert exact == 1 - 7 * v / 8, f"v={v}: exact {exact}"
+    _report("2 (TONS n=3 float and exact, 1 - 7v/8)", True,
             f"max error {worst_err:.1e}, max {worst_time:.0f}s/instance")
 
 

@@ -161,6 +161,15 @@ class TestCli:
             assert cli.main(argv) == 0, argv
             assert row in capsys.readouterr().out, argv
 
+    def test_exact_three_rounds_certify(self, capsys):
+        """The three-round slice lifts exactly where the output-only one
+        did not."""
+        for v, pg in (("1/4", "25/32"), ("11/12", "19/96")):
+            code = cli.main(["--mode", "exact", "tons", "--v", v,
+                             "--n", "3"])
+            assert code == 0, v
+            assert f"3,{v},tons,{pg},{pg},yes" in capsys.readouterr().out
+
     def test_tons_size_cap(self, capsys):
         code = cli.main(["tons", "--v", "1", "--n", "7"])
         assert code == cli.EXIT_INFEASIBLE
@@ -300,6 +309,23 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("0.9999") or out == "1.0"
+
+    def test_config_field_types_are_input_errors(self, tmp_path, capsys):
+        """A config file that is not an object, or whose fields have the
+        wrong JSON type, exits 3 naming the file and the field."""
+        cases = (({"float_tolerance": "1e-3"}, "float_tolerance"),
+                 ({"orth_tolerance": True}, "orth_tolerance"),
+                 ({"mode": 1}, "mode"),
+                 ("float", "JSON object"),
+                 ([{"mode": "float"}], "JSON object"))
+        for data, field in cases:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(data))
+            code = cli.main(["--config", str(path), "ns-value", "chsh",
+                             "--certificate", str(tmp_path / "c.json")])
+            assert code == cli.EXIT_INPUT_ERROR, data
+            err = capsys.readouterr().err
+            assert str(path) in err and field in err, err
 
     def test_flag_overrides_config(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"

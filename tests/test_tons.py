@@ -1,11 +1,15 @@
 """Tests for multi-round causal constraint sets and guessing LPs."""
 
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from nsrand import games as G
 from nsrand import ksattack as K
@@ -208,6 +212,20 @@ class TestGuessingProbability:
                 chsh_game, _pr_product(F(1), 2), (0,) * 5,
                 T.CausalScenario.for_game(T.TONS, 5, chsh_game), mode="float")
 
+    def test_round_cap_reports_the_slice_bound(self, chsh_game):
+        """Over the cap, a marginal of the right shape is reported by the
+        least size of its slice: 4^4 relabellings fix the four-round noisy
+        PR box, so at least 2^20 / 2^8 columns remain; any other marginal
+        by the full LP's size."""
+        scenario = T.CausalScenario.for_game(T.TONS, 4, chsh_game)
+        with pytest.raises(L.LpSizeError,
+                           match="slice has at least 4096 variables"):
+            T.tons_guessing_probability(chsh_game, _pr_product(F(1, 2), 4),
+                                        (0,) * 4, scenario, mode="float")
+        with pytest.raises(L.LpSizeError,
+                           match="the full LP has 1048576 variables"):
+            T._check_caps(scenario, "float")
+
 
 def test_lp_column_count_invariant(chsh_game):
     """Variables: one block per guess times the full behavior table."""
@@ -275,6 +293,87 @@ def _flip_average(box, flips):
     return G.Behavior((2, 2), (2, 2), table)
 
 
+ROUND = T.CausalScenario(T.TONS, 1)
+# The 31 non-identity local relabellings of a 2x2x2x2 round fixing x* = 0.
+LOCAL_MOVES = list(T._round_candidates(ROUND, 0, 0))
+# Flip Bob's input and shift Alice's output by her input: y -> y + 1,
+# a -> a + x.  It fixes the noisy PR box but moves no output at x* = 0.
+Y_FLIP = T.LocalRelabelling(0, (0, 1), ((0, 1), (1, 0)), (1, 0),
+                            ((0, 1), (0, 1)))
+
+
+def _group_average(box, moves):
+    """Average a one-round box over the group the relabellings generate."""
+    keys = [((a, b), (x, y)) for a in range(2) for b in range(2)
+            for x in range(2) for y in range(2)]
+    position = {key: i for i, key in enumerate(keys)}
+    generators = []
+    for r in moves:
+        (A2, X2), (B2, Y2) = T._string_images(r, ROUND)
+        generators.append(tuple(
+            position[((A2[a, x], B2[b, y]), (X2[a, x], Y2[b, y]))]
+            for (a, b), (x, y) in keys))
+    group = {tuple(range(len(keys)))}
+    while True:
+        grown = group | {tuple(m[i] for i in g) for g in group
+                         for m in generators}
+        if grown == group:
+            break
+        group = grown
+    return G.Behavior((2, 2), (2, 2), {
+        key: sum(box.entry(*keys[g[i]]) for g in group) / len(group)
+        for i, key in enumerate(keys)})
+
+
+def relabelling_images(built, relabellings, x_star):
+    """Variable permutation of the full guessing LP induced by each
+    relabelling, output-only tuple or ``LocalRelabelling``; Alice's output
+    permutation at x* acts on Eve's guess."""
+    scenario = built.scenario
+    sa, sb, sx, sy = scenario.string_sizes
+    assert built.program.num_vars == sa * sa * sb * sx * sy
+    return [T._variable_map(T._as_local(r, scenario), scenario, x_star)
+            for r in relabellings]
+
+
+def orbit_quotient(prog, images):
+    """The LP restricted to points constant on each variable orbit.
+
+    ``images`` are variable permutations that map ``prog``'s feasible
+    set onto itself and fix its objective there.  The quotient has one
+    column per orbit of the group they generate, numbered by the orbit's
+    least variable, the objective and each row summed per orbit, and each
+    distinct row once; its optimum is the optimum of ``prog``.
+    """
+    if not images:
+        return prog
+    orbits, col = np.unique(T._orbit_minima(prog.num_vars, images),
+                            return_inverse=True)
+    col = col.tolist()
+    quotient = L.LinProgram(
+        len(orbits), prog.sense,
+        lower={col[j]: lo for j, lo in prog.lower.items()},
+        upper={col[j]: up for j, up in prog.upper.items()})
+    for j, c in prog.objective.items():
+        quotient.objective[col[j]] = quotient.objective.get(col[j], 0) + c
+    # Rows are summed over integer numerators on a common denominator.
+    den = math.lcm(*{c.denominator for con in prog.constraints
+                     for _, c in con.coeffs})
+    seen = set()
+    for con in prog.constraints:
+        sums: dict[int, int] = {}
+        for j, c in con.coeffs:
+            q = col[j]
+            sums[q] = sums.get(q, 0) + c.numerator * (den // c.denominator)
+        key = (tuple(sorted((q, s) for q, s in sums.items() if s)),
+               con.rel, con.rhs)
+        if key not in seen:
+            seen.add(key)
+            quotient.constraints.append(L.Constraint(
+                tuple((q, F(s, den)) for q, s in key[0]), con.rel, con.rhs))
+    return quotient
+
+
 def _direct_and_oracle_slice(game, marginal, scenario):
     """``dump_lp`` of the slice built directly and of the full LP's orbit
     quotient under the marginal's relabellings."""
@@ -283,8 +382,8 @@ def _direct_and_oracle_slice(game, marginal, scenario):
     direct = T.build_guessing_lp(game, marginal, (0,) * n, scenario,
                                  relabellings=relabellings)
     full = T.build_guessing_lp(game, marginal, (0,) * n, scenario)
-    oracle = T.orbit_quotient(full.program,
-                              T.relabelling_images(full, relabellings))
+    oracle = orbit_quotient(full.program,
+                            relabelling_images(full, relabellings, (0,) * n))
     return L.dump_lp(direct.program), L.dump_lp(oracle)
 
 
@@ -296,6 +395,24 @@ def _full_and_slice(game, marginal, scenario, mode="exact"):
     sliced = T.tons_guessing_probability(game, marginal, (0,) * n, scenario,
                                          mode=mode)
     return full, sliced
+
+
+def _columns(built):
+    """``built.var`` in variable order: e, X, Y, A, B from major to minor."""
+    sa, sb, sx, sy = built.scenario.string_sizes
+    return np.array([built.var[(e, A, B, X, Y)] for e, X, Y, A, B in
+                     itertools.product(range(sa), range(sx), range(sy),
+                                       range(sa), range(sb))])
+
+
+def _rows(prog):
+    return {(con.coeffs, con.rel, con.rhs) for con in prog.constraints}
+
+
+def _row_space_residual(basis, rows):
+    """Largest entry of ``rows`` off the span of the orthonormal rows of
+    ``basis``."""
+    return np.abs(rows - (rows @ basis.T) @ basis).max()
 
 
 SCENARIOS = [(kind, n) for kind in (T.TONS, T.ABNS) for n in (1, 2)]
@@ -312,14 +429,51 @@ class TestSymmetricSlice:
         assert relabellings == [(k, (1, 0), (1, 0)) for k in range(n)]
         built = T.build_guessing_lp(chsh_game, marginal, (0,) * n, scenario)
         prog = built.program
-        rows = {(con.coeffs, con.rel, con.rhs) for con in prog.constraints}
-        for image in T.relabelling_images(built, relabellings):
+        rows = _rows(prog)
+        for image in relabelling_images(built, relabellings, (0,) * n):
             assert sorted(image) == list(range(prog.num_vars))
             assert {int(image[j]): c for j, c in prog.objective.items()} \
                 == prog.objective
             moved = {(tuple(sorted((int(image[j]), c) for j, c in con.coeffs)),
                       con.rel, con.rhs) for con in prog.constraints}
             assert moved == rows
+
+    @pytest.mark.parametrize("kind,n", SCENARIOS)
+    def test_symmetries_map_the_full_lp_feasible_set_onto_itself(
+            self, chsh_game, kind, n):
+        """Every found local relabelling maps the feasible set of the full
+        LP into itself (each moved row, with its right-hand side, lies in
+        the span of the rows) and keeps the objective on it (the change
+        of objective is a combination of rows with zero right-hand side).
+        The objective itself is not fixed term by term."""
+        scenario = T.CausalScenario.for_game(kind, n, chsh_game)
+        marginal = _pr_product(F(1, 2), n)
+        symmetries = T.marginal_symmetries(marginal, scenario, (0,) * n)
+        assert len(symmetries) == 3 * n
+        assert all(dataclasses.replace(Y_FLIP, k=k) in symmetries
+                   for k in range(n))
+        prog = T.build_guessing_lp(chsh_game, marginal, (0,) * n,
+                                   scenario).program
+        rows = np.zeros((len(prog.constraints), prog.num_vars + 1))
+        for i, con in enumerate(prog.constraints):
+            for j, c in con.coeffs:
+                rows[i, j] = c
+            rows[i, -1] = con.rhs
+        objective = np.zeros(prog.num_vars)
+        for j, c in prog.objective.items():
+            objective[j] = c
+        basis = scipy.linalg.orth(rows.T).T
+        moves_objective = False
+        for image in relabelling_images(
+                T.build_guessing_lp(chsh_game, marginal, (0,) * n, scenario),
+                symmetries, (0,) * n):
+            assert sorted(image) == list(range(prog.num_vars))
+            moved = np.column_stack([rows[:, image], rows[:, -1]])
+            assert _row_space_residual(basis, moved) < 1e-9
+            change = np.append(objective[image] - objective, 0)
+            assert _row_space_residual(basis, change[None]) < 1e-9
+            moves_objective |= bool(change.any())
+        assert moves_objective
 
     def test_noisy_pr_box_is_solved_as_one_block(self, chsh_game,
                                                  monkeypatch):
@@ -335,7 +489,8 @@ class TestSymmetricSlice:
         assert T.tons_guessing_probability(
             chsh_game, _pr_product(F(1, 2), 2), (0, 0), scenario) == F(5, 8)
         sa, sb, sx, sy = scenario.string_sizes
-        assert solved == [sa * sb * sx * sy]
+        # One block, folded once more per round by the y-flip.
+        assert solved == [sa * sb * sx * sy // 4] == [64]
 
     @pytest.mark.parametrize("kind,n", SCENARIOS)
     def test_slice_matches_full_lp_exactly(self, chsh_game, kind, n):
@@ -365,6 +520,38 @@ class TestSymmetricSlice:
         direct, oracle = _direct_and_oracle_slice(game, marginal, scenario)
         assert direct == oracle
 
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           moves=st.sets(st.sampled_from(LOCAL_MOVES), max_size=3),
+           kind=st.sampled_from([T.TONS, T.ABNS]),
+           n=st.sampled_from([1, 2]))
+    @example(seed=7, moves={Y_FLIP}, kind=T.TONS, n=2)
+    def test_local_slice_matches_full_lp_on_random_ns_products(
+            self, seed, moves, kind, n):
+        """Random NS boxes, averaged over the group of a random set of one
+        round's local relabellings, give the full LP's exact value on the
+        slice of every relabelling found; that slice is the full LP's
+        orbit quotient, up to rows it spans."""
+        game = G.make_chsh_game()
+        box = _group_average(_random_ns_behavior(random.Random(seed)), moves)
+        scenario = T.CausalScenario.for_game(kind, n, game)
+        marginal = G.product_behavior(box, n)
+        symmetries = T.marginal_symmetries(marginal, scenario, (0,) * n)
+        assert all(dataclasses.replace(r, k=k) in symmetries
+                   for r in moves for k in range(n))
+        full_lp = T.build_guessing_lp(game, marginal, (0,) * n, scenario)
+        full = NV._solve_certified(full_lp.program, "exact").value
+        assert T.tons_guessing_probability(game, marginal, (0,) * n,
+                                           scenario) == full
+        direct = T.build_guessing_lp(game, marginal, (0,) * n, scenario,
+                                     relabellings=symmetries).program
+        oracle = orbit_quotient(full_lp.program, relabelling_images(
+            full_lp, symmetries, (0,) * n))
+        assert direct.num_vars == oracle.num_vars
+        assert direct.objective == oracle.objective
+        assert _rows(direct) <= _rows(oracle)
+        assert NV._solve_certified(oracle, "exact").value == full
+
     @pytest.mark.parametrize("kind,n", SCENARIOS)
     def test_direct_slice_is_the_quotient_of_the_full_lp(self, chsh_game,
                                                          kind, n):
@@ -378,19 +565,22 @@ class TestSymmetricSlice:
     @pytest.mark.parametrize("kind,n", SCENARIOS)
     def test_direct_slice_maps_each_key_to_its_orbit(self, chsh_game, kind,
                                                      n):
-        """``var`` is constant along every relabelling (Alice's acting on
-        the guess too) and reaches every slice column."""
+        """``var`` is constant along every relabelling, output-only or
+        local (Alice's output permutation at x* acting on the guess too),
+        and reaches every slice column."""
         scenario = T.CausalScenario.for_game(kind, n, chsh_game)
-        relabellings = T.marginal_relabellings(_pr_product(F(1, 2), n),
-                                               scenario)
-        built = T.build_guessing_lp(chsh_game, _pr_product(F(1, 2), n),
-                                    (0,) * n, scenario,
-                                    relabellings=relabellings)
-        assert set(built.var.values()) == set(range(built.program.num_vars))
-        for relabelling in relabellings:
-            ia, ib = T._relabelled_strings(relabelling, scenario)
-            for (e, A, B, X, Y), j in built.var.items():
-                assert built.var[(ia[e], ia[A], ib[B], X, Y)] == j
+        marginal = _pr_product(F(1, 2), n)
+        for relabellings in (T.marginal_relabellings(marginal, scenario),
+                             T.marginal_symmetries(marginal, scenario,
+                                                   (0,) * n)):
+            built = T.build_guessing_lp(chsh_game, marginal, (0,) * n,
+                                        scenario, relabellings=relabellings)
+            columns = _columns(built)
+            assert set(columns) == set(range(built.program.num_vars))
+            for r in relabellings:
+                image = T._variable_map(T._as_local(r, scenario), scenario,
+                                        (0,) * n)
+                assert (columns[image] == columns).all()
 
     def test_relabellings_need_fixed_marginal_mode(self, chsh_game):
         scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
@@ -399,6 +589,29 @@ class TestSymmetricSlice:
                                 constraint_mode=T.PER_ROUND_VALUE,
                                 omega_star=F(3, 4),
                                 relabellings=[(0, (1, 0), (1, 0))])
+
+    def test_large_alphabets_keep_to_output_relabellings(
+            self, magic_square_game):
+        """A round with 3 inputs and 4 outputs per party has
+        2 * 6 * 24^6 local relabellings; the search keeps to its
+        24^2 - 1 output relabellings."""
+        scenario = T.CausalScenario.for_game(T.TONS, 1, magic_square_game)
+        uniform = G.uniform_behavior(magic_square_game.output_sizes,
+                                     magic_square_game.input_sizes)
+        symmetries = T.marginal_symmetries(uniform, scenario, (0,))
+        assert len(symmetries) == 24 ** 2 - 1
+        assert symmetries == [
+            T._as_local(r, scenario)
+            for r in T.marginal_relabellings(uniform, scenario)]
+
+    def test_relabelling_must_fix_x_star(self, chsh_game):
+        """Moving Alice's input x* would move Eve's objective."""
+        scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
+        x_flip = T.LocalRelabelling(0, (1, 0), ((0, 1), (0, 1)), (0, 1),
+                                    ((0, 1), (0, 1)))
+        with pytest.raises(G.GameError, match="x\\*"):
+            T.build_guessing_lp(chsh_game, _pr_product(F(1, 2), 1), (0,),
+                                scenario, relabellings=[x_flip])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_symmetric_signalling_marginal_stays_infeasible(self, chsh_game,
@@ -420,7 +633,7 @@ class TestSymmetricSlice:
 
     @pytest.mark.parametrize("kind,n", SCENARIOS)
     def test_asymmetric_marginal_keeps_the_full_lp(self, chsh_game, kind, n):
-        """Always outputting (0, 0) is fixed by no relabelling."""
+        """Always outputting (0, 0) is fixed by no output relabelling."""
         box = G.Behavior((2, 2), (2, 2), {
             ((0, 0), (x, y)): F(1) for x in range(2) for y in range(2)})
         marginal = G.product_behavior(box, n)
@@ -428,11 +641,41 @@ class TestSymmetricSlice:
         relabellings = T.marginal_relabellings(marginal, scenario)
         assert relabellings == []
         built = T.build_guessing_lp(chsh_game, marginal, (0,) * n, scenario)
-        quotient = T.orbit_quotient(built.program,
-                                    T.relabelling_images(built, relabellings))
+        quotient = orbit_quotient(built.program, relabelling_images(
+            built, relabellings, (0,) * n))
         assert quotient.num_vars == built.program.num_vars
         direct, oracle = _direct_and_oracle_slice(chsh_game, marginal,
                                                   scenario)
         assert direct == oracle == L.dump_lp(built.program)
         assert T.tons_guessing_probability(chsh_game, marginal, (0,) * n,
                                            scenario) == 1
+
+
+# Exact two-round ABNS values of the noisy PR box at every v = k/q with
+# q <= 12, as computed on the output-relabelling slice.
+ABNS_N2 = """
+0:1 1/12:23/24 1/11:21/22 1/10:19/20 1/9:17/18 1/8:15/16 1/7:13/14
+1/6:11/12 2/11:10/11 1/5:9/10 2/9:8/9 1/4:7/8 3/11:19/22 2/7:6/7
+3/10:17/20 1/3:5/6 4/11:9/11 3/8:13/16 2/5:4/5 5/12:911/1152 3/7:153/196
+4/9:497/648 5/11:367/484 1/2:23/32 6/11:657/968 5/9:217/324 4/7:257/392
+7/12:743/1152 3/5:63/100 5/8:311/512 7/11:289/484 2/3:41/72 7/10:431/800
+5/7:103/196 8/11:497/968 3/4:63/128 7/9:151/324 4/5:89/200 9/11:207/484
+5/6:119/288 6/7:153/392 7/8:191/512 8/9:233/648 9/10:279/800
+10/11:329/968 11/12:383/1152 1:1/4
+"""
+
+
+def test_two_round_values_on_the_rational_grid(chsh_game):
+    """TONS gives 1 - 3v/4 and ABNS its pinned value at all 47 v."""
+    pinned = {F(v): F(p) for v, p in
+              (pair.split(":") for pair in ABNS_N2.split())}
+    assert set(pinned) == {F(k, q) for q in range(1, 13)
+                           for k in range(q + 1)}
+    tons2, abns2 = (T.CausalScenario.for_game(kind, 2, chsh_game)
+                    for kind in (T.TONS, T.ABNS))
+    for v, abns in pinned.items():
+        marginal = _pr_product(v, 2)
+        assert T.tons_guessing_probability(
+            chsh_game, marginal, (0, 0), tons2) == 1 - 3 * v / 4, v
+        assert T.tons_guessing_probability(
+            chsh_game, marginal, (0, 0), abns2) == abns, v
