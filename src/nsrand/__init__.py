@@ -24,11 +24,10 @@ from .ksattack import (Assignment, AttackBehavior, KSSet, OrthGraph,
                        bipartite_from_assignment, build_orth_graph,
                        find_assignment, load_bundled_ks, make_ks_game,
                        tripartite_attack, verify_behavior)
-from .lp import (LinProgram, LpSolution, Rational, dump_lp, solve,
-                 verify_certificate)
-from .nsvalues import (EpsNsReport, InfeasibleError, alpha_slope,
-                       chain_ns_guessing_curve, eps_ns_value, ns_value,
-                       single_round_guessing)
+from .lp import (InfeasibleError, LinProgram, LpSolution, Rational, dump_lp,
+                 solve, verify_certificate)
+from .nsvalues import (EpsNsReport, alpha_slope, chain_ns_guessing_curve,
+                       eps_ns_value, ns_value, single_round_guessing)
 from .tons import (CausalScenario, TonsLp, build_causal_constraints,
                    build_guessing_lp, causal_constraint_count,
                    iid_guessing_baseline, satisfies_causal_constraints,

@@ -17,6 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .games import CHAIN_I3_TERMS
+
 log = logging.getLogger(__name__)
 
 SQRT3 = math.sqrt(3.0)
@@ -28,9 +30,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-
-# Correlator combination: (x, y, sign) terms of the chained expression.
-I3_TERMS = ((0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1), (0, 2, -1))
 
 
 class ChainDomainError(ValueError):
@@ -81,7 +80,8 @@ class QubitStrategy:
         return float(np.trace(self.rho @ op).real)
 
     def chained_expression(self) -> float:
-        return sum(sign * self.correlator(x, y) for x, y, sign in I3_TERMS)
+        return sum(sign * self.correlator(x, y)
+                   for (x, y), sign in CHAIN_I3_TERMS.items())
 
     def outcome_probability(self, a: int, b: int, x: int, y: int) -> float:
         proj_a = (I2 + (-1) ** a * self.alice[x]) / 2.0

@@ -27,7 +27,8 @@ from typing import Optional
 from . import bounds as bounds_mod
 from . import chain as chain_mod
 from . import games, ksattack, nsvalues, serialize, tons
-from .lp import CertificationError, LpError, LpSizeError
+from .lp import (CertificationError, InfeasibleError, LpError, LpSizeError,
+                 solve_certified)
 
 CONFIG_ENV_VAR = "NSRAND_CONFIG"
 
@@ -116,6 +117,16 @@ def _read_json(spec: str, what: str):
             f"{what} {spec}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
+def _int_list(text: str, flag: str, sep: Optional[str] = None) -> list[int]:
+    """The integers in ``text``, one per character or split at ``sep``;
+    anything else is an input error naming ``flag``."""
+    try:
+        return [int(t) for t in (text.split(sep) if sep else text)]
+    except ValueError:
+        raise serialize.InputFormatError(
+            f"{flag} must list integers, got {text!r}") from None
+
+
 def _resolve_game(spec: str) -> tuple[games.Game, list[Path]]:
     if spec in BUILTIN_GAMES:
         return BUILTIN_GAMES[spec](), []
@@ -140,7 +151,7 @@ def _resolve_ks(spec: str, orth_tol: float) -> tuple[ksattack.KSSet, list[Path]]
 def cmd_ns_value(args, cfg: RunConfig) -> int:
     game, inputs = _resolve_game(args.game)
     prog, _ = nsvalues._behavior_lp(game, games.game_value_coefficients(game))
-    sol = nsvalues._solve_certified(prog, cfg.mode, cfg.float_tolerance)
+    sol = solve_certified(prog, cfg.mode, cfg.float_tolerance)
     value = sol.value
     print(serialize.frac_str(value) if cfg.mode == "exact" else repr(value))
     manifest = serialize.build_manifest(cfg.hashed() | {"game": args.game},
@@ -165,7 +176,8 @@ def cmd_tons(args, cfg: RunConfig) -> int:
         raise bounds_mod.InfeasibleParamsError(f"v = {v} outside [0, 1]")
     n = args.n
     scenario = tons.CausalScenario.for_game(args.scenario, n, game)
-    x_star = tuple(int(ch) for ch in args.xstar) if args.xstar else (0,) * n
+    x_star = tuple(_int_list(args.xstar, "--xstar")) if args.xstar \
+        else (0,) * n
     marginal = None
     if args.marginal:
         marginal = serialize.behavior_from_dict(
@@ -235,6 +247,9 @@ def cmd_curves(args, cfg: RunConfig) -> int:
             f"curve range [{args.wmin}, {args.wmax}] must sit inside [4, 6]")
     if args.points < 2:
         raise bounds_mod.InfeasibleParamsError("need at least two grid points")
+    if args.lp_samples < 0:
+        raise bounds_mod.InfeasibleParamsError(
+            f"--lp-samples must be nonnegative, got {args.lp_samples}")
     step = (args.wmax - args.wmin) / (args.points - 1)
     grid = [args.wmin + i * step for i in range(args.points)]
     points = chain_mod.emit_min_entropy_curves(grid)
@@ -277,7 +292,7 @@ def cmd_curves(args, cfg: RunConfig) -> int:
 
 
 def cmd_bounds(args, cfg: RunConfig) -> int:
-    ns = [int(t) for t in args.n.split(",")]
+    ns = _int_list(args.n, "--n", ",")
     rows = []
     for n in ns:
         if args.omega_star is not None:
@@ -384,7 +399,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILURE
-    except (bounds_mod.InfeasibleParamsError, nsvalues.InfeasibleError,
+    except (bounds_mod.InfeasibleParamsError, InfeasibleError,
             LpSizeError, LpError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -81,8 +82,8 @@ class Game:
                             f"distribution (sums to {total})")
         if any(v not in (0, 1) for v in self.predicate.values()):
             raise GameError("predicate entries must be 0 or 1")
-        n_in = prod(a.size for a in self.input_alphabets)
-        n_out = prod(a.size for a in self.output_alphabets)
+        n_in = math.prod(a.size for a in self.input_alphabets)
+        n_out = math.prod(a.size for a in self.output_alphabets)
         if len(self.pi) != n_in or len(self.predicate) != n_in * n_out:
             raise GameError("pi/predicate tables must be total")
 
@@ -147,13 +148,6 @@ class Behavior:
         for s in sums:
             if abs(s - target) > tol:
                 raise GameError(f"per-input sums differ: {s} vs {target}")
-
-
-def prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +265,10 @@ def ns_equality_rows(output_sizes: Sequence[int], input_sizes: Sequence[int],
 # game builders
 # ---------------------------------------------------------------------------
 
-# Input pairs of the 3-input chain game: correlated pairs demand a xor b
-# equal to the listed target; the remaining three pairs always win.
-CHAIN_CORRELATED_PAIRS: dict[tuple[int, int], int] = {
-    (0, 0): 0, (1, 0): 0, (1, 1): 0, (2, 1): 0, (2, 2): 0, (0, 2): 1,
-}
-
-
 def chain_correlated_pairs(m: int) -> dict[tuple[int, int], int]:
-    """Constrained input pairs of the m-setting chain: a 2m-cycle with one flip."""
+    """Constrained input pairs of the m-setting chain: a 2m-cycle with one
+    flip.  A pair demands a xor b equal to its target; the other pairs
+    always win."""
     pairs = {}
     for x in range(m):
         pairs[(x, x)] = 0
@@ -413,7 +402,7 @@ def make_pr_v(params: NoisyPRParams) -> Behavior:
 
 def uniform_behavior(output_sizes: tuple[int, ...],
                      input_sizes: tuple[int, ...]) -> Behavior:
-    p = Fraction(1, prod(output_sizes))
+    p = Fraction(1, math.prod(output_sizes))
     table = {}
     for ins in itertools.product(*(range(s) for s in input_sizes)):
         for outs in itertools.product(*(range(s) for s in output_sizes)):

@@ -55,6 +55,10 @@ class CertificationError(LpError):
     violates its certificate beyond the float tolerance."""
 
 
+class InfeasibleError(RuntimeError):
+    """The requested constraint set admits no behavior."""
+
+
 @dataclass
 class Constraint:
     coeffs: tuple[tuple[int, Fraction], ...]
@@ -614,6 +618,21 @@ def solve(lp: LinProgram, mode: str = "exact",
                     "(%d rows x %d vars)", reason, len(norm.constraints),
                     norm.num_vars)
     return _dense_certified(norm)
+
+
+def solve_certified(lp: LinProgram, mode: str,
+                    float_tolerance: float = 1e-9) -> LpSolution:
+    """``solve`` for an optimum: an infeasible LP raises InfeasibleError,
+    an unbounded one RuntimeError, and an exact optimum without a
+    verified certificate CertificationError."""
+    sol = solve(lp, mode=mode, float_tolerance=float_tolerance)
+    if sol.status == LpSolution.INFEASIBLE:
+        raise InfeasibleError("constraint set is infeasible")
+    if sol.status != LpSolution.OPTIMAL:
+        raise RuntimeError(f"unexpected LP status {sol.status}")
+    if mode == "exact" and not sol.certified:
+        raise CertificationError("no exact optimality certificate obtained")
+    return sol
 
 
 def _dense_certified(norm: LinProgram) -> LpSolution:

@@ -4,8 +4,9 @@ Exact LP values of games over the no-signalling polytope, the
 epsilon-almost-no-signalling relaxation with its dual certificate, and
 the single-round adversarial guessing probability obtained from convex
 decompositions into subnormalized no-signalling blocks (one block per
-guess of the adversary).  All no-signalling rows come from
-``games.ns_marginal_groups``.
+guess of the adversary).  The guessing LP is the one-round,
+value-constrained case of ``tons.build_guessing_lp``.  All
+no-signalling rows come from ``games.ns_marginal_groups``.
 """
 
 from __future__ import annotations
@@ -16,19 +17,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import lp as L
-from .games import (BLOCK_FAMILIES, NS_FAMILIES, Game, GameError,
-                    chain_i3_coefficients, game_value_coefficients,
-                    make_chain_game, ns_equality_rows, ns_families,
-                    ns_marginal_groups)
+from . import tons as T
+from .games import (NS_FAMILIES, Game, GameError, chain_i3_coefficients,
+                    game_value_coefficients, make_chain_game,
+                    ns_equality_rows, ns_families, ns_marginal_groups)
+from .lp import InfeasibleError  # noqa: F401  (re-exported)
 
 Number = Union[Fraction, float]
-
-EQ_RELATION = "=="
-GE_RELATION = ">="
-
-
-class InfeasibleError(RuntimeError):
-    """The requested constraint set admits no behavior."""
 
 
 def _normalized_lp(game: Game, objective) -> tuple[L.LinProgram, dict]:
@@ -57,22 +52,10 @@ def _behavior_lp(game: Game, objective_coeffs) -> tuple[L.LinProgram, dict]:
     return prog, var
 
 
-def _solve_certified(prog: L.LinProgram, mode: str,
-                     float_tolerance: float = 1e-9) -> L.LpSolution:
-    sol = L.solve(prog, mode=mode, float_tolerance=float_tolerance)
-    if sol.status == L.LpSolution.INFEASIBLE:
-        raise InfeasibleError("constraint set is infeasible")
-    if sol.status != L.LpSolution.OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {sol.status}")
-    if mode == "exact" and not sol.certified:
-        raise L.CertificationError("no exact optimality certificate obtained")
-    return sol
-
-
 def ns_value(game: Game, mode: str = "exact") -> Number:
     """Exact optimum of the game value over no-signalling behaviors."""
     prog, _ = _behavior_lp(game, game_value_coefficients(game))
-    return _solve_certified(prog, mode).value
+    return L.solve_certified(prog, mode).value
 
 
 @dataclass
@@ -112,7 +95,7 @@ def eps_ns_value(game: Game, epsilon, mode: str = "exact") -> EpsNsReport:
             prog.add(coeffs, "<=", epsilon)
             tau_rows.append((name, kept_outs, ia, ib))
 
-    sol = _solve_certified(prog, mode)
+    sol = L.solve_certified(prog, mode)
     normalization = dict(zip(game.inputs(), sol.dual))
     tau: dict = {}
     for key, dual in zip(tau_rows, sol.dual[len(normalization):]):
@@ -152,57 +135,8 @@ def alpha_slope(game: Game, eps_grid: Sequence, mode: str = "exact") -> Fraction
 # single-round guessing probability
 # ---------------------------------------------------------------------------
 
-def _guessing_lp(game: Game, x_star: int, w_star, relation: str,
-                 functional: Optional[dict], y_ref: int = 0
-                 ) -> tuple[L.LinProgram, dict]:
-    """Decomposition LP: one subnormalized no-signalling block per guess.
-
-    The adversary's guess e ranges over Alice's output alphabet; the block
-    masses P(e|z*) are absorbed into the subnormalized blocks, whose sum
-    must be normalized and meet the value constraint.
-    """
-    if game.parties != 2:
-        raise GameError("single-round guessing expects a bipartite game")
-    na, nb = game.output_sizes
-    nx, ny = game.input_sizes
-    if not 0 <= x_star < nx:
-        raise GameError(f"x_star {x_star} outside the input alphabet")
-    coeffs_value = functional if functional is not None \
-        else game_value_coefficients(game)
-
-    var = {}
-    for e in range(na):
-        for ins in game.inputs():
-            for outs in game.outputs():
-                var[(e, *outs, *ins)] = len(var)
-    objective = {var[(e, e, b, x_star, y_ref)]: Fraction(1)
-                 for e in range(na) for b in range(nb)}
-    prog = L.LinProgram(len(var), "max", objective)
-
-    # Per-block no-signalling (homogeneous, valid for subnormalized blocks).
-    rows = list(ns_equality_rows(game.output_sizes, game.input_sizes,
-                                 BLOCK_FAMILIES))
-    for e in range(na):
-        for row in rows:
-            prog.add({var[(e, *outs, *ins)]: c
-                      for (outs, ins), c in row.items()}, "==", 0)
-
-    # The summed decomposition is a normalized behavior.
-    prog.add({var[(e, a, b, 0, 0)]: 1 for e in range(na)
-              for a in range(na) for b in range(nb)}, "==", 1)
-
-    # Observed value of the summed behavior.
-    value_row: dict[int, Fraction] = {}
-    for ((a, b), (x, y)), c in coeffs_value.items():
-        for e in range(na):
-            j = var[(e, a, b, x, y)]
-            value_row[j] = value_row.get(j, Fraction(0)) + Fraction(c)
-    prog.add(value_row, relation, Fraction(w_star))
-    return prog, var
-
-
 def single_round_guessing(game: Game, x_star: int, w_star,
-                          relation: str = EQ_RELATION,
+                          relation: str = L.EQ,
                           functional: Optional[dict] = None,
                           mode: str = "exact",
                           y_ref: int = 0,
@@ -211,16 +145,20 @@ def single_round_guessing(game: Game, x_star: int, w_star,
     """Adversarial guessing probability of Alice's output at ``x_star``.
 
     Maximizes the probability that the block label matches Alice's output
-    over decompositions whose sum attains value ``w_star`` (with respect to
+    over decompositions into subnormalized no-signalling blocks, one per
+    guess, whose normalized sum attains value ``w_star`` (with respect to
     the game value, or to an alternative linear ``functional`` such as the
-    chained correlator expression) under the given relation.  The optimum
-    does not depend on the reference input ``y_ref`` (no-signalling of the
-    blocks); the parameter exists so that this can be asserted.
+    chained correlator expression) under ``relation``, ``lp.EQ`` or
+    ``lp.GE``.  The LP is the one-round TONS scenario of the game,
+    value-constrained (``tons.build_guessing_lp``).  The optimum does not
+    depend on the reference input ``y_ref`` (no-signalling of the blocks);
+    the parameter exists so that this can be asserted.
     """
-    if relation not in (EQ_RELATION, GE_RELATION):
-        raise GameError(f"relation must be '==' or '>=', got {relation!r}")
-    prog, _ = _guessing_lp(game, x_star, w_star, relation, functional, y_ref)
-    sol = _solve_certified(prog, mode, float_tolerance)
+    scenario = T.CausalScenario.for_game(T.TONS, 1, game)
+    prog = T.build_guessing_lp(game, None, (x_star,), scenario, (y_ref,),
+                               omega_star=w_star, relation=relation,
+                               functional=functional).program
+    sol = L.solve_certified(prog, mode, float_tolerance)
     return (sol.value, sol, prog) if with_solution else sol.value
 
 
@@ -239,7 +177,7 @@ def chain_ns_guessing_curve(samples: Sequence, mode: str = "exact",
         w = Fraction(w)
         if not 4 <= w <= 6:
             raise GameError(f"sample {w} outside [4, 6]")
-        pg = single_round_guessing(game, x_star, w, EQ_RELATION,
+        pg = single_round_guessing(game, x_star, w, L.EQ,
                                    functional=functional, mode=mode,
                                    float_tolerance=float_tolerance)
         expected = 2 - w / 4

@@ -5,8 +5,10 @@ sequential rounds, where each conditional device behavior satisfies either
 the time-ordered (TONS) or the block (ABNS) no-signalling constraint
 family (``games.ns_equality_rows`` over n rounds).  Strings are flattened
 round-major; the adversary holds one subnormalized block per candidate
-output string, and by default the sum of the blocks is pinned to a given
-n-round marginal behavior.
+output string.  The sum of the blocks is either pinned to a given n-round
+marginal behavior, or, in the value-constrained case, normalized and held
+to a value in every round.  The one-round value-constrained LP is the
+single-round guessing LP of ``nsvalues.single_round_guessing``.
 
 A fixed marginal is usually invariant under some local relabellings of
 single rounds (Barrett et al., PRA 71, 022101 (2005)): a permutation of
@@ -25,8 +27,8 @@ shifts by her input (y -> y + 1, a -> a + x): the three-round slice has
 level tried.  Rounds are never permuted: the TONS rows are time-ordered.
 
 The slice is built directly, without the 2^n-block LP.  The full LP is
-built only when the marginal has no symmetry, in per-round-value mode,
-and as a test oracle.
+built only when the marginal has no symmetry, in the value-constrained
+case, and as a test oracle.
 """
 
 from __future__ import annotations
@@ -44,15 +46,11 @@ import numpy as np
 from . import lp as L
 from .games import (BLOCK_FAMILIES, Behavior, Game, GameError,
                     encode_string, game_value_coefficients, ns_equality_rows)
-from .nsvalues import _solve_certified
 
 Number = Union[Fraction, float]
 
 TONS = "tons"
 ABNS = "abns"
-
-FIXED_MARGINAL = "fixed-marginal"
-PER_ROUND_VALUE = "per-round-value"
 
 # Four rounds give a 4,096-variable slice for the noisy PR box, built and
 # solved in 2-7 s (TONS: about half of it emitting 79,360 causal rows
@@ -213,8 +211,8 @@ class LocalRelabelling:
 
     Alice's round-k input x becomes ``alice_inputs[x]`` and her output a
     becomes ``alice_outputs[x][a]``; Bob's likewise.  An output-only
-    relabelling ``(k, alice, bob)`` is the one with identity inputs and
-    the same output permutation at every input.
+    relabelling has identity inputs and the same output permutation at
+    every input.
     """
 
     k: int
@@ -222,15 +220,6 @@ class LocalRelabelling:
     alice_outputs: tuple[tuple[int, ...], ...]
     bob_inputs: tuple[int, ...]
     bob_outputs: tuple[tuple[int, ...], ...]
-
-
-def _as_local(relabelling, scenario: CausalScenario) -> LocalRelabelling:
-    if isinstance(relabelling, LocalRelabelling):
-        return relabelling
-    k, alice, bob = relabelling
-    nx, ny = scenario.alice_inputs, scenario.bob_inputs
-    return LocalRelabelling(k, tuple(range(nx)), (tuple(alice),) * nx,
-                            tuple(range(ny)), (tuple(bob),) * ny)
 
 
 def _party_images(inputs, outputs, n_out: int, n_in: int, rounds: int,
@@ -296,46 +285,55 @@ def _orbit_minima(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
 def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                       x_star: Sequence[int], scenario: CausalScenario,
                       y_ref: Optional[Sequence[int]] = None,
-                      constraint_mode: str = FIXED_MARGINAL,
-                      omega_star=None, relabellings=()) -> TonsLp:
-    """Assemble the multi-round guessing LP.
+                      omega_star=None, relabellings=(), relation: str = L.EQ,
+                      functional: Optional[dict] = None) -> TonsLp:
+    """Assemble the guessing LP; exactly one of ``marginal`` and
+    ``omega_star`` gives its constraint.
 
-    In fixed-marginal mode the blocks must sum to ``marginal`` exactly; in
-    the experimental per-round-value mode they must instead reproduce game
-    value ``omega_star`` in every round conditioned on each past-input
-    history (averaged over past outputs).
+    Given ``marginal``, the blocks must sum to it exactly.  Given
+    ``omega_star``, the value-constrained case, they must instead sum to
+    a normalized behavior whose value (of ``game``, or of the linear
+    ``functional`` on single-round keys) in every round, conditioned on
+    each past-input history and averaged over past outputs, stands in
+    ``relation`` (``lp.EQ`` or ``lp.GE``) to ``omega_star``.  At one
+    round this is the single-round guessing LP.
 
-    Given ``relabellings`` (fixed-marginal mode: ``LocalRelabelling``s as
-    from ``marginal_symmetries``, or output-only ``(k, alice, bob)``
-    tuples as from ``marginal_relabellings``), the LP is built directly on
-    its symmetric slice: one column per variable orbit, numbered by each
+    Given ``relabellings`` (``LocalRelabelling``s fixing the marginal, as
+    from ``marginal_symmetries``), the LP is built directly on its
+    symmetric slice: one column per variable orbit, numbered by each
     orbit's least variable, the objective and each row summed per orbit,
     each distinct row once, and ``var`` maps every key to its orbit's
     column.  Only the least guess of each guess orbit contributes causal
     rows: the group acts on the guess through the guess alone, and the
     rows of block g(e) are, on the slice, combinations of those of block
     e (under output-only relabellings they are the same rows).  With no
-    relabellings (no symmetry, per-round-value mode, or the full LP as a
-    test oracle) every variable is its own column.
+    relabellings (no symmetry, the value-constrained case, or the full LP
+    as a test oracle) every variable is its own column.
     """
     n = scenario.rounds
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
                       scenario.alice_inputs, scenario.bob_inputs)
     SA, SB, SX, SY = scenario.string_sizes
     _check_x_star(x_star, scenario)
+    if y_ref is not None and (len(y_ref) != n or
+                              any(not 0 <= y < ny for y in y_ref)):
+        raise GameError(f"y_ref must be {n} symbols below {ny}")
     x_enc = encode_string(list(x_star), nx)
     y_enc = 0 if y_ref is None else encode_string(list(y_ref), ny)
-    if constraint_mode == FIXED_MARGINAL:
+    if (marginal is None) == (omega_star is None):
+        raise GameError("give exactly one of marginal and omega_star")
+    if marginal is not None:
         _check_marginal(marginal, scenario)
     elif relabellings:
-        raise GameError("relabellings need fixed-marginal mode")
+        raise GameError("relabellings need the fixed-marginal constraint")
+    elif relation not in (L.EQ, L.GE):
+        raise GameError(f"relation must be '==' or '>=', got {relation!r}")
 
     # Variables are numbered with e, X, Y, A, B from major to minor;
     # labels[v] is the least variable of v's orbit.
     block = SA * SB * SX * SY
     labels = _orbit_minima(SA * block, [
-        _variable_map(_as_local(r, scenario), scenario, x_star)
-        for r in relabellings])
+        _variable_map(r, scenario, x_star) for r in relabellings])
     orbits, col = np.unique(labels, return_inverse=True)
     built = TonsLp(L.LinProgram(len(orbits), "max"), col, scenario, 0, 0)
     prog = built.program
@@ -376,7 +374,7 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                 [(cols[A][B][X][Y], c) for ((A, B), (X, Y)), c in row.items()],
                 0)
 
-    if constraint_mode == FIXED_MARGINAL:
+    if marginal is not None:
         entries = list(itertools.product(range(SX), range(SY), range(SA),
                                          range(SB)))
         per_entry = col.reshape(SA, block).T
@@ -389,41 +387,28 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
             built.num_marginal_rows += add_row(
                 [(j, 1) for j in per_entry[i].tolist()],
                 marginal.entry((A, B), (X, Y)))
-    elif constraint_mode == PER_ROUND_VALUE:
-        if omega_star is None:
-            raise GameError("per-round-value mode needs omega_star")
-        coeffs_value = game_value_coefficients(game)
-        var = built.var
-        # Summed blocks form a normalized behavior.
-        prog.add({var[(e, A, B, 0, 0)]: 1 for e in range(SA)
-                  for A in range(SA) for B in range(SB)}, "==", 1)
-        built.num_marginal_rows += 1
-        for i in range(n):
-            for x_past in itertools.product(range(nx), repeat=i):
-                for y_past in itertools.product(range(ny), repeat=i):
-                    row: dict[int, Fraction] = {}
-                    for ((ai, bi), (xi, yi)), c in coeffs_value.items():
-                        xs = list(x_past) + [xi] + [0] * (n - i - 1)
-                        ys = list(y_past) + [yi] + [0] * (n - i - 1)
-                        X = encode_string(xs, nx)
-                        Y = encode_string(ys, ny)
-                        for e in range(SA):
-                            for A_str in itertools.product(range(na), repeat=n):
-                                if A_str[i] != ai:
-                                    continue
-                                A = encode_string(A_str, na)
-                                for B_str in itertools.product(range(nb),
-                                                               repeat=n):
-                                    if B_str[i] != bi:
-                                        continue
-                                    B = encode_string(B_str, nb)
-                                    j = var[(e, A, B, X, Y)]
-                                    row[j] = row.get(j, Fraction(0)) + c
-                    prog.add(row, "==", Fraction(omega_star))
-                    built.num_marginal_rows += 1
-    else:
-        raise GameError(f"unknown constraint mode {constraint_mode!r}")
+        return built
 
+    coeffs_value = functional if functional is not None \
+        else game_value_coefficients(game)
+    # The summed blocks form a normalized behavior.
+    prog.add(dict.fromkeys(by_block[..., 0, 0].ravel().tolist(), 1), L.EQ, 1)
+    built.num_marginal_rows += 1
+    for i in range(n):
+        # Round i's output symbol of every output string.
+        a_i = np.arange(SA) // na ** (n - 1 - i) % na
+        b_i = np.arange(SB) // nb ** (n - 1 - i) % nb
+        for x_past in itertools.product(range(nx), repeat=i):
+            for y_past in itertools.product(range(ny), repeat=i):
+                row: dict[int, Fraction] = {}
+                for ((ai, bi), (xi, yi)), c in coeffs_value.items():
+                    X = encode_string([*x_past, xi] + [0] * (n - i - 1), nx)
+                    Y = encode_string([*y_past, yi] + [0] * (n - i - 1), ny)
+                    for j in by_block[:, a_i == ai][:, :, b_i == bi, X, Y] \
+                            .ravel().tolist():
+                        row[j] = row.get(j, 0) + c
+                prog.add(row, relation, omega_star)
+                built.num_marginal_rows += 1
     return built
 
 
@@ -511,40 +496,26 @@ def marginal_symmetries(marginal: Behavior, scenario: CausalScenario,
                 scenario, k, x_star[k] if local else None))]
 
 
-def marginal_relabellings(marginal: Behavior,
-                          scenario: CausalScenario) -> list[tuple]:
-    """Per-round output relabellings that fix the marginal exactly.
-
-    Each is ``(k, alice_perm, bob_perm)``: round k's Alice and Bob
-    symbols go through the two permutations, inputs stay put.
-    """
-    table = _marginal_table(marginal, scenario)
-    return [(r.k, r.alice_outputs[0], r.bob_outputs[0])
-            for k in range(scenario.rounds)
-            for r in _fixing(table, scenario,
-                             _round_candidates(scenario, k, None))]
-
-
-def tons_guessing_probability(game: Game, marginal: Behavior,
+def tons_guessing_probability(game: Game, marginal: Optional[Behavior],
                               x_star: Sequence[int], scenario: CausalScenario,
                               mode: str = "exact",
                               y_ref: Optional[Sequence[int]] = None,
-                              constraint_mode: str = FIXED_MARGINAL,
                               omega_star=None,
                               float_tolerance: float = 1e-9) -> Number:
     """Eve's optimal probability of guessing Alice's full output string.
 
-    In fixed-marginal mode the LP is solved on the slice fixed by the
-    marginal's local relabellings (see the module docstring).  Raises
-    InfeasibleError when the marginal is not attainable within the
-    causal set, and LpSizeError beyond the round caps.
+    Exactly one of ``marginal`` and ``omega_star`` constrains the blocks
+    (see ``build_guessing_lp``).  Given a marginal, the LP is solved on
+    the slice fixed by its local relabellings (see the module docstring).
+    Raises InfeasibleError when the constraint is not attainable within
+    the causal set, and LpSizeError beyond the round caps.
     """
     _check_caps(scenario, mode, marginal, x_star)
     relabellings = (marginal_symmetries(marginal, scenario, x_star)
-                    if constraint_mode == FIXED_MARGINAL else ())
+                    if marginal is not None else ())
     built = build_guessing_lp(game, marginal, x_star, scenario, y_ref,
-                              constraint_mode, omega_star, relabellings)
-    return _solve_certified(built.program, mode, float_tolerance).value
+                              omega_star, relabellings)
+    return L.solve_certified(built.program, mode, float_tolerance).value
 
 
 def iid_guessing_baseline(game: Game, single_round_marginal: Behavior,

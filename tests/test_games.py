@@ -1,6 +1,7 @@
 """Tests for game construction, behaviors and behavior functionals."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -196,7 +197,7 @@ class TestBehaviorFunctionals:
         table = {}
         for x in range(3):
             for y in range(3):
-                target = G.CHAIN_CORRELATED_PAIRS.get((x, y), 0)
+                target = G.chain_correlated_pairs(3).get((x, y), 0)
                 for a in range(2):
                     for b in range(2):
                         table[((a, b), (x, y))] = \
@@ -211,7 +212,7 @@ class TestBehaviorFunctionals:
             table = {}
             for x in range(3):
                 for y in range(3):
-                    target = G.CHAIN_CORRELATED_PAIRS.get((x, y), 0)
+                    target = G.chain_correlated_pairs(3).get((x, y), 0)
                     for a in range(2):
                         for b in range(2):
                             table[((a, b), (x, y))] = \
@@ -229,8 +230,8 @@ class TestConstructedGameInvariants:
         for game in (chain_game, chsh_game, chain_guessing_game,
                      magic_square_game):
             assert sum(game.pi.values()) == 1
-            n_in = G.prod(game.input_sizes)
-            n_out = G.prod(game.output_sizes)
+            n_in = math.prod(game.input_sizes)
+            n_out = math.prod(game.output_sizes)
             assert len(game.predicate) == n_in * n_out
 
     def test_alphabet_validation(self):

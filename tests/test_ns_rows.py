@@ -41,6 +41,9 @@ PINNED = {
         "5877ed3973956f2c6aa6014621a29a9154b80fc8b0fa49cc0ba8405d0ee53717",
     "eps:magic-square":
         "c37242caf15c2faf21d1a4dbf3e4015ac3daac96e484e7a7f050c9ff5d2e4a5b",
+    # The chain guessing LP on the I3 functional: w = 5, ">=", y_ref = 1.
+    "guessing-i3:0":
+        "6d3ef012a1c86c01c7ef456591d5cb07fea55d0dc843eb1e746dee78a6a92aae",
     "guessing:chain:0":
         "624220af41d1b5fda103e2ded04316c622189f2db225749d3b5e85a4382db561",
     "guessing:chain:1":
@@ -67,24 +70,30 @@ PINNED = {
         "b90a5ea31f05cbcb6b5167d2df6b968dffbd1552d6b29fee9abf4bf5c3888d75",
     "tons:2":
         "879d2d138cd318390b9bfe2e4d51b5ffed313c24c877a65ee35be442eb4de600",
+    # Value-constrained TONS/ABNS LPs: every round's value is 7/8.
+    "value:abns:2":
+        "9bcbae87f647541afddef84c46fe46d24ef46e8732556faebdbba7caba8d442c",
+    "value:tons:2":
+        "d1a072cd1e7d3fd3df502f0b92ea2a4dd16c85aaff1545269c28ec23cf8ff0ca",
 }
 
 
 class _Built(Exception):
-    """Stops eps_ns_value once its program is assembled."""
+    """Stops a solving function once its program is assembled."""
 
     def __init__(self, prog):
         super().__init__()
         self.prog = prog
 
 
-def _eps_program(game):
+def _captured(function, *args, **kwargs):
+    """The program ``function`` builds and hands to the certified solve."""
     def capture(prog, *args, **kwargs):
         raise _Built(prog)
 
-    with mock.patch.object(NV, "_solve_certified", capture):
+    with mock.patch.object(L, "solve_certified", capture):
         with pytest.raises(_Built) as built:
-            NV.eps_ns_value(game, F(1, 20))
+            function(*args, **kwargs)
     return built.value.prog
 
 
@@ -94,21 +103,36 @@ def _program(label):
         game = cli.BUILTIN_GAMES[rest]()
         return NV._behavior_lp(game, G.game_value_coefficients(game))[0]
     if kind == "eps":
-        return _eps_program(cli.BUILTIN_GAMES[rest]())
+        return _captured(NV.eps_ns_value, cli.BUILTIN_GAMES[rest](), F(1, 20))
     if kind == "guessing":
         name, x_star = rest.split(":")
         game = {"chain": G.make_chain_game,
                 "magic": G.make_magic_square_game}[name]()
-        return NV._guessing_lp(game, int(x_star), 1, NV.EQ_RELATION, None)[0]
+        return _captured(NV.single_round_guessing, game, int(x_star), 1)
+    if kind == "guessing-i3":
+        return _captured(NV.single_round_guessing, G.make_chain_game(),
+                         int(rest), 5, ">=",
+                         functional=G.chain_i3_coefficients(), y_ref=1)
+    chsh = G.make_chsh_game()
+    if kind == "value":
+        kind, _, rest = rest.partition(":")
+        n = int(rest)
+        scenario = T.CausalScenario.for_game(kind, n, chsh)
+        return T.build_guessing_lp(chsh, None, (0,) * n, scenario,
+                                   omega_star=F(7, 8)).program
     sliced = kind == "slice"
     if sliced:
         kind, _, rest = rest.partition(":")
     n = int(rest)
-    chsh = G.make_chsh_game()
     marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 2))), n)
     scenario = T.CausalScenario.for_game(kind, n, chsh)
-    relabellings = (T.marginal_relabellings(marginal, scenario) if sliced
-                    else ())
+    # The slices are taken over the output-only symmetries: identity
+    # inputs and one output permutation per party.
+    relabellings = [
+        r for r in T.marginal_symmetries(marginal, scenario, (0,) * n)
+        if r.alice_inputs == r.bob_inputs == (0, 1)
+        and len(set(r.alice_outputs)) == len(set(r.bob_outputs)) == 1
+    ] if sliced else ()
     return T.build_guessing_lp(chsh, marginal, (0,) * n, scenario,
                                relabellings=relabellings).program
 

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsrand import games as G
 from nsrand import lp as L
@@ -26,6 +27,58 @@ class TestNsValue:
 
     def test_magic_square(self, magic_square_game):
         assert NV.ns_value(magic_square_game) == 1
+
+
+def _relabelled(game, input_perms, output_perms):
+    """The game with party k's input x renamed input_perms[k][x] and, at
+    input x, its output a renamed output_perms[k][x][a]."""
+    def move_inputs(ins):
+        return tuple(input_perms[k][x] for k, x in enumerate(ins))
+
+    def move_outputs(outs, ins):
+        return tuple(output_perms[k][x][a]
+                     for k, (a, x) in enumerate(zip(outs, ins)))
+
+    pi = {move_inputs(ins): p for ins, p in game.pi.items()}
+    predicate = {(move_outputs(outs, ins), move_inputs(ins)): win
+                 for (outs, ins), win in game.predicate.items()}
+    return G.Game(game.parties, game.input_alphabets, game.output_alphabets,
+                  pi, predicate, game.name)
+
+
+@st.composite
+def _relabelling(draw, game):
+    """Per party, an input permutation and one output permutation per
+    input."""
+    input_perms, output_perms = [], []
+    for n_in, n_out in zip(game.input_sizes, game.output_sizes):
+        input_perms.append(draw(st.permutations(range(n_in))))
+        output_perms.append([draw(st.permutations(range(n_out)))
+                             for _ in range(n_in)])
+    return input_perms, output_perms
+
+
+class TestNsValueInvariance:
+    """A relabelling of each party's inputs and outputs maps the
+    no-signalling polytope onto itself, so the value is unchanged."""
+
+    @pytest.mark.parametrize("name", ["chsh", "chain"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_ns_value_is_relabelling_invariant(self, name, data):
+        game = {"chsh": G.make_chsh_game, "chain": G.make_chain_game}[name]()
+        relabelled = _relabelled(game, *data.draw(_relabelling(game)))
+        assert NV.ns_value(relabelled) == NV.ns_value(game)
+
+    @pytest.mark.parametrize("name", ["chsh", "chain"])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_guessing_game_value_is_relabelling_invariant(self, name, data):
+        """The same on the tripartite guessing game, value below 1."""
+        game = G.make_guessing_game(
+            {"chsh": G.make_chsh_game, "chain": G.make_chain_game}[name]())
+        relabelled = _relabelled(game, *data.draw(_relabelling(game)))
+        assert NV.ns_value(relabelled) == NV.ns_value(game) < 1
 
 
 class TestEpsNsValue:
@@ -119,6 +172,12 @@ class TestSingleRoundGuessing:
                                            functional=functional, y_ref=y)
                   for y in range(3)}
         assert len(values) == 1
+
+    def test_inputs_outside_the_alphabets_rejected(self, chsh_game):
+        for x_star, y_ref in ((2, 0), (0, 2), (0, -1)):
+            with pytest.raises(G.GameError):
+                NV.single_round_guessing(chsh_game, x_star, F(3, 4),
+                                         y_ref=y_ref)
 
     def test_infeasible_value_reported(self, chsh_game):
         with pytest.raises(NV.InfeasibleError):

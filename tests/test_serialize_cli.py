@@ -290,6 +290,26 @@ class TestCli:
         assert code == cli.EXIT_INFEASIBLE
         assert "kappa + delta + 8/9" in capsys.readouterr().err
 
+    def test_non_integer_xstar_is_input_error(self, capsys):
+        code = cli.main(["tons", "--n", "2", "--xstar", "a1"])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "--xstar" in capsys.readouterr().err
+
+    def test_non_integer_round_count_is_input_error(self, tmp_path, capsys):
+        code = cli.main(["bounds", "--n", "10,abc",
+                         "--out", str(tmp_path / "b.csv")])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_negative_lp_samples_is_infeasible(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = cli.main(["curves", "--points", "2", "--lp-samples", "-1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_INFEASIBLE
+        assert "--lp-samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bounds_csv(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         code = cli.main(["bounds", "--n", "1000,100000", "--delta", "0.03",

@@ -22,6 +22,25 @@ def _pr_product(v, n):
     return G.product_behavior(G.make_pr_v(G.NoisyPRParams(v)), n)
 
 
+def _is_output_only(r):
+    """Identity inputs and one output permutation per party."""
+    return (r.alice_inputs == tuple(range(len(r.alice_inputs)))
+            and r.bob_inputs == tuple(range(len(r.bob_inputs)))
+            and len(set(r.alice_outputs)) == len(set(r.bob_outputs)) == 1)
+
+
+def output_relabellings(marginal, scenario):
+    """The output-only relabellings among the marginal's symmetries."""
+    return [r for r in T.marginal_symmetries(marginal, scenario,
+                                             (0,) * scenario.rounds)
+            if _is_output_only(r)]
+
+
+def _output_only(k, alice, bob):
+    """Round k's output-only relabelling by the permutations alice, bob."""
+    return T.LocalRelabelling(k, (0, 1), (alice, alice), (0, 1), (bob, bob))
+
+
 def _independent_count(scenario):
     """Count Def-style constraint tuples by direct enumeration."""
     n = scenario.rounds
@@ -264,17 +283,25 @@ class TestPerRoundValueMode:
         scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
         for w in (F(3, 4), F(7, 8), F(1)):
             via_mode = T.tons_guessing_probability(
-                chsh_game, None, (0,), scenario,
-                constraint_mode=T.PER_ROUND_VALUE, omega_star=w)
+                chsh_game, None, (0,), scenario, omega_star=w)
             direct = NV.single_round_guessing(chsh_game, 0, w)
             assert via_mode == direct
 
     def test_two_round_mode_runs(self, chsh_game):
         scenario = T.CausalScenario.for_game(T.TONS, 2, chsh_game)
-        pg = T.tons_guessing_probability(
-            chsh_game, None, (0, 0), scenario,
-            constraint_mode=T.PER_ROUND_VALUE, omega_star=F(7, 8))
+        pg = T.tons_guessing_probability(chsh_game, None, (0, 0), scenario,
+                                         omega_star=F(7, 8))
         assert F(1, 4) <= pg <= 1
+
+    def test_exactly_one_constraint_is_given(self, chsh_game):
+        """A marginal and a value, or neither, is refused naming both."""
+        scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
+        for marginal, omega_star in ((_pr_product(F(1, 2), 1), F(3, 4)),
+                                     (None, None)):
+            with pytest.raises(G.GameError,
+                               match="marginal and omega_star"):
+                T.build_guessing_lp(chsh_game, marginal, (0,), scenario,
+                                    omega_star=omega_star)
 
 
 def _flip_average(box, flips):
@@ -327,13 +354,11 @@ def _group_average(box, moves):
 
 def relabelling_images(built, relabellings, x_star):
     """Variable permutation of the full guessing LP induced by each
-    relabelling, output-only tuple or ``LocalRelabelling``; Alice's output
-    permutation at x* acts on Eve's guess."""
+    relabelling; Alice's output permutation at x* acts on Eve's guess."""
     scenario = built.scenario
     sa, sb, sx, sy = scenario.string_sizes
     assert built.program.num_vars == sa * sa * sb * sx * sy
-    return [T._variable_map(T._as_local(r, scenario), scenario, x_star)
-            for r in relabellings]
+    return [T._variable_map(r, scenario, x_star) for r in relabellings]
 
 
 def orbit_quotient(prog, images):
@@ -378,7 +403,7 @@ def _direct_and_oracle_slice(game, marginal, scenario):
     """``dump_lp`` of the slice built directly and of the full LP's orbit
     quotient under the marginal's relabellings."""
     n = scenario.rounds
-    relabellings = T.marginal_relabellings(marginal, scenario)
+    relabellings = output_relabellings(marginal, scenario)
     direct = T.build_guessing_lp(game, marginal, (0,) * n, scenario,
                                  relabellings=relabellings)
     full = T.build_guessing_lp(game, marginal, (0,) * n, scenario)
@@ -391,7 +416,7 @@ def _full_and_slice(game, marginal, scenario, mode="exact"):
     """Optimum of the full guessing LP and of its symmetric slice."""
     n = scenario.rounds
     built = T.build_guessing_lp(game, marginal, (0,) * n, scenario)
-    full = NV._solve_certified(built.program, mode).value
+    full = L.solve_certified(built.program, mode).value
     sliced = T.tons_guessing_probability(game, marginal, (0,) * n, scenario,
                                          mode=mode)
     return full, sliced
@@ -424,9 +449,10 @@ class TestSymmetricSlice:
                                                       kind, n):
         scenario = T.CausalScenario.for_game(kind, n, chsh_game)
         marginal = _pr_product(F(1, 2), n)
-        relabellings = T.marginal_relabellings(marginal, scenario)
+        relabellings = output_relabellings(marginal, scenario)
         # The noisy PR box is fixed by flipping both outputs of one round.
-        assert relabellings == [(k, (1, 0), (1, 0)) for k in range(n)]
+        assert relabellings == [_output_only(k, (1, 0), (1, 0))
+                                for k in range(n)]
         built = T.build_guessing_lp(chsh_game, marginal, (0,) * n, scenario)
         prog = built.program
         rows = _rows(prog)
@@ -514,7 +540,7 @@ class TestSymmetricSlice:
         scenario = T.CausalScenario.for_game(kind, n, game)
         marginal = G.product_behavior(box, n)
         if flips:
-            assert T.marginal_relabellings(marginal, scenario)
+            assert output_relabellings(marginal, scenario)
         full, sliced = _full_and_slice(game, marginal, scenario)
         assert sliced == full
         direct, oracle = _direct_and_oracle_slice(game, marginal, scenario)
@@ -540,7 +566,7 @@ class TestSymmetricSlice:
         assert all(dataclasses.replace(r, k=k) in symmetries
                    for r in moves for k in range(n))
         full_lp = T.build_guessing_lp(game, marginal, (0,) * n, scenario)
-        full = NV._solve_certified(full_lp.program, "exact").value
+        full = L.solve_certified(full_lp.program, "exact").value
         assert T.tons_guessing_probability(game, marginal, (0,) * n,
                                            scenario) == full
         direct = T.build_guessing_lp(game, marginal, (0,) * n, scenario,
@@ -550,7 +576,7 @@ class TestSymmetricSlice:
         assert direct.num_vars == oracle.num_vars
         assert direct.objective == oracle.objective
         assert _rows(direct) <= _rows(oracle)
-        assert NV._solve_certified(oracle, "exact").value == full
+        assert L.solve_certified(oracle, "exact").value == full
 
     @pytest.mark.parametrize("kind,n", SCENARIOS)
     def test_direct_slice_is_the_quotient_of_the_full_lp(self, chsh_game,
@@ -570,7 +596,7 @@ class TestSymmetricSlice:
         and reaches every slice column."""
         scenario = T.CausalScenario.for_game(kind, n, chsh_game)
         marginal = _pr_product(F(1, 2), n)
-        for relabellings in (T.marginal_relabellings(marginal, scenario),
+        for relabellings in (output_relabellings(marginal, scenario),
                              T.marginal_symmetries(marginal, scenario,
                                                    (0,) * n)):
             built = T.build_guessing_lp(chsh_game, marginal, (0,) * n,
@@ -578,17 +604,16 @@ class TestSymmetricSlice:
             columns = _columns(built)
             assert set(columns) == set(range(built.program.num_vars))
             for r in relabellings:
-                image = T._variable_map(T._as_local(r, scenario), scenario,
-                                        (0,) * n)
+                image = T._variable_map(r, scenario, (0,) * n)
                 assert (columns[image] == columns).all()
 
     def test_relabellings_need_fixed_marginal_mode(self, chsh_game):
         scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
         with pytest.raises(G.GameError, match="fixed-marginal"):
             T.build_guessing_lp(chsh_game, None, (0,), scenario,
-                                constraint_mode=T.PER_ROUND_VALUE,
                                 omega_star=F(3, 4),
-                                relabellings=[(0, (1, 0), (1, 0))])
+                                relabellings=[_output_only(0, (1, 0),
+                                                           (1, 0))])
 
     def test_large_alphabets_keep_to_output_relabellings(
             self, magic_square_game):
@@ -599,10 +624,8 @@ class TestSymmetricSlice:
         uniform = G.uniform_behavior(magic_square_game.output_sizes,
                                      magic_square_game.input_sizes)
         symmetries = T.marginal_symmetries(uniform, scenario, (0,))
-        assert len(symmetries) == 24 ** 2 - 1
-        assert symmetries == [
-            T._as_local(r, scenario)
-            for r in T.marginal_relabellings(uniform, scenario)]
+        assert len(set(symmetries)) == len(symmetries) == 24 ** 2 - 1
+        assert all(_is_output_only(r) for r in symmetries)
 
     def test_relabelling_must_fix_x_star(self, chsh_game):
         """Moving Alice's input x* would move Eve's objective."""
@@ -624,8 +647,8 @@ class TestSymmetricSlice:
             for x in range(2) for y in range(2)})
         marginal = G.product_behavior(box, n)
         scenario = T.CausalScenario.for_game(T.TONS, n, chsh_game)
-        assert T.marginal_relabellings(marginal, scenario) == \
-            [(k, (1, 0), (0, 1)) for k in range(n)]
+        assert output_relabellings(marginal, scenario) == \
+            [_output_only(k, (1, 0), (0, 1)) for k in range(n)]
         for mode in ("exact", "float"):
             with pytest.raises(NV.InfeasibleError):
                 T.tons_guessing_probability(chsh_game, marginal, (0,) * n,
@@ -638,7 +661,7 @@ class TestSymmetricSlice:
             ((0, 0), (x, y)): F(1) for x in range(2) for y in range(2)})
         marginal = G.product_behavior(box, n)
         scenario = T.CausalScenario.for_game(kind, n, chsh_game)
-        relabellings = T.marginal_relabellings(marginal, scenario)
+        relabellings = output_relabellings(marginal, scenario)
         assert relabellings == []
         built = T.build_guessing_lp(chsh_game, marginal, (0,) * n, scenario)
         quotient = orbit_quotient(built.program, relabelling_images(
