@@ -67,8 +67,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in ("exact", "float"):
             raise serialize.InputFormatError(f"unknown mode {self.mode!r}")
-        if self.float_tolerance <= 0 or self.orth_tolerance <= 0:
-            raise serialize.InputFormatError("tolerances must be positive")
+        for name in ("float_tolerance", "orth_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise serialize.InputFormatError(
+                    f"{name} must be finite and positive, not {value}")
 
 
 # Config file fields: the JSON types each accepts, and their name.

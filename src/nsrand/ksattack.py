@@ -27,6 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 from .games import (Alphabet, Behavior, Game, bell_value, ns_families,
                     ns_marginal_groups)
+from .lp import eliminate
 
 ComplexRational = tuple[Fraction, Fraction]
 
@@ -655,34 +656,9 @@ def attack_affine_dimension(attacks: Sequence[Behavior]) -> int:
         raise KsAttackError("need at least two behaviors")
     base = attacks[0]
     keys = sorted(set().union(*(set(b.table) for b in attacks)))
-    rows = []
-    for other in attacks[1:]:
-        rows.append([Fraction(other.entry(*k)) - Fraction(base.entry(*k))
-                     for k in keys])
-    return _rational_rank(rows)
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        rows[rank] = prow = [c * inv for c in prow]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * p for a, p in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+    return len(eliminate(
+        {i: Fraction(other.entry(*k)) - Fraction(base.entry(*k))
+         for i, k in enumerate(keys)} for other in attacks[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,27 +3,21 @@
 Both modes make one HiGHS call through scipy: dual simplex, or interior
 point with crossover on instances above ``_IPM_ROW_THRESHOLD`` rows.
 Float mode checks the HiGHS optimum against its certificate at a
-tolerance.  Exact mode rounds the float primal/dual pair to rationals
-through a continued-fraction cascade and accepts it only if primal
-feasibility, dual feasibility and equality of both objectives all hold
-in exact arithmetic (the lift-and-verify scheme of QSopt_ex).  A dense
-two-phase primal simplex over Fractions with Bland's rule (guaranteed
-termination on the highly degenerate LPs that show up in no-signalling
-polytopes) is kept as the last resort: it runs when the lift or HiGHS
-itself fails on an instance within ``_FALLBACK_CELL_LIMIT``, and it
-re-proves an infeasible or unbounded verdict from HiGHS on small
-instances.  So an "optimal" answer in exact mode always carries an
-exactly verified certificate.
+tolerance.  Exact mode has one path: it lifts the float optimum to
+rationals, by a continued-fraction cascade or else by solving its basis
+exactly (``eliminate``), and accepts it only if primal feasibility, dual
+feasibility and equality of both objectives hold in exact arithmetic
+(the lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 35 (2007)).  Infeasible and unbounded
+verdicts are proved through the same lift, by auxiliary LPs.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-log = logging.getLogger(__name__)
 
 Rational = Fraction
 
@@ -50,9 +44,10 @@ class LpSizeError(LpError):
 
 
 class CertificationError(LpError):
-    """The optimum found could not be certified: an exact lift failed on
-    an instance too large for the dense simplex, or a float optimum
-    violates its certificate beyond the float tolerance."""
+    """No verified certificate: HiGHS failed in exact mode, neither the
+    lift nor the exact basis solve of an optimum verified, HiGHS found no
+    optimum of an LP that the auxiliary LPs show feasible and bounded, or
+    a float optimum violates its certificate beyond the float tolerance."""
 
 
 class InfeasibleError(RuntimeError):
@@ -137,7 +132,9 @@ class LpSolution:
     primal: list
     dual: list                       # one multiplier per (normalized) constraint
     mode: str                        # "exact" | "float"
-    certified: bool = False          # True iff an exact certificate was verified
+    # True iff an exact certificate was verified (an optimum's primal/dual
+    # pair, or the auxiliary optima behind a verdict); False in float mode.
+    certified: bool = False
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -254,188 +251,6 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
 
 
 # ---------------------------------------------------------------------------
-# dense exact simplex (two-phase, Bland's rule)
-# ---------------------------------------------------------------------------
-
-def _exact_simplex(norm: LinProgram) -> LpSolution:
-    """Two-phase dense tableau simplex over Fractions with Bland's rule."""
-    n = norm.num_vars
-    maximize = norm.sense == MAX
-    obj = {j: (c if maximize else -c) for j, c in norm.objective.items()}
-
-    # Free variables are split as x = x+ - x-.
-    free = [j for j in range(n) if norm.is_free(j)]
-    split = {j: n + k for k, j in enumerate(free)}
-    n_struct = n + len(free)
-
-    rows = []          # (dense coeffs over structural vars, rhs, flip, rel)
-    for con in norm.constraints:
-        dense = [Fraction(0)] * n_struct
-        for j, c in con.coeffs:
-            dense[j] += c
-            if j in split:
-                dense[split[j]] -= c
-        rhs, rel, flip = con.rhs, con.rel, False
-        if rhs < 0:
-            dense = [-c for c in dense]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            flip = True
-        rows.append((dense, rhs, flip, rel))
-
-    m = len(rows)
-    # Columns: structural | slack/surplus (one per inequality) | identity
-    # start columns (slack for <=, artificial for >=/==) | rhs.
-    n_slack = sum(1 for r in rows if r[3] != EQ)
-    ncols = n_struct + n_slack + m
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    id_col: list[int] = []
-    artificial: set[int] = set()
-    slack_pos = 0
-    zero = Fraction(0)
-    one = Fraction(1)
-    for i, (dense, rhs, _flip, rel) in enumerate(rows):
-        row = dense + [zero] * (n_slack + m) + [rhs]
-        if rel == LE:
-            col = n_struct + slack_pos
-            row[col] = one
-            slack_pos += 1
-            basis.append(col)
-            id_col.append(col)
-        elif rel == GE:
-            row[n_struct + slack_pos] = -one
-            slack_pos += 1
-            art = n_struct + n_slack + i
-            row[art] = one
-            artificial.add(art)
-            basis.append(art)
-            id_col.append(art)
-        else:
-            art = n_struct + n_slack + i
-            row[art] = one
-            artificial.add(art)
-            basis.append(art)
-            id_col.append(art)
-        tableau.append(row)
-
-    def pivot(pr: int, pc: int) -> None:
-        prow = tableau[pr]
-        piv = prow[pc]
-        if piv != 1:
-            inv = 1 / piv
-            tableau[pr] = prow = [c * inv for c in prow]
-        for i in range(len(tableau)):
-            if i == pr:
-                continue
-            row = tableau[i]
-            f = row[pc]
-            if f:
-                tableau[i] = [a - f * b for a, b in zip(row, prow)]
-        basis[pr] = pc
-
-    def run(costs: list[Fraction], barred: set[int]) -> str:
-        # costs is the z-row (reduced costs), mutated in place via tableau[m].
-        tableau.append(costs)
-        try:
-            while True:
-                zrow = tableau[m]
-                enter = -1
-                for j in range(ncols):
-                    if j in barred:
-                        continue
-                    if zrow[j] < 0:
-                        enter = j
-                        break
-                if enter < 0:
-                    return "optimal"
-                leave, best = -1, None
-                for i in range(m):
-                    a = tableau[i][enter]
-                    if a > 0:
-                        ratio = tableau[i][ncols] / a
-                        if best is None or ratio < best or (
-                                ratio == best and basis[i] < basis[leave]):
-                            best, leave = ratio, i
-                if leave < 0:
-                    return "unbounded"
-                pivot(leave, enter)
-        finally:
-            tableau.pop()
-
-    # Phase 1: minimise the sum of artificials.
-    if artificial:
-        z = [zero] * (ncols + 1)
-        for a in artificial:
-            z[a] = one
-        for i in range(m):
-            if basis[i] in artificial:
-                row = tableau[i]
-                z = [zc - rc for zc, rc in zip(z, row)]
-        status = run(z, set())
-        # After run() the z-row is popped; read the phase-1 objective off
-        # the basic artificial levels instead.
-        infeas = sum((tableau[i][ncols] for i in range(m) if basis[i] in artificial),
-                     start=zero)
-        if status != "optimal" or infeas != 0:
-            return LpSolution(LpSolution.INFEASIBLE, None, [], [], "exact")
-        # Drive basic artificials out where possible; leftover rows are
-        # redundant and keep a zero-level artificial in the basis.
-        for i in range(m):
-            if basis[i] in artificial:
-                row = tableau[i]
-                for j in range(n_struct + n_slack):
-                    if row[j] != 0:
-                        pivot(i, j)
-                        break
-
-    # Phase 2.
-    z = [zero] * (ncols + 1)
-    for j, c in obj.items():
-        z[j] -= c
-        if j in split:
-            z[split[j]] += c
-    for i in range(m):
-        bc = basis[i]
-        coeff = -z[bc]
-        if coeff:
-            row = tableau[i]
-            z = [zc + coeff * rc for zc, rc in zip(z, row)]
-    status = run(z, artificial)
-    if status == "unbounded":
-        return LpSolution(LpSolution.UNBOUNDED, None, [], [], "exact")
-
-    x = [zero] * n_struct
-    for i in range(m):
-        if basis[i] < n_struct:
-            x[basis[i]] = tableau[i][ncols]
-    primal = [x[j] - (x[split[j]] if j in split else zero) for j in range(n)]
-
-    # Simplex multipliers sit in the z-row over each row's identity-start
-    # column; undo the rhs sign normalisation per row.
-    zrow_final = [zero] * ncols
-    for j, c in obj.items():
-        zrow_final[j] -= c
-        if j in split:
-            zrow_final[split[j]] += c
-    for i in range(m):
-        bc = basis[i]
-        coeff = -zrow_final[bc]
-        if coeff:
-            row = tableau[i]
-            zrow_final = [zc + coeff * rc for zc, rc in zip(zrow_final, row[:ncols])]
-    dual = []
-    for i, (_dense, _rhs, flip, _rel) in enumerate(rows):
-        yi = zrow_final[id_col[i]]
-        dual.append(-yi if flip else yi)
-
-    value = sum((c * primal[j] for j, c in norm.objective.items()), start=zero)
-    if not maximize:
-        dual = [-yi for yi in dual]
-    return LpSolution(LpSolution.OPTIMAL, value, primal, dual, "exact")
-
-
-# ---------------------------------------------------------------------------
 # HiGHS and the exact lift
 # ---------------------------------------------------------------------------
 
@@ -444,17 +259,16 @@ def _exact_simplex(norm: LinProgram) -> LpSolution:
 # (The symmetric three-round TONS LP, 4,992 rows, takes 0.7 s with
 # interior point and 2.8 s with dual simplex.)
 _IPM_ROW_THRESHOLD = 4000
-# Dense exact simplex is hopeless beyond this tableau size; exact mode
-# reports failure rather than silently running for days.
-_FALLBACK_CELL_LIMIT = 3_000_000
-# An infeasible or unbounded verdict from HiGHS carries no certificate
-# the lift could check.  Up to this tableau size (rows * columns of the
-# standard form) the dense exact simplex re-proves it in exact
-# arithmetic; larger instances take the float verdict.
-_VERDICT_RECHECK_CELL_LIMIT = 60_000
+# The exact basis solve runs on LPs with at most this many nonzero
+# coefficients.  Its worst case, dense random LPs with coefficients in
+# [-9, 9], took 25 s at 85k nonzeros and 60 s at 152k; the sparse
+# four-round TONS slice (96k) takes 0.6 s.
+_FALLBACK_CELL_LIMIT = 100_000
 # HiGHS statuses with a verdict; any other status is a solver failure.
 _HIGHS_STATUS = {0: LpSolution.OPTIMAL, 2: LpSolution.INFEASIBLE,
                  3: LpSolution.UNBOUNDED}
+# Column key of a linear system's right-hand side in ``eliminate``.
+RHS = -1
 
 
 def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str]:
@@ -539,18 +353,147 @@ def _lift_exact(norm: LinProgram, primal_f: list[float],
                      zip(primal + dual, primal_f + dual_f)), default=0.0)
         if drift > 1e-6:
             continue
-        value = sum((c * primal[j] for j, c in norm.objective.items()),
-                    start=Fraction(0))
-        sol = LpSolution(LpSolution.OPTIMAL, value, primal, dual, "exact")
-        if verify_certificate(norm, sol):
-            sol.certified = True
+        sol = _verified(norm, primal, dual)
+        if sol is not None:
             return sol
     return None
 
 
-def _std_cells(norm: LinProgram) -> int:
-    m = len(norm.constraints)
-    return (m + 1) * (norm.num_vars + 2 * m + 1)
+def _verified(norm: LinProgram, primal: list,
+              dual: list) -> Optional[LpSolution]:
+    """The exact optimum ``primal``/``dual``, if its certificate verifies."""
+    value = sum((c * primal[j] for j, c in norm.objective.items()),
+                start=Fraction(0))
+    sol = LpSolution(LpSolution.OPTIMAL, value, primal, dual, "exact")
+    sol.certified = bool(verify_certificate(norm, sol))
+    return sol if sol.certified else None
+
+
+def eliminate(rows: Iterable[dict]) -> Optional[dict[int, dict]]:
+    """Reduced row echelon form of sparse rational rows {column: value}
+    by exact Gauss-Jordan elimination.  Column ``RHS`` holds a system's
+    right-hand side and is never a pivot.  Returns the nonzero rows keyed
+    by pivot column, each 1 at its pivot (their count is the rank), or
+    None when a row reduces to 0 = nonzero: the system is inconsistent.
+    """
+    pivots: dict[int, dict] = {}
+
+    def reduce(row: dict, p: int, prow: dict) -> None:
+        # row -= row[p] * prow, where prow is 1 at p.
+        f = row.pop(p)
+        for j, c in prow.items():
+            if j != p:
+                v = row.get(j, 0) - f * c
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+
+    for row in sorted(rows, key=len):
+        row = {j: Fraction(c) for j, c in row.items() if c}
+        # Pivot rows hold no other pivot column, so one pass reduces.
+        for p in [j for j in row if j in pivots]:
+            reduce(row, p, pivots[p])
+        cols = [j for j in row if j != RHS]
+        if not cols:
+            if row:
+                return None
+            continue
+        p = min(cols)
+        inv = 1 / row[p]
+        row = {j: c * inv for j, c in row.items()}
+        for qrow in pivots.values():
+            if p in qrow:
+                reduce(qrow, p, row)
+        pivots[p] = row
+    return pivots
+
+
+def _solve_active_set(norm: LinProgram, primal_f: list[float],
+                      dual_f: list[float]) -> Optional[LpSolution]:
+    """Solve the basis of a float optimum exactly, and verify it.
+
+    The primal solves the tight rows on the columns with |x_j| above
+    ``_FLOAT_ZERO_SNAP``, the dual the tight columns (zero reduced cost;
+    every free column) on the rows with |y_k| above it; all else is 0.
+    """
+    tol, cons = _FLOAT_ZERO_SNAP, norm.constraints
+    support = {j for j, v in enumerate(primal_f) if abs(v) > tol}
+    rows = [{**{j: c for j, c in con.coeffs if j in support}, RHS: con.rhs}
+            for con in cons
+            if con.rel == EQ or abs(con.evaluate(primal_f) - con.rhs) <= tol]
+    cols = [{RHS: norm.objective.get(j, 0)} for j in range(norm.num_vars)]
+    for k, yk in enumerate(dual_f):
+        if abs(yk) > tol:
+            for j, c in cons[k].coeffs:
+                cols[j][k] = c
+    cols = [col for j, col in enumerate(cols) if norm.is_free(j) or abs(
+        sum(dual_f[k] * c for k, c in col.items() if k != RHS)
+        - col[RHS]) <= tol]
+    pivots = [eliminate(rows), eliminate(cols)]
+    if None in pivots:
+        return None
+    x, y = ([piv[i].get(RHS, Fraction(0)) if i in piv else Fraction(0)
+             for i in range(size)]
+            for piv, size in zip(pivots, (norm.num_vars, len(cons))))
+    return _verified(norm, x, y)
+
+
+def _certified_optimum(norm: LinProgram, sol: Optional[LpSolution],
+                       message: str) -> LpSolution:
+    """The exact optimum behind HiGHS's float one: the lift's cascade
+    first, then the exact basis solve.  Raises CertificationError when
+    HiGHS found no optimum or neither lift verifies."""
+    if sol is None or sol.status != LpSolution.OPTIMAL:
+        raise CertificationError(f"no exact certificate: HiGHS found no "
+                                 f"optimum ({message})")
+    exact = _lift_exact(norm, sol.primal, sol.dual)
+    if exact is not None:
+        return exact
+    nnz = sum(len(con.coeffs) for con in norm.constraints)
+    small = nnz <= _FALLBACK_CELL_LIMIT
+    exact = _solve_active_set(norm, sol.primal, sol.dual) if small else None
+    if exact is None:
+        raise CertificationError(
+            "no exact certificate: the float optimum did not lift to "
+            "rationals, and the exact basis solve "
+            + ("did not verify" if small else
+               f"is capped at {_FALLBACK_CELL_LIMIT} nonzeros")
+            + f" ({len(norm.constraints)} rows x {norm.num_vars} vars, "
+            f"{nnz} nonzeros); use float mode")
+    return exact
+
+
+def _certified_verdict(norm: LinProgram, status: str) -> LpSolution:
+    """Prove exactly that an LP without a HiGHS optimum is infeasible or
+    unbounded; HiGHS's ``status`` does not decide which (it has called a
+    feasible, unbounded LP infeasible).
+
+    Phase one minimises the sum of two artificials per row (a_k+ - a_k-
+    added to row k): a certified value above 0 proves infeasibility.  The
+    ray LP keeps the homogeneous rows and caps the objective at +1 (max)
+    or -1 (min): a certified nonzero value then proves unboundedness.
+    Both are feasible and bounded.  CertificationError if neither proof
+    holds.
+    """
+    n, m, one = norm.num_vars, len(norm.constraints), Fraction(1)
+    phase_one = LinProgram(
+        n + 2 * m, MIN, {j: one for j in range(n, n + 2 * m)},
+        [Constraint(con.coeffs + ((n + 2 * k, one), (n + 2 * k + 1, -one)),
+                    con.rel, con.rhs)
+         for k, con in enumerate(norm.constraints)], dict(norm.lower))
+    if _certified_optimum(phase_one, *_highs(phase_one)).value != 0:
+        return LpSolution(LpSolution.INFEASIBLE, None, [], [], "exact", True)
+    sign = 1 if norm.sense == MAX else -1
+    cap = make_constraint({j: sign * c for j, c in norm.objective.items()},
+                          LE, 1)
+    ray = LinProgram(n, norm.sense, dict(norm.objective),
+                     [Constraint(con.coeffs, con.rel, Fraction(0))
+                      for con in norm.constraints] + [cap], dict(norm.lower))
+    if _certified_optimum(ray, *_highs(ray)).value != 0:
+        return LpSolution(LpSolution.UNBOUNDED, None, [], [], "exact", True)
+    raise CertificationError(f"HiGHS reports the LP {status}, but it is "
+                             f"feasible and bounded")
 
 
 def solve(lp: LinProgram, mode: str = "exact",
@@ -558,66 +501,50 @@ def solve(lp: LinProgram, mode: str = "exact",
     """Solve the LP.
 
     Both modes make one HiGHS call (``_highs``): dual simplex, or
-    interior point with crossover above ``_IPM_ROW_THRESHOLD`` rows.  A
+    interior point with crossover above ``_IPM_ROW_THRESHOLD`` rows.  An
+    LP without variables needs none: its rows are checked at x = [].  A
     float-mode optimum is checked with ``verify_certificate`` at
-    ``float_tolerance`` (primal and dual feasibility and the objective
-    gap) and raises ``CertificationError`` when it fails; a HiGHS
-    failure raises ``LpError``.
+    ``float_tolerance`` and raises ``CertificationError`` when it fails;
+    a HiGHS failure, or a tolerance that is not finite and positive,
+    raises ``LpError``.
 
-    Exact mode is lift-first: the HiGHS vertex is rounded to rationals
-    and accepted only when its certificate verifies exactly.  The dense
-    exact simplex runs only as the last resort: when the lift fails or
-    HiGHS fails on an instance within ``_FALLBACK_CELL_LIMIT`` (larger
-    ones raise ``CertificationError``), and to re-prove an infeasible or
-    unbounded verdict on an instance within
-    ``_VERDICT_RECHECK_CELL_LIMIT``.  The returned optimum is exactly
-    optimal (duality gap 0) and ``certified`` is True; status
-    infeasible/unbounded is reported via ``status``, never by silent
-    defaults.
+    Exact mode has one path: the HiGHS optimum is lifted to rationals
+    and verified exactly (``_certified_optimum``), and an LP without one
+    is proved infeasible or unbounded by two auxiliary LPs
+    (``_certified_verdict``).  Every exact answer has ``certified`` True,
+    or ``CertificationError`` is raised.
     """
     lp.validate()
-    norm = lp.normalized()
     if mode not in ("exact", "float"):
         raise LpError(f"unknown mode {mode!r}")
-    # scipy rejects an empty objective, so a zero-variable exact LP goes
-    # straight to the dense exact simplex.
-    if mode == "exact" and not norm.num_vars:
-        return _dense_certified(norm)
+    if not (math.isfinite(float_tolerance) and float_tolerance > 0):
+        raise LpError(f"float tolerance must be finite and positive, "
+                      f"not {float_tolerance!r}")
+    norm = lp.normalized()
+    exact = mode == "exact"
+    if not norm.num_vars:
+        zero = Fraction(0) if exact else 0.0
+        sol = LpSolution(LpSolution.OPTIMAL, zero, [],
+                         [zero] * len(norm.constraints), mode, exact)
+        if verify_certificate(norm, sol, float_tolerance):
+            return sol
+        return LpSolution(LpSolution.INFEASIBLE, None, [], [], mode, exact)
 
     sol, message = _highs(norm)
-    if mode == "float":
-        if sol is None:
-            raise LpError(f"float solver failed: {message}")
-        if sol.status == LpSolution.OPTIMAL:
-            report = verify_certificate(norm, sol, float_tolerance)
-            if not report:
-                raise CertificationError(
-                    f"float optimum fails its certificate at tolerance "
-                    f"{float_tolerance:g} ({len(report.reasons)} residuals): "
-                    + "; ".join(report.reasons[:3]))
-        return sol
-
-    cells = _std_cells(norm)
-    if sol is not None and sol.status != LpSolution.OPTIMAL:
-        if cells > _VERDICT_RECHECK_CELL_LIMIT:
-            return LpSolution(sol.status, None, [], [], "exact")
-    else:
-        if sol is None:
-            reason = f"HiGHS failed ({message})"
-        else:
-            lifted = _lift_exact(norm, sol.primal, sol.dual)
-            if lifted is not None:
-                return lifted
-            reason = "the float solution did not lift to rationals"
-        if cells > _FALLBACK_CELL_LIMIT:
+    if exact:
+        if sol is not None and sol.status != LpSolution.OPTIMAL:
+            return _certified_verdict(norm, sol.status)
+        return _certified_optimum(norm, sol, message)
+    if sol is None:
+        raise LpError(f"float solver failed: {message}")
+    if sol.status == LpSolution.OPTIMAL:
+        report = verify_certificate(norm, sol, float_tolerance)
+        if not report:
             raise CertificationError(
-                f"no exact certificate: {reason} and the instance is too "
-                f"large for the dense exact simplex ({len(norm.constraints)} "
-                f"rows x {norm.num_vars} vars); use float mode")
-        log.warning("%s; falling back to dense exact simplex "
-                    "(%d rows x %d vars)", reason, len(norm.constraints),
-                    norm.num_vars)
-    return _dense_certified(norm)
+                f"float optimum fails its certificate at tolerance "
+                f"{float_tolerance:g} ({len(report.reasons)} residuals): "
+                + "; ".join(report.reasons[:3]))
+    return sol
 
 
 def solve_certified(lp: LinProgram, mode: str,
@@ -632,11 +559,4 @@ def solve_certified(lp: LinProgram, mode: str,
         raise RuntimeError(f"unexpected LP status {sol.status}")
     if mode == "exact" and not sol.certified:
         raise CertificationError("no exact optimality certificate obtained")
-    return sol
-
-
-def _dense_certified(norm: LinProgram) -> LpSolution:
-    sol = _exact_simplex(norm)
-    if sol.status == LpSolution.OPTIMAL:
-        sol.certified = bool(verify_certificate(norm, sol))
     return sol

@@ -54,9 +54,8 @@ ABNS = "abns"
 
 # Four rounds give a 4,096-variable slice for the noisy PR box, built and
 # solved in 2-7 s (TONS: about half of it emitting 79,360 causal rows
-# through dicts), but TONS at v = 1/4 does not lift to an exact
-# certificate and at v = 11/12 both kinds' float optima miss the default
-# tolerance.
+# through dicts), but at v = 11/12 both kinds' float optima miss the
+# default tolerance and their exact basis solve does not verify.
 EXACT_ROUND_CAP = 3
 FLOAT_ROUND_CAP = 3
 

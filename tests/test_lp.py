@@ -1,11 +1,20 @@
 """Unit tests for the exact LP engine."""
 
+import contextlib
+import math
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
 import nsrand.lp as L
+from nsrand import cli, games as G, nsvalues as NV, tons as T
+from nsrand.lp import EQ, GE, LE, MAX, LinProgram, LpSolution
 
 
 def _solve(lp, mode="exact"):
@@ -24,7 +33,7 @@ def test_single_variable_box():
 
 
 def test_degenerate_optimum_terminates():
-    """Bland's rule terminates on the degenerate max x+y s.t. x+y <= 1."""
+    """The degenerate max x+y s.t. x+y <= 1 has the certified optimum 1."""
     lp = L.LinProgram(2, "max", {0: F(1), 1: F(1)})
     lp.add({0: 1, 1: 1}, "<=", 1)
     sol = _solve(lp)
@@ -36,13 +45,17 @@ def test_infeasible_status():
     lp = L.LinProgram(1, "max", {0: F(1)})
     lp.add({0: 1}, ">=", 2)
     lp.add({0: 1}, "<=", 1)
-    assert _solve(lp).status == "infeasible"
+    sol = _solve(lp)
+    assert sol.status == "infeasible"
+    assert sol.certified
 
 
 def test_unbounded_status():
     lp = L.LinProgram(1, "max", {0: F(1)})
     lp.add({0: 1}, ">=", 1)
-    assert _solve(lp).status == "unbounded"
+    sol = _solve(lp)
+    assert sol.status == "unbounded"
+    assert sol.certified
 
 
 def test_min_sense_and_free_variable():
@@ -54,14 +67,19 @@ def test_min_sense_and_free_variable():
     assert sol.certified
 
 
-def test_zero_variable_lp():
-    """An LP without variables is optimal at 0 or infeasible."""
-    sol = _solve(L.LinProgram(0, "max"))
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_zero_variable_lp(mode, monkeypatch):
+    """An LP without variables is optimal at 0 or infeasible, in either
+    mode and without a HiGHS call; exact answers are certified."""
+    monkeypatch.setattr(L, "_highs", None)
+    sol = _solve(L.LinProgram(0, "max"), mode)
     assert sol.value == 0
-    assert sol.certified
+    assert sol.certified == (mode == "exact")
     lp = L.LinProgram(0, "max")
     lp.add({}, "<=", -1)
-    assert _solve(lp).status == "infeasible"
+    infeasible = _solve(lp, mode)
+    assert infeasible.status == "infeasible"
+    assert infeasible.certified == (mode == "exact")
 
 
 def test_upper_bound_normalization():
@@ -132,7 +150,7 @@ def _three_var_lp():
 def test_lift_path_matches_direct_simplex():
     """The float-assisted exact path returns the same certified optimum."""
     lp = _three_var_lp()
-    direct = L._exact_simplex(lp.normalized())
+    direct = _exact_simplex(lp.normalized())
     assert L.verify_certificate(lp, direct)
     lifted = _solve(_three_var_lp())
     assert lifted.certified
@@ -147,76 +165,193 @@ def test_float_optimum_is_checked_at_float_tolerance(perturbed_float_solver):
     assert sol.value == pytest.approx(2.5)
 
 
-def _spy_on_dense_simplex(monkeypatch):
-    calls = []
-    dense = L._exact_simplex
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-3])
+def test_tolerance_must_be_finite_and_positive(tolerance,
+                                               perturbed_float_solver):
+    """No tolerance lets a float optimum off by 1e-6 pass unchecked: NaN
+    and inf are refused like 0 and negative ones, in either mode."""
+    for mode in ("float", "exact"):
+        with pytest.raises(L.LpError, match="finite and positive"):
+            L.solve(_three_var_lp(), mode=mode, float_tolerance=tolerance)
 
-    def spy(norm):
-        sol = dense(norm)
-        calls.append(sol.status)
-        return sol
-    monkeypatch.setattr(L, "_exact_simplex", spy)
+
+def _spy(monkeypatch, name):
+    """Record the calls of ``L.<name>`` and return the list."""
+    calls = []
+    real = getattr(L, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+    monkeypatch.setattr(L, name, spy)
     return calls
 
 
-def test_dense_simplex_is_the_last_resort_when_the_lift_fails(monkeypatch):
-    """With the lift failing, solve returns the dense simplex's optimum."""
-    calls = _spy_on_dense_simplex(monkeypatch)
+def test_basis_solve_certifies_when_the_lift_fails(monkeypatch):
+    """With the lift failing, the exact basis solve returns the certified
+    optimum; above ``_FALLBACK_CELL_LIMIT`` nonzeros it is not entered and
+    exact mode raises CertificationError."""
+    calls = _spy(monkeypatch, "_solve_active_set")
     monkeypatch.setattr(L, "_lift_exact", lambda norm, primal, dual: None)
     sol = _solve(_three_var_lp())
-    assert calls == ["optimal"]
+    assert calls == ["_solve_active_set"]
     assert sol.status == "optimal"
     assert sol.certified
     assert sol.value == F(5, 2)
     assert L.verify_certificate(_three_var_lp(), sol)
 
+    monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
+    with pytest.raises(L.CertificationError, match="capped at 0 nonzeros"):
+        _solve(_three_var_lp())
+    assert calls == ["_solve_active_set"]
 
-def test_highs_failure_falls_back_only_within_the_size_cap(monkeypatch):
-    """A failed HiGHS solve (status 4) falls back to the dense simplex on
-    a small instance; above ``_FALLBACK_CELL_LIMIT`` exact mode raises
-    CertificationError without entering it, and float mode raises."""
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
 
+def test_highs_failure_raises_at_any_size(monkeypatch):
+    """A failed HiGHS solve (status 4) raises CertificationError in exact
+    mode, however small the LP, without entering the basis solve; float
+    mode raises LpError."""
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs:
                         OptimizeResult(status=4, message="numerical trouble"))
-    calls = _spy_on_dense_simplex(monkeypatch)
-    sol = _solve(_three_var_lp())
-    assert calls == ["optimal"]
-    assert sol.certified and sol.value == F(5, 2)
-
-    monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
+    calls = _spy(monkeypatch, "_solve_active_set")
     with pytest.raises(L.CertificationError, match="numerical trouble"):
         _solve(_three_var_lp())
-    assert calls == ["optimal"]
+    assert calls == []
     with pytest.raises(L.LpError, match="float solver failed"):
         _solve(_three_var_lp(), mode="float")
 
 
-def test_small_infeasible_and_unbounded_verdicts_from_dense_simplex(
-        monkeypatch):
-    """HiGHS's infeasible/unbounded verdict is re-proved exactly when small,
-    and taken as is above the re-check size limit."""
+def _infeasible_and_unbounded():
     infeasible = L.LinProgram(1, "max", {0: F(1)})
     infeasible.add({0: 1}, ">=", 2)
     infeasible.add({0: 1}, "<=", 1)
     unbounded = L.LinProgram(1, "max", {0: F(1)})
     unbounded.add({0: 1}, ">=", 1)
+    return infeasible, unbounded
 
-    calls = _spy_on_dense_simplex(monkeypatch)
-    assert _solve(infeasible).status == "infeasible"
-    assert _solve(unbounded).status == "unbounded"
-    assert calls == ["infeasible", "unbounded"]
 
-    monkeypatch.setattr(L, "_VERDICT_RECHECK_CELL_LIMIT", 0)
-    assert _solve(infeasible).status == "infeasible"
-    assert _solve(unbounded).status == "unbounded"
-    assert calls == ["infeasible", "unbounded"]
+def test_verdicts_are_certified_by_auxiliary_lps(monkeypatch):
+    """An infeasible verdict is proved by a certified phase-one LP (one
+    more HiGHS call), an unbounded one also by a certified ray LP (two
+    more), with no size limit on either."""
+    infeasible, unbounded = _infeasible_and_unbounded()
+    calls = _spy(monkeypatch, "_highs")
+    sol = _solve(infeasible)
+    assert (sol.status, sol.certified, len(calls)) == ("infeasible", True, 2)
+    sol = _solve(unbounded)
+    assert (sol.status, sol.certified, len(calls)) == ("unbounded", True, 5)
+
+
+def _fake_first_verdict(monkeypatch, status, message):
+    """linprog answers ``status`` on its first call, then really solves."""
+    real = scipy.optimize.linprog
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(status)
+        if len(calls) == 1:
+            return OptimizeResult(status=status, message=message)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", fake)
+    return calls
+
+
+def test_false_infeasible_verdict_raises(monkeypatch):
+    """HiGHS calling a feasible, bounded LP infeasible raises
+    CertificationError: phase one certifies it feasible, the ray LP
+    bounded."""
+    calls = _fake_first_verdict(monkeypatch, 2, "The problem is infeasible.")
+    with pytest.raises(L.CertificationError, match="feasible and bounded"):
+        _solve(_three_var_lp())
+    assert len(calls) == 3
+
+
+def test_auxiliary_lps_decide_infeasible_or_unbounded(monkeypatch):
+    """HiGHS has called a feasible, unbounded LP infeasible; the exact
+    path returns the verdict its auxiliary LPs prove, not HiGHS's."""
+    _, unbounded = _infeasible_and_unbounded()
+    _fake_first_verdict(monkeypatch, 2, "The problem is infeasible.")
+    sol = _solve(unbounded)
+    assert (sol.status, sol.certified) == ("unbounded", True)
+
+
+@pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
+def test_basis_solve_alone_certifies_two_round_guessing(kind, monkeypatch):
+    """With the lift patched out, the basis solve certifies the two-round
+    guessing LPs with the values the lift gives."""
+    chsh = G.make_chsh_game()
+    scenario = T.CausalScenario.for_game(kind, 2, chsh)
+    calls = _spy(monkeypatch, "_solve_active_set")
+    for i, v in enumerate((F(1, 4), F(1, 2), F(11, 12))):
+        marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(v)), 2)
+        lifted = T.tons_guessing_probability(chsh, marginal, (0, 0), scenario)
+        with mock.patch.object(L, "_lift_exact", lambda *args: None):
+            value = T.tons_guessing_probability(chsh, marginal, (0, 0),
+                                                scenario)
+        assert len(calls) == i + 1 and value == lifted, v
+        if kind == T.TONS:
+            assert value == 1 - 3 * v / 4
+
+
+def test_basis_solve_alone_certifies_the_builtin_game_values(monkeypatch):
+    """With the lift patched out, the basis solve certifies the ns-value
+    LPs of the five built-in games at their known values."""
+    known = {"chain": 1, "chsh": 1, "chain-guessing": F(8, 9),
+             "chsh-guessing": F(3, 4), "magic-square": 1}
+    assert set(known) == set(cli.BUILTIN_GAMES)
+    calls = _spy(monkeypatch, "_solve_active_set")
+    monkeypatch.setattr(L, "_lift_exact", lambda *args: None)
+    for name, make in cli.BUILTIN_GAMES.items():
+        assert NV.ns_value(make()) == known[name], name
+    assert len(calls) == 5
+
+
+_RATIONAL = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def _small_lps(draw):
+    """LPs with up to 6 variables (some free) and 8 rows of all three
+    relations, with rational coefficients."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    lp = L.LinProgram(n, draw(st.sampled_from([L.MAX, L.MIN])),
+                      draw(st.dictionaries(index, _RATIONAL)),
+                      lower={j: None for j in draw(st.sets(index))})
+    for _ in range(draw(st.integers(0, 8))):
+        lp.add(draw(st.dictionaries(index, _RATIONAL)),
+               draw(st.sampled_from([L.LE, L.EQ, L.GE])), draw(_RATIONAL))
+    return lp
+
+
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "basis-only"])
+@settings(max_examples=150, deadline=None)
+@given(lp=_small_lps())
+def test_exact_path_agrees_with_the_dense_oracle(lift, lp):
+    """Status and exact value equal the dense simplex's, every optimum
+    and every verdict is certified, with and without the lift."""
+    expected = _exact_simplex(lp.normalized())
+    with (contextlib.nullcontext() if lift else
+          mock.patch.object(L, "_lift_exact", lambda *args: None)):
+        sol = _solve(lp)
+    assert sol.status == expected.status
+    assert sol.certified
+    if sol.status == "optimal":
+        assert sol.value == expected.value
+        assert L.verify_certificate(lp, sol)
+
+
+def test_eliminate_rank_and_consistency():
+    """``eliminate`` gives the rank, and None for 0 = nonzero."""
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: F(1, 3), 2: 1}]
+    assert len(L.eliminate(rows)) == 2
+    assert L.eliminate([{0: 1, L.RHS: 1}, {0: 2, L.RHS: 3}]) is None
+    assert L.eliminate([{0: 1, 1: 1, L.RHS: 3}, {0: 1, 1: -1, L.RHS: 1}]) \
+        == {0: {0: 1, L.RHS: 2}, 1: {1: 1, L.RHS: 1}}
 
 
 def test_random_cross_check_against_float_solver():
-    """Exact solve, dense exact simplex and HiGHS agree in status and value
-    on random LPs."""
+    """Exact solve, the dense exact simplex and HiGHS agree in status and
+    value on random LPs."""
     rng = random.Random(20240817)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -229,7 +364,7 @@ def test_random_cross_check_against_float_solver():
             lp.add({j: 1}, "<=", 7)
         exact = _solve(lp)
         approx = _solve(lp, mode="float")
-        direct = L._exact_simplex(lp.normalized())
+        direct = _exact_simplex(lp.normalized())
         assert exact.status == approx.status
         assert direct.status == exact.status
         if exact.status == "optimal":
@@ -252,3 +387,186 @@ def test_validate_rejects_bad_indices():
     lp = L.LinProgram(1, "max", {3: F(1)})
     with pytest.raises(L.LpError):
         lp.validate()
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: a dense two-phase simplex over Fractions with Bland's
+# rule (guaranteed termination on degenerate LPs), independent of HiGHS
+# ---------------------------------------------------------------------------
+
+def _exact_simplex(norm: LinProgram) -> LpSolution:
+    """Two-phase dense tableau simplex over Fractions with Bland's rule."""
+    n = norm.num_vars
+    maximize = norm.sense == MAX
+    obj = {j: (c if maximize else -c) for j, c in norm.objective.items()}
+
+    # Free variables are split as x = x+ - x-.
+    free = [j for j in range(n) if norm.is_free(j)]
+    split = {j: n + k for k, j in enumerate(free)}
+    n_struct = n + len(free)
+
+    rows = []          # (dense coeffs over structural vars, rhs, flip, rel)
+    for con in norm.constraints:
+        dense = [Fraction(0)] * n_struct
+        for j, c in con.coeffs:
+            dense[j] += c
+            if j in split:
+                dense[split[j]] -= c
+        rhs, rel, flip = con.rhs, con.rel, False
+        if rhs < 0:
+            dense = [-c for c in dense]
+            rhs = -rhs
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            flip = True
+        rows.append((dense, rhs, flip, rel))
+
+    m = len(rows)
+    # Columns: structural | slack/surplus (one per inequality) | identity
+    # start columns (slack for <=, artificial for >=/==) | rhs.
+    n_slack = sum(1 for r in rows if r[3] != EQ)
+    ncols = n_struct + n_slack + m
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    id_col: list[int] = []
+    artificial: set[int] = set()
+    slack_pos = 0
+    zero = Fraction(0)
+    one = Fraction(1)
+    for i, (dense, rhs, _flip, rel) in enumerate(rows):
+        row = dense + [zero] * (n_slack + m) + [rhs]
+        if rel == LE:
+            col = n_struct + slack_pos
+            row[col] = one
+            slack_pos += 1
+            basis.append(col)
+            id_col.append(col)
+        elif rel == GE:
+            row[n_struct + slack_pos] = -one
+            slack_pos += 1
+            art = n_struct + n_slack + i
+            row[art] = one
+            artificial.add(art)
+            basis.append(art)
+            id_col.append(art)
+        else:
+            art = n_struct + n_slack + i
+            row[art] = one
+            artificial.add(art)
+            basis.append(art)
+            id_col.append(art)
+        tableau.append(row)
+
+    def pivot(pr: int, pc: int) -> None:
+        prow = tableau[pr]
+        piv = prow[pc]
+        if piv != 1:
+            inv = 1 / piv
+            tableau[pr] = prow = [c * inv for c in prow]
+        for i in range(len(tableau)):
+            if i == pr:
+                continue
+            row = tableau[i]
+            f = row[pc]
+            if f:
+                tableau[i] = [a - f * b for a, b in zip(row, prow)]
+        basis[pr] = pc
+
+    def run(costs: list[Fraction], barred: set[int]) -> str:
+        # costs is the z-row (reduced costs), mutated in place via tableau[m].
+        tableau.append(costs)
+        try:
+            while True:
+                zrow = tableau[m]
+                enter = -1
+                for j in range(ncols):
+                    if j in barred:
+                        continue
+                    if zrow[j] < 0:
+                        enter = j
+                        break
+                if enter < 0:
+                    return "optimal"
+                leave, best = -1, None
+                for i in range(m):
+                    a = tableau[i][enter]
+                    if a > 0:
+                        ratio = tableau[i][ncols] / a
+                        if best is None or ratio < best or (
+                                ratio == best and basis[i] < basis[leave]):
+                            best, leave = ratio, i
+                if leave < 0:
+                    return "unbounded"
+                pivot(leave, enter)
+        finally:
+            tableau.pop()
+
+    # Phase 1: minimise the sum of artificials.
+    if artificial:
+        z = [zero] * (ncols + 1)
+        for a in artificial:
+            z[a] = one
+        for i in range(m):
+            if basis[i] in artificial:
+                row = tableau[i]
+                z = [zc - rc for zc, rc in zip(z, row)]
+        status = run(z, set())
+        # After run() the z-row is popped; read the phase-1 objective off
+        # the basic artificial levels instead.
+        infeas = sum((tableau[i][ncols] for i in range(m) if basis[i] in artificial),
+                     start=zero)
+        if status != "optimal" or infeas != 0:
+            return LpSolution(LpSolution.INFEASIBLE, None, [], [], "exact")
+        # Drive basic artificials out where possible; leftover rows are
+        # redundant and keep a zero-level artificial in the basis.
+        for i in range(m):
+            if basis[i] in artificial:
+                row = tableau[i]
+                for j in range(n_struct + n_slack):
+                    if row[j] != 0:
+                        pivot(i, j)
+                        break
+
+    # Phase 2.
+    z = [zero] * (ncols + 1)
+    for j, c in obj.items():
+        z[j] -= c
+        if j in split:
+            z[split[j]] += c
+    for i in range(m):
+        bc = basis[i]
+        coeff = -z[bc]
+        if coeff:
+            row = tableau[i]
+            z = [zc + coeff * rc for zc, rc in zip(z, row)]
+    status = run(z, artificial)
+    if status == "unbounded":
+        return LpSolution(LpSolution.UNBOUNDED, None, [], [], "exact")
+
+    x = [zero] * n_struct
+    for i in range(m):
+        if basis[i] < n_struct:
+            x[basis[i]] = tableau[i][ncols]
+    primal = [x[j] - (x[split[j]] if j in split else zero) for j in range(n)]
+
+    # Simplex multipliers sit in the z-row over each row's identity-start
+    # column; undo the rhs sign normalisation per row.
+    zrow_final = [zero] * ncols
+    for j, c in obj.items():
+        zrow_final[j] -= c
+        if j in split:
+            zrow_final[split[j]] += c
+    for i in range(m):
+        bc = basis[i]
+        coeff = -zrow_final[bc]
+        if coeff:
+            row = tableau[i]
+            zrow_final = [zc + coeff * rc for zc, rc in zip(zrow_final, row[:ncols])]
+    dual = []
+    for i, (_dense, _rhs, flip, _rel) in enumerate(rows):
+        yi = zrow_final[id_col[i]]
+        dual.append(-yi if flip else yi)
+
+    value = sum((c * primal[j] for j, c in norm.objective.items()), start=zero)
+    if not maximize:
+        dual = [-yi for yi in dual]
+    return LpSolution(LpSolution.OPTIMAL, value, primal, dual, "exact")

@@ -188,7 +188,8 @@ class TestCli:
 
     def test_exact_certification_failure_exit_code(self, monkeypatch,
                                                    capsys):
-        """A failed exact lift with no dense fallback is not "infeasible"."""
+        """A float optimum that does not lift, on an LP above the size cap
+        of the exact basis solve, is not "infeasible"."""
         monkeypatch.setattr(L, "_lift_exact", lambda *args: None)
         monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
         code = cli.main(["--mode", "exact", "tons", "--v", "1/2", "--n", "2"])
@@ -220,6 +221,23 @@ class TestCli:
             assert "tolerance 1e-09" in capsys.readouterr().err
             assert cli.main(argv + ["--float-tolerance", "1e-3"]) == 0, argv
             capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field, argv", [
+        ("float_tolerance", ["--mode", "float", "--float-tolerance", "{}",
+                             "ns-value", "chsh"]),
+        ("orth_tolerance", ["--orth-tolerance", "{}", "ks-attack", "--ks",
+                            "peres24"])])
+    def test_non_finite_tolerance_is_an_input_error(self, field, argv,
+                                                    value, tmp_path, capsys):
+        """A NaN or infinite tolerance exits 3 naming its field: a NaN
+        float tolerance would let every float optimum pass its check."""
+        argv = [a.format(value) for a in argv] + [
+            "--certificate" if "ns-value" in argv else "--out",
+            str(tmp_path / "out.json")]
+        assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert field in err and "finite and positive" in err, err
 
     def test_ks_attack_single_basis(self, tmp_path, capsys):
         out = tmp_path / "attack.json"
