@@ -29,8 +29,7 @@ from .lp import (InfeasibleError, LinProgram, LpSolution, Rational, dump_lp,
 from .nsvalues import (EpsNsReport, alpha_slope, chain_ns_guessing_curve,
                        eps_ns_value, ns_value, single_round_guessing)
 from .tons import (CausalScenario, TonsLp, build_causal_constraints,
-                   build_guessing_lp, causal_constraint_count,
-                   iid_guessing_baseline, satisfies_causal_constraints,
+                   build_guessing_lp, iid_guessing_baseline,
                    tons_guessing_probability)
 
 __version__ = "0.1.0"

@@ -186,22 +186,23 @@ def cmd_tons(args, cfg: RunConfig) -> int:
         marginal = serialize.behavior_from_dict(
             _read_json(args.marginal, "marginal file"))
         inputs.append(Path(args.marginal))
-    # Enforce the size cap before materializing the product marginal.
-    tons._check_caps(scenario, cfg.mode, marginal, x_star)
-    if marginal is None and args.game == "chsh":
-        marginal = games.product_behavior(
-            games.make_pr_v(games.NoisyPRParams(v)), n)
-    elif marginal is None:
+    if marginal is None and args.game != "chsh":
         raise serialize.InputFormatError(
             "the bundled product marginal exists for --game chsh only; "
             "supply a behavior file via --marginal")
-    mode = cfg.mode
-    if not cfg.mode_explicit and mode == "exact" and n >= 3:
-        # Exact mode is the default for n <= 2; bigger instances fall back
-        # to float unless a mode is requested explicitly.
+    box = games.make_pr_v(games.NoisyPRParams(v)) if marginal is None \
+        else None
+    # Exact mode is the default for n <= 2; bigger instances fall back to
+    # float unless a mode is requested explicitly.
+    fallback = not cfg.mode_explicit and cfg.mode == "exact" and n >= 3
+    mode = "float" if fallback else cfg.mode
+    # Enforce the size cap of that mode before building the product.
+    tons._check_caps(scenario, mode, marginal, x_star, round_box=box)
+    if fallback:
         print(f"note: n = {n} solved in float mode (pass --mode exact "
               f"to insist)", file=sys.stderr)
-        mode = "float"
+    if box is not None:
+        marginal = games.product_behavior(box, n)
     pg = tons.tons_guessing_probability(game, marginal, x_star, scenario,
                                         mode=mode,
                                         float_tolerance=cfg.float_tolerance)
@@ -402,8 +403,11 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILURE
+    except LpSizeError as exc:
+        print(f"too large: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (bounds_mod.InfeasibleParamsError, InfeasibleError,
-            LpSizeError, LpError) as exc:
+            LpError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ksattack.KsAttackError as exc:

@@ -5,9 +5,10 @@ conditional-probability behaviors with exact rational entries, and the
 specific games used throughout the package: the 3-input chained game in
 its complete-support variant, CHSH, tripartite guessing games, and the
 Mermin-Peres magic square.  Multi-round strings are flattened with
-round-major mixed-radix indexing throughout.  ``ns_marginal_groups`` is
+round-major mixed-radix indexing throughout.  ``ns_index_groups`` is
 the one source of no-signalling marginal rows, single-round and
-time-ordered, for every LP builder and verifier.
+time-ordered, for every LP builder and verifier; ``ns_marginal_groups``
+and ``ns_equality_rows`` read it by ``Behavior.table`` key.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
+
+import numpy as np
 
 Number = Union[Fraction, float]
 
@@ -196,6 +199,33 @@ def ns_families(parties: int) -> tuple:
     return NS_FAMILIES[:2] if parties == 2 else NS_FAMILIES
 
 
+def ns_index_groups(output_sizes: Sequence[int], input_sizes: Sequence[int],
+                    families, rounds: int = 1, time_ordered: bool = False):
+    """The groups of ``ns_marginal_groups`` as flat indices into the
+    behavior tensor of shape (output strings per party, input strings per
+    party): ``(family name, summed parties, index)`` per level and family,
+    where ``index[g, k]`` holds the keys of group g's k-th entry.
+    """
+    n, m = rounds, len(output_sizes)
+    sizes = (*output_sizes, *input_sizes)
+    for i in (range(n) if time_ordered else (0,)):
+        # Tensor axis a split into its first i rounds (axis 2a) and the
+        # rest (axis 2a + 1): a string is prefix * size ** (n - i) + suffix.
+        split = np.arange(math.prod(sizes) ** n).reshape(
+            [d for size in sizes for d in (size ** i, size ** (n - i))])
+        for name, summed in families:
+            axes = [a for a in range(2 * m) if a % m in summed]
+            outs, ins = axes[:len(summed)], axes[len(summed):]
+            # Groups run over the kept strings and the summed prefixes,
+            # entries over the input suffixes, keys over the output ones.
+            order = [2 * a + h for a in range(2 * m) if a % m not in summed
+                     for h in (0, 1)] + [2 * a for a in axes] + \
+                [2 * a + 1 for a in ins + outs]
+            shape = [math.prod(sizes[a] ** (n - i) for a in suffix)
+                     for suffix in (ins, outs)]
+            yield name, summed, split.transpose(order).reshape(-1, *shape)
+
+
 def ns_marginal_groups(output_sizes: Sequence[int], input_sizes: Sequence[int],
                        families, rounds: int = 1, time_ordered: bool = False):
     """Groups of marginal sums that no-signalling requires to be equal.
@@ -209,45 +239,18 @@ def ns_marginal_groups(output_sizes: Sequence[int], input_sizes: Sequence[int],
     entry per input suffix of the summed parties, all-zero suffix first.
     Order: level, family, kept parties' output strings then input
     strings, summed parties' prefix outputs then prefix inputs, suffix.
+    A key view of ``ns_index_groups``.
     """
-    n = rounds
-    parties = range(len(output_sizes))
-    for i in (range(n) if time_ordered else (0,)):
-        for name, summed in families:
-            kept = [p for p in parties if p not in summed]
-            # A string is prefix * span + suffix: kept parties fix whole
-            # strings (span 1), summed parties their first i rounds.
-            out_span = [1 if p in kept else output_sizes[p] ** (n - i)
-                        for p in parties]
-            in_span = [1 if p in kept else input_sizes[p] ** (n - i)
-                       for p in parties]
-            for kept_outs, kept_ins, pre_outs, pre_ins in itertools.product(
-                    _strings(output_sizes, kept, n),
-                    _strings(input_sizes, kept, n),
-                    _strings(output_sizes, summed, i),
-                    _strings(input_sizes, summed, i)):
-                outs = list(_extensions(
-                    _merge(kept, kept_outs, summed, pre_outs), out_span))
-                yield name, kept_outs, [
-                    (ins, [(o, ins) for o in outs]) for ins in _extensions(
-                        _merge(kept, kept_ins, summed, pre_ins), in_span)]
-
-
-def _strings(sizes, parties, rounds: int):
-    """Every tuple of the parties' encoded strings of ``rounds`` rounds."""
-    return itertools.product(*(range(sizes[p] ** rounds) for p in parties))
-
-
-def _merge(kept, kept_vals, summed, summed_vals) -> list[int]:
-    """Values in party order from the kept and the summed parties' values."""
-    merged = dict(zip(kept, kept_vals)) | dict(zip(summed, summed_vals))
-    return [merged[p] for p in sorted(merged)]
-
-
-def _extensions(prefixes, spans):
-    """Every tuple of strings that extend the per-party prefixes."""
-    return itertools.product(*(range(pre * span, (pre + 1) * span)
-                               for pre, span in zip(prefixes, spans)))
+    keys = list(itertools.product(*(
+        itertools.product(*(range(s ** rounds) for s in sizes))
+        for sizes in (output_sizes, input_sizes))))
+    for name, summed, index in ns_index_groups(output_sizes, input_sizes,
+                                               families, rounds, time_ordered):
+        for group in index.tolist():
+            outs = keys[group[0][0]][0]
+            kept_outs = tuple(o for p, o in enumerate(outs) if p not in summed)
+            yield name, kept_outs, [(keys[entry[0]][1], [keys[f] for f in entry])
+                                    for entry in group]
 
 
 def ns_equality_rows(output_sizes: Sequence[int], input_sizes: Sequence[int],
@@ -411,7 +414,8 @@ def uniform_behavior(output_sizes: tuple[int, ...],
 
 
 def product_behavior(behavior: Behavior, n: int) -> Behavior:
-    """n-round product of a bipartite behavior over round-major strings."""
+    """n-round product of a bipartite behavior over round-major strings,
+    taken over integer numerators; one ``Fraction`` per distinct entry."""
     if behavior.parties != 2:
         raise GameError("product_behavior expects a bipartite behavior")
     if n < 1:
@@ -419,59 +423,24 @@ def product_behavior(behavior: Behavior, n: int) -> Behavior:
     behavior.check_valid()
     na, nb = behavior.output_sizes
     nx, ny = behavior.input_sizes
-    table = {}
-    for xs in itertools.product(range(nx), repeat=n):
-        for ys in itertools.product(range(ny), repeat=n):
-            ins = (encode_string(xs, nx), encode_string(ys, ny))
-            for as_ in itertools.product(range(na), repeat=n):
-                for bs in itertools.product(range(nb), repeat=n):
-                    p = Fraction(1)
-                    for i in range(n):
-                        p *= behavior.entry((as_[i], bs[i]), (xs[i], ys[i]))
-                        if not p:
-                            break
-                    if p:
-                        table[((encode_string(as_, na), encode_string(bs, nb)),
-                               ins)] = p
-    return Behavior((nx ** n, ny ** n), (na ** n, nb ** n), table)
-
-
-def round_marginal(behavior: Behavior, i: int, n: int,
-                   round_output_sizes: tuple[int, int],
-                   round_input_sizes: tuple[int, int],
-                   fixed_inputs: Optional[tuple[Sequence[int], Sequence[int]]] = None,
-                   ) -> Behavior:
-    """Single-round marginal of an n-round bipartite behavior.
-
-    Rounds other than ``i`` keep the inputs given in ``fixed_inputs``
-    (all-zero strings by default); their outputs are summed out.
-    """
-    na, nb = round_output_sizes
-    nx, ny = round_input_sizes
-    if fixed_inputs is None:
-        xs_fixed, ys_fixed = [0] * n, [0] * n
-    else:
-        xs_fixed, ys_fixed = list(fixed_inputs[0]), list(fixed_inputs[1])
-    table = {}
-    for x in range(nx):
-        for y in range(ny):
-            xs, ys = list(xs_fixed), list(ys_fixed)
-            xs[i], ys[i] = x, y
-            ins = (encode_string(xs, nx), encode_string(ys, ny))
-            for a in range(na):
-                for b in range(nb):
-                    total = Fraction(0)
-                    for as_ in itertools.product(range(na), repeat=n):
-                        if as_[i] != a:
-                            continue
-                        for bs in itertools.product(range(nb), repeat=n):
-                            if bs[i] != b:
-                                continue
-                            total += behavior.entry(
-                                (encode_string(as_, na), encode_string(bs, nb)),
-                                ins)
-                    table[((a, b), (x, y))] = total
-    return Behavior((nx, ny), (na, nb), table)
+    entries = [Fraction(behavior.entry((a, b), (x, y))) for x, y, a, b in
+               itertools.product(range(nx), range(ny), range(na), range(nb))]
+    den = math.lcm(*(p.denominator for p in entries))
+    nums = [p.numerator * (den // p.denominator) for p in entries]
+    dtype = np.int64 if max(nums) ** n < 2 ** 63 else object
+    box = np.array(nums, dtype=dtype).reshape(nx, ny, na, nb)
+    # Axes x_1, y_1, a_1, b_1, ..., x_n, y_n, a_n, b_n, reordered to
+    # x_1..x_n, y_1..y_n, a_1..a_n, b_1..b_n: the (X, Y, A, B) order.
+    product = box
+    for _ in range(n - 1):
+        product = np.multiply.outer(product, box)
+    product = product.transpose([4 * i + k for k in range(4)
+                                 for i in range(n)]).ravel().tolist()
+    value = {q: Fraction(q, den ** n) for q in set(product)}
+    return Behavior((nx ** n, ny ** n), (na ** n, nb ** n), {
+        ((A, B), (X, Y)): value[q] for (X, Y, A, B), q in zip(
+            itertools.product(range(nx ** n), range(ny ** n), range(na ** n),
+                              range(nb ** n)), product) if q})
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,22 @@ def make_constraint(coeffs: Union[dict, Iterable], rel: str, rhs) -> Constraint:
     return Constraint(clean, rel, Fraction(rhs))
 
 
+def once_per_object(fn, items: Iterable) -> list:
+    """``[fn(x) for x in items]``, calling ``fn`` once per distinct object:
+    the LP builders share one coefficient object per value."""
+    done: dict[int, object] = {}
+    return [done[id(x)] if id(x) in done else done.setdefault(id(x), fn(x))
+            for x in items]
+
+
+def _float_rows(rows: Sequence[Constraint]) -> list[list[tuple[int, float]]]:
+    """Each row's terms with float coefficients, one conversion per
+    coefficient object."""
+    floats = iter(once_per_object(float, (c for con in rows
+                                          for _, c in con.coeffs)))
+    return [[(j, next(floats)) for j, _ in con.coeffs] for con in rows]
+
+
 @dataclass
 class LinProgram:
     """Sparse LP: optimize a linear objective over rational constraints.
@@ -197,12 +213,16 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
 
     x = sol.primal
     y = sol.dual
+    # Float coefficients give the products of Fraction * float, faster.
+    cons = norm.constraints
+    coeffs = [con.coeffs for con in cons] if exact else _float_rows(cons)
+    zero = Fraction(0) if exact else 0.0
 
     for j in range(lp.num_vars):
         if not norm.is_free(j) and neg(x[j]):
             reasons.append(f"x{j} = {x[j]} violates x >= 0")
-    for k, con in enumerate(norm.constraints):
-        lhs = con.evaluate(x)
+    for k, con in enumerate(cons):
+        lhs = sum((c * x[j] for j, c in coeffs[k]), start=zero)
         delta = lhs - con.rhs
         if con.rel == EQ and viol(delta):
             reasons.append(f"row {k}: {lhs} != {con.rhs}")
@@ -222,11 +242,10 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
 
     # Reduced costs: A^T y - c >= 0 for max (<= 0 for min) on x >= 0
     # variables, with equality on free variables.
-    col_dual = [Fraction(0) if exact else 0.0] * lp.num_vars
-    for k, con in enumerate(norm.constraints):
-        yk = y[k]
+    col_dual = [zero] * lp.num_vars
+    for k, yk in enumerate(y):
         if yk:
-            for j, c in con.coeffs:
+            for j, c in coeffs[k]:
                 col_dual[j] += yk * c
     for j in range(lp.num_vars):
         r = col_dual[j] - norm.objective.get(j, 0)
@@ -237,9 +256,9 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
             reasons.append(f"reduced cost of x{j} has wrong sign: {r}")
 
     primal_obj = sum((c * x[j] for j, c in norm.objective.items()),
-                     start=Fraction(0) if exact else 0.0)
-    dual_obj = sum((y[k] * con.rhs for k, con in enumerate(norm.constraints)),
-                   start=Fraction(0) if exact else 0.0)
+                     start=zero)
+    dual_obj = sum((y[k] * con.rhs for k, con in enumerate(cons)),
+                   start=zero)
     if viol(primal_obj - dual_obj):
         reasons.append(f"objective gap: primal {float(primal_obj):.12g} "
                        f"vs dual {float(dual_obj):.12g}")
@@ -256,8 +275,9 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
 
 # Beyond this row count HiGHS dual simplex becomes impractical on the
 # dense no-signalling LPs; interior point with crossover is used instead.
-# (The symmetric three-round TONS LP, 4,992 rows, takes 0.7 s with
-# interior point and 2.8 s with dual simplex.)
+# (On a 2-vCPU Xeon the three-round TONS slice, 785 rows, takes 0.03 s
+# either way and gets dual simplex; the four-round one, 7,297 rows, takes
+# 0.5 s with interior point and 1.4 s with dual simplex.)
 _IPM_ROW_THRESHOLD = 4000
 # The exact basis solve runs on LPs with at most this many nonzero
 # coefficients.  Its worst case, dense random LPs with coefficients in
@@ -290,31 +310,23 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str]:
     for j, cj in norm.objective.items():
         c[j] = sign * float(cj)
 
-    # (row index, constraint, sign): linprog takes A_ub x <= b_ub, so >=
-    # rows enter negated.
-    ub = [(k, con, 1.0 if con.rel == LE else -1.0)
-          for k, con in enumerate(norm.constraints) if con.rel != EQ]
-    eq = [(k, con, 1.0) for k, con in enumerate(norm.constraints)
-          if con.rel == EQ]
+    # linprog takes A_ub x <= b_ub, so >= rows enter negated.
+    cons = norm.constraints
+    flip = np.array([-1.0 if con.rel == GE else 1.0 for con in cons])
+    row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
+    coeffs = once_per_object(float, [c for con in cons for _, c in con.coeffs])
+    a = sparse.csr_matrix((flip[row] * coeffs, (row, [
+        j for con in cons for j, _ in con.coeffs])), shape=(len(cons), n))
+    b = flip * once_per_object(float, [con.rhs for con in cons])
+    is_eq = np.array([con.rel == EQ for con in cons], dtype=bool)
+    ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
 
-    def matrix(rows):
-        if not rows:
-            return None
-        data, ri, ci = [], [], []
-        for i, (_, con, s) in enumerate(rows):
-            for j, cf in con.coeffs:
-                ri.append(i)
-                ci.append(j)
-                data.append(s * float(cf))
-        return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+    def part(m, rows):
+        return m[rows] if len(rows) else None
 
-    def rhs(rows):
-        return [s * float(con.rhs) for _, con, s in rows] or None
-
-    method = ("highs-ipm" if len(norm.constraints) > _IPM_ROW_THRESHOLD
-              else "highs-ds")
-    res = linprog(c, A_ub=matrix(ub), b_ub=rhs(ub), A_eq=matrix(eq),
-                  b_eq=rhs(eq),
+    method = "highs-ipm" if len(cons) > _IPM_ROW_THRESHOLD else "highs-ds"
+    res = linprog(c, A_ub=part(a, ub), b_ub=part(b, ub), A_eq=part(a, eq),
+                  b_eq=part(b, eq),
                   bounds=[(None, None) if norm.is_free(j) else (0, None)
                           for j in range(n)],
                   method=method)
@@ -325,10 +337,9 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str]:
 
     # HiGHS marginals belong to the minimised, <=-form problem; undo the
     # objective sign and the row negation.
-    dual = [0.0] * len(norm.constraints)
-    for rows, lin in ((ub, res.ineqlin), (eq, res.eqlin)):
-        for (k, _, s), mk in zip(rows, lin.marginals):
-            dual[k] = sign * s * float(mk)
+    dual = np.zeros(len(cons))
+    dual[ub], dual[eq] = res.ineqlin.marginals, res.eqlin.marginals
+    dual = (sign * flip * dual).tolist()
     value = -res.fun if norm.sense == MAX else res.fun
     return (LpSolution(LpSolution.OPTIMAL, value, list(map(float, res.x)),
                        dual, "float"), res.message)

@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -45,17 +45,17 @@ import numpy as np
 
 from . import lp as L
 from .games import (BLOCK_FAMILIES, Behavior, Game, GameError,
-                    encode_string, game_value_coefficients, ns_equality_rows)
+                    encode_string, game_value_coefficients, ns_index_groups)
 
 Number = Union[Fraction, float]
 
 TONS = "tons"
 ABNS = "abns"
 
-# Four rounds give a 4,096-variable slice for the noisy PR box, built and
-# solved in 2-7 s (TONS: about half of it emitting 79,360 causal rows
-# through dicts), but at v = 11/12 both kinds' float optima miss the
-# default tolerance and their exact basis solve does not verify.
+# Four rounds give a 4,096-variable slice for the noisy PR box (TONS:
+# 7,297 rows, built in 0.5 s and solved in 0.6-0.9 s on a 2-vCPU Xeon),
+# but at v = 11/12 both kinds' float optima miss the default tolerance
+# and their exact basis solve does not verify.
 EXACT_ROUND_CAP = 3
 FLOAT_ROUND_CAP = 3
 
@@ -91,44 +91,34 @@ class CausalScenario:
                 self.alice_inputs ** n, self.bob_inputs ** n)
 
 
-def build_causal_constraints(scenario: CausalScenario) -> list[dict]:
-    """Homogeneous equality rows of the scenario over one behavior block.
+@dataclass(frozen=True)
+class CausalRows:
+    """Rows over one behavior block P flattened in (A, B, X, Y) order, as
+    blocks ``(index, coeffs)`` of one width each: a block's row r is
+    sum_k coeffs[k] P[index[r, k]] == 0, +1 entries then -1 entries."""
 
-    Rows are ``games.ns_equality_rows``, Bob's family first: dicts
-    mapping ``((A, B), (X, Y))`` string keys to +-1.  Each states that a
-    partial sum with a given suffix of one party's inputs equals the same
-    sum with the all-zero reference suffix.  TONS emits both directions
-    of every prefix level i in 0..n-1; ABNS only the full-block level 0.
-    """
-    return list(ns_equality_rows(
-        (scenario.alice_outputs, scenario.bob_outputs),
-        (scenario.alice_inputs, scenario.bob_inputs), BLOCK_FAMILIES,
-        scenario.rounds, time_ordered=scenario.kind == TONS))
+    blocks: tuple
+
+    def __len__(self) -> int:
+        return sum(len(index) for index, _ in self.blocks)
 
 
-def causal_constraint_count(scenario: CausalScenario) -> int:
-    """Closed-form row count of build_causal_constraints."""
-    n = scenario.rounds
-    na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
-                      scenario.alice_inputs, scenario.bob_inputs)
-    levels = range(n) if scenario.kind == TONS else (0,)
-    total = 0
-    for i in levels:
-        total += (na ** n) * (nb ** i) * (nx ** n) * (ny ** i) * (ny ** (n - i) - 1)
-        total += (nb ** n) * (na ** i) * (ny ** n) * (nx ** i) * (nx ** (n - i) - 1)
-    return total
-
-
-def satisfies_causal_constraints(behavior: Behavior,
-                                 scenario: CausalScenario) -> bool:
-    """Evaluate the scenario's equality rows directly on a behavior."""
-    for row in build_causal_constraints(scenario):
-        total = Fraction(0)
-        for key, c in row.items():
-            total += c * behavior.entry(*key)
-        if total != 0:
-            return False
-    return True
+def build_causal_constraints(scenario: CausalScenario) -> CausalRows:
+    """The rows of ``games.ns_equality_rows``, Bob's family first, over
+    one behavior block.  Each states that a partial sum with a suffix of
+    one party's inputs equals that with the all-zero reference suffix.
+    TONS emits both directions of every prefix level i in 0..n-1; ABNS
+    only the full-block level 0."""
+    blocks = []
+    for _, _, index in ns_index_groups(
+            (scenario.alice_outputs, scenario.bob_outputs),
+            (scenario.alice_inputs, scenario.bob_inputs), BLOCK_FAMILIES,
+            scenario.rounds, time_ordered=scenario.kind == TONS):
+        _, entries, keys = index.shape
+        plus = index[:, 1:].reshape(-1, keys)
+        minus = np.repeat(index[:, 0], entries - 1, axis=0)
+        blocks.append((np.hstack([plus, minus]), np.repeat([1, -1], keys)))
+    return CausalRows(tuple(blocks))
 
 
 @dataclass
@@ -155,14 +145,17 @@ class TonsLp:
 
 def _check_caps(scenario: CausalScenario, mode: str,
                 marginal: Optional[Behavior] = None,
-                x_star: Optional[Sequence[int]] = None) -> None:
+                x_star: Optional[Sequence[int]] = None,
+                round_box: Optional[Behavior] = None) -> None:
     """Raise LpSizeError beyond the round cap of ``mode``.
 
     The report gives a lower bound on the slice that would be solved when
     ``marginal`` has the scenario's shape: the group of its relabellings
     has prod_k (|fixing relabellings of round k| + 1) elements, so there
-    are at least (full variables) / |G| orbits.  Otherwise it gives the
-    full LP's size.
+    are at least (full variables) / |G| orbits.  For the n-fold product
+    of a normalized ``round_box`` it is read off the box alone: a round-k
+    relabelling fixes such a product iff it fixes round k's box.
+    Otherwise the report gives the full LP's size.
     """
     cap = EXACT_ROUND_CAP if mode == "exact" else FLOAT_ROUND_CAP
     n = scenario.rounds
@@ -170,16 +163,24 @@ def _check_caps(scenario: CausalScenario, mode: str,
         return
     sa, sb, sx, sy = scenario.string_sizes
     full = sa * (sa * sb * sx * sy)
-    if marginal is not None and _shape_matches(marginal, scenario):
-        per_round = Counter(r.k for r in
-                            marginal_symmetries(marginal, scenario, x_star))
-        order = math.prod(per_round[k] + 1 for k in range(n))
+    per_round = None
+    if round_box is not None:
+        _check_x_star(x_star, scenario)
+        one = replace(scenario, rounds=1)
+        per_round = [len(marginal_symmetries(round_box, one, (x,)))
+                     for x in x_star]
+    elif marginal is not None and _shape_matches(marginal, scenario):
+        counts = Counter(r.k for r in
+                         marginal_symmetries(marginal, scenario, x_star))
+        per_round = [counts[k] for k in range(n)]
+    if per_round is None:
+        size = (f"the full LP has {full} variables ({sa} blocks x "
+                f"{full // sa} entries)")
+    else:
+        order = math.prod(c + 1 for c in per_round)
         size = (f"its symmetric slice has at least {-(-full // order)} "
                 f"variables ({full} in the full LP over a group of {order} "
                 f"local relabellings)")
-    else:
-        size = (f"the full LP has {full} variables ({sa} blocks x "
-                f"{full // sa} entries)")
     raise L.LpSizeError(f"{scenario.kind} at n={n}: {size}; the cap is "
                         f"n <= {cap} in {mode} mode")
 
@@ -281,6 +282,52 @@ def _orbit_minima(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
         labels = new
 
 
+def _append_rows(prog: L.LinProgram, rows, rhs: list,
+                 distinct: bool) -> np.ndarray:
+    """Append the equality rows sum_k c[k] x_{j[r, k]} == rhs[r] of the
+    blocks ``(j, c)`` in ``rows``, in order, with each column's
+    coefficients summed and zero terms dropped; if ``distinct``, without
+    repeats (right-hand side included).  Returns the rows appended."""
+    count, num = sum(len(j) for j, _ in rows), prog.num_vars
+    row = np.repeat(np.arange(count), np.concatenate(
+        [np.full(len(j), j.shape[1]) for j, _ in rows]))
+    key, inverse = np.unique(
+        row * num + np.concatenate([j.ravel() for j, _ in rows]),
+        return_inverse=True)
+    sums = np.bincount(inverse, np.concatenate(
+        [np.tile(c, len(j)) for j, c in rows]), len(key)).astype(np.int64)
+    row, col = np.divmod(key[sums != 0], num)
+    sums = sums[sums != 0]
+    sizes = np.bincount(row, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    added = [np.arange(count)]
+    if distinct:
+        codes: dict = {}
+        code = np.array(L.once_per_object(
+            lambda b: codes.setdefault(b, len(codes)), rhs), np.int64)
+        added = [np.zeros(0, np.int64)]
+        # Rows of one length as (rhs code, columns, coefficients); a stable
+        # sort keeps equal rows in order, and the first of each is kept.
+        for size in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == size)
+            terms = starts[members][:, None] + np.arange(size)
+            table = np.hstack([code[members][:, None], col[terms],
+                               sums[terms]])
+            order = np.lexsort(table.T[::-1])
+            table = table[order]
+            first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
+            added.append(members[order[first]])
+    added = np.sort(np.concatenate(added))
+    fraction = functools.cache(Fraction)  # coefficients are small integers
+    ends = (starts + sizes).tolist()
+    col, sums, starts = col.tolist(), sums.tolist(), starts.tolist()
+    for r in added.tolist():
+        terms = slice(starts[r], ends[r])
+        prog.constraints.append(L.Constraint(tuple(zip(
+            col[terms], map(fraction, sums[terms]))), L.EQ, rhs[r]))
+    return added
+
+
 def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                       x_star: Sequence[int], scenario: CausalScenario,
                       y_ref: Optional[Sequence[int]] = None,
@@ -344,48 +391,29 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
         for j in by_block[e, e, :, x_enc, y_enc].tolist():
             prog.objective[j] = prog.objective.get(j, 0) + Fraction(1)
 
-    seen = set()
-    fraction = functools.cache(Fraction)  # coefficients are small integers
-
-    def add_row(terms, rhs) -> int:
-        """Append sum(c x_j) == rhs summed per column; on the slice a row
-        already present is dropped.  Returns the number of rows added."""
-        sums: dict[int, int] = {}
-        for j, c in terms:
-            sums[j] = sums.get(j, 0) + c
-        coeffs = tuple(sorted((j, c) for j, c in sums.items() if c))
-        rhs = Fraction(rhs)
-        if relabellings:
-            if (coeffs, rhs) in seen:
-                return 0
-            seen.add((coeffs, rhs))
-        prog.constraints.append(L.Constraint(
-            tuple((j, fraction(c)) for j, c in coeffs), L.EQ, rhs))
-        return 1
-
-    causal_rows = build_causal_constraints(scenario)
-    # Variables are numbered guess-major: the least variable of the orbit
-    # of (e, 0, 0, 0, 0) lies in the block of the least guess in e's orbit.
-    for e in np.flatnonzero(labels[::block] >= np.arange(SA) * block):
-        cols = by_block[e].tolist()
-        for row in causal_rows:
-            built.num_causal_rows += add_row(
-                [(cols[A][B][X][Y], c) for ((A, B), (X, Y)), c in row.items()],
-                0)
-
+    # Causal rows come from the least guess of each guess orbit: the least
+    # variable of the orbit of (e, 0, 0, 0, 0) lies in that guess's block.
+    causal = build_causal_constraints(scenario)
+    guesses = np.flatnonzero(labels[::block] >= np.arange(SA) * block)
+    by_key = by_block.reshape(SA, block)
+    rows = [(by_key[e][index], c) for e in guesses
+            for index, c in causal.blocks]
+    rhs = [Fraction(0)] * (len(causal) * len(guesses))
     if marginal is not None:
-        entries = list(itertools.product(range(SX), range(SY), range(SA),
-                                         range(SB)))
+        # Entries of one orbit, and only those, share their columns: one
+        # marginal row for the first entry of each.
         per_entry = col.reshape(SA, block).T
-        # Entries of one orbit, and only those, share their columns: keep
-        # the first entry of each.
-        kept = np.unique(np.sort(per_entry, axis=1), axis=0,
-                         return_index=True)[1]
-        for i in np.sort(kept).tolist():
-            X, Y, A, B = entries[i]
-            built.num_marginal_rows += add_row(
-                [(j, 1) for j in per_entry[i].tolist()],
-                marginal.entry((A, B), (X, Y)))
+        kept = np.sort(np.unique(np.sort(per_entry, axis=1), axis=0,
+                                 return_index=True)[1])
+        rows.append((per_entry[kept], np.ones(SA, np.int64)))
+        keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))
+        rhs += [Fraction(marginal.entry((A, B), (X, Y)))
+                for X, Y, A, B in keys.tolist()]
+    added = _append_rows(prog, rows, rhs, distinct=bool(relabellings))
+    built.num_causal_rows = int(np.count_nonzero(
+        added < len(causal) * len(guesses)))
+    built.num_marginal_rows = len(added) - built.num_causal_rows
+    if marginal is not None:
         return built
 
     coeffs_value = functional if functional is not None \
@@ -417,11 +445,13 @@ def _marginal_table(marginal: Behavior,
     common denominator (int64 when they fit): exact, and comparing it
     is ten times faster than comparing Fractions."""
     _check_marginal(marginal, scenario)
-    keys = np.array([(A, B, X, Y) for (A, B), (X, Y) in marginal.table],
-                    dtype=np.int64).reshape(-1, 4)
-    values = [Fraction(p) for p in marginal.table.values()]
-    den = math.lcm(*(p.denominator for p in values))
-    nums = [p.numerator * (den // p.denominator) for p in values]
+    chain = itertools.chain.from_iterable
+    keys = np.fromiter(chain(chain(marginal.table)), np.int64).reshape(-1, 4)
+    # A product behavior shares one object per distinct value.
+    values = L.once_per_object(Fraction, marginal.table.values())
+    den = math.lcm(*{p.denominator for p in values})
+    nums = L.once_per_object(
+        lambda p: p.numerator * (den // p.denominator), values)
     dtype = np.int64 if max(map(abs, nums), default=0) < 2 ** 63 else object
     table = np.zeros(scenario.string_sizes, dtype=dtype)
     table[tuple(keys.T)] = np.array(nums, dtype=dtype)

@@ -6,8 +6,57 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsrand import games as G
+
+
+def _oracle_product(behavior, n):
+    """``games.product_behavior`` multiplied entry by entry."""
+    na, nb = behavior.output_sizes
+    nx, ny = behavior.input_sizes
+    table = {}
+    for xs in itertools.product(range(nx), repeat=n):
+        for ys in itertools.product(range(ny), repeat=n):
+            ins = (G.encode_string(xs, nx), G.encode_string(ys, ny))
+            for as_ in itertools.product(range(na), repeat=n):
+                for bs in itertools.product(range(nb), repeat=n):
+                    p = F(1)
+                    for i in range(n):
+                        p *= behavior.entry((as_[i], bs[i]), (xs[i], ys[i]))
+                        if not p:
+                            break
+                    if p:
+                        table[((G.encode_string(as_, na),
+                                G.encode_string(bs, nb)), ins)] = p
+    return G.Behavior((nx ** n, ny ** n), (na ** n, nb ** n), table)
+
+
+def round_marginal(behavior, i, n, round_output_sizes, round_input_sizes):
+    """Single-round marginal of an n-round bipartite behavior: rounds
+    other than ``i`` keep the all-zero inputs, their outputs summed out."""
+    na, nb = round_output_sizes
+    nx, ny = round_input_sizes
+    table = {}
+    for x in range(nx):
+        for y in range(ny):
+            xs, ys = [0] * n, [0] * n
+            xs[i], ys[i] = x, y
+            ins = (G.encode_string(xs, nx), G.encode_string(ys, ny))
+            for a in range(na):
+                for b in range(nb):
+                    total = F(0)
+                    for as_ in itertools.product(range(na), repeat=n):
+                        if as_[i] != a:
+                            continue
+                        for bs in itertools.product(range(nb), repeat=n):
+                            if bs[i] != b:
+                                continue
+                            total += behavior.entry(
+                                (G.encode_string(as_, na),
+                                 G.encode_string(bs, nb)), ins)
+                    table[((a, b), (x, y))] = total
+    return G.Behavior((nx, ny), (na, nb), table)
 
 
 class TestChainGame:
@@ -155,13 +204,42 @@ class TestProductBehavior:
         with pytest.raises(G.GameError):
             G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1))), 0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_product_matches_the_oracle(self, data):
+        """Random rational boxes with zero entries, 1-3 symbols per
+        alphabet and 1-3 rounds (at most 4,096 entries): equal tables with
+        the same key order."""
+        outs = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2,
+                                        max_size=2)))
+        ins = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2,
+                                       max_size=2)))
+        table = {}
+        for x, y in itertools.product(*map(range, ins)):
+            # Nonnegative weights with zeros likely, not all zero.
+            weights = data.draw(st.lists(
+                st.sampled_from((0, 0, 1, 2, 3, 7)), min_size=math.prod(outs),
+                max_size=math.prod(outs)).filter(any))
+            for (a, b), w in zip(itertools.product(*map(range, outs)),
+                                 weights):
+                table[((a, b), (x, y))] = F(w, sum(weights))
+        box = G.Behavior(ins, outs, table)
+        entries = math.prod(outs + ins)
+        n = data.draw(st.integers(1, max(
+            r for r in (1, 2, 3) if r == 1 or entries ** r <= 4096)))
+        product = G.product_behavior(box, n)
+        expected = _oracle_product(box, n)
+        assert (product.input_sizes, product.output_sizes) == \
+            (expected.input_sizes, expected.output_sizes)
+        assert list(product.table.items()) == list(expected.table.items())
+
     def test_round_marginal_value_consistency(self, chsh_game):
         """Each round of the product behaves like the single-round box."""
         v = F(1, 2)
         pr = G.make_pr_v(G.NoisyPRParams(v))
         p3 = G.product_behavior(pr, 3)
         for i in range(3):
-            marginal = G.round_marginal(p3, i, 3, (2, 2), (2, 2))
+            marginal = round_marginal(p3, i, 3, (2, 2), (2, 2))
             assert G.bell_value(marginal, chsh_game) == (3 + v) / 4
 
 

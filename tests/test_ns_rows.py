@@ -1,17 +1,21 @@
 """Pinned no-signalling programs and verification reports.
 
 Every LP builder and verifier takes its no-signalling marginal rows from
-one generator (``games.ns_marginal_groups``).  The sha256 digests of
-``lp.dump_lp`` below fix the content and the order of every row of each
-program; ``ns-value --certificate`` writes one dual per row, so a moved
-row changes an emitted file even when the optimum stays the same.
+one generator (``games.ns_index_groups``, read through the key view
+``games.ns_marginal_groups``).  The sha256 digests of ``lp.dump_lp``
+below fix the content and the order of every row of each program;
+``ns-value --certificate`` writes one dual per row, so a moved row
+changes an emitted file even when the optimum stays the same.
 """
 
 import hashlib
+import itertools
+import math
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsrand import cli
 from nsrand import games as G
@@ -66,6 +70,15 @@ PINNED = {
         "602f6e03507d8d7e053cb6157565f71d7fee25ced1ff01eed5c68ca959319b1a",
     "slice:tons:3":
         "4d0110ef79f54a0a2583809cf01d59b47b9086698ffa537ec5051aeacc55a552",
+    # The production slices: every relabelling from marginal_symmetries.
+    "slice-full:abns:2":
+        "7d845ac00537a7d7db9410e41ff5e1c133d4eb8c31117526a14beeb57a0caa25",
+    "slice-full:abns:3":
+        "9ac7fa05b04c8ea5e428ea8c61f6afdfbc78ca74e29ca3a15dfdc24391577771",
+    "slice-full:tons:2":
+        "c38d259259921b8f3b8a9a150edb113a95b622b184e467e6ca6ddc900c27071f",
+    "slice-full:tons:3":
+        "956a0ad73130bd4e90d065b852667b9eb325b1743bfb22d7610d3386d3590715",
     "tons:1":
         "b90a5ea31f05cbcb6b5167d2df6b968dffbd1552d6b29fee9abf4bf5c3888d75",
     "tons:2":
@@ -120,19 +133,22 @@ def _program(label):
         scenario = T.CausalScenario.for_game(kind, n, chsh)
         return T.build_guessing_lp(chsh, None, (0,) * n, scenario,
                                    omega_star=F(7, 8)).program
-    sliced = kind == "slice"
+    sliced = kind if kind in ("slice", "slice-full") else None
     if sliced:
         kind, _, rest = rest.partition(":")
     n = int(rest)
     marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 2))), n)
     scenario = T.CausalScenario.for_game(kind, n, chsh)
-    # The slices are taken over the output-only symmetries: identity
-    # inputs and one output permutation per party.
-    relabellings = [
-        r for r in T.marginal_symmetries(marginal, scenario, (0,) * n)
-        if r.alice_inputs == r.bob_inputs == (0, 1)
-        and len(set(r.alice_outputs)) == len(set(r.bob_outputs)) == 1
-    ] if sliced else ()
+    relabellings = ()
+    if sliced == "slice-full":
+        relabellings = T.marginal_symmetries(marginal, scenario, (0,) * n)
+    elif sliced == "slice":
+        # The output-only symmetries: identity inputs and one output
+        # permutation per party.
+        relabellings = [
+            r for r in T.marginal_symmetries(marginal, scenario, (0,) * n)
+            if r.alice_inputs == r.bob_inputs == (0, 1)
+            and len(set(r.alice_outputs)) == len(set(r.bob_outputs)) == 1]
     return T.build_guessing_lp(chsh, marginal, (0,) * n, scenario,
                                relabellings=relabellings).program
 
@@ -174,3 +190,67 @@ def test_verify_behavior_reports_are_pinned():
         ("ns-AE-indep-xz", True, ""),
         ("ns-BE-indep-yz", True, ""),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the group enumeration against a direct itertools oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_groups(output_sizes, input_sizes, families, rounds=1,
+                   time_ordered=False):
+    """``games.ns_marginal_groups`` enumerated string by string."""
+    n = rounds
+    parties = range(len(output_sizes))
+    for i in (range(n) if time_ordered else (0,)):
+        for name, summed in families:
+            kept = [p for p in parties if p not in summed]
+            # A string is prefix * span + suffix: kept parties fix whole
+            # strings (span 1), summed parties their first i rounds.
+            out_span = [1 if p in kept else output_sizes[p] ** (n - i)
+                        for p in parties]
+            in_span = [1 if p in kept else input_sizes[p] ** (n - i)
+                       for p in parties]
+            for kept_outs, kept_ins, pre_outs, pre_ins in itertools.product(
+                    _strings(output_sizes, kept, n),
+                    _strings(input_sizes, kept, n),
+                    _strings(output_sizes, summed, i),
+                    _strings(input_sizes, summed, i)):
+                outs = list(_extensions(
+                    _merge(kept, kept_outs, summed, pre_outs), out_span))
+                yield name, kept_outs, [
+                    (ins, [(o, ins) for o in outs]) for ins in _extensions(
+                        _merge(kept, kept_ins, summed, pre_ins), in_span)]
+
+
+def _strings(sizes, parties, rounds):
+    """Every tuple of the parties' encoded strings of ``rounds`` rounds."""
+    return itertools.product(*(range(sizes[p] ** rounds) for p in parties))
+
+
+def _merge(kept, kept_vals, summed, summed_vals):
+    """Values in party order from the kept and the summed parties' values."""
+    merged = dict(zip(kept, kept_vals)) | dict(zip(summed, summed_vals))
+    return [merged[p] for p in sorted(merged)]
+
+
+def _extensions(prefixes, spans):
+    """Every tuple of strings that extend the per-party prefixes."""
+    return itertools.product(*(range(pre * span, (pre + 1) * span)
+                               for pre, span in zip(prefixes, spans)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), parties=st.sampled_from((2, 3)),
+       time_ordered=st.booleans())
+def test_index_groups_match_the_oracle(data, parties, time_ordered):
+    """Random shapes, 1-3 symbols per alphabet and 1-3 rounds (at most
+    4,096 behavior entries): the same groups in the same order."""
+    sizes = st.lists(st.integers(1, 3), min_size=parties, max_size=parties)
+    outs, ins = tuple(data.draw(sizes)), tuple(data.draw(sizes))
+    entries = math.prod(outs + ins)
+    rounds = data.draw(st.integers(1, max(
+        r for r in (1, 2, 3) if r == 1 or entries ** r <= 4096)))
+    families = data.draw(st.permutations(G.ns_families(parties)))
+    assert list(G.ns_marginal_groups(outs, ins, families, rounds,
+                                     time_ordered)) == \
+        list(_oracle_groups(outs, ins, families, rounds, time_ordered))

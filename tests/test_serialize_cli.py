@@ -1,10 +1,15 @@
 """Tests for JSON/CSV serialization and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import nsrand
 from nsrand import cli, games as G, lp as L, nsvalues as NV, serialize as S
 
 
@@ -184,7 +189,27 @@ class TestCli:
         code = cli.main(["--mode", "float", "tons", "--v", "1/2", "--n", "4"])
         assert code == cli.EXIT_INFEASIBLE
         err = capsys.readouterr().err
-        assert "variables" in err and "n <= 3 in float mode" in err
+        assert err.startswith("too large: ")
+        assert "slice has at least 4096 variables" in err
+        assert "n <= 3 in float mode" in err
+
+    def test_cap_is_checked_in_the_mode_solved(self, monkeypatch, capsys):
+        """Without --mode, n = 4 would fall back to float: the float cap
+        is reported, before the product marginal is built."""
+        def no_product(*args, **kwargs):
+            raise AssertionError("the product marginal was built")
+
+        monkeypatch.setattr(cli.games, "product_behavior", no_product)
+        code = cli.main(["tons", "--v", "1/2", "--n", "4"])
+        assert code == cli.EXIT_INFEASIBLE == 2
+        err = capsys.readouterr().err
+        assert "slice has at least 4096 variables" in err
+        assert "n <= 3 in float mode" in err and "note:" not in err
+        for xstar in ("00", "0005"):
+            code = cli.main(["tons", "--v", "1/2", "--n", "4", "--xstar",
+                             xstar])
+            assert code == cli.EXIT_INPUT_ERROR == 3, xstar
+            assert "x_star must be 4 symbols" in capsys.readouterr().err
 
     def test_exact_certification_failure_exit_code(self, monkeypatch,
                                                    capsys):
@@ -373,3 +398,16 @@ class TestCli:
                          "--certificate", str(tmp_path / "c.json")])
         assert code == 0
         assert capsys.readouterr().out.strip() == "1"
+
+
+def test_python_m_nsrand_runs_the_cli():
+    """``python -m nsrand`` is the command-line interface."""
+    src = str(Path(nsrand.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "nsrand", "tons", "--v", "1/2",
+                          "--n", "2"], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["n,v,scenario,pg,formula,match",
+                                       "2,1/2,tons,5/8,5/8,yes"]

@@ -59,6 +59,34 @@ def _independent_count(scenario):
     return count
 
 
+def causal_constraint_count(scenario):
+    """Closed-form row count of build_causal_constraints."""
+    n = scenario.rounds
+    na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
+                      scenario.alice_inputs, scenario.bob_inputs)
+    levels = range(n) if scenario.kind == T.TONS else (0,)
+    total = 0
+    for i in levels:
+        total += (na ** n) * (nb ** i) * (nx ** n) * (ny ** i) * (ny ** (n - i) - 1)
+        total += (nb ** n) * (na ** i) * (ny ** n) * (nx ** i) * (nx ** (n - i) - 1)
+    return total
+
+
+def satisfies_causal_constraints(behavior, scenario):
+    """Evaluate the scenario's equality rows directly on a behavior."""
+    SA, SB, SX, SY = scenario.string_sizes
+    entries = [behavior.entry((A, B), (X, Y)) for A, B, X, Y in
+               itertools.product(range(SA), range(SB), range(SX), range(SY))]
+    for index, coeffs in T.build_causal_constraints(scenario).blocks:
+        for row in index.tolist():
+            total = F(0)
+            for f, c in zip(row, coeffs.tolist()):
+                total += c * entries[f]
+            if total != 0:
+                return False
+    return True
+
+
 def _random_ns_behavior(rng):
     """Convex combination of local deterministic and PR-type vertices."""
     table = {((a, b), (x, y)): F(0) for a in range(2) for b in range(2)
@@ -92,15 +120,36 @@ class TestCausalConstraints:
         rows = T.build_causal_constraints(scenario)
         assert len(rows) == 8   # 2 parties x 2 kept outputs x 2 contexts
         pr = G.make_pr_v(G.NoisyPRParams(F(1, 2)))
-        assert T.satisfies_causal_constraints(pr, scenario)
+        assert satisfies_causal_constraints(pr, scenario)
 
     def test_constraint_count_matches_enumerator(self, chsh_game):
         for kind in (T.TONS, T.ABNS):
             for n in (1, 2):
                 scenario = T.CausalScenario.for_game(kind, n, chsh_game)
                 rows = T.build_causal_constraints(scenario)
-                assert len(rows) == T.causal_constraint_count(scenario)
+                assert len(rows) == causal_constraint_count(scenario)
                 assert len(rows) == _independent_count(scenario)
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 2, 3),
+                                       (2, 3, 3, 1)])
+    def test_index_rows_are_the_ns_equality_rows(self, sizes):
+        """The index blocks hold ``ns_equality_rows``, Bob's family first,
+        row by row and term by term."""
+        na, nb, nx, ny = sizes
+        for kind in (T.TONS, T.ABNS):
+            for n in (1, 2):
+                scenario = T.CausalScenario(kind, n, *sizes)
+                keys = list(itertools.product(
+                    itertools.product(range(na ** n), range(nb ** n)),
+                    itertools.product(range(nx ** n), range(ny ** n))))
+                rows = [list(zip((keys[f] for f in row), coeffs.tolist()))
+                        for index, coeffs in
+                        T.build_causal_constraints(scenario).blocks
+                        for row in index.tolist()]
+                assert rows == [list(row.items()) for row in
+                                G.ns_equality_rows((na, nb), (nx, ny),
+                                                   G.BLOCK_FAMILIES, n,
+                                                   kind == T.TONS)]
 
     def test_tons_points_are_abns_feasible(self, chsh_game):
         """Random mixtures of NS-vertex products satisfy both families."""
@@ -109,8 +158,8 @@ class TestCausalConstraints:
         abns2 = T.CausalScenario.for_game(T.ABNS, 2, chsh_game)
         for _ in range(50):
             product = G.product_behavior(_random_ns_behavior(rng), 2)
-            assert T.satisfies_causal_constraints(product, tons2)
-            assert T.satisfies_causal_constraints(product, abns2)
+            assert satisfies_causal_constraints(product, tons2)
+            assert satisfies_causal_constraints(product, abns2)
 
     def test_signalling_behavior_fails(self, chsh_game):
         scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
@@ -118,7 +167,7 @@ class TestCausalConstraints:
                  for a in range(2) for b in range(2)
                  for x in range(2) for y in range(2)}
         signalling = G.Behavior((2, 2), (2, 2), table)
-        assert not T.satisfies_causal_constraints(signalling, scenario)
+        assert not satisfies_causal_constraints(signalling, scenario)
 
 
 class TestNsRowProperties:
@@ -137,7 +186,7 @@ class TestNsRowProperties:
                     assert sum(c * behavior.entry(*key)
                                for key, c in row.items()) == 0
             assert K.verify_behavior(behavior).all_passed
-        assert T.satisfies_causal_constraints(
+        assert satisfies_causal_constraints(
             box, T.CausalScenario(T.TONS, 1))
 
     @settings(max_examples=25, deadline=None)
@@ -156,7 +205,7 @@ class TestNsRowProperties:
         signalling = G.Behavior((2, 2), (2, 2), table)
         report = K.verify_behavior(signalling)
         assert [c.name for c in report.failures()] == ["ns-B-indep-y"]
-        assert not T.satisfies_causal_constraints(
+        assert not satisfies_causal_constraints(
             signalling, T.CausalScenario(T.TONS, 1))
 
 
@@ -245,6 +294,22 @@ class TestGuessingProbability:
                            match="the full LP has 1048576 variables"):
             T._check_caps(scenario, "float")
 
+    @pytest.mark.parametrize("v", [F(1, 2), F(1), F(0)])
+    def test_cap_bound_from_the_round_box(self, chsh_game, v):
+        """A product's slice bound, read off its one-round box, is the
+        bound the product's own symmetries give."""
+        box = G.make_pr_v(G.NoisyPRParams(v))
+        for x_star in ((0, 0, 0, 0), (1, 0, 1, 1)):
+            scenario = T.CausalScenario.for_game(T.TONS, 4, chsh_game)
+            reports = []
+            for kwargs in ({"marginal": G.product_behavior(box, 4)},
+                           {"round_box": box}):
+                with pytest.raises(L.LpSizeError) as err:
+                    T._check_caps(scenario, "float", x_star=x_star, **kwargs)
+                reports.append(str(err.value))
+            assert reports[0] == reports[1]
+            assert "symmetric slice" in reports[1]
+
 
 def test_lp_column_count_invariant(chsh_game):
     """Variables: one block per guess times the full behavior table."""
@@ -253,7 +318,7 @@ def test_lp_column_count_invariant(chsh_game):
                                 scenario)
     sa, sb, sx, sy = scenario.string_sizes
     assert built.program.num_vars == sa * (sa * sb * sx * sy) == 1024
-    assert built.num_causal_rows == T.causal_constraint_count(scenario) * sa
+    assert built.num_causal_rows == causal_constraint_count(scenario) * sa
     assert built.num_marginal_rows == sa * sb * sx * sy
 
 
