@@ -85,10 +85,11 @@ class Game:
                             f"distribution (sums to {total})")
         if any(v not in (0, 1) for v in self.predicate.values()):
             raise GameError("predicate entries must be 0 or 1")
-        n_in = math.prod(a.size for a in self.input_alphabets)
-        n_out = math.prod(a.size for a in self.output_alphabets)
-        if len(self.pi) != n_in or len(self.predicate) != n_in * n_out:
-            raise GameError("pi/predicate tables must be total")
+        inputs = set(self.inputs())
+        if self.pi.keys() != inputs or self.predicate.keys() != {
+                (outs, ins) for outs in self.outputs() for ins in inputs}:
+            raise GameError("pi/predicate tables must be total over the "
+                            "alphabets")
 
     @property
     def input_sizes(self) -> tuple[int, ...]:

@@ -3,13 +3,15 @@
 Both modes make one HiGHS call through scipy: dual simplex, or interior
 point with crossover on instances above ``_IPM_ROW_THRESHOLD`` rows.
 Float mode checks the HiGHS optimum against its certificate at a
-tolerance.  Exact mode has one path: it lifts the float optimum to
-rationals, by a continued-fraction cascade or else by solving its basis
-exactly (``eliminate``), and accepts it only if primal feasibility, dual
-feasibility and equality of both objectives hold in exact arithmetic
-(the lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash &
-Espinoza, Oper. Res. Lett. 35 (2007)).  Infeasible and unbounded
-verdicts are proved through the same lift, by auxiliary LPs.
+tolerance.  Exact mode has one path: it solves exactly (``eliminate``)
+the rows and columns that HiGHS reports tight at its float optimum, and
+accepts the rational pair only if primal feasibility, dual feasibility
+and equality of both objectives hold in exact arithmetic (the
+lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash & Espinoza,
+Oper. Res. Lett. 35 (2007), finished by an exact basis solve as in
+Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  Infeasible
+and unbounded verdicts are proved through the same path, by auxiliary
+LPs.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ _RELATIONS = (LE, EQ, GE)
 MAX = "max"
 MIN = "min"
 
-# Denominator bounds for the continued-fraction lift of float solutions.
-_DENOMINATOR_CASCADE = (1, 8, 72, 1024, 10**4, 10**6, 10**9, 10**12)
-
 _FLOAT_ZERO_SNAP = 1e-9
 
 
@@ -44,10 +43,11 @@ class LpSizeError(LpError):
 
 
 class CertificationError(LpError):
-    """No verified certificate: HiGHS failed in exact mode, neither the
-    lift nor the exact basis solve of an optimum verified, HiGHS found no
-    optimum of an LP that the auxiliary LPs show feasible and bounded, or
-    a float optimum violates its certificate beyond the float tolerance."""
+    """No verified certificate: HiGHS failed in exact mode, the exact
+    basis solve of an optimum did not verify or is over its size cap,
+    HiGHS found no optimum of an LP that the auxiliary LPs show feasible
+    and bounded, or a float optimum violates its certificate beyond the
+    float tolerance."""
 
 
 class InfeasibleError(RuntimeError):
@@ -59,9 +59,6 @@ class Constraint:
     coeffs: tuple[tuple[int, Fraction], ...]
     rel: str
     rhs: Fraction
-
-    def evaluate(self, x: Sequence) -> Fraction:
-        return sum((c * x[j] for j, c in self.coeffs), start=Fraction(0))
 
 
 def make_constraint(coeffs: Union[dict, Iterable], rel: str, rhs) -> Constraint:
@@ -270,7 +267,7 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
 
 
 # ---------------------------------------------------------------------------
-# HiGHS and the exact lift
+# HiGHS and the exact basis solve
 # ---------------------------------------------------------------------------
 
 # Beyond this row count HiGHS dual simplex becomes impractical on the
@@ -280,9 +277,9 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
 # 0.5 s with interior point and 1.4 s with dual simplex.)
 _IPM_ROW_THRESHOLD = 4000
 # The exact basis solve runs on LPs with at most this many nonzero
-# coefficients.  Its worst case, dense random LPs with coefficients in
-# [-9, 9], took 25 s at 85k nonzeros and 60 s at 152k; the sparse
-# four-round TONS slice (96k) takes 0.6 s.
+# coefficients; exact mode refuses larger ones.  Its worst case, dense
+# random LPs with coefficients in [-9, 9], took 25 s at 85k nonzeros and
+# 60 s at 152k; the sparse four-round TONS slice (96k) takes 0.6 s.
 _FALLBACK_CELL_LIMIT = 100_000
 # HiGHS statuses with a verdict; any other status is a solver failure.
 _HIGHS_STATUS = {0: LpSolution.OPTIMAL, 2: LpSolution.INFEASIBLE,
@@ -291,14 +288,17 @@ _HIGHS_STATUS = {0: LpSolution.OPTIMAL, 2: LpSolution.INFEASIBLE,
 RHS = -1
 
 
-def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str]:
+def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
+                                      Optional[tuple[list, list]]]:
     """One HiGHS solve of the normalized LP.
 
     Returns a float ``LpSolution`` (primal and duals in this module's
-    sign convention) and HiGHS's message; the solution is None when
-    HiGHS fails, that is, ends with a status other than optimal,
-    infeasible or unbounded.  ``linprog`` is looked up on each call, so
-    a wrapper installed on ``scipy.optimize`` sees every solve.
+    sign convention), HiGHS's message and, at an optimum, HiGHS's row
+    slacks and column reduced costs in the LP's row and column order
+    (else None).  The solution is None when HiGHS fails, that is, ends
+    with a status other than optimal, infeasible or unbounded.
+    ``linprog`` is looked up on each call, so a wrapper installed on
+    ``scipy.optimize`` sees every solve.
     """
     import numpy as np
     from scipy import sparse
@@ -333,51 +333,19 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str]:
     status = _HIGHS_STATUS.get(res.status)
     if status != LpSolution.OPTIMAL:
         return (None if status is None else
-                LpSolution(status, None, [], [], "float")), res.message
+                LpSolution(status, None, [], [], "float")), res.message, None
 
     # HiGHS marginals belong to the minimised, <=-form problem; undo the
     # objective sign and the row negation.
     dual = np.zeros(len(cons))
     dual[ub], dual[eq] = res.ineqlin.marginals, res.eqlin.marginals
     dual = (sign * flip * dual).tolist()
+    slack = np.zeros(len(cons))
+    slack[ub], slack[eq] = res.ineqlin.residual, res.eqlin.residual
     value = -res.fun if norm.sense == MAX else res.fun
     return (LpSolution(LpSolution.OPTIMAL, value, list(map(float, res.x)),
-                       dual, "float"), res.message)
-
-
-def _snap(x: float) -> float:
-    return 0.0 if abs(x) < _FLOAT_ZERO_SNAP else x
-
-
-def _lift_exact(norm: LinProgram, primal_f: list[float],
-                dual_f: list[float]) -> Optional[LpSolution]:
-    """Round a float primal/dual pair to rationals and verify exactly.
-
-    Cascade levels whose rounding moves any coordinate materially away
-    from the float solution cannot be the true rational vertex, so they
-    are screened out cheaply before exact arithmetic runs.
-    """
-    for bound in _DENOMINATOR_CASCADE:
-        primal = [Fraction(_snap(v)).limit_denominator(bound) for v in primal_f]
-        dual = [Fraction(_snap(v)).limit_denominator(bound) for v in dual_f]
-        drift = max((abs(float(q) - v) for q, v in
-                     zip(primal + dual, primal_f + dual_f)), default=0.0)
-        if drift > 1e-6:
-            continue
-        sol = _verified(norm, primal, dual)
-        if sol is not None:
-            return sol
-    return None
-
-
-def _verified(norm: LinProgram, primal: list,
-              dual: list) -> Optional[LpSolution]:
-    """The exact optimum ``primal``/``dual``, if its certificate verifies."""
-    value = sum((c * primal[j] for j, c in norm.objective.items()),
-                start=Fraction(0))
-    sol = LpSolution(LpSolution.OPTIMAL, value, primal, dual, "exact")
-    sol.certified = bool(verify_certificate(norm, sol))
-    return sol if sol.certified else None
+                       dual, "float"), res.message,
+            (slack.tolist(), res.lower.marginals.tolist()))
 
 
 def eliminate(rows: Iterable[dict]) -> Optional[dict[int, dict]]:
@@ -420,54 +388,57 @@ def eliminate(rows: Iterable[dict]) -> Optional[dict[int, dict]]:
     return pivots
 
 
-def _solve_active_set(norm: LinProgram, primal_f: list[float],
-                      dual_f: list[float]) -> Optional[LpSolution]:
-    """Solve the basis of a float optimum exactly, and verify it.
+def _solve_active_set(norm: LinProgram, sol: LpSolution, slack: list,
+                      reduced: list) -> Optional[LpSolution]:
+    """Solve the basis of HiGHS's float optimum exactly, and verify it.
 
-    The primal solves the tight rows on the columns with |x_j| above
-    ``_FLOAT_ZERO_SNAP``, the dual the tight columns (zero reduced cost;
-    every free column) on the rows with |y_k| above it; all else is 0.
+    The primal solves the tight rows (|slack| at most ``_FLOAT_ZERO_SNAP``;
+    every equality row) on the columns with |x_j| above it, the dual the
+    tight columns (|reduced cost| at most it; every free column) on the
+    rows with |y_k| above it; all else is 0.  Returns the exact optimum
+    if its certificate verifies, else None.
     """
     tol, cons = _FLOAT_ZERO_SNAP, norm.constraints
-    support = {j for j, v in enumerate(primal_f) if abs(v) > tol}
+    support = {j for j, v in enumerate(sol.primal) if abs(v) > tol}
     rows = [{**{j: c for j, c in con.coeffs if j in support}, RHS: con.rhs}
-            for con in cons
-            if con.rel == EQ or abs(con.evaluate(primal_f) - con.rhs) <= tol]
+            for con, s in zip(cons, slack) if con.rel == EQ or abs(s) <= tol]
     cols = [{RHS: norm.objective.get(j, 0)} for j in range(norm.num_vars)]
-    for k, yk in enumerate(dual_f):
+    for k, yk in enumerate(sol.dual):
         if abs(yk) > tol:
             for j, c in cons[k].coeffs:
                 cols[j][k] = c
-    cols = [col for j, col in enumerate(cols) if norm.is_free(j) or abs(
-        sum(dual_f[k] * c for k, c in col.items() if k != RHS)
-        - col[RHS]) <= tol]
+    cols = [col for j, col in enumerate(cols)
+            if norm.is_free(j) or abs(reduced[j]) <= tol]
     pivots = [eliminate(rows), eliminate(cols)]
     if None in pivots:
         return None
     x, y = ([piv[i].get(RHS, Fraction(0)) if i in piv else Fraction(0)
              for i in range(size)]
             for piv, size in zip(pivots, (norm.num_vars, len(cons))))
-    return _verified(norm, x, y)
+    value = sum((c * x[j] for j, c in norm.objective.items()),
+                start=Fraction(0))
+    exact = LpSolution(LpSolution.OPTIMAL, value, x, y, "exact")
+    exact.certified = bool(verify_certificate(norm, exact))
+    return exact if exact.certified else None
 
 
 def _certified_optimum(norm: LinProgram, sol: Optional[LpSolution],
-                       message: str) -> LpSolution:
-    """The exact optimum behind HiGHS's float one: the lift's cascade
-    first, then the exact basis solve.  Raises CertificationError when
-    HiGHS found no optimum or neither lift verifies."""
+                       message: str,
+                       tight: Optional[tuple[list, list]]) -> LpSolution:
+    """The exact optimum behind HiGHS's float one, by the exact basis
+    solve of the rows and columns HiGHS reports tight (``_highs``'s third
+    value).  Raises CertificationError when HiGHS found no optimum, the
+    LP has more than ``_FALLBACK_CELL_LIMIT`` nonzeros, or the solve does
+    not verify."""
     if sol is None or sol.status != LpSolution.OPTIMAL:
         raise CertificationError(f"no exact certificate: HiGHS found no "
                                  f"optimum ({message})")
-    exact = _lift_exact(norm, sol.primal, sol.dual)
-    if exact is not None:
-        return exact
     nnz = sum(len(con.coeffs) for con in norm.constraints)
     small = nnz <= _FALLBACK_CELL_LIMIT
-    exact = _solve_active_set(norm, sol.primal, sol.dual) if small else None
+    exact = _solve_active_set(norm, sol, *tight) if small else None
     if exact is None:
         raise CertificationError(
-            "no exact certificate: the float optimum did not lift to "
-            "rationals, and the exact basis solve "
+            "no exact certificate: the exact basis solve "
             + ("did not verify" if small else
                f"is capped at {_FALLBACK_CELL_LIMIT} nonzeros")
             + f" ({len(norm.constraints)} rows x {norm.num_vars} vars, "
@@ -519,11 +490,12 @@ def solve(lp: LinProgram, mode: str = "exact",
     a HiGHS failure, or a tolerance that is not finite and positive,
     raises ``LpError``.
 
-    Exact mode has one path: the HiGHS optimum is lifted to rationals
-    and verified exactly (``_certified_optimum``), and an LP without one
-    is proved infeasible or unbounded by two auxiliary LPs
-    (``_certified_verdict``).  Every exact answer has ``certified`` True,
-    or ``CertificationError`` is raised.
+    Exact mode has one path: the rows and columns tight at the HiGHS
+    optimum are solved exactly and the result verified exactly
+    (``_certified_optimum``), on LPs up to ``_FALLBACK_CELL_LIMIT``
+    nonzeros, and an LP without an optimum is proved infeasible or
+    unbounded by two auxiliary LPs (``_certified_verdict``).  Every exact
+    answer has ``certified`` True, or ``CertificationError`` is raised.
     """
     lp.validate()
     if mode not in ("exact", "float"):
@@ -541,11 +513,11 @@ def solve(lp: LinProgram, mode: str = "exact",
             return sol
         return LpSolution(LpSolution.INFEASIBLE, None, [], [], mode, exact)
 
-    sol, message = _highs(norm)
+    sol, message, tight = _highs(norm)
     if exact:
         if sol is not None and sol.status != LpSolution.OPTIMAL:
             return _certified_verdict(norm, sol.status)
-        return _certified_optimum(norm, sol, message)
+        return _certified_optimum(norm, sol, message, tight)
     if sol is None:
         raise LpError(f"float solver failed: {message}")
     if sol.status == LpSolution.OPTIMAL:

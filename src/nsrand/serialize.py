@@ -43,15 +43,21 @@ def _key(parts: Iterable[int]) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def _parse_key(key: str, arity: int, where: str) -> tuple[int, ...]:
+def _parse_key(key: str, sizes: Sequence[int], where: str) -> tuple[int, ...]:
+    """The symbols of ``key``, one per alphabet of ``sizes``, each in range."""
     parts = key.split(",")
-    if len(parts) != arity:
-        raise InputFormatError(f"key {key!r} at {where}: expected {arity} "
-                               f"comma-separated symbols")
+    if len(parts) != len(sizes):
+        raise InputFormatError(f"key {key!r} at {where}: expected "
+                               f"{len(sizes)} comma-separated symbols")
     try:
-        return tuple(int(p) for p in parts)
+        symbols = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise InputFormatError(f"key {key!r} at {where}: non-integer symbol") from exc
+    for sym, size in zip(symbols, sizes):
+        if not 0 <= sym < size:
+            raise InputFormatError(f"key {key!r} at {where}: symbol {sym} "
+                                   f"outside its alphabet 0..{size - 1}")
+    return symbols
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +87,11 @@ def game_from_dict(data: dict) -> Game:
         raise InputFormatError(f"game JSON missing/bad field: {exc}") from exc
     pi = {}
     for key, val in pi_raw.items():
-        ins = _parse_key(key, parties, "pi")
+        ins = _parse_key(key, inputs, "pi")
         pi[ins] = parse_frac(val, f"pi[{key}]")
     predicate = {}
     for key, val in v_raw.items():
-        sym = _parse_key(key, 2 * parties, "V")
+        sym = _parse_key(key, outputs + inputs, "V")
         if val not in (0, 1):
             raise InputFormatError(f"V[{key}] = {val!r} is not 0/1")
         predicate[(sym[:parties], sym[parties:])] = int(val)
@@ -113,13 +119,17 @@ def behavior_from_dict(data: dict) -> Behavior:
         p_raw = data["P"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"behavior JSON missing/bad field: {exc}") from exc
+    if len(inputs) != parties or len(outputs) != parties:
+        raise InputFormatError(f"behavior declares {parties} parties but "
+                               f"{len(inputs)} input and {len(outputs)} "
+                               f"output alphabets")
     table = {}
     for key, val in p_raw.items():
         if "|" not in key:
             raise InputFormatError(f"P key {key!r} lacks the outputs|inputs bar")
         out_key, in_key = key.split("|", 1)
-        outs = _parse_key(out_key, parties, "P")
-        ins = _parse_key(in_key, parties, "P")
+        outs = _parse_key(out_key, outputs, "P")
+        ins = _parse_key(in_key, inputs, "P")
         table[(outs, ins)] = parse_frac(val, f"P[{key}]")
     return Behavior(inputs, outputs, table,
                     subnormalized=bool(data.get("subnormalized", False)))

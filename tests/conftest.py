@@ -30,8 +30,8 @@ def perturbed_float_solver(monkeypatch):
     real = L._highs
 
     def perturbed(norm):
-        sol, message = real(norm)
+        sol, message, tight = real(norm)
         sol.primal = [x + 1e-6 for x in sol.primal]
-        return sol, message
+        return sol, message, tight
 
     monkeypatch.setattr(L, "_highs", perturbed)

@@ -59,6 +59,16 @@ def round_marginal(behavior, i, n, round_output_sizes, round_input_sizes):
     return G.Behavior((nx, ny), (na, nb), table)
 
 
+def test_game_tables_must_cover_the_alphabets(chsh_game):
+    """A predicate with the right number of entries, one of them outside
+    the alphabets, is not total."""
+    predicate = dict(chsh_game.predicate)
+    predicate[((7, 0), (1, 1))] = predicate.pop(((1, 1), (1, 1)))
+    with pytest.raises(G.GameError, match="total"):
+        G.Game(2, chsh_game.input_alphabets, chsh_game.output_alphabets,
+               chsh_game.pi, predicate)
+
+
 class TestChainGame:
     def test_predicate_values(self, chain_game):
         """Correlated, forbidden and always-win entries of the predicate."""

@@ -187,12 +187,11 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def test_basis_solve_certifies_when_the_lift_fails(monkeypatch):
-    """With the lift failing, the exact basis solve returns the certified
-    optimum; above ``_FALLBACK_CELL_LIMIT`` nonzeros it is not entered and
-    exact mode raises CertificationError."""
+def test_basis_solve_certifies_up_to_the_cap(monkeypatch):
+    """The exact basis solve returns the certified optimum; above
+    ``_FALLBACK_CELL_LIMIT`` nonzeros it is not entered, no exact
+    arithmetic runs, and exact mode raises CertificationError."""
     calls = _spy(monkeypatch, "_solve_active_set")
-    monkeypatch.setattr(L, "_lift_exact", lambda norm, primal, dual: None)
     sol = _solve(_three_var_lp())
     assert calls == ["_solve_active_set"]
     assert sol.status == "optimal"
@@ -201,9 +200,11 @@ def test_basis_solve_certifies_when_the_lift_fails(monkeypatch):
     assert L.verify_certificate(_three_var_lp(), sol)
 
     monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
+    verified = _spy(monkeypatch, "verify_certificate")
     with pytest.raises(L.CertificationError, match="capped at 0 nonzeros"):
         _solve(_three_var_lp())
     assert calls == ["_solve_active_set"]
+    assert verified == []
 
 
 def test_highs_failure_raises_at_any_size(monkeypatch):
@@ -232,7 +233,7 @@ def _infeasible_and_unbounded():
 def test_verdicts_are_certified_by_auxiliary_lps(monkeypatch):
     """An infeasible verdict is proved by a certified phase-one LP (one
     more HiGHS call), an unbounded one also by a certified ray LP (two
-    more), with no size limit on either."""
+    more)."""
     infeasible, unbounded = _infeasible_and_unbounded()
     calls = _spy(monkeypatch, "_highs")
     sol = _solve(infeasible)
@@ -276,30 +277,26 @@ def test_auxiliary_lps_decide_infeasible_or_unbounded(monkeypatch):
 
 @pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
 def test_basis_solve_alone_certifies_two_round_guessing(kind, monkeypatch):
-    """With the lift patched out, the basis solve certifies the two-round
-    guessing LPs with the values the lift gives."""
+    """The basis solve certifies the two-round guessing LPs at their
+    known values: 1 - 3v/4 for TONS, the pinned grid values for ABNS."""
     chsh = G.make_chsh_game()
     scenario = T.CausalScenario.for_game(kind, 2, chsh)
     calls = _spy(monkeypatch, "_solve_active_set")
+    abns = {F(1, 4): F(7, 8), F(1, 2): F(23, 32), F(11, 12): F(383, 1152)}
     for i, v in enumerate((F(1, 4), F(1, 2), F(11, 12))):
         marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(v)), 2)
-        lifted = T.tons_guessing_probability(chsh, marginal, (0, 0), scenario)
-        with mock.patch.object(L, "_lift_exact", lambda *args: None):
-            value = T.tons_guessing_probability(chsh, marginal, (0, 0),
-                                                scenario)
-        assert len(calls) == i + 1 and value == lifted, v
-        if kind == T.TONS:
-            assert value == 1 - 3 * v / 4
+        value = T.tons_guessing_probability(chsh, marginal, (0, 0), scenario)
+        assert len(calls) == i + 1, v
+        assert value == (1 - 3 * v / 4 if kind == T.TONS else abns[v]), v
 
 
 def test_basis_solve_alone_certifies_the_builtin_game_values(monkeypatch):
-    """With the lift patched out, the basis solve certifies the ns-value
-    LPs of the five built-in games at their known values."""
+    """The basis solve certifies the ns-value LPs of the five built-in
+    games at their known values."""
     known = {"chain": 1, "chsh": 1, "chain-guessing": F(8, 9),
              "chsh-guessing": F(3, 4), "magic-square": 1}
     assert set(known) == set(cli.BUILTIN_GAMES)
     calls = _spy(monkeypatch, "_solve_active_set")
-    monkeypatch.setattr(L, "_lift_exact", lambda *args: None)
     for name, make in cli.BUILTIN_GAMES.items():
         assert NV.ns_value(make()) == known[name], name
     assert len(calls) == 5
@@ -323,15 +320,31 @@ def _small_lps(draw):
     return lp
 
 
+def _basis_only(highs):
+    """``highs`` with the float optimum reduced to its basis: the value
+    becomes NaN and each primal and dual entry 1.0 or 0.0 by whether it
+    is above ``_FLOAT_ZERO_SNAP``; the slacks and reduced costs stay."""
+    def reduced(norm):
+        sol, message, tight = highs(norm)
+        if tight is not None:
+            sol.value = math.nan
+            sol.primal, sol.dual = (
+                [float(abs(v) > L._FLOAT_ZERO_SNAP) for v in values]
+                for values in (sol.primal, sol.dual))
+        return sol, message, tight
+    return reduced
+
+
 @pytest.mark.parametrize("lift", [True, False], ids=["lift", "basis-only"])
 @settings(max_examples=150, deadline=None)
 @given(lp=_small_lps())
 def test_exact_path_agrees_with_the_dense_oracle(lift, lp):
-    """Status and exact value equal the dense simplex's, every optimum
-    and every verdict is certified, with and without the lift."""
+    """Status and exact value equal the dense simplex's, and every
+    optimum and every verdict is certified, whether the exact step
+    lifts HiGHS's float optimum or sees only its basis."""
     expected = _exact_simplex(lp.normalized())
     with (contextlib.nullcontext() if lift else
-          mock.patch.object(L, "_lift_exact", lambda *args: None)):
+          mock.patch.object(L, "_highs", _basis_only(L._highs))):
         sol = _solve(lp)
     assert sol.status == expected.status
     assert sol.certified

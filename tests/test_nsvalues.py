@@ -1,5 +1,6 @@
 """Tests for single-round no-signalling values and guessing LPs."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nsrand import games as G
 from nsrand import lp as L
 from nsrand import nsvalues as NV
+from nsrand.serialize import frac_str
 
 
 class TestNsValue:
@@ -115,6 +117,24 @@ class TestEpsNsValue:
         t_sum = sum(t for fam in report.tau_duals.values()
                     for t in fam.values())
         assert n_sum + F(1, 20) * t_sum == report.value
+
+    @pytest.mark.parametrize("eps, value, digest", [
+        (F(1, 20), F(17, 18),
+         "52fbfe3641641b1839d2e08a8ac48dfebd6f05f5ed11876290db23f675dc44fe"),
+        (F(3, 50), F(43, 45),
+         "1c0a737289e6b2c8645c067a17da49800635b6c903ee83c332478bd0ba5bd516"),
+        (F(1, 10), F(1),
+         "0dc929b7aac23c979382bc05b00b97c38e9788e967ff97275459583ea2f5b846")])
+    def test_certified_pair_is_pinned(self, chain_guessing_game, eps, value,
+                                      digest):
+        """The certified optimum, not just its value, stays the same: the
+        sha256 of the value, the primal and the dual as p/q lines."""
+        sol = NV.eps_ns_value(chain_guessing_game, eps).solution
+        assert sol.value == value
+        text = "".join(line + "\n" for line in (
+            frac_str(sol.value), " ".join(map(frac_str, sol.primal)),
+            " ".join(map(frac_str, sol.dual))))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rejects_negative_epsilon(self, chain_guessing_game):
         with pytest.raises(G.GameError):

@@ -98,6 +98,26 @@ class TestCli:
             report = L.verify_certificate(prog, sol)
             assert report, (name, report.reasons[:3])
 
+    @pytest.mark.parametrize("name, digest", [
+        ("chain",
+         "ed0b48527a4bf3de281e2c7cd5c6ab193e76074087831ba52dc4c7fd1bc0421d"),
+        ("chsh",
+         "f5a5320ef2c5ceefc42b362373593c1a8825f792d60994095410a238be7611a0"),
+        ("chain-guessing",
+         "b4760375d4d9942324a45b8711e7f800f919bce29e444eaef67c05d71cf5c32b"),
+        ("chsh-guessing",
+         "15483b103f7f4d7266ad0a5f34106cb31e78c33c93060fb5c4f6d0114f5ecd60"),
+        ("magic-square",
+         "e20ca6ac27a25fc4887d2a513696b56dbf0fe55046c77800717c177536f56bb4")])
+    def test_ns_value_certificate_bytes_are_pinned(self, name, digest,
+                                                   tmp_path, capsys):
+        """Each built-in game's certificate file is byte for byte the one
+        pinned here: the certified primal/dual pair may not move."""
+        cert = tmp_path / "cert.json"
+        assert cli.main(["ns-value", name, "--certificate", str(cert)]) == 0
+        capsys.readouterr()
+        assert S.sha256_hex(cert.read_bytes()) == digest
+
     def test_ns_value_game_file(self, tmp_path, capsys):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(S.game_to_dict(G.make_chsh_game())))
@@ -125,6 +145,36 @@ class TestCli:
             code = cli.main(["tons", "--n", "1", "--marginal", str(path)])
             assert code == cli.EXIT_INPUT_ERROR, path
             assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["5,0|1,1", "-1,0|1,1"])
+    def test_marginal_symbol_outside_its_alphabet_is_input_error(
+            self, key, tmp_path, capsys):
+        """A --marginal key naming an output beyond the declared alphabet,
+        or a negative one (which numpy would alias onto another entry),
+        exits 3."""
+        data = S.behavior_to_dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))))
+        data["P"][key] = data["P"].pop("1,0|1,1")
+        path = tmp_path / "marginal.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["tons", "--n", "1", "--marginal", str(path)])
+        assert code == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"key '{key.split('|')[0]}' at P" in err
+        assert "outside its alphabet 0..1" in err
+
+    def test_game_symbol_outside_its_alphabet_is_input_error(self, tmp_path,
+                                                             capsys):
+        """A game file whose V table swaps 1,1,1,1 for 7,0,1,1 keeps the
+        entry count but not the alphabet: exit 3."""
+        data = S.game_to_dict(G.make_chsh_game())
+        data["V"]["7,0,1,1"] = data["V"].pop("1,1,1,1")
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["ns-value", str(path),
+                         "--certificate", str(tmp_path / "c.json")])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "key '7,0,1,1' at V: symbol 7 outside its alphabet" in \
+            capsys.readouterr().err
 
     def test_default_and_explicit_exact_mode_write_identical_files(
             self, tmp_path, capsys):
@@ -213,9 +263,8 @@ class TestCli:
 
     def test_exact_certification_failure_exit_code(self, monkeypatch,
                                                    capsys):
-        """A float optimum that does not lift, on an LP above the size cap
-        of the exact basis solve, is not "infeasible"."""
-        monkeypatch.setattr(L, "_lift_exact", lambda *args: None)
+        """An LP above the size cap of the exact basis solve has no exact
+        certificate, which is not "infeasible"."""
         monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
         code = cli.main(["--mode", "exact", "tons", "--v", "1/2", "--n", "2"])
         assert code == cli.EXIT_CERTIFICATION_FAILURE == 4
