@@ -173,7 +173,7 @@ def cmd_ns_value(args, cfg: RunConfig) -> int:
 
 
 def cmd_tons(args, cfg: RunConfig) -> int:
-    game, inputs = _resolve_game(args.game)
+    game, _ = _resolve_game(args.game)
     v = serialize.parse_frac(args.v, "--v")
     if not 0 <= v <= 1:
         raise bounds_mod.InfeasibleParamsError(f"v = {v} outside [0, 1]")
@@ -185,7 +185,6 @@ def cmd_tons(args, cfg: RunConfig) -> int:
     if args.marginal:
         marginal = serialize.behavior_from_dict(
             _read_json(args.marginal, "marginal file"))
-        inputs.append(Path(args.marginal))
     if marginal is None and args.game != "chsh":
         raise serialize.InputFormatError(
             "the bundled product marginal exists for --game chsh only; "

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 Rational = Fraction
 
@@ -56,33 +56,29 @@ class InfeasibleError(RuntimeError):
 
 @dataclass
 class Constraint:
-    coeffs: tuple[tuple[int, Fraction], ...]
+    """One row, sum_j c_j x_j ``rel`` rhs.  Coefficients and right-hand
+    side are exact: an ``int`` where integral, else a ``Fraction``."""
+
+    coeffs: tuple[tuple[int, Union[int, Fraction]], ...]
     rel: str
-    rhs: Fraction
+    rhs: Union[int, Fraction]
+
+
+def exact_number(value) -> Union[int, Fraction]:
+    """``value`` exactly: an ``int`` where integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return int(q.numerator) if q.denominator == 1 else q
 
 
 def make_constraint(coeffs: Union[dict, Iterable], rel: str, rhs) -> Constraint:
+    """The row of the nonzero ``coeffs``, by column, in exact numbers."""
     if rel not in _RELATIONS:
         raise LpError(f"unknown relation {rel!r}")
     items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-    clean = tuple(sorted((int(j), Fraction(c)) for j, c in items if c))
-    return Constraint(clean, rel, Fraction(rhs))
-
-
-def once_per_object(fn, items: Iterable) -> list:
-    """``[fn(x) for x in items]``, calling ``fn`` once per distinct object:
-    the LP builders share one coefficient object per value."""
-    done: dict[int, object] = {}
-    return [done[id(x)] if id(x) in done else done.setdefault(id(x), fn(x))
-            for x in items]
-
-
-def _float_rows(rows: Sequence[Constraint]) -> list[list[tuple[int, float]]]:
-    """Each row's terms with float coefficients, one conversion per
-    coefficient object."""
-    floats = iter(once_per_object(float, (c for con in rows
-                                          for _, c in con.coeffs)))
-    return [[(j, next(floats)) for j, _ in con.coeffs] for con in rows]
+    clean = tuple(sorted((int(j), exact_number(c)) for j, c in items if c))
+    return Constraint(clean, rel, exact_number(rhs))
 
 
 @dataclass
@@ -106,22 +102,23 @@ class LinProgram:
             raise LpError("negative variable count")
         if self.sense not in (MAX, MIN):
             raise LpError(f"unknown sense {self.sense!r}")
-        for j in self.objective:
-            if not 0 <= j < self.num_vars:
-                raise LpError(f"objective index {j} out of range")
+        for name, keys in (("objective", self.objective),
+                           ("lower bound", self.lower),
+                           ("upper bound", self.upper)):
+            for j in keys:
+                if not 0 <= j < self.num_vars:
+                    raise LpError(f"{name} index {j} out of range")
         for k, con in enumerate(self.constraints):
             if con.rel not in _RELATIONS:
                 raise LpError(f"constraint {k}: unknown relation {con.rel!r}")
             for j, _ in con.coeffs:
                 if not 0 <= j < self.num_vars:
                     raise LpError(f"constraint {k}: index {j} out of range")
-        for j, lo in self.lower.items():
-            if lo is not None and lo != 0:
-                raise LpError("only lower bounds 0 (default) or None (free) "
-                              "are supported directly; shift the variable")
-        for j, up in self.upper.items():
-            if up is None:
-                raise LpError("upper bound None is implicit; omit the entry")
+        if any(lo is not None and lo != 0 for lo in self.lower.values()):
+            raise LpError("only lower bounds 0 (default) or None (free) "
+                          "are supported directly; shift the variable")
+        if None in self.upper.values():
+            raise LpError("upper bound None is implicit; omit the entry")
 
     def is_free(self, j: int) -> bool:
         return j in self.lower and self.lower[j] is None
@@ -208,18 +205,14 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
         def neg(val) -> bool:
             return float(val) < -tolerance
 
-    x = sol.primal
-    y = sol.dual
-    # Float coefficients give the products of Fraction * float, faster.
-    cons = norm.constraints
-    coeffs = [con.coeffs for con in cons] if exact else _float_rows(cons)
+    x, y, cons = sol.primal, sol.dual, norm.constraints
     zero = Fraction(0) if exact else 0.0
 
     for j in range(lp.num_vars):
         if not norm.is_free(j) and neg(x[j]):
             reasons.append(f"x{j} = {x[j]} violates x >= 0")
     for k, con in enumerate(cons):
-        lhs = sum((c * x[j] for j, c in coeffs[k]), start=zero)
+        lhs = sum((c * x[j] for j, c in con.coeffs), start=zero)
         delta = lhs - con.rhs
         if con.rel == EQ and viol(delta):
             reasons.append(f"row {k}: {lhs} != {con.rhs}")
@@ -231,7 +224,7 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
     # Dual sign conventions: for a max problem y >= 0 on <= rows and
     # y <= 0 on >= rows (mirrored for min); equality rows are free.
     sign = 1 if norm.sense == MAX else -1
-    for k, con in enumerate(norm.constraints):
+    for k, con in enumerate(cons):
         if con.rel == LE and neg(sign * y[k]):
             reasons.append(f"dual {k}: wrong sign for <= row")
         elif con.rel == GE and neg(-sign * y[k]):
@@ -242,7 +235,7 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
     col_dual = [zero] * lp.num_vars
     for k, yk in enumerate(y):
         if yk:
-            for j, c in coeffs[k]:
+            for j, c in cons[k].coeffs:
                 col_dual[j] += yk * c
     for j in range(lp.num_vars):
         r = col_dual[j] - norm.objective.get(j, 0)
@@ -314,10 +307,10 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
     cons = norm.constraints
     flip = np.array([-1.0 if con.rel == GE else 1.0 for con in cons])
     row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-    coeffs = once_per_object(float, [c for con in cons for _, c in con.coeffs])
+    coeffs = np.array([c for con in cons for _, c in con.coeffs], float)
     a = sparse.csr_matrix((flip[row] * coeffs, (row, [
         j for con in cons for j, _ in con.coeffs])), shape=(len(cons), n))
-    b = flip * once_per_object(float, [con.rhs for con in cons])
+    b = flip * np.array([con.rhs for con in cons], float)
     is_eq = np.array([con.rel == EQ for con in cons], dtype=bool)
     ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
 
@@ -422,27 +415,36 @@ def _solve_active_set(norm: LinProgram, sol: LpSolution, slack: list,
     return exact if exact.certified else None
 
 
+def _exact_highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
+                                            Optional[tuple[list, list]]]:
+    """``_highs`` on an LP for exact mode, which refuses one with more
+    than ``_FALLBACK_CELL_LIMIT`` nonzeros before HiGHS runs."""
+    nnz = sum(len(con.coeffs) for con in norm.constraints)
+    if nnz > _FALLBACK_CELL_LIMIT:
+        raise CertificationError(
+            f"no exact certificate: the exact basis solve is capped at "
+            f"{_FALLBACK_CELL_LIMIT} nonzeros ({len(norm.constraints)} rows "
+            f"x {norm.num_vars} vars, {nnz} nonzeros); use float mode")
+    return _highs(norm)
+
+
 def _certified_optimum(norm: LinProgram, sol: Optional[LpSolution],
                        message: str,
                        tight: Optional[tuple[list, list]]) -> LpSolution:
     """The exact optimum behind HiGHS's float one, by the exact basis
-    solve of the rows and columns HiGHS reports tight (``_highs``'s third
-    value).  Raises CertificationError when HiGHS found no optimum, the
-    LP has more than ``_FALLBACK_CELL_LIMIT`` nonzeros, or the solve does
-    not verify."""
+    solve of the rows and columns HiGHS reports tight (``_exact_highs``'s
+    third value).  Raises CertificationError when HiGHS found no optimum
+    or the solve does not verify."""
     if sol is None or sol.status != LpSolution.OPTIMAL:
         raise CertificationError(f"no exact certificate: HiGHS found no "
                                  f"optimum ({message})")
-    nnz = sum(len(con.coeffs) for con in norm.constraints)
-    small = nnz <= _FALLBACK_CELL_LIMIT
-    exact = _solve_active_set(norm, sol, *tight) if small else None
+    exact = _solve_active_set(norm, sol, *tight)
     if exact is None:
+        nnz = sum(len(con.coeffs) for con in norm.constraints)
         raise CertificationError(
-            "no exact certificate: the exact basis solve "
-            + ("did not verify" if small else
-               f"is capped at {_FALLBACK_CELL_LIMIT} nonzeros")
-            + f" ({len(norm.constraints)} rows x {norm.num_vars} vars, "
-            f"{nnz} nonzeros); use float mode")
+            f"no exact certificate: the exact basis solve did not verify "
+            f"({len(norm.constraints)} rows x {norm.num_vars} vars, {nnz} "
+            f"nonzeros); use float mode")
     return exact
 
 
@@ -458,21 +460,21 @@ def _certified_verdict(norm: LinProgram, status: str) -> LpSolution:
     Both are feasible and bounded.  CertificationError if neither proof
     holds.
     """
-    n, m, one = norm.num_vars, len(norm.constraints), Fraction(1)
+    n, m = norm.num_vars, len(norm.constraints)
     phase_one = LinProgram(
-        n + 2 * m, MIN, {j: one for j in range(n, n + 2 * m)},
-        [Constraint(con.coeffs + ((n + 2 * k, one), (n + 2 * k + 1, -one)),
+        n + 2 * m, MIN, dict.fromkeys(range(n, n + 2 * m), 1),
+        [Constraint(con.coeffs + ((n + 2 * k, 1), (n + 2 * k + 1, -1)),
                     con.rel, con.rhs)
          for k, con in enumerate(norm.constraints)], dict(norm.lower))
-    if _certified_optimum(phase_one, *_highs(phase_one)).value != 0:
+    if _certified_optimum(phase_one, *_exact_highs(phase_one)).value != 0:
         return LpSolution(LpSolution.INFEASIBLE, None, [], [], "exact", True)
     sign = 1 if norm.sense == MAX else -1
     cap = make_constraint({j: sign * c for j, c in norm.objective.items()},
                           LE, 1)
     ray = LinProgram(n, norm.sense, dict(norm.objective),
-                     [Constraint(con.coeffs, con.rel, Fraction(0))
+                     [Constraint(con.coeffs, con.rel, 0)
                       for con in norm.constraints] + [cap], dict(norm.lower))
-    if _certified_optimum(ray, *_highs(ray)).value != 0:
+    if _certified_optimum(ray, *_exact_highs(ray)).value != 0:
         return LpSolution(LpSolution.UNBOUNDED, None, [], [], "exact", True)
     raise CertificationError(f"HiGHS reports the LP {status}, but it is "
                              f"feasible and bounded")
@@ -492,9 +494,10 @@ def solve(lp: LinProgram, mode: str = "exact",
 
     Exact mode has one path: the rows and columns tight at the HiGHS
     optimum are solved exactly and the result verified exactly
-    (``_certified_optimum``), on LPs up to ``_FALLBACK_CELL_LIMIT``
-    nonzeros, and an LP without an optimum is proved infeasible or
-    unbounded by two auxiliary LPs (``_certified_verdict``).  Every exact
+    (``_certified_optimum``), and an LP without an optimum is proved
+    infeasible or unbounded by two auxiliary LPs (``_certified_verdict``).
+    An LP, or auxiliary LP, with more than ``_FALLBACK_CELL_LIMIT``
+    nonzeros is refused before HiGHS runs (``_exact_highs``).  Every exact
     answer has ``certified`` True, or ``CertificationError`` is raised.
     """
     lp.validate()
@@ -513,7 +516,7 @@ def solve(lp: LinProgram, mode: str = "exact",
             return sol
         return LpSolution(LpSolution.INFEASIBLE, None, [], [], mode, exact)
 
-    sol, message, tight = _highs(norm)
+    sol, message, tight = (_exact_highs if exact else _highs)(norm)
     if exact:
         if sol is not None and sol.status != LpSolution.OPTIMAL:
             return _certified_verdict(norm, sol.status)

@@ -303,8 +303,7 @@ def _append_rows(prog: L.LinProgram, rows, rhs: list,
     added = [np.arange(count)]
     if distinct:
         codes: dict = {}
-        code = np.array(L.once_per_object(
-            lambda b: codes.setdefault(b, len(codes)), rhs), np.int64)
+        code = np.array([codes.setdefault(b, len(codes)) for b in rhs], int)
         added = [np.zeros(0, np.int64)]
         # Rows of one length as (rhs code, columns, coefficients); a stable
         # sort keeps equal rows in order, and the first of each is kept.
@@ -318,13 +317,12 @@ def _append_rows(prog: L.LinProgram, rows, rhs: list,
             first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
             added.append(members[order[first]])
     added = np.sort(np.concatenate(added))
-    fraction = functools.cache(Fraction)  # coefficients are small integers
     ends = (starts + sizes).tolist()
     col, sums, starts = col.tolist(), sums.tolist(), starts.tolist()
     for r in added.tolist():
         terms = slice(starts[r], ends[r])
         prog.constraints.append(L.Constraint(tuple(zip(
-            col[terms], map(fraction, sums[terms]))), L.EQ, rhs[r]))
+            col[terms], sums[terms])), L.EQ, rhs[r]))
     return added
 
 
@@ -389,7 +387,7 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     # Summed per orbit, the objective is exact on the invariant points.
     for e in range(SA):
         for j in by_block[e, e, :, x_enc, y_enc].tolist():
-            prog.objective[j] = prog.objective.get(j, 0) + Fraction(1)
+            prog.objective[j] = prog.objective.get(j, 0) + 1
 
     # Causal rows come from the least guess of each guess orbit: the least
     # variable of the orbit of (e, 0, 0, 0, 0) lies in that guess's block.
@@ -398,7 +396,7 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     by_key = by_block.reshape(SA, block)
     rows = [(by_key[e][index], c) for e in guesses
             for index, c in causal.blocks]
-    rhs = [Fraction(0)] * (len(causal) * len(guesses))
+    rhs = [0] * (len(causal) * len(guesses))
     if marginal is not None:
         # Entries of one orbit, and only those, share their columns: one
         # marginal row for the first entry of each.
@@ -407,7 +405,7 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                                  return_index=True)[1])
         rows.append((per_entry[kept], np.ones(SA, np.int64)))
         keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))
-        rhs += [Fraction(marginal.entry((A, B), (X, Y)))
+        rhs += [L.exact_number(marginal.entry((A, B), (X, Y)))
                 for X, Y, A, B in keys.tolist()]
     added = _append_rows(prog, rows, rhs, distinct=bool(relabellings))
     built.num_causal_rows = int(np.count_nonzero(
@@ -447,11 +445,10 @@ def _marginal_table(marginal: Behavior,
     _check_marginal(marginal, scenario)
     chain = itertools.chain.from_iterable
     keys = np.fromiter(chain(chain(marginal.table)), np.int64).reshape(-1, 4)
-    # A product behavior shares one object per distinct value.
-    values = L.once_per_object(Fraction, marginal.table.values())
+    values = [p if isinstance(p, Fraction) else Fraction(p)
+              for p in marginal.table.values()]
     den = math.lcm(*{p.denominator for p in values})
-    nums = L.once_per_object(
-        lambda p: p.numerator * (den // p.denominator), values)
+    nums = [p.numerator * (den // p.denominator) for p in values]
     dtype = np.int64 if max(map(abs, nums), default=0) < 2 ** 63 else object
     table = np.zeros(scenario.string_sizes, dtype=dtype)
     table[tuple(keys.T)] = np.array(nums, dtype=dtype)

@@ -1,12 +1,15 @@
 """Unit tests for the exact LP engine."""
 
 import contextlib
+import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from fractions import Fraction as F
 from unittest import mock
 
+import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
@@ -302,6 +305,97 @@ def test_basis_solve_alone_certifies_the_builtin_game_values(monkeypatch):
     assert len(calls) == 5
 
 
+def _digest_linprog(monkeypatch):
+    """Record the sha256 of the arrays of every ``linprog`` call: the
+    objective, the right-hand sides, and each constraint matrix's CSR
+    ``data``, ``indices`` and ``indptr``."""
+    real, digests = scipy.optimize.linprog, []
+
+    def digest(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **kwargs):
+        h = hashlib.sha256()
+        for a in (c, b_ub, b_eq):
+            if a is not None:
+                h.update(np.ascontiguousarray(a, float).tobytes())
+        for m in (A_ub, A_eq):
+            if m is not None:
+                for a in (m.data, m.indices, m.indptr):
+                    h.update(np.ascontiguousarray(a).tobytes())
+        digests.append(h.hexdigest())
+        return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", digest)
+    return digests
+
+
+def test_over_cap_lps_are_refused_before_highs(monkeypatch):
+    """Exact mode refuses an LP, or an auxiliary LP of a verdict, above
+    ``_FALLBACK_CELL_LIMIT`` nonzeros before HiGHS runs; float mode
+    solves it."""
+    calls = _digest_linprog(monkeypatch)
+    monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 0)
+    for lp in (_three_var_lp(), *_infeasible_and_unbounded()):
+        with pytest.raises(L.CertificationError, match="capped at 0 nonzeros"):
+            _solve(lp)
+    assert calls == []
+    assert _solve(_three_var_lp(), mode="float").value == pytest.approx(2.5)
+    assert len(calls) == 1
+
+
+def test_verdict_auxiliary_lps_are_capped(monkeypatch):
+    """An infeasible LP under the cap whose phase-one LP (two more
+    columns per row) is over it makes one HiGHS call, not two."""
+    infeasible, _ = _infeasible_and_unbounded()
+    calls = _digest_linprog(monkeypatch)
+    monkeypatch.setattr(L, "_FALLBACK_CELL_LIMIT", 2)
+    with pytest.raises(L.CertificationError, match="capped at 2 nonzeros"):
+        _solve(infeasible)
+    assert len(calls) == 1
+
+
+# Float three-round noisy-PR values and the digest of the HiGHS input of
+# their slices: both are fixed to the last bit.
+_THREE_ROUND_PINS = [
+    (T.TONS, F(1, 4), "0.78125",
+     "cde6c33d96a5b909c488bec4567785f24c120fb8f98ede4e13bf0345cb1ee1c0"),
+    (T.TONS, F(1, 2), "0.5624999999999999",
+     "164dac79bb53cf59564a51f778a72ffa31d3d106e66706612e0ef9cdee6534cf"),
+    (T.TONS, F(2, 3), "0.41666666666666663",
+     "ec8bc55fafbfc008f044b9a02e4f1f6bb2c879dd8b6e4f930111775acf1cc4d7"),
+    (T.TONS, F(11, 12), "0.19791666666666655",
+     "e75114b12d3b7347a5f7c4290cfff8f42cef2c3cfefcfb5ead26803ae7d42663"),
+    (T.ABNS, F(1, 4), "0.868408203125",
+     "80a407254f90245b74a9128de7e3a05ad0db66f435ef01a023fda6d70f10af95"),
+    (T.ABNS, F(1, 2), "0.685546875",
+     "b0347c2a7432143170a55b43088e6d93602379c9ce82aa72ea57833f24e5e79e"),
+    (T.ABNS, F(2, 3), "0.5619212962962963",
+     "1741192827a6ba0d41a834ba50d5c27f405a2fe9138888406c2f180cf8ab329c"),
+    (T.ABNS, F(11, 12), "0.24741391782407404",
+     "5834d0a8c17aeb499237fdf9b6e759c928d371073c6cd0745382713d34ee19ad")]
+
+
+@pytest.mark.parametrize("kind, v, value, digest", _THREE_ROUND_PINS)
+def test_three_round_float_values_are_pinned(kind, v, value, digest,
+                                             monkeypatch):
+    chsh = G.make_chsh_game()
+    digests = _digest_linprog(monkeypatch)
+    marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(v)), 3)
+    pg = T.tons_guessing_probability(
+        chsh, marginal, (0, 0, 0), T.CausalScenario.for_game(kind, 3, chsh),
+        mode="float")
+    assert repr(pg) == value
+    assert digests == [digest]
+
+
+def test_single_round_highs_inputs_are_pinned(monkeypatch):
+    """The HiGHS input of the eps-NS LP of the chain guessing game at
+    eps = 1/20 and of the magic-square guessing LP at value 1."""
+    digests = _digest_linprog(monkeypatch)
+    NV.eps_ns_value(G.make_guessing_game(G.make_chain_game()), F(1, 20))
+    NV.single_round_guessing(G.make_magic_square_game(), 0, 1)
+    assert digests == [
+        "390742651f7cbe1b9c61b835022b47a7e38e1ac6cc96f3988c90febb1b8974d5",
+        "530896ea5cb4e08bccf386942b7836b0f42d28a547ffd4d0ba00a166904ff02a"]
+
+
 _RATIONAL = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
@@ -400,6 +494,63 @@ def test_validate_rejects_bad_indices():
     lp = L.LinProgram(1, "max", {3: F(1)})
     with pytest.raises(L.LpError):
         lp.validate()
+    # Bound keys are column indices too: an upper bound would otherwise
+    # reach scipy as a bad row, a lower bound be ignored.
+    for bounds in ({"upper": {5: F(3)}}, {"lower": {5: None}}):
+        lp = L.LinProgram(2, "max", {0: F(1)}, **bounds)
+        lp.add({0: 1, 1: 1}, "<=", 1)
+        with pytest.raises(L.LpError, match="bound index 5 out of range"):
+            L.solve(lp)
+
+
+def test_integral_data_is_kept_as_int():
+    """Rows hold exact numbers: ``int`` where integral, ``Fraction``
+    otherwise, whatever type the caller passed."""
+    con = L.make_constraint({2: F(4, 2), 0: 0.5, 1: 0}, "<=", F(3))
+    assert con.coeffs == ((0, F(1, 2)), (2, 2))
+    assert [type(c) for _, c in con.coeffs] == [F, int]
+    assert type(con.rhs) is int and con.rhs == 3
+
+
+def _certificate_lp():
+    """max x0 + x2 over x0 + x1 <= 2, x0 - x1 >= 0, x2 - x0 == 0, with x2
+    free: the optimum 4 at x = (2, 0, 2), y = (2, 0, 1)."""
+    lp = L.LinProgram(3, "max", {0: F(1), 2: F(1)}, lower={2: None})
+    lp.add({0: 1, 1: 1}, "<=", 2)
+    lp.add({0: 1, 1: -1}, ">=", 0)
+    lp.add({2: 1, 0: -1}, "==", 0)
+    return lp
+
+
+def _negate_dual(k):
+    def perturb(sol, one):
+        sol.dual[k] = -sol.dual[k]
+    return perturb
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("perturb, reason", [
+    (lambda sol, one: sol.primal.__setitem__(1, -one),
+     r"^x1 = -1(\.0)? violates x >= 0$"),
+    (lambda sol, one: sol.primal.__setitem__(1, 3 * one),
+     r"^row 1: -[\d.e-]+ < 0$"),
+    (_negate_dual(0), r"^dual 0: wrong sign for <= row$"),
+    (lambda sol, one: sol.dual.__setitem__(1, one),
+     r"^dual 1: wrong sign for >= row$"),
+    (lambda sol, one: sol.dual.__setitem__(2, sol.dual[2] + one),
+     r"^reduced cost of free x2 is [\d.e-]+, not 0$")],
+    ids=["negative-coordinate", "violated-ge-row", "le-dual-sign",
+         "ge-dual-sign", "free-reduced-cost"])
+def test_certificate_names_each_violation(mode, perturb, reason):
+    """Each way of spoiling an optimal pair is rejected with its reason,
+    in exact arithmetic and at the float tolerance."""
+    lp = _certificate_lp()
+    sol = _solve(lp, mode)
+    assert sol.value == 4 and L.verify_certificate(lp, sol)
+    perturb(sol, F(1) if mode == "exact" else 1.0)
+    report = L.verify_certificate(lp, sol)
+    assert not report
+    assert any(re.match(reason, r) for r in report.reasons), report.reasons
 
 
 # ---------------------------------------------------------------------------

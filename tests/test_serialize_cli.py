@@ -192,6 +192,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2,1/2,tons,5/8,5/8,yes" in out
 
+    def test_tons_marginal_file(self, tmp_path, capsys):
+        """A product marginal read from --marginal gives the same value
+        as the bundled one; no formula applies to a file."""
+        path = tmp_path / "marginal.json"
+        path.write_text(json.dumps(S.behavior_to_dict(G.product_behavior(
+            G.make_pr_v(G.NoisyPRParams(F(1, 2))), 2))))
+        code = cli.main(["tons", "--v", "1/2", "--n", "2", "--marginal",
+                         str(path)])
+        assert code == 0
+        assert "2,1/2,tons,5/8,,n/a" in capsys.readouterr().out
+
+    def test_tons_three_rounds_fall_back_to_float(self, capsys):
+        """Without an explicit mode, n = 3 is solved in float mode and
+        says so on stderr."""
+        assert cli.main(["tons", "--v", "1/2", "--n", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "3,1/2,tons,0.5624999999999999,9/16,yes" in captured.out
+        assert "note: n = 3 solved in float mode (pass --mode exact to " \
+            "insist)" in captured.err
+
+    def test_tons_noise_outside_the_unit_interval(self, capsys):
+        assert cli.main(["tons", "--v", "3/2"]) == cli.EXIT_INFEASIBLE == 2
+        assert "v = 3/2 outside [0, 1]" in capsys.readouterr().err
+
     def test_global_flags_on_either_side_of_subcommand(self, tmp_path,
                                                        capsys):
         """Global flags work before and after the subcommand, and a
