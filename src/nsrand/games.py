@@ -444,17 +444,51 @@ def product_behavior(behavior: Behavior, n: int) -> Behavior:
                               range(nb ** n)), product) if q})
 
 
+def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
+    """Exact numbers as integer numerators over their least common
+    denominator: ``(numerators, denominator)``.  Entries that are neither
+    ``int`` nor ``Fraction`` are taken exactly with ``Fraction``.  The
+    numerators are int64 when each of them times ``bound`` (a caller's
+    bound on how much sums and products grow them) fits, else Python
+    ints in an ``object`` array."""
+    exact = [p if isinstance(p, (int, Fraction)) else Fraction(p)
+             for p in values]
+    den = math.lcm(*{p.denominator for p in exact})
+
+    def scaled():
+        return (p.numerator * (den // p.denominator) for p in exact)
+    # Filled from a generator, so that no list of Python ints is built.
+    try:
+        nums = np.fromiter(scaled(), np.int64, len(exact))
+        top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
+    except OverflowError:
+        top = 2 ** 63
+    if top * bound >= 2 ** 63:
+        nums = np.fromiter(scaled(), object, len(exact))
+    return nums, den
+
+
+def is_finite(p) -> bool:
+    """False for a NaN or infinite float; exact numbers are finite."""
+    return isinstance(p, (int, Fraction)) or math.isfinite(p)
+
+
+def check_game_shape(behavior: Behavior, game: Game) -> None:
+    """Raise unless the behavior has the game's alphabets."""
+    if behavior.output_sizes != game.output_sizes or \
+            behavior.input_sizes != game.input_sizes:
+        raise GameError(
+            f"shape mismatch: behavior {behavior.output_sizes}|"
+            f"{behavior.input_sizes} vs game {game.output_sizes}|{game.input_sizes}")
+
+
 # ---------------------------------------------------------------------------
 # linear functionals on behaviors
 # ---------------------------------------------------------------------------
 
 def bell_value(behavior: Behavior, game: Game) -> Number:
     """Game value sum(pi * V * P) of a behavior."""
-    if behavior.output_sizes != game.output_sizes or \
-            behavior.input_sizes != game.input_sizes:
-        raise GameError(
-            f"shape mismatch: behavior {behavior.output_sizes}|"
-            f"{behavior.input_sizes} vs game {game.output_sizes}|{game.input_sizes}")
+    check_game_shape(behavior, game)
     total = Fraction(0)
     for ins, p_in in game.pi.items():
         if not p_in:

@@ -5,8 +5,8 @@ graph, search exhaustively for {0, 1/2, 1} assignments that place weight
 1 on a chosen vector, turn assignments into bipartite no-signalling
 behaviors winning the associated game, assemble the tripartite behavior
 that lets an eavesdropper guess one player's outputs perfectly, and
-verify every claimed property in exact arithmetic (the no-signalling
-marginals through ``games.ns_marginal_groups``).
+verify every claimed property in exact arithmetic, over integer
+numerators (the no-signalling marginals through ``games.ns_index_groups``).
 
 The bipartite behavior realizes the assignment as both marginals by
 solving one small exact transportation problem per input pair, supported
@@ -25,8 +25,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterator, Optional, Sequence
 
-from .games import (Alphabet, Behavior, Game, bell_value, ns_families,
-                    ns_marginal_groups)
+import numpy as np
+
+from .games import (Alphabet, Behavior, Game, check_game_shape,
+                    integer_table, is_finite, ns_families, ns_index_groups)
 from .lp import eliminate
 
 ComplexRational = tuple[Fraction, Fraction]
@@ -563,85 +565,131 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
 
     Checks nonnegativity, per-input normalization, every no-signalling
     marginal equality, optionally zero mass on the game's losing events,
-    and (for attack behaviors) the perfect-guessing condition.
+    and (for attack behaviors) the perfect-guessing condition.  Entries
+    are compared exactly over integers (``_integer_checks``); a NaN or
+    infinite entry fails the report by name.  A game whose alphabets
+    differ from the behavior's raises GameError.
     """
     if isinstance(behavior, AttackBehavior):
         return _verify_attack(behavior, game)
     report = VerificationReport()
-    b: Behavior = behavior
+    tensor = _integer_checks(behavior, report)
+    if tensor is None or game is None:
+        return report
+    check_game_shape(behavior, game)
+    P, den = tensor
+    leaked = []
+    for ins, p_in in game.pi.items():
+        if not p_in:
+            continue
+        for outs in game.outputs():
+            if not game.predicate[(outs, ins)] and behavior.entry(outs, ins):
+                leaked.append((outs, ins))
+    report.record("zero-mass-on-losing-events", not leaked,
+                  f"mass on losing events {leaked[:3]}" if leaked else "")
+    # The value is sum(pi * V * P): pi over its own denominator, the
+    # winning mass per input over the behavior's.
+    wins = _dense(game.predicate, P.shape,
+                  np.fromiter(game.predicate.values(), bool))
+    won = np.where(wins, P, 0).sum(axis=tuple(range(behavior.parties)))
+    pi, pi_den = integer_table(game.pi.values())
+    total = sum(int(q) * int(won[ins]) for ins, q in zip(game.pi, pi))
+    value = Fraction(total, pi_den * den)
+    report.record("wins-game", value == 1, f"value {value}")
+    return report
 
-    neg = [(o, i) for (o, i), p in b.table.items() if p < 0]
+
+def _dense(table: dict, shape: tuple, values: np.ndarray) -> np.ndarray:
+    """``values``, one per key of ``table`` in its order, as a dense array
+    indexed [outputs..., inputs...]; keys outside ``shape`` are left out."""
+    chain = itertools.chain.from_iterable
+    keys = np.fromiter(chain(chain(table)), np.int64).reshape(-1, len(shape))
+    inside = ((keys >= 0) & (keys < shape)).all(axis=1)
+    out = np.zeros(shape, dtype=values.dtype)
+    out[tuple(keys[inside].T)] = values[inside]
+    return out
+
+
+def _integer_checks(b: Behavior, report: VerificationReport):
+    """Record nonnegativity, normalization and the no-signalling checks
+    of ``b``.  Returns its entries as integers over one denominator,
+    ``(tensor indexed [outputs..., inputs...], denominator)``, or None
+    after recording a failing ``finite-entries`` check."""
+    bad = [key for key, p in b.table.items() if not is_finite(p)]
+    if bad:
+        report.record("finite-entries", False,
+                      f"non-finite entries at {bad[:3]}")
+        return None
+    # Every check sums at most all entries, and Eve's marginal is then
+    # scaled by the size of her alphabet.
+    nums, den = integer_table(b.table.values(), bound=(len(b.table) + 1)
+                              * max(b.output_sizes))
+    keys = list(b.table)
+    neg = [keys[i] for i in np.flatnonzero(nums < 0)[:3]]
     report.record("nonnegativity", not neg,
-                  f"negative entries at {neg[:3]}" if neg else "")
+                  f"negative entries at {neg}" if neg else "")
 
+    parties = b.parties
+    shape = (*b.output_sizes, *b.input_sizes)
+    P = _dense(b.table, shape, nums)
+    sums = P.sum(axis=tuple(range(parties))).ravel()
     bad_norm = []
-    for ins in b.inputs():
-        s = b.normalization(ins)
-        if s != 1:
-            bad_norm.append((ins, s))
+    for i in np.flatnonzero(sums != den)[:3]:
+        ins = tuple(int(v) for v in np.unravel_index(i, b.input_sizes))
+        bad_norm.append((ins, b.normalization(ins)))
     report.record("normalization", not bad_norm,
-                  f"per-input sums off at {bad_norm[:3]}" if bad_norm else "")
+                  f"per-input sums off at {bad_norm}" if bad_norm else "")
 
     # Per family, the first marginal sum off its reference, reported as
     # (kept outputs, kept inputs, summed parties' inputs).
-    families = ns_families(b.parties)
-    bad: dict = {}
-    for name, kept_outs, entries in ns_marginal_groups(
-            b.output_sizes, b.input_sizes, families):
-        sums = [sum((b.entry(*key) for key in keys), start=Fraction(0))
-                for _, keys in entries]
-        off = [ins for (ins, _), s in zip(entries, sums) if s != sums[0]]
-        if off and name not in bad:
-            summed = dict(families)[name]
-            bad[name] = (kept_outs,
-                         tuple(v for p, v in enumerate(off[0])
-                               if p not in summed),
-                         tuple(off[0][p] for p in summed))
-    for name, _ in families:
-        report.record("ns-" + name.replace("|", "-indep-"), name not in bad,
-                      f"first violation at {bad[name]}" if name in bad else "")
-
-    if game is not None:
-        leaked = []
-        for ins, p_in in game.pi.items():
-            if not p_in:
-                continue
-            for outs in game.outputs():
-                if not game.predicate[(outs, ins)] and b.entry(outs, ins):
-                    leaked.append((outs, ins))
-        report.record("zero-mass-on-losing-events", not leaked,
-                      f"mass on losing events {leaked[:3]}" if leaked else "")
-        value = bell_value(b, game)
-        report.record("wins-game", value == 1, f"value {value}")
-    return report
+    flat = P.ravel()
+    families = ns_families(parties)
+    for name, summed, index in ns_index_groups(b.output_sizes,
+                                               b.input_sizes, families):
+        sums = flat[index].sum(axis=2)
+        off = sums != sums[:, :1]
+        detail = ""
+        if off.any():
+            g = int(np.argmax(off.any(axis=1)))
+            e = int(np.argmax(off[g]))
+            outs = np.unravel_index(index[g, 0, 0], shape)[:parties]
+            ins = np.unravel_index(index[g, e, 0], shape)[parties:]
+            detail = "first violation at " + str((
+                tuple(int(o) for p, o in enumerate(outs) if p not in summed),
+                tuple(int(v) for p, v in enumerate(ins) if p not in summed),
+                tuple(int(ins[p]) for p in summed)))
+        report.record("ns-" + name.replace("|", "-indep-"), not detail,
+                      detail)
+    return P, den
 
 
 def _verify_attack(attack: AttackBehavior,
                    game: Optional[Game] = None) -> VerificationReport:
     b = attack.behavior
-    report = verify_behavior(b)
+    report = VerificationReport()
+    tensor = _integer_checks(b, report)
+    if tensor is None:
+        return report
+    P, den = tensor
     nx, ny, nz = b.input_sizes
     d = b.output_sizes[2]
 
-    ok, detail = True, ""
-    for z in range(nz):
-        for x in range(nx):
-            for y in range(ny):
-                for e in range(d):
-                    marg = sum((b.entry((u, w, e), (x, y, z))
-                                for u in range(d) for w in range(d)),
-                               start=Fraction(0))
-                    if marg != Fraction(1, d):
-                        ok, detail = False, f"P(e={e}|{x},{y},{z}) = {marg}"
-    report.record("eve-marginal-uniform", ok, detail)
+    # Eve's marginal, indexed [z, x, y, e]: the first entry off 1/d.
+    eve = P.sum(axis=(0, 1)).transpose(3, 1, 2, 0)
+    off = np.flatnonzero(eve.ravel() * d != den)
+    detail = ""
+    if len(off):
+        z, x, y, e = (int(i) for i in np.unravel_index(off[0], eve.shape))
+        detail = f"P(e={e}|{x},{y},{z}) = {Fraction(int(eve[z, x, y, e]), den)}"
+    report.record("eve-marginal-uniform", not detail, detail)
 
-    ok, detail = True, ""
-    for y in range(ny):
-        hit = sum((b.entry((e, w, e), (attack.x_star, y, attack.x_star))
-                   for e in range(d) for w in range(d)), start=Fraction(0))
-        if hit != 1:
-            ok, detail = False, f"guess probability {hit} at y={y}"
-    report.record("perfect-guessing-at-zstar", ok, detail)
+    # P(u = e | x_star, y, x_star), indexed [y]: the first one off 1.
+    diag, xs = np.arange(d), attack.x_star
+    hit = P[diag, :, diag, xs, :, xs].sum(axis=(0, 1))
+    off = np.flatnonzero(hit != den)
+    detail = f"guess probability {Fraction(int(hit[off[0]]), den)} " \
+        f"at y={int(off[0])}" if len(off) else ""
+    report.record("perfect-guessing-at-zstar", not detail, detail)
 
     if game is not None:
         sub = verify_behavior(attack.ab_marginal, game)

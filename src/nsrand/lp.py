@@ -9,17 +9,24 @@ accepts the rational pair only if primal feasibility, dual feasibility
 and equality of both objectives hold in exact arithmetic (the
 lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash & Espinoza,
 Oper. Res. Lett. 35 (2007), finished by an exact basis solve as in
-Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  Infeasible
+Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  That check
+runs over integers: the LP data, the primal and the dual each over one
+common denominator, every residual evaluated with numpy.  Infeasible
 and unbounded verdicts are proved through the same path, by auxiliary
 LPs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
+
+import numpy as np
+
+from .games import integer_table, is_finite
 
 Rational = Fraction
 
@@ -85,17 +92,19 @@ def make_constraint(coeffs: Union[dict, Iterable], rel: str, rhs) -> Constraint:
 class LinProgram:
     """Sparse LP: optimize a linear objective over rational constraints.
 
-    Variables default to the bound 0 <= x < +inf; a lower bound of
-    ``None`` marks the variable as free.  Finite upper bounds are
+    Objective coefficients and bounds are exact numbers, an ``int`` or a
+    ``Fraction``.  Variables default to the bound 0 <= x < +inf; a lower
+    bound of ``None`` marks the variable as free.  Finite upper bounds are
     normalised into explicit rows before solving.
     """
 
     num_vars: int
     sense: str = MAX
-    objective: dict[int, Fraction] = field(default_factory=dict)
+    objective: dict[int, Union[int, Fraction]] = field(default_factory=dict)
     constraints: list[Constraint] = field(default_factory=list)
-    lower: dict[int, Optional[Fraction]] = field(default_factory=dict)
-    upper: dict[int, Fraction] = field(default_factory=dict)
+    lower: dict[int, Optional[Union[int, Fraction]]] = field(
+        default_factory=dict)
+    upper: dict[int, Union[int, Fraction]] = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.num_vars < 0:
@@ -181,10 +190,11 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
     """Re-check primal feasibility, dual feasibility and objective equality.
 
     The check is independent of how the solution was produced: exact-mode
-    solutions are verified in exact rational arithmetic, float-mode ones
-    within ``tolerance``.  Returns a falsy report with reasons on failure.
+    solutions are verified exactly over integers (``_exact_reasons``),
+    float-mode ones within ``tolerance``.  A value, primal or dual entry
+    that is NaN or infinite fails by name.  Returns a falsy report with
+    reasons on failure; never raises on a bad certificate.
     """
-    reasons: list[str] = []
     norm = lp.normalized()
     if sol.status != LpSolution.OPTIMAL:
         return CertificateReport(False, [f"status is {sol.status}, not optimal"])
@@ -192,27 +202,36 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
         return CertificateReport(False, ["primal length mismatch"])
     if len(sol.dual) != len(norm.constraints):
         return CertificateReport(False, ["dual length mismatch"])
+    x, y = sol.primal, sol.dual
+    reasons = [f"x{j} = {v} is not finite"
+               for j, v in enumerate(x) if not is_finite(v)] + \
+        [f"dual {k} = {v} is not finite"
+         for k, v in enumerate(y) if not is_finite(v)]
+    if sol.value is not None and not is_finite(sol.value):
+        reasons.append(f"reported value {sol.value} is not finite")
+    if not reasons:
+        reasons = (_exact_reasons(norm, x, y, sol.value)
+                   if sol.mode == "exact" else
+                   _float_reasons(norm, x, y, sol.value, tolerance))
+    return CertificateReport(not reasons, reasons)
 
-    exact = sol.mode == "exact"
-    if exact:
-        def viol(delta) -> bool:
-            return delta != 0
-        def neg(val) -> bool:
-            return val < 0
-    else:
-        def viol(delta) -> bool:
-            return abs(float(delta)) > tolerance
-        def neg(val) -> bool:
-            return float(val) < -tolerance
 
-    x, y, cons = sol.primal, sol.dual, norm.constraints
-    zero = Fraction(0) if exact else 0.0
+def _float_reasons(norm: LinProgram, x: list, y: list, value,
+                   tolerance: float) -> list[str]:
+    """``verify_certificate``'s reasons at ``tolerance``."""
+    def viol(delta) -> bool:
+        return abs(float(delta)) > tolerance
 
-    for j in range(lp.num_vars):
+    def neg(val) -> bool:
+        return float(val) < -tolerance
+
+    reasons: list[str] = []
+    cons = norm.constraints
+    for j in range(norm.num_vars):
         if not norm.is_free(j) and neg(x[j]):
             reasons.append(f"x{j} = {x[j]} violates x >= 0")
     for k, con in enumerate(cons):
-        lhs = sum((c * x[j] for j, c in con.coeffs), start=zero)
+        lhs = sum((c * x[j] for j, c in con.coeffs), start=0.0)
         delta = lhs - con.rhs
         if con.rel == EQ and viol(delta):
             reasons.append(f"row {k}: {lhs} != {con.rhs}")
@@ -232,12 +251,12 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
 
     # Reduced costs: A^T y - c >= 0 for max (<= 0 for min) on x >= 0
     # variables, with equality on free variables.
-    col_dual = [zero] * lp.num_vars
+    col_dual = [0.0] * norm.num_vars
     for k, yk in enumerate(y):
         if yk:
             for j, c in cons[k].coeffs:
                 col_dual[j] += yk * c
-    for j in range(lp.num_vars):
+    for j in range(norm.num_vars):
         r = col_dual[j] - norm.objective.get(j, 0)
         if norm.is_free(j):
             if viol(r):
@@ -246,17 +265,94 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
             reasons.append(f"reduced cost of x{j} has wrong sign: {r}")
 
     primal_obj = sum((c * x[j] for j, c in norm.objective.items()),
-                     start=zero)
+                     start=0.0)
     dual_obj = sum((y[k] * con.rhs for k, con in enumerate(cons)),
-                   start=zero)
+                   start=0.0)
     if viol(primal_obj - dual_obj):
         reasons.append(f"objective gap: primal {float(primal_obj):.12g} "
                        f"vs dual {float(dual_obj):.12g}")
-    if sol.value is not None and viol(primal_obj - sol.value):
-        reasons.append(f"reported value {float(sol.value):.12g} != primal "
+    if value is not None and viol(primal_obj - value):
+        reasons.append(f"reported value {float(value):.12g} != primal "
                        f"objective {float(primal_obj):.12g}")
+    return reasons
 
-    return CertificateReport(not reasons, reasons)
+
+def _exact_reasons(norm: LinProgram, x: list, y: list, value) -> list[str]:
+    """``verify_certificate``'s reasons in exact arithmetic.
+
+    The LP data (coefficients, right-hand sides, objective) are integers
+    A, b, c over one denominator s, the primal X over d and the dual Y
+    over e, so each check is an integer residual: the rows A X - b d, the
+    reduced costs A^T Y - c e, the objectives c.X / (s d) and b.Y / (s e).
+    Each residual is int64 when a magnitude bound allows, else a Python
+    int; a failing one is reported as the ``Fraction`` it stands for.
+    """
+    cons, n, m = norm.constraints, norm.num_vars, len(norm.constraints)
+    row, col, coeffs = _coo(cons)
+    obj_cols = list(norm.objective)
+    data, s = integer_table(itertools.chain(
+        coeffs, (con.rhs for con in cons), norm.objective.values()))
+    (X, d), (Y, e) = integer_table(x), integer_table(y)
+    size = len(coeffs) + n + m + 1
+    if _max_abs(data) * (_max_abs(X) + d + _max_abs(Y) + e) * size >= 2 ** 63:
+        data, X, Y = (v.astype(object) for v in (data, X, Y))
+    a, b = data[:len(coeffs)], data[len(coeffs):len(coeffs) + m]
+    c = np.zeros(n, dtype=data.dtype)
+    c[obj_cols] = data[len(coeffs) + m:]
+    free = np.array([norm.is_free(j) for j in range(n)], dtype=bool)
+    rel = np.array([con.rel for con in cons], dtype=object)
+    le, eq, ge = rel == LE, rel == EQ, rel == GE
+    sign = 1 if norm.sense == MAX else -1
+
+    reasons = [f"x{j} = {Fraction(int(X[j]), d)} violates x >= 0"
+               for j in np.flatnonzero((X < 0) & ~free)]
+    ax = np.zeros(m, dtype=X.dtype)
+    np.add.at(ax, row, a * X[col])
+    delta = ax - b * d
+    for k in np.flatnonzero(eq & (delta != 0) | le & (delta > 0)
+                            | ge & (delta < 0)):
+        op = {EQ: "!=", LE: ">", GE: "<"}[rel[k]]
+        reasons.append(f"row {k}: {Fraction(int(ax[k]), s * d)} {op} "
+                       f"{cons[k].rhs}")
+
+    # Dual sign conventions: for a max problem y >= 0 on <= rows and
+    # y <= 0 on >= rows (mirrored for min); equality rows are free.
+    for k in np.flatnonzero(le & (sign * Y < 0) | ge & (sign * Y > 0)):
+        reasons.append(f"dual {k}: wrong sign for {rel[k]} row")
+
+    # Reduced costs: A^T y - c >= 0 for max (<= 0 for min) on x >= 0
+    # variables, with equality on free variables.
+    aty = np.zeros(n, dtype=Y.dtype)
+    np.add.at(aty, col, a * Y[row])
+    r = aty - c * e
+    for j in np.flatnonzero(free & (r != 0) | ~free & (sign * r < 0)):
+        rj = Fraction(int(r[j]), s * e)
+        reasons.append(f"reduced cost of free x{j} is {rj}, not 0"
+                       if free[j] else
+                       f"reduced cost of x{j} has wrong sign: {rj}")
+
+    primal_obj = Fraction(int(np.dot(c, X)), s * d)
+    dual_obj = Fraction(int(np.dot(b, Y)), s * e)
+    if primal_obj != dual_obj:
+        reasons.append(f"objective gap: primal {float(primal_obj):.12g} "
+                       f"vs dual {float(dual_obj):.12g}")
+    if value is not None and primal_obj != value:
+        reasons.append(f"reported value {float(value):.12g} != primal "
+                       f"objective {float(primal_obj):.12g}")
+    return reasons
+
+
+def _max_abs(values: np.ndarray) -> int:
+    return int(abs(values).max(initial=0))
+
+
+def _coo(cons: list[Constraint]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The nonzeros of the rows, row by row: row indices, column indices
+    and the exact coefficients."""
+    row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
+    col = np.fromiter((j for con in cons for j, _ in con.coeffs), np.intp,
+                      len(row))
+    return row, col, [c for con in cons for _, c in con.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +389,6 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
     ``linprog`` is looked up on each call, so a wrapper installed on
     ``scipy.optimize`` sees every solve.
     """
-    import numpy as np
     from scipy import sparse
     from scipy.optimize import linprog
 
@@ -306,10 +401,9 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
     # linprog takes A_ub x <= b_ub, so >= rows enter negated.
     cons = norm.constraints
     flip = np.array([-1.0 if con.rel == GE else 1.0 for con in cons])
-    row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-    coeffs = np.array([c for con in cons for _, c in con.coeffs], float)
-    a = sparse.csr_matrix((flip[row] * coeffs, (row, [
-        j for con in cons for j, _ in con.coeffs])), shape=(len(cons), n))
+    row, col, coeffs = _coo(cons)
+    a = sparse.csr_matrix((flip[row] * np.array(coeffs, float), (row, col)),
+                          shape=(len(cons), n))
     b = flip * np.array([con.rhs for con in cons], float)
     is_eq = np.array([con.rel == EQ for con in cons], dtype=bool)
     ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import lp as L
 from .games import (BLOCK_FAMILIES, Behavior, Game, GameError,
-                    encode_string, game_value_coefficients, ns_index_groups)
+                    encode_string, game_value_coefficients, integer_table,
+                    ns_index_groups)
 
 Number = Union[Fraction, float]
 
@@ -445,13 +446,9 @@ def _marginal_table(marginal: Behavior,
     _check_marginal(marginal, scenario)
     chain = itertools.chain.from_iterable
     keys = np.fromiter(chain(chain(marginal.table)), np.int64).reshape(-1, 4)
-    values = [p if isinstance(p, Fraction) else Fraction(p)
-              for p in marginal.table.values()]
-    den = math.lcm(*{p.denominator for p in values})
-    nums = [p.numerator * (den // p.denominator) for p in values]
-    dtype = np.int64 if max(map(abs, nums), default=0) < 2 ** 63 else object
-    table = np.zeros(scenario.string_sizes, dtype=dtype)
-    table[tuple(keys.T)] = np.array(nums, dtype=dtype)
+    nums, _ = integer_table(marginal.table.values())
+    table = np.zeros(scenario.string_sizes, dtype=nums.dtype)
+    table[tuple(keys.T)] = nums
     return table
 
 

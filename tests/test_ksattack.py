@@ -1,9 +1,11 @@
 """Tests for the Kochen-Specker attack pipeline."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsrand import games as G
 from nsrand import ksattack as K
@@ -280,3 +282,204 @@ class TestRelabeling:
         attack = K.tripartite_attack(permuted, 0)
         report = K.verify_behavior(attack, game=K.make_ks_game(permuted))
         assert report.all_passed, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# the integer verifier against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def _fraction_report(behavior, game=None) -> K.VerificationReport:
+    """``verify_behavior`` entry by entry in Fractions."""
+    if isinstance(behavior, K.AttackBehavior):
+        return _fraction_attack_report(behavior, game)
+    report = K.VerificationReport()
+    b = behavior
+    neg = [(o, i) for (o, i), p in b.table.items() if p < 0]
+    report.record("nonnegativity", not neg,
+                  f"negative entries at {neg[:3]}" if neg else "")
+    bad_norm = []
+    for ins in b.inputs():
+        s = b.normalization(ins)
+        if s != 1:
+            bad_norm.append((ins, s))
+    report.record("normalization", not bad_norm,
+                  f"per-input sums off at {bad_norm[:3]}" if bad_norm else "")
+    families = G.ns_families(b.parties)
+    bad: dict = {}
+    for name, kept_outs, entries in G.ns_marginal_groups(
+            b.output_sizes, b.input_sizes, families):
+        sums = [sum((b.entry(*key) for key in keys), start=F(0))
+                for _, keys in entries]
+        off = [ins for (ins, _), s in zip(entries, sums) if s != sums[0]]
+        if off and name not in bad:
+            summed = dict(families)[name]
+            bad[name] = (kept_outs,
+                         tuple(v for p, v in enumerate(off[0])
+                               if p not in summed),
+                         tuple(off[0][p] for p in summed))
+    for name, _ in families:
+        report.record("ns-" + name.replace("|", "-indep-"), name not in bad,
+                      f"first violation at {bad[name]}" if name in bad else "")
+    if game is not None:
+        leaked = []
+        for ins, p_in in game.pi.items():
+            if not p_in:
+                continue
+            for outs in game.outputs():
+                if not game.predicate[(outs, ins)] and b.entry(outs, ins):
+                    leaked.append((outs, ins))
+        report.record("zero-mass-on-losing-events", not leaked,
+                      f"mass on losing events {leaked[:3]}" if leaked else "")
+        value = G.bell_value(b, game)
+        report.record("wins-game", value == 1, f"value {value}")
+    return report
+
+
+def _fraction_attack_report(attack, game=None) -> K.VerificationReport:
+    b = attack.behavior
+    report = _fraction_report(b)
+    nx, ny, nz = b.input_sizes
+    d = b.output_sizes[2]
+    ok, detail = True, ""
+    for z in range(nz):
+        for x in range(nx):
+            for y in range(ny):
+                for e in range(d):
+                    marg = sum((b.entry((u, w, e), (x, y, z))
+                                for u in range(d) for w in range(d)),
+                               start=F(0))
+                    if marg != F(1, d) and ok:
+                        ok, detail = False, f"P(e={e}|{x},{y},{z}) = {marg}"
+    report.record("eve-marginal-uniform", ok, detail)
+    ok, detail = True, ""
+    for y in range(ny):
+        hit = sum((b.entry((e, w, e), (attack.x_star, y, attack.x_star))
+                   for e in range(d) for w in range(d)), start=F(0))
+        if hit != 1 and ok:
+            ok, detail = False, f"guess probability {hit} at y={y}"
+    report.record("perfect-guessing-at-zstar", ok, detail)
+    if game is not None:
+        sub = _fraction_report(attack.ab_marginal, game)
+        for check in sub.checks:
+            report.record("ab-" + check.name, check.passed, check.detail)
+    return report
+
+
+def _checks(report):
+    return [(c.name, c.passed, c.detail) for c in report.checks]
+
+
+_WEIGHT = st.fractions(min_value=0, max_value=1, max_denominator=12)
+_SHIFT = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+
+
+@st.composite
+def _behaviors(draw):
+    """A bipartite or tripartite mixture of deterministic strategies (no
+    signalling), possibly spoilt by moving mass within an input (which
+    keeps the sums and may signal) or by shifting single entries; zero
+    entries are sometimes left out.  Bipartite ones may come with a game
+    of random 0/1 predicate and uniform inputs."""
+    parties = draw(st.sampled_from([2, 3]))
+    top = 3 if parties == 2 else 2
+    ins = tuple(draw(st.integers(1, top)) for _ in range(parties))
+    outs = tuple(draw(st.integers(1, top)) for _ in range(parties))
+    keys = [(o, i) for i in itertools.product(*map(range, ins))
+            for o in itertools.product(*map(range, outs))]
+    weights = draw(st.lists(_WEIGHT, min_size=1, max_size=3))
+    total = sum(weights) or 1
+    weights = [w / total for w in weights] if sum(weights) else [F(1)]
+    table = dict.fromkeys(keys, F(0))
+    for w in weights:
+        strategy = [[draw(st.integers(0, outs[p] - 1)) for _ in range(ins[p])]
+                    for p in range(parties)]
+        for i in itertools.product(*map(range, ins)):
+            o = tuple(strategy[p][i[p]] for p in range(parties))
+            table[(o, i)] += w
+    for _ in range(draw(st.integers(0, 3))):
+        (o1, i), (o2, _) = draw(st.sampled_from(keys)), draw(
+            st.sampled_from(keys))
+        q = draw(_SHIFT)
+        if draw(st.booleans()):
+            table[(o1, i)] += q
+            table[(o2, i)] -= q
+        else:
+            table[(o1, i)] += q
+    if draw(st.booleans()):
+        table = {k: p for k, p in table.items() if p}
+    behavior = G.Behavior(ins, outs, table)
+    game = None
+    if parties == 2 and draw(st.booleans()):
+        pi = {i: F(1, math.prod(ins)) for i in itertools.product(
+            *map(range, ins))}
+        game = G.Game(2, tuple(map(G.Alphabet, ins)),
+                      tuple(map(G.Alphabet, outs)), pi,
+                      {(o, i): draw(st.integers(0, 1)) for o, i in keys})
+    return behavior, game
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_behaviors())
+def test_integer_verifier_agrees_with_the_fraction_oracle(case):
+    """Same checks, verdicts and details as the Fraction oracle."""
+    behavior, game = case
+    assert _checks(K.verify_behavior(behavior, game)) == \
+        _checks(_fraction_report(behavior, game))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifts=st.lists(st.tuples(st.integers(0, 26), _SHIFT), max_size=3))
+def test_attack_checks_agree_with_the_fraction_oracle(single_basis, shifts):
+    """Spoilt single-basis attacks: the attack's own checks agree too."""
+    attack = K.tripartite_attack(single_basis, 0)
+    table = dict(attack.behavior.table)
+    keys = [((u, w, e), (0, 0, 0)) for u, w, e in itertools.product(
+        range(3), repeat=3)]
+    for k, q in shifts:
+        table[keys[k]] = table.get(keys[k], 0) + q
+    attack.behavior = G.Behavior((1, 1, 1), (3, 3, 3), table)
+    game = K.make_ks_game(single_basis)
+    assert _checks(K.verify_behavior(attack, game)) == \
+        _checks(_fraction_report(attack, game))
+
+
+def test_attack_reports_name_the_first_failing_entry():
+    """With Eve's output-0 entries halved, Eve's marginal and the guess
+    probability fail first at (x, y, z) = (0, 0, 0) and y = 0."""
+    ks = K.load_bundled_ks("peres24")
+    attack = K.tripartite_attack(ks, 0)
+    b = attack.behavior
+    attack.behavior = G.Behavior(b.input_sizes, b.output_sizes, {
+        key: p / 2 if key[0][2] == 0 else p for key, p in b.table.items()})
+    checks = {c.name: c.detail for c in K.verify_behavior(attack).checks}
+    assert checks["eve-marginal-uniform"] == "P(e=0|0,0,0) = 1/8"
+    assert checks["perfect-guessing-at-zstar"] == "guess probability 7/8 at y=0"
+    assert checks["normalization"].startswith(
+        "per-input sums off at [((0, 0, 0), Fraction(7, 8))")
+    assert _checks(K.verify_behavior(attack)) == \
+        _checks(_fraction_report(attack))
+
+
+def test_verifier_beyond_int64_agrees_with_the_oracle():
+    """Entries over denominators near 2**40 have numerators past int64
+    over their common denominator: the object path gives the oracle's
+    verdicts, passing and failing."""
+    p, q = F(1, 2 ** 40 - 87), F(1, 2 ** 40 - 167)
+    assert G.integer_table([p, q, 1 - p - q])[0].dtype == object
+    for x1 in (p, q):
+        table = {((0, 0), (0, 0)): p, ((1, 1), (0, 0)): 1 - p,
+                 ((0, 0), (1, 0)): x1, ((1, 1), (1, 0)): 1 - x1}
+        behavior = G.Behavior((2, 1), (2, 2), table)
+        report = K.verify_behavior(behavior)
+        assert report.all_passed == (x1 == p)
+        assert _checks(report) == _checks(_fraction_report(behavior))
+
+
+def test_non_finite_entries_fail_without_raising():
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))).table)
+    table[((0, 0), (1, 1))] = math.nan
+    table[((1, 1), (1, 1))] = math.inf
+    report = K.verify_behavior(G.Behavior((2, 2), (2, 2), table))
+    assert _checks(report) == [
+        ("finite-entries", False,
+         "non-finite entries at [((0, 0), (1, 1)), ((1, 1), (1, 1))]")]

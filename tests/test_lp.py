@@ -553,6 +553,167 @@ def test_certificate_names_each_violation(mode, perturb, reason):
     assert any(re.match(reason, r) for r in report.reasons), report.reasons
 
 
+def test_non_finite_certificates_fail_by_name():
+    """NaN or infinite entries fail the certificate, naming each entry,
+    in both modes; exact mode does not raise on them."""
+    lp = L.LinProgram(2, "max", {0: 1, 1: 1})
+    lp.add({0: 1, 1: 1}, "<=", 1)
+    for mode in ("float", "exact"):
+        nan = LpSolution("optimal", math.nan, [math.nan, math.nan],
+                         [math.nan], mode)
+        report = L.verify_certificate(lp, nan)
+        assert not report
+        assert report.reasons == [
+            "x0 = nan is not finite", "x1 = nan is not finite",
+            "dual 0 = nan is not finite", "reported value nan is not finite"]
+        inf = LpSolution("optimal", F(1), [math.inf, F(0)], [-math.inf],
+                         mode)
+        assert L.verify_certificate(lp, inf).reasons == [
+            "x0 = inf is not finite", "dual 0 = -inf is not finite"]
+
+
+def test_exact_check_takes_floats_exactly():
+    """A float entry is taken as the rational it stores: 0.1 is not 1/10."""
+    lp = L.LinProgram(1, "max", {0: 1})
+    lp.add({0: 10}, "<=", 1)
+    exact = LpSolution("optimal", F(1, 10), [F(1, 10)], [F(1, 10)], "exact")
+    assert L.verify_certificate(lp, exact)
+    floats = LpSolution("optimal", 0.1, [0.1], [0.1], "exact")
+    assert not L.verify_certificate(lp, floats)
+
+
+# ---------------------------------------------------------------------------
+# the integer certificate check against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def _fraction_certificate(lp: LinProgram, sol: LpSolution
+                          ) -> L.CertificateReport:
+    """``verify_certificate`` in exact mode, entry by entry in Fractions."""
+    reasons: list[str] = []
+    norm = lp.normalized()
+    if sol.status != LpSolution.OPTIMAL:
+        return L.CertificateReport(False, [f"status is {sol.status}, not "
+                                          f"optimal"])
+    if len(sol.primal) != lp.num_vars:
+        return L.CertificateReport(False, ["primal length mismatch"])
+    if len(sol.dual) != len(norm.constraints):
+        return L.CertificateReport(False, ["dual length mismatch"])
+    x, y, cons = sol.primal, sol.dual, norm.constraints
+    zero = Fraction(0)
+    for j in range(lp.num_vars):
+        if not norm.is_free(j) and x[j] < 0:
+            reasons.append(f"x{j} = {x[j]} violates x >= 0")
+    for k, con in enumerate(cons):
+        lhs = sum((c * x[j] for j, c in con.coeffs), start=zero)
+        delta = lhs - con.rhs
+        if con.rel == EQ and delta != 0:
+            reasons.append(f"row {k}: {lhs} != {con.rhs}")
+        elif con.rel == LE and delta > 0:
+            reasons.append(f"row {k}: {lhs} > {con.rhs}")
+        elif con.rel == GE and delta < 0:
+            reasons.append(f"row {k}: {lhs} < {con.rhs}")
+    sign = 1 if norm.sense == MAX else -1
+    for k, con in enumerate(cons):
+        if con.rel == LE and sign * y[k] < 0:
+            reasons.append(f"dual {k}: wrong sign for <= row")
+        elif con.rel == GE and -sign * y[k] < 0:
+            reasons.append(f"dual {k}: wrong sign for >= row")
+    col_dual = [zero] * lp.num_vars
+    for k, yk in enumerate(y):
+        if yk:
+            for j, c in cons[k].coeffs:
+                col_dual[j] += yk * c
+    for j in range(lp.num_vars):
+        r = col_dual[j] - norm.objective.get(j, 0)
+        if norm.is_free(j):
+            if r != 0:
+                reasons.append(f"reduced cost of free x{j} is {r}, not 0")
+        elif sign * r < 0:
+            reasons.append(f"reduced cost of x{j} has wrong sign: {r}")
+    primal_obj = sum((c * x[j] for j, c in norm.objective.items()),
+                     start=zero)
+    dual_obj = sum((y[k] * con.rhs for k, con in enumerate(cons)),
+                   start=zero)
+    if primal_obj != dual_obj:
+        reasons.append(f"objective gap: primal {float(primal_obj):.12g} "
+                       f"vs dual {float(dual_obj):.12g}")
+    if sol.value is not None and primal_obj != sol.value:
+        reasons.append(f"reported value {float(sol.value):.12g} != primal "
+                       f"objective {float(primal_obj):.12g}")
+    return L.CertificateReport(not reasons, reasons)
+
+
+@st.composite
+def _certificates(draw):
+    """An LP of ``_small_lps`` with its exact optimum (random vectors when
+    it has none), then possibly spoilt: a primal entry moved, a dual
+    entry negated or moved, or the reported value moved."""
+    lp = draw(_small_lps())
+    m = len(lp.normalized().constraints)
+    sol = _solve(lp)
+    if sol.status != "optimal":
+        sol = LpSolution("optimal", draw(st.none() | _RATIONAL),
+                         draw(st.lists(_RATIONAL, min_size=lp.num_vars,
+                                       max_size=lp.num_vars)),
+                         draw(st.lists(_RATIONAL, min_size=m, max_size=m)),
+                         "exact")
+    spoil = draw(st.sampled_from(["none", "primal", "negate-dual", "dual",
+                                  "value"]))
+    if spoil == "primal":
+        sol.primal[draw(st.integers(0, lp.num_vars - 1))] += draw(_RATIONAL)
+    elif spoil in ("negate-dual", "dual") and m:
+        k = draw(st.integers(0, m - 1))
+        sol.dual[k] = -sol.dual[k] if spoil == "negate-dual" else \
+            sol.dual[k] + draw(_RATIONAL)
+    elif spoil == "value":
+        sol.value = draw(_RATIONAL)
+    return lp, sol
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_certificates())
+def test_integer_check_agrees_with_the_fraction_oracle(case):
+    """Same verdict and same reasons, in the same order, as the check
+    made entry by entry in Fractions."""
+    lp, sol = case
+    expected = _fraction_certificate(lp, sol)
+    report = L.verify_certificate(lp, sol)
+    assert (report.ok, report.reasons) == (expected.ok, expected.reasons)
+
+
+def test_integer_check_beyond_int64_agrees_with_the_oracle():
+    """Denominators near 2**40 push the integer residuals past int64:
+    the check runs on Python ints with the oracle's verdicts."""
+    p, q, r = 2 ** 40 - 87, 2 ** 40 - 167, 2 ** 40 - 57
+    # max x0 s.t. x0 / p <= 1 / q: the optimum x0 = p / q, y = p.  The
+    # data's own denominator p q is past int64.
+    small = L.LinProgram(1, "max", {0: 1})
+    small.add({0: F(1, p)}, "<=", F(1, q))
+    assert G.integer_table([F(1, p), F(1, q), 1])[0].dtype == object
+    # max x0 + x1 s.t. x0 / p <= 1, x0 / p + x1 <= 1, x1 free: data over
+    # p and the optimum x = (p, 0), y = (p - 1, 1) fit int64 alone, not
+    # together.
+    mixed = L.LinProgram(2, "max", {0: 1, 1: 1}, lower={1: None})
+    mixed.add({0: F(1, p)}, "<=", 1)
+    mixed.add({0: F(1, p), 1: 1}, "<=", 1)
+    cases = [(small, LpSolution("optimal", F(p, q), [F(p, q)], [F(p)],
+                                "exact")),
+             (mixed, LpSolution("optimal", F(p), [F(p), F(0)],
+                                [F(p - 1), F(1)], "exact"))]
+    for lp, sol in cases:
+        assert L.verify_certificate(lp, sol)
+        for spoilt in (
+                LpSolution("optimal", sol.value, [sol.primal[0] + F(1, r),
+                                                  *sol.primal[1:]],
+                           sol.dual, "exact"),
+                LpSolution("optimal", sol.value, sol.primal,
+                           [-v for v in sol.dual], "exact")):
+            report = L.verify_certificate(lp, spoilt)
+            expected = _fraction_certificate(lp, spoilt)
+            assert not report
+            assert report.reasons == expected.reasons
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: a dense two-phase simplex over Fractions with Bland's
 # rule (guaranteed termination on degenerate LPs), independent of HiGHS
