@@ -438,7 +438,8 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
     inner = verify_behavior(behavior, game=make_ks_game(ks, graph))
     report.checks.extend(inner.checks)
 
-    # Marginals must reproduce the assignment on both sides.
+    # Marginals must reproduce the assignment on both sides; the detail
+    # names the first entry that does not.
     ok = True
     detail = ""
     for y, by in enumerate(ks.bob_bases):
@@ -446,14 +447,14 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
             for j, vec in enumerate(ks.bases[by]):
                 marg = sum((behavior.entry((i, j), (x, y)) for i in range(d)),
                            start=Fraction(0))
-                if marg != f[vec]:
+                if ok and marg != f[vec]:
                     ok, detail = False, f"bob marginal at w={j}, ({x},{y})"
     for x, bx in enumerate(ks.alice_bases):
         for y in range(len(ks.bob_bases)):
             for i, vec in enumerate(ks.bases[bx]):
                 marg = sum((behavior.entry((i, j), (x, y)) for j in range(d)),
                            start=Fraction(0))
-                if marg != f[vec]:
+                if ok and marg != f[vec]:
                     ok, detail = False, f"alice marginal at u={i}, ({x},{y})"
     report.record("marginals-equal-assignment", ok, detail)
     return behavior, report
@@ -715,12 +716,29 @@ def attack_affine_dimension(attacks: Sequence[Behavior]) -> int:
 
 def ks_from_dict(data: dict, orth_tol: float = DEFAULT_ORTH_TOL,
                  require_unit: bool = True) -> KSSet:
-    vectors = [tuple(_to_component(c) for c in vec) for vec in data["vectors"]]
-    bases = [tuple(int(i) for i in b) for b in data["bases"]]
-    nb = len(bases)
-    alice = [int(i) for i in data.get("alice_bases", range(nb))]
-    bob = [int(i) for i in data.get("bob_bases", range(nb))]
-    ks = KSSet(int(data["dim"]), vectors, bases, alice, bob,
+    """The KS set of a JSON object; a missing or malformed field raises
+    ``KsError`` naming it."""
+    def field(name, parse, default=None):
+        value = data.get(name, default) if isinstance(data, dict) else None
+        if value is None:
+            raise KsError(f"missing field {name!r}")
+        try:
+            return parse(value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise KsError(f"bad field {name!r}: {exc}") from exc
+
+    def whole(value) -> int:
+        if int(value) != Fraction(value):
+            raise ValueError(f"{value!r} is not an integer")
+        return int(value)
+
+    vectors = field("vectors", lambda vs: [tuple(map(_to_component, vec))
+                                           for vec in vs])
+    bases = field("bases", lambda bs: [tuple(map(whole, b)) for b in bs])
+    alice, bob = (field(side, lambda bs: list(map(whole, bs)),
+                        range(len(bases)))
+                  for side in ("alice_bases", "bob_bases"))
+    ks = KSSet(field("dim", whole), vectors, bases, alice, bob,
                name=data.get("name", ""))
     ks.validate(orth_tol=orth_tol, require_unit=require_unit)
     return ks

@@ -9,11 +9,11 @@ accepts the rational pair only if primal feasibility, dual feasibility
 and equality of both objectives hold in exact arithmetic (the
 lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash & Espinoza,
 Oper. Res. Lett. 35 (2007), finished by an exact basis solve as in
-Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  That check
-runs over integers: the LP data, the primal and the dual each over one
-common denominator, every residual evaluated with numpy.  Infeasible
-and unbounded verdicts are proved through the same path, by auxiliary
-LPs.
+Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  Both modes
+check a certificate with one residual evaluator: numpy sums over the LP
+data, primal and dual, compared with 0 over integers in exact mode and
+at the tolerance over floats in float mode.  Infeasible and unbounded
+verdicts are proved through the exact path, by auxiliary LPs.
 """
 
 from __future__ import annotations
@@ -185,16 +185,26 @@ def dump_lp(lp: LinProgram) -> str:
 # certificate verification
 # ---------------------------------------------------------------------------
 
+def _check_tolerance(tolerance: float) -> None:
+    """Raise ``LpError`` unless the float tolerance is finite and positive."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise LpError(f"float tolerance must be finite and positive, "
+                      f"not {tolerance!r}")
+
+
 def verify_certificate(lp: LinProgram, sol: LpSolution,
                        tolerance: float = 1e-9) -> CertificateReport:
     """Re-check primal feasibility, dual feasibility and objective equality.
 
-    The check is independent of how the solution was produced: exact-mode
-    solutions are verified exactly over integers (``_exact_reasons``),
-    float-mode ones within ``tolerance``.  A value, primal or dual entry
-    that is NaN or infinite fails by name.  Returns a falsy report with
-    reasons on failure; never raises on a bad certificate.
+    The check is independent of how the solution was produced, and both
+    modes share one residual evaluator (``_residual_reasons``): exact-mode
+    solutions are verified exactly over integers, float-mode ones within
+    ``tolerance``.  A value, primal or dual entry that is NaN or infinite
+    fails by name.  Returns a falsy report with reasons on failure; never
+    raises on a bad certificate, only on a tolerance that is not finite
+    and positive (``LpError``).
     """
+    _check_tolerance(tolerance)
     norm = lp.normalized()
     if sol.status != LpSolution.OPTIMAL:
         return CertificateReport(False, [f"status is {sol.status}, not optimal"])
@@ -210,133 +220,89 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
     if sol.value is not None and not is_finite(sol.value):
         reasons.append(f"reported value {sol.value} is not finite")
     if not reasons:
-        reasons = (_exact_reasons(norm, x, y, sol.value)
-                   if sol.mode == "exact" else
-                   _float_reasons(norm, x, y, sol.value, tolerance))
+        reasons = _residual_reasons(norm, x, y, sol.value,
+                                    sol.mode == "exact", tolerance)
     return CertificateReport(not reasons, reasons)
 
 
-def _float_reasons(norm: LinProgram, x: list, y: list, value,
-                   tolerance: float) -> list[str]:
-    """``verify_certificate``'s reasons at ``tolerance``."""
-    def viol(delta) -> bool:
-        return abs(float(delta)) > tolerance
+def _residual_reasons(norm: LinProgram, x: list, y: list, value,
+                      exact: bool, tolerance: float) -> list[str]:
+    """``verify_certificate``'s reasons, from numpy residuals.
 
-    def neg(val) -> bool:
-        return float(val) < -tolerance
-
-    reasons: list[str] = []
-    cons = norm.constraints
-    for j in range(norm.num_vars):
-        if not norm.is_free(j) and neg(x[j]):
-            reasons.append(f"x{j} = {x[j]} violates x >= 0")
-    for k, con in enumerate(cons):
-        lhs = sum((c * x[j] for j, c in con.coeffs), start=0.0)
-        delta = lhs - con.rhs
-        if con.rel == EQ and viol(delta):
-            reasons.append(f"row {k}: {lhs} != {con.rhs}")
-        elif con.rel == LE and delta > 0 and viol(delta):
-            reasons.append(f"row {k}: {lhs} > {con.rhs}")
-        elif con.rel == GE and delta < 0 and viol(delta):
-            reasons.append(f"row {k}: {lhs} < {con.rhs}")
-
-    # Dual sign conventions: for a max problem y >= 0 on <= rows and
-    # y <= 0 on >= rows (mirrored for min); equality rows are free.
-    sign = 1 if norm.sense == MAX else -1
-    for k, con in enumerate(cons):
-        if con.rel == LE and neg(sign * y[k]):
-            reasons.append(f"dual {k}: wrong sign for <= row")
-        elif con.rel == GE and neg(-sign * y[k]):
-            reasons.append(f"dual {k}: wrong sign for >= row")
-
-    # Reduced costs: A^T y - c >= 0 for max (<= 0 for min) on x >= 0
-    # variables, with equality on free variables.
-    col_dual = [0.0] * norm.num_vars
-    for k, yk in enumerate(y):
-        if yk:
-            for j, c in cons[k].coeffs:
-                col_dual[j] += yk * c
-    for j in range(norm.num_vars):
-        r = col_dual[j] - norm.objective.get(j, 0)
-        if norm.is_free(j):
-            if viol(r):
-                reasons.append(f"reduced cost of free x{j} is {r}, not 0")
-        elif neg(sign * r):
-            reasons.append(f"reduced cost of x{j} has wrong sign: {r}")
-
-    primal_obj = sum((c * x[j] for j, c in norm.objective.items()),
-                     start=0.0)
-    dual_obj = sum((y[k] * con.rhs for k, con in enumerate(cons)),
-                   start=0.0)
-    if viol(primal_obj - dual_obj):
-        reasons.append(f"objective gap: primal {float(primal_obj):.12g} "
-                       f"vs dual {float(dual_obj):.12g}")
-    if value is not None and viol(primal_obj - value):
-        reasons.append(f"reported value {float(value):.12g} != primal "
-                       f"objective {float(primal_obj):.12g}")
-    return reasons
-
-
-def _exact_reasons(norm: LinProgram, x: list, y: list, value) -> list[str]:
-    """``verify_certificate``'s reasons in exact arithmetic.
-
-    The LP data (coefficients, right-hand sides, objective) are integers
+    The LP data (coefficients, right-hand sides, objective) are arrays
     A, b, c over one denominator s, the primal X over d and the dual Y
-    over e, so each check is an integer residual: the rows A X - b d, the
-    reduced costs A^T Y - c e, the objectives c.X / (s d) and b.Y / (s e).
-    Each residual is int64 when a magnitude bound allows, else a Python
-    int; a failing one is reported as the ``Fraction`` it stands for.
+    over e, so each check is a residual: the rows A X - b d, the reduced
+    costs A^T Y - c e, the objectives c.X / (s d) and b.Y / (s e).  In
+    exact mode they are integers, int64 when a magnitude bound allows,
+    else Python ints; each is compared with 0 and a failing one reported
+    as the ``Fraction`` it stands for.  In float mode they are floats with
+    s = d = e = 1, compared at ``tolerance``.  Every sum runs in its
+    terms' order from 0, so a float one has the bits of Python's ``sum``.
     """
     cons, n, m = norm.constraints, norm.num_vars, len(norm.constraints)
     row, col, coeffs = _coo(cons)
     obj_cols = list(norm.objective)
-    data, s = integer_table(itertools.chain(
-        coeffs, (con.rhs for con in cons), norm.objective.values()))
-    (X, d), (Y, e) = integer_table(x), integer_table(y)
-    size = len(coeffs) + n + m + 1
-    if _max_abs(data) * (_max_abs(X) + d + _max_abs(Y) + e) * size >= 2 ** 63:
-        data, X, Y = (v.astype(object) for v in (data, X, Y))
-    a, b = data[:len(coeffs)], data[len(coeffs):len(coeffs) + m]
+    data = itertools.chain(coeffs, (con.rhs for con in cons),
+                           norm.objective.values())
+    if exact:
+        (data, s), (X, d), (Y, e) = map(integer_table, (data, x, y))
+        size = len(coeffs) + n + m + 1
+        if _max_abs(data) * (_max_abs(X) + d + _max_abs(Y) + e) * size \
+                >= 2 ** 63:
+            data, X, Y = (v.astype(object) for v in (data, X, Y))
+        tol, value = 0, None if value is None else Fraction(value)
+    else:
+        data, X, Y = (np.fromiter(map(float, vs), float)
+                      for vs in (data, x, y))
+        s = d = e = 1
+        tol = tolerance
+
+    def number(v, den):
+        return Fraction(int(v), den) if exact else float(v)
+
+    def sums(index, terms, size):
+        out = np.zeros(size, dtype=terms.dtype)
+        np.add.at(out, index, terms)
+        return out
+
+    a, b, c_obj = np.split(data, [len(coeffs), len(coeffs) + m])
     c = np.zeros(n, dtype=data.dtype)
-    c[obj_cols] = data[len(coeffs) + m:]
+    c[obj_cols] = c_obj
     free = np.array([norm.is_free(j) for j in range(n)], dtype=bool)
     rel = np.array([con.rel for con in cons], dtype=object)
     le, eq, ge = rel == LE, rel == EQ, rel == GE
     sign = 1 if norm.sense == MAX else -1
 
-    reasons = [f"x{j} = {Fraction(int(X[j]), d)} violates x >= 0"
-               for j in np.flatnonzero((X < 0) & ~free)]
-    ax = np.zeros(m, dtype=X.dtype)
-    np.add.at(ax, row, a * X[col])
+    reasons = [f"x{j} = {number(X[j], d)} violates x >= 0"
+               for j in np.flatnonzero((X < -tol) & ~free)]
+    ax = sums(row, a * X[col], m)
     delta = ax - b * d
-    for k in np.flatnonzero(eq & (delta != 0) | le & (delta > 0)
-                            | ge & (delta < 0)):
+    for k in np.flatnonzero(eq & (abs(delta) > tol) | le & (delta > tol)
+                            | ge & (delta < -tol)):
         op = {EQ: "!=", LE: ">", GE: "<"}[rel[k]]
-        reasons.append(f"row {k}: {Fraction(int(ax[k]), s * d)} {op} "
-                       f"{cons[k].rhs}")
+        reasons.append(f"row {k}: {number(ax[k], s * d)} {op} {cons[k].rhs}")
 
     # Dual sign conventions: for a max problem y >= 0 on <= rows and
     # y <= 0 on >= rows (mirrored for min); equality rows are free.
-    for k in np.flatnonzero(le & (sign * Y < 0) | ge & (sign * Y > 0)):
+    for k in np.flatnonzero(le & (sign * Y < -tol) | ge & (sign * Y > tol)):
         reasons.append(f"dual {k}: wrong sign for {rel[k]} row")
 
     # Reduced costs: A^T y - c >= 0 for max (<= 0 for min) on x >= 0
     # variables, with equality on free variables.
-    aty = np.zeros(n, dtype=Y.dtype)
-    np.add.at(aty, col, a * Y[row])
-    r = aty - c * e
-    for j in np.flatnonzero(free & (r != 0) | ~free & (sign * r < 0)):
-        rj = Fraction(int(r[j]), s * e)
+    r = sums(col, a * Y[row], n) - c * e
+    for j in np.flatnonzero(free & (abs(r) > tol) | ~free & (sign * r < -tol)):
+        rj = number(r[j], s * e)
         reasons.append(f"reduced cost of free x{j} is {rj}, not 0"
                        if free[j] else
                        f"reduced cost of x{j} has wrong sign: {rj}")
 
-    primal_obj = Fraction(int(np.dot(c, X)), s * d)
-    dual_obj = Fraction(int(np.dot(b, Y)), s * e)
-    if primal_obj != dual_obj:
+    primal_obj = number(sums(np.zeros(len(c_obj), np.intp),
+                             c_obj * X[obj_cols], 1)[0], s * d)
+    dual_obj = number(sums(np.zeros(m, np.intp), b * Y, 1)[0], s * e)
+    if abs(primal_obj - dual_obj) > tol:
         reasons.append(f"objective gap: primal {float(primal_obj):.12g} "
                        f"vs dual {float(dual_obj):.12g}")
-    if value is not None and primal_obj != value:
+    if value is not None and abs(primal_obj - value) > tol:
         reasons.append(f"reported value {float(value):.12g} != primal "
                        f"objective {float(primal_obj):.12g}")
     return reasons
@@ -597,9 +563,7 @@ def solve(lp: LinProgram, mode: str = "exact",
     lp.validate()
     if mode not in ("exact", "float"):
         raise LpError(f"unknown mode {mode!r}")
-    if not (math.isfinite(float_tolerance) and float_tolerance > 0):
-        raise LpError(f"float tolerance must be finite and positive, "
-                      f"not {float_tolerance!r}")
+    _check_tolerance(float_tolerance)
     norm = lp.normalized()
     exact = mode == "exact"
     if not norm.num_vars:

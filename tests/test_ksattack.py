@@ -460,6 +460,18 @@ def test_attack_reports_name_the_first_failing_entry():
         _checks(_fraction_report(attack))
 
 
+def test_assignment_marginals_name_the_first_failing_entry():
+    """peres24's first assignment for target 0 has no coupling at two
+    input pairs; of its 8 marginal misses the detail names the first."""
+    ks = K.load_bundled_ks("peres24")
+    graph = K.build_orth_graph(ks)
+    assignment = next(K.enumerate_assignments(graph, 0))
+    _, report = K.bipartite_from_assignment(ks, assignment, graph)
+    checks = {c.name: (c.passed, c.detail) for c in report.checks}
+    assert checks["marginals-equal-assignment"] == (
+        False, "bob marginal at w=0, (1,0)")
+
+
 def test_verifier_beyond_int64_agrees_with_the_oracle():
     """Entries over denominators near 2**40 have numerators past int64
     over their common denominator: the object path gives the oracle's

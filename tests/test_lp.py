@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 import nsrand.lp as L
@@ -176,6 +176,22 @@ def test_tolerance_must_be_finite_and_positive(tolerance,
     for mode in ("float", "exact"):
         with pytest.raises(L.LpError, match="finite and positive"):
             L.solve(_three_var_lp(), mode=mode, float_tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-3])
+def test_certificate_check_refuses_a_bad_tolerance(tolerance):
+    """``verify_certificate`` refuses the tolerances ``solve`` refuses,
+    where NaN and inf used to accept any certificate."""
+    lp = L.LinProgram(2, "max", {0: 1, 1: 1})
+    lp.add({0: 1, 1: 1}, "<=", 1)
+    sol = LpSolution("optimal", 5.0, [3.0, 4.0], [-2.0], "float")
+    assert L.verify_certificate(lp, sol).reasons[:2] == [
+        "row 0: 7.0 > 1", "dual 0: wrong sign for <= row"]
+    for mode in ("float", "exact"):
+        sol.mode = mode
+        with pytest.raises(L.LpError, match="float tolerance must be finite "
+                                            "and positive"):
+            L.verify_certificate(lp, sol, tolerance)
 
 
 def _spy(monkeypatch, name):
@@ -712,6 +728,134 @@ def test_integer_check_beyond_int64_agrees_with_the_oracle():
             expected = _fraction_certificate(lp, spoilt)
             assert not report
             assert report.reasons == expected.reasons
+
+
+def _float_certificate(lp: LinProgram, sol: LpSolution, tolerance: float
+                       ) -> L.CertificateReport:
+    """``verify_certificate`` in float mode, row by row in Python floats."""
+    norm = lp.normalized()
+    if sol.status != LpSolution.OPTIMAL:
+        return L.CertificateReport(False, [f"status is {sol.status}, not "
+                                          f"optimal"])
+    if len(sol.primal) != lp.num_vars:
+        return L.CertificateReport(False, ["primal length mismatch"])
+    if len(sol.dual) != len(norm.constraints):
+        return L.CertificateReport(False, ["dual length mismatch"])
+    x, y, value, cons = sol.primal, sol.dual, sol.value, norm.constraints
+
+    def viol(delta) -> bool:
+        return abs(float(delta)) > tolerance
+
+    def neg(val) -> bool:
+        return float(val) < -tolerance
+
+    reasons: list[str] = []
+    for j in range(norm.num_vars):
+        if not norm.is_free(j) and neg(x[j]):
+            reasons.append(f"x{j} = {x[j]} violates x >= 0")
+    for k, con in enumerate(cons):
+        lhs = sum((c * x[j] for j, c in con.coeffs), start=0.0)
+        delta = lhs - con.rhs
+        if con.rel == EQ and viol(delta):
+            reasons.append(f"row {k}: {lhs} != {con.rhs}")
+        elif con.rel == LE and delta > 0 and viol(delta):
+            reasons.append(f"row {k}: {lhs} > {con.rhs}")
+        elif con.rel == GE and delta < 0 and viol(delta):
+            reasons.append(f"row {k}: {lhs} < {con.rhs}")
+    sign = 1 if norm.sense == MAX else -1
+    for k, con in enumerate(cons):
+        if con.rel == LE and neg(sign * y[k]):
+            reasons.append(f"dual {k}: wrong sign for <= row")
+        elif con.rel == GE and neg(-sign * y[k]):
+            reasons.append(f"dual {k}: wrong sign for >= row")
+    col_dual = [0.0] * norm.num_vars
+    for k, yk in enumerate(y):
+        if yk:
+            for j, c in cons[k].coeffs:
+                col_dual[j] += yk * c
+    for j in range(norm.num_vars):
+        r = col_dual[j] - norm.objective.get(j, 0)
+        if norm.is_free(j):
+            if viol(r):
+                reasons.append(f"reduced cost of free x{j} is {r}, not 0")
+        elif neg(sign * r):
+            reasons.append(f"reduced cost of x{j} has wrong sign: {r}")
+    primal_obj = sum((c * x[j] for j, c in norm.objective.items()),
+                     start=0.0)
+    dual_obj = sum((y[k] * con.rhs for k, con in enumerate(cons)),
+                   start=0.0)
+    if viol(primal_obj - dual_obj):
+        reasons.append(f"objective gap: primal {float(primal_obj):.12g} "
+                       f"vs dual {float(dual_obj):.12g}")
+    if value is not None and viol(primal_obj - value):
+        reasons.append(f"reported value {float(value):.12g} != primal "
+                       f"objective {float(primal_obj):.12g}")
+    return L.CertificateReport(not reasons, reasons)
+
+
+_SHIFTS = st.sampled_from([1e-12, 1e-10, 1e-9, 1e-7, 1e-3, 1.0])
+
+
+@st.composite
+def _float_certificates(draw):
+    """An LP of ``_small_lps`` with HiGHS's float optimum (random vectors
+    when it has none), a tolerance, then possibly spoilt: a primal entry,
+    a dual entry or the reported value moved by plus or minus an amount
+    that may be the tolerance itself."""
+    lp = draw(_small_lps())
+    m = len(lp.normalized().constraints)
+    sol = L._highs(lp.normalized())[0]
+    floats = st.floats(-9, 9)
+    if sol is None or sol.status != "optimal":
+        sol = LpSolution("optimal", draw(st.none() | floats),
+                         draw(st.lists(floats, min_size=lp.num_vars,
+                                       max_size=lp.num_vars)),
+                         draw(st.lists(floats, min_size=m, max_size=m)),
+                         "float")
+    tolerance = draw(st.sampled_from([1e-9, 1e-7]))
+    shift = draw(st.sampled_from([-1.0, 1.0])) * \
+        draw(st.just(tolerance) | _SHIFTS)
+    spoil = draw(st.sampled_from(["none", "primal", "dual", "value"]))
+    if spoil == "primal":
+        sol.primal[draw(st.integers(0, lp.num_vars - 1))] += shift
+    elif spoil == "dual" and m:
+        sol.dual[draw(st.integers(0, m - 1))] += shift
+    elif spoil == "value" and sol.value is not None:
+        sol.value += shift
+    return lp, sol, tolerance
+
+
+def _at_the_tolerance():
+    """max x0 s.t. x0 <= 0 at x0 = 1e-9: the row residual and the
+    objective gap are both exactly the tolerance, which passes."""
+    lp = L.LinProgram(1, "max", {0: 1})
+    lp.add({0: 1}, "<=", 0)
+    return lp, LpSolution("optimal", 0.0, [1e-9], [1.0], "float"), 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_float_certificates())
+@example(case=_at_the_tolerance())
+def test_float_check_agrees_with_the_float_oracle(case):
+    """Same verdict and same reasons, in the same order and to the last
+    printed bit, as the check made row by row in Python floats."""
+    lp, sol, tolerance = case
+    expected = _float_certificate(lp, sol, tolerance)
+    report = L.verify_certificate(lp, sol, tolerance)
+    assert (report.ok, report.reasons) == (expected.ok, expected.reasons)
+
+
+def test_float_check_prints_a_zero_objective_as_0():
+    """An objective of 0 reached through a -0.0 term prints as 0, not -0,
+    as the oracle's sums from +0.0 do."""
+    lp = L.LinProgram(1, "max", {0: -1})
+    lp.add({0: 1}, "<=", 1)
+    sol = L.solve(lp, mode="float")
+    assert sol.primal == [0.0] and sol.value == 0
+    sol.value = 1.0
+    report = L.verify_certificate(lp, sol)
+    assert report.reasons == _float_certificate(lp, sol, 1e-9).reasons == [
+        "reported value 1 != primal objective 0"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for JSON/CSV serialization and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -376,6 +377,33 @@ class TestCli:
         code = cli.main(["ks-attack", "--ks", str(path)])
         assert code == cli.EXIT_INPUT_ERROR
         assert "vector 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.__delitem__("bases"), "missing field 'bases'"),
+        (lambda data: data["vectors"][1][0].__setitem__(0, "x"),
+         "bad field 'vectors': Invalid literal for Fraction: 'x'"),
+        (lambda data: data.__setitem__("dim", 3.5),
+         "bad field 'dim': 3.5 is not an integer"),
+        (lambda data: data.__setitem__("dim", "three"), "bad field 'dim'"),
+        (lambda data: data.__setitem__("dim", math.inf), "bad field 'dim'"),
+        (lambda data: [data], "missing field 'vectors'")],
+        ids=["no-bases", "non-numeric-component", "fractional-dim",
+             "text-dim", "infinite-dim", "not-an-object"])
+    def test_malformed_ks_file_is_an_input_error(self, edit, message,
+                                                 tmp_path, capsys):
+        """A KS file with a missing or malformed field exits 3 naming the
+        field, as game and behavior files do."""
+        data = {"dim": 3, "bases": [[0, 1, 2]],
+                "vectors": [[["1", "0"], ["0", "0"], ["0", "0"]],
+                            [["0", "0"], ["1", "0"], ["0", "0"]],
+                            [["0", "0"], ["0", "0"], ["1", "0"]]]}
+        path = tmp_path / "ks.json"
+        path.write_text(json.dumps(edit(data) or data))
+        code = cli.main(["ks-attack", "--ks", str(path),
+                         "--out", str(tmp_path / "attack.json")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR, err
+        assert err.startswith(f"input error: KS file {path}: {message}"), err
 
     def test_curves_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
