@@ -7,8 +7,8 @@ its complete-support variant, CHSH, tripartite guessing games, and the
 Mermin-Peres magic square.  Multi-round strings are flattened with
 round-major mixed-radix indexing throughout.  ``ns_index_groups`` is
 the one source of no-signalling marginal rows, single-round and
-time-ordered, for every LP builder and verifier; ``ns_marginal_groups``
-and ``ns_equality_rows`` read it by ``Behavior.table`` key.
+time-ordered, for every LP builder and verifier: flat index arrays into
+the behavior tensor, which ``ns_pair_rows`` turns into LP row blocks.
 """
 
 from __future__ import annotations
@@ -139,18 +139,19 @@ class Behavior:
     def normalization(self, inputs: tuple[int, ...]) -> Number:
         return sum(self.entry(o, inputs) for o in self.outputs())
 
-    def check_valid(self, tol: float = 0.0) -> None:
-        """Raise unless entries are nonnegative and per-input sums agree."""
+    def check_valid(self) -> None:
+        """Raise unless entries are nonnegative and per-input sums agree
+        exactly."""
         sums = []
         for ins in self.inputs():
             for outs in self.outputs():
                 p = self.entry(outs, ins)
-                if p < (-tol if tol else 0):
+                if p < 0:
                     raise GameError(f"negative probability {p} at {outs}|{ins}")
             sums.append(self.normalization(ins))
         target = Fraction(1) if not self.subnormalized else sums[0]
         for s in sums:
-            if abs(s - target) > tol:
+            if s != target:
                 raise GameError(f"per-input sums differ: {s} vs {target}")
 
 
@@ -202,10 +203,20 @@ def ns_families(parties: int) -> tuple:
 
 def ns_index_groups(output_sizes: Sequence[int], input_sizes: Sequence[int],
                     families, rounds: int = 1, time_ordered: bool = False):
-    """The groups of ``ns_marginal_groups`` as flat indices into the
-    behavior tensor of shape (output strings per party, input strings per
-    party): ``(family name, summed parties, index)`` per level and family,
-    where ``index[g, k]`` holds the keys of group g's k-th entry.
+    """Groups of marginal sums that no-signalling requires to be equal, as
+    flat indices into the behavior tensor of shape (output strings per
+    party, input strings per party).
+
+    Sizes are per round and party; strings are round-major.  At level i
+    a family sums its parties' outputs after round i, and the sum may not
+    depend on their inputs after round i.  Levels are 0..rounds-1 if
+    ``time_ordered`` (TONS), else 0 alone.
+
+    Yields ``(family name, summed parties, index)`` per level and family,
+    where ``index[g, k]`` holds the keys of group g's k-th entry: one
+    entry per input suffix of the summed parties, all-zero suffix first.
+    Groups run over the kept parties' output strings then input strings,
+    then the summed parties' prefix outputs then prefix inputs.
     """
     n, m = rounds, len(output_sizes)
     sizes = (*output_sizes, *input_sizes)
@@ -227,42 +238,15 @@ def ns_index_groups(output_sizes: Sequence[int], input_sizes: Sequence[int],
             yield name, summed, split.transpose(order).reshape(-1, *shape)
 
 
-def ns_marginal_groups(output_sizes: Sequence[int], input_sizes: Sequence[int],
-                       families, rounds: int = 1, time_ordered: bool = False):
-    """Groups of marginal sums that no-signalling requires to be equal.
-
-    Sizes are per round and party; keys are ``Behavior.table`` keys of
-    round-major strings.  At level i a family sums its parties' outputs
-    after round i, and the sum may not depend on their inputs after round
-    i.  Levels are 0..rounds-1 if ``time_ordered`` (TONS), else 0 alone.
-
-    Yields ``(family name, kept outputs, [(inputs, keys), ...])``: one
-    entry per input suffix of the summed parties, all-zero suffix first.
-    Order: level, family, kept parties' output strings then input
-    strings, summed parties' prefix outputs then prefix inputs, suffix.
-    A key view of ``ns_index_groups``.
-    """
-    keys = list(itertools.product(*(
-        itertools.product(*(range(s ** rounds) for s in sizes))
-        for sizes in (output_sizes, input_sizes))))
-    for name, summed, index in ns_index_groups(output_sizes, input_sizes,
-                                               families, rounds, time_ordered):
-        for group in index.tolist():
-            outs = keys[group[0][0]][0]
-            kept_outs = tuple(o for p, o in enumerate(outs) if p not in summed)
-            yield name, kept_outs, [(keys[entry[0]][1], [keys[f] for f in entry])
-                                    for entry in group]
-
-
-def ns_equality_rows(output_sizes: Sequence[int], input_sizes: Sequence[int],
-                     families, rounds: int = 1, time_ordered: bool = False):
-    """Rows ``{key: +-1}``, one per non-reference entry of each
-    ``ns_marginal_groups`` group: its marginal sum minus the reference."""
-    for _, _, entries in ns_marginal_groups(output_sizes, input_sizes,
-                                            families, rounds, time_ordered):
-        ref = dict.fromkeys(entries[0][1], -1)
-        for _, keys in entries[1:]:
-            yield dict.fromkeys(keys, 1) | ref
+def ns_pair_rows(index: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The rows "entry a's marginal sum minus entry b's" of every group of
+    an ``ns_index_groups`` index, group by group and, within a group, one
+    per pair (a, b) of ``pairs``: a block ``(keys, coeffs)`` with +1 on
+    a's keys, then -1 on b's."""
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    keys = index.shape[2]
+    return (np.concatenate([index[:, a], index[:, b]], axis=2)
+            .reshape(-1, 2 * keys), np.repeat([1, -1], keys))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +454,7 @@ def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
 
 def is_finite(p) -> bool:
     """False for a NaN or infinite float; exact numbers are finite."""
-    return isinstance(p, (int, Fraction)) or math.isfinite(p)
+    return type(p) is int or type(p) is Fraction or math.isfinite(p)
 
 
 def check_game_shape(behavior: Behavior, game: Game) -> None:

@@ -94,14 +94,13 @@ class KSSet:
     name: str = ""
 
     def validate(self, orth_tol: float = DEFAULT_ORTH_TOL,
-                 norm_tol: float = DEFAULT_NORM_TOL,
                  require_unit: bool = True) -> None:
         if self.dim < 3:
             raise KsError(f"dimension must be >= 3, got {self.dim}")
         for i, vec in enumerate(self.vectors):
             if len(vec) != self.dim:
                 raise KsError(f"vector {i} has {len(vec)} components")
-            if require_unit and abs(norm_sq(vec) - 1) > Fraction(norm_tol):
+            if require_unit and abs(norm_sq(vec) - 1) > DEFAULT_NORM_TOL:
                 raise KsError(f"vector {i} is not a unit vector "
                               f"(|v|^2 = {float(norm_sq(vec)):.12g})")
         seen = set()
@@ -714,8 +713,7 @@ def attack_affine_dimension(attacks: Sequence[Behavior]) -> int:
 # bundled data
 # ---------------------------------------------------------------------------
 
-def ks_from_dict(data: dict, orth_tol: float = DEFAULT_ORTH_TOL,
-                 require_unit: bool = True) -> KSSet:
+def ks_from_dict(data: dict, orth_tol: float = DEFAULT_ORTH_TOL) -> KSSet:
     """The KS set of a JSON object; a missing or malformed field raises
     ``KsError`` naming it."""
     def field(name, parse, default=None):
@@ -740,7 +738,7 @@ def ks_from_dict(data: dict, orth_tol: float = DEFAULT_ORTH_TOL,
                   for side in ("alice_bases", "bob_bases"))
     ks = KSSet(field("dim", whole), vectors, bases, alice, bob,
                name=data.get("name", ""))
-    ks.validate(orth_tol=orth_tol, require_unit=require_unit)
+    ks.validate(orth_tol=orth_tol)
     return ks
 
 

@@ -144,6 +144,50 @@ class LinProgram:
                           list(self.constraints) + extra, dict(self.lower), {})
 
 
+def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
+                distinct: bool = False) -> np.ndarray:
+    """Append the rows sum_k c[k] x_{j[r, k]} ``rel`` rhs[r] of the blocks
+    ``(j, c)``, in order, with each column's integer coefficients summed
+    and zero terms dropped; if ``distinct``, without repeats (right-hand
+    side included).  Returns the indices of the rows appended."""
+    count, num = sum(len(j) for j, _ in blocks), prog.num_vars
+    row = np.repeat(np.arange(count), np.concatenate(
+        [np.full(len(j), j.shape[1]) for j, _ in blocks]))
+    key, inverse = np.unique(
+        row * num + np.concatenate([j.ravel() for j, _ in blocks]),
+        return_inverse=True)
+    sums = np.bincount(inverse, np.concatenate(
+        [np.tile(c, len(j)) for j, c in blocks]), len(key)).astype(np.int64)
+    row, col = np.divmod(key[sums != 0], num)
+    sums = sums[sums != 0]
+    sizes = np.bincount(row, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    added = [np.arange(count)]
+    if distinct:
+        codes: dict = {}
+        code = np.array([codes.setdefault(b, len(codes)) for b in rhs], int)
+        added = [np.zeros(0, np.int64)]
+        # Rows of one length as (rhs code, columns, coefficients); a stable
+        # sort keeps equal rows in order, and the first of each is kept.
+        for size in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == size)
+            terms = starts[members][:, None] + np.arange(size)
+            table = np.hstack([code[members][:, None], col[terms],
+                               sums[terms]])
+            order = np.lexsort(table.T[::-1])
+            table = table[order]
+            first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
+            added.append(members[order[first]])
+    added = np.sort(np.concatenate(added))
+    ends = (starts + sizes).tolist()
+    col, sums, starts = col.tolist(), sums.tolist(), starts.tolist()
+    for r in added.tolist():
+        terms = slice(starts[r], ends[r])
+        prog.constraints.append(Constraint(tuple(zip(
+            col[terms], sums[terms])), rel, rhs[r]))
+    return added
+
+
 @dataclass
 class LpSolution:
     status: str                      # "optimal" | "infeasible" | "unbounded"

@@ -6,12 +6,14 @@ the single-round adversarial guessing probability obtained from convex
 decompositions into subnormalized no-signalling blocks (one block per
 guess of the adversary).  The guessing LP is the one-round,
 value-constrained case of ``tons.build_guessing_lp``.  All
-no-signalling rows come from ``games.ns_marginal_groups``.
+no-signalling rows come from ``games.ns_index_groups``, appended by
+``lp.append_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -19,8 +21,8 @@ from typing import Optional, Sequence, Union
 from . import lp as L
 from . import tons as T
 from .games import (NS_FAMILIES, Game, GameError, chain_i3_coefficients,
-                    game_value_coefficients, make_chain_game,
-                    ns_equality_rows, ns_families, ns_marginal_groups)
+                    game_value_coefficients, make_chain_game, ns_families,
+                    ns_index_groups, ns_pair_rows)
 from .lp import InfeasibleError  # noqa: F401  (re-exported)
 
 Number = Union[Fraction, float]
@@ -40,15 +42,25 @@ def _normalized_lp(game: Game, objective) -> tuple[L.LinProgram, dict]:
     return prog, var
 
 
+def _ns_groups(game: Game, families):
+    """``games.ns_index_groups`` of the game's shape, with each flat tensor
+    index (outputs major) taken to its ``_normalized_lp`` variable (inputs
+    major)."""
+    n_out, n_in = math.prod(game.output_sizes), math.prod(game.input_sizes)
+    for name, summed, index in ns_index_groups(
+            game.output_sizes, game.input_sizes, families):
+        yield name, summed, index % n_in * n_out + index // n_in
+
+
 def _behavior_lp(game: Game, objective_coeffs) -> tuple[L.LinProgram, dict]:
     """LP over the exact no-signalling polytope of the game's shape.
 
     The single-party families suffice: they imply the two-party ones.
     """
     prog, var = _normalized_lp(game, objective_coeffs)
-    for row in ns_equality_rows(game.output_sizes, game.input_sizes,
-                                NS_FAMILIES[:game.parties]):
-        prog.add({var[key]: c for key, c in row.items()}, "==", 0)
+    blocks = [ns_pair_rows(index, [(k, 0) for k in range(1, index.shape[1])])
+              for _, _, index in _ns_groups(game, NS_FAMILIES[:game.parties])]
+    L.append_rows(prog, blocks, [0] * sum(len(j) for j, _ in blocks), L.EQ)
     return prog, var
 
 
@@ -86,14 +98,18 @@ def eps_ns_value(game: Game, epsilon, mode: str = "exact") -> EpsNsReport:
     if epsilon < 0:
         raise GameError("epsilon must be nonnegative")
     prog, var = _normalized_lp(game, game_value_coefficients(game))
-    tau_rows = []  # (family, kept outs, from-inputs, to-inputs)
-    for name, kept_outs, entries in ns_marginal_groups(
-            game.output_sizes, game.input_sizes, ns_families(game.parties)):
-        for (ia, keys_a), (ib, keys_b) in itertools.permutations(entries, 2):
-            coeffs = {var[key]: 1 for key in keys_a}
-            coeffs.update((var[key], -1) for key in keys_b)
-            prog.add(coeffs, "<=", epsilon)
-            tau_rows.append((name, kept_outs, ia, ib))
+    keys = list(var)
+    blocks, tau_rows = [], []  # (family, kept outs, from-inputs, to-inputs)
+    for name, summed, index in _ns_groups(game, ns_families(game.parties)):
+        pairs = list(itertools.permutations(range(index.shape[1]), 2))
+        blocks.append(ns_pair_rows(index, pairs))
+        for group in index[:, :, 0].tolist():
+            outs = keys[group[0]][0]
+            kept_outs = tuple(o for p, o in enumerate(outs) if p not in summed)
+            tau_rows += [(name, kept_outs, keys[group[a]][1],
+                          keys[group[b]][1]) for a, b in pairs]
+    L.append_rows(prog, blocks, [L.exact_number(epsilon)] * len(tau_rows),
+                  L.LE)
 
     sol = L.solve_certified(prog, mode)
     normalization = dict(zip(game.inputs(), sol.dual))

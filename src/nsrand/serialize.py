@@ -60,6 +60,14 @@ def _parse_key(key: str, sizes: Sequence[int], where: str) -> tuple[int, ...]:
     return symbols
 
 
+def _object(data: dict, name: str) -> dict:
+    """Field ``name`` of ``data``; TypeError unless it is a JSON object."""
+    if not isinstance(data[name], dict):
+        raise TypeError(f"field {name!r} must be a JSON object, not "
+                        f"{type(data[name]).__name__}")
+    return data[name]
+
+
 # ---------------------------------------------------------------------------
 # game and behavior schemas
 # ---------------------------------------------------------------------------
@@ -81,8 +89,8 @@ def game_from_dict(data: dict) -> Game:
         parties = int(data["parties"])
         inputs = [int(s) for s in data["inputs"]]
         outputs = [int(s) for s in data["outputs"]]
-        pi_raw = data["pi"]
-        v_raw = data["V"]
+        pi_raw = _object(data, "pi")
+        v_raw = _object(data, "V")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"game JSON missing/bad field: {exc}") from exc
     pi = {}
@@ -116,7 +124,7 @@ def behavior_from_dict(data: dict) -> Behavior:
         parties = int(data["parties"])
         inputs = tuple(int(s) for s in data["inputs"])
         outputs = tuple(int(s) for s in data["outputs"])
-        p_raw = data["P"]
+        p_raw = _object(data, "P")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"behavior JSON missing/bad field: {exc}") from exc
     if len(inputs) != parties or len(outputs) != parties:

@@ -3,12 +3,13 @@
 Builds the LP for an adversary guessing Alice's full output string over n
 sequential rounds, where each conditional device behavior satisfies either
 the time-ordered (TONS) or the block (ABNS) no-signalling constraint
-family (``games.ns_equality_rows`` over n rounds).  Strings are flattened
-round-major; the adversary holds one subnormalized block per candidate
-output string.  The sum of the blocks is either pinned to a given n-round
-marginal behavior, or, in the value-constrained case, normalized and held
-to a value in every round.  The one-round value-constrained LP is the
-single-round guessing LP of ``nsvalues.single_round_guessing``.
+family (``games.ns_index_groups`` over n rounds, appended by
+``lp.append_rows``).  Strings are flattened round-major; the adversary
+holds one subnormalized block per candidate output string.  The sum of
+the blocks is either pinned to a given n-round marginal behavior, or, in
+the value-constrained case, normalized and held to a value in every
+round.  The one-round value-constrained LP is the single-round guessing
+LP of ``nsvalues.single_round_guessing``.
 
 A fixed marginal is usually invariant under some local relabellings of
 single rounds (Barrett et al., PRA 71, 022101 (2005)): a permutation of
@@ -33,7 +34,6 @@ case, and as a test oracle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -46,7 +46,7 @@ import numpy as np
 from . import lp as L
 from .games import (BLOCK_FAMILIES, Behavior, Game, GameError,
                     encode_string, game_value_coefficients, integer_table,
-                    ns_index_groups)
+                    ns_index_groups, ns_pair_rows)
 
 Number = Union[Fraction, float]
 
@@ -105,21 +105,17 @@ class CausalRows:
 
 
 def build_causal_constraints(scenario: CausalScenario) -> CausalRows:
-    """The rows of ``games.ns_equality_rows``, Bob's family first, over
-    one behavior block.  Each states that a partial sum with a suffix of
-    one party's inputs equals that with the all-zero reference suffix.
-    TONS emits both directions of every prefix level i in 0..n-1; ABNS
-    only the full-block level 0."""
-    blocks = []
-    for _, _, index in ns_index_groups(
+    """The ``games.ns_pair_rows`` of the ``games.ns_index_groups``, Bob's
+    family first, over one behavior block, with pairs (k, 0): each row
+    states that a partial sum with a suffix of one party's inputs equals
+    that with the all-zero reference suffix.  TONS emits both directions
+    of every prefix level i in 0..n-1; ABNS only the full-block level 0."""
+    return CausalRows(tuple(
+        ns_pair_rows(index, [(k, 0) for k in range(1, index.shape[1])])
+        for _, _, index in ns_index_groups(
             (scenario.alice_outputs, scenario.bob_outputs),
             (scenario.alice_inputs, scenario.bob_inputs), BLOCK_FAMILIES,
-            scenario.rounds, time_ordered=scenario.kind == TONS):
-        _, entries, keys = index.shape
-        plus = index[:, 1:].reshape(-1, keys)
-        minus = np.repeat(index[:, 0], entries - 1, axis=0)
-        blocks.append((np.hstack([plus, minus]), np.repeat([1, -1], keys)))
-    return CausalRows(tuple(blocks))
+            scenario.rounds, time_ordered=scenario.kind == TONS)))
 
 
 @dataclass
@@ -133,15 +129,6 @@ class TonsLp:
     scenario: CausalScenario
     num_causal_rows: int
     num_marginal_rows: int
-
-    @functools.cached_property
-    def var(self) -> dict:
-        """The column of every ``(e, A, B, X, Y)`` key."""
-        SA, SB, SX, SY = self.scenario.string_sizes
-        keys = itertools.product(range(SA), range(SX), range(SY), range(SA),
-                                 range(SB))
-        return {(e, A, B, X, Y): j for (e, X, Y, A, B), j in
-                zip(keys, self.columns.tolist())}
 
 
 def _check_caps(scenario: CausalScenario, mode: str,
@@ -283,50 +270,6 @@ def _orbit_minima(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
         labels = new
 
 
-def _append_rows(prog: L.LinProgram, rows, rhs: list,
-                 distinct: bool) -> np.ndarray:
-    """Append the equality rows sum_k c[k] x_{j[r, k]} == rhs[r] of the
-    blocks ``(j, c)`` in ``rows``, in order, with each column's
-    coefficients summed and zero terms dropped; if ``distinct``, without
-    repeats (right-hand side included).  Returns the rows appended."""
-    count, num = sum(len(j) for j, _ in rows), prog.num_vars
-    row = np.repeat(np.arange(count), np.concatenate(
-        [np.full(len(j), j.shape[1]) for j, _ in rows]))
-    key, inverse = np.unique(
-        row * num + np.concatenate([j.ravel() for j, _ in rows]),
-        return_inverse=True)
-    sums = np.bincount(inverse, np.concatenate(
-        [np.tile(c, len(j)) for j, c in rows]), len(key)).astype(np.int64)
-    row, col = np.divmod(key[sums != 0], num)
-    sums = sums[sums != 0]
-    sizes = np.bincount(row, minlength=count)
-    starts = np.cumsum(sizes) - sizes
-    added = [np.arange(count)]
-    if distinct:
-        codes: dict = {}
-        code = np.array([codes.setdefault(b, len(codes)) for b in rhs], int)
-        added = [np.zeros(0, np.int64)]
-        # Rows of one length as (rhs code, columns, coefficients); a stable
-        # sort keeps equal rows in order, and the first of each is kept.
-        for size in np.unique(sizes).tolist():
-            members = np.flatnonzero(sizes == size)
-            terms = starts[members][:, None] + np.arange(size)
-            table = np.hstack([code[members][:, None], col[terms],
-                               sums[terms]])
-            order = np.lexsort(table.T[::-1])
-            table = table[order]
-            first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
-            added.append(members[order[first]])
-    added = np.sort(np.concatenate(added))
-    ends = (starts + sizes).tolist()
-    col, sums, starts = col.tolist(), sums.tolist(), starts.tolist()
-    for r in added.tolist():
-        terms = slice(starts[r], ends[r])
-        prog.constraints.append(L.Constraint(tuple(zip(
-            col[terms], sums[terms])), L.EQ, rhs[r]))
-    return added
-
-
 def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                       x_star: Sequence[int], scenario: CausalScenario,
                       y_ref: Optional[Sequence[int]] = None,
@@ -347,8 +290,8 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     from ``marginal_symmetries``), the LP is built directly on its
     symmetric slice: one column per variable orbit, numbered by each
     orbit's least variable, the objective and each row summed per orbit,
-    each distinct row once, and ``var`` maps every key to its orbit's
-    column.  Only the least guess of each guess orbit contributes causal
+    each distinct row once, and ``columns`` maps every variable to its
+    orbit's column.  Only the least guess of each guess orbit contributes causal
     rows: the group acts on the guess through the guess alone, and the
     rows of block g(e) are, on the slice, combinations of those of block
     e (under output-only relabellings they are the same rows).  With no
@@ -408,7 +351,8 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
         keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))
         rhs += [L.exact_number(marginal.entry((A, B), (X, Y)))
                 for X, Y, A, B in keys.tolist()]
-    added = _append_rows(prog, rows, rhs, distinct=bool(relabellings))
+    added = L.append_rows(prog, rows, rhs, L.EQ,
+                          distinct=bool(relabellings))
     built.num_causal_rows = int(np.count_nonzero(
         added < len(causal) * len(guesses)))
     built.num_marginal_rows = len(added) - built.num_causal_rows

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from nsrand import games as G
 from nsrand import ksattack as K
 
+from conftest import oracle_groups
+
 
 @pytest.fixture(scope="module")
 def cabello():
@@ -306,7 +308,7 @@ def _fraction_report(behavior, game=None) -> K.VerificationReport:
                   f"per-input sums off at {bad_norm[:3]}" if bad_norm else "")
     families = G.ns_families(b.parties)
     bad: dict = {}
-    for name, kept_outs, entries in G.ns_marginal_groups(
+    for name, kept_outs, entries in oracle_groups(
             b.output_sizes, b.input_sizes, families):
         sums = [sum((b.entry(*key) for key in keys), start=F(0))
                 for _, keys in entries]

@@ -1,8 +1,9 @@
 """Pinned no-signalling programs and verification reports.
 
 Every LP builder and verifier takes its no-signalling marginal rows from
-one generator (``games.ns_index_groups``, read through the key view
-``games.ns_marginal_groups``).  The sha256 digests of ``lp.dump_lp``
+one generator, the index arrays of ``games.ns_index_groups``, checked
+here against the string-by-string oracle ``conftest.oracle_groups``.
+The sha256 digests of ``lp.dump_lp``
 below fix the content and the order of every row of each program;
 ``ns-value --certificate`` writes one dual per row, so a moved row
 changes an emitted file even when the optimum stays the same.
@@ -23,6 +24,8 @@ from nsrand import ksattack as K
 from nsrand import lp as L
 from nsrand import nsvalues as NV
 from nsrand import tons as T
+
+from conftest import oracle_groups, oracle_rows
 
 PINNED = {
     "abns:1":
@@ -193,50 +196,23 @@ def test_verify_behavior_reports_are_pinned():
 
 
 # ---------------------------------------------------------------------------
-# the group enumeration against a direct itertools oracle
+# the group enumeration and the single-round rows against the oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_groups(output_sizes, input_sizes, families, rounds=1,
-                   time_ordered=False):
-    """``games.ns_marginal_groups`` enumerated string by string."""
-    n = rounds
-    parties = range(len(output_sizes))
-    for i in (range(n) if time_ordered else (0,)):
-        for name, summed in families:
-            kept = [p for p in parties if p not in summed]
-            # A string is prefix * span + suffix: kept parties fix whole
-            # strings (span 1), summed parties their first i rounds.
-            out_span = [1 if p in kept else output_sizes[p] ** (n - i)
-                        for p in parties]
-            in_span = [1 if p in kept else input_sizes[p] ** (n - i)
-                       for p in parties]
-            for kept_outs, kept_ins, pre_outs, pre_ins in itertools.product(
-                    _strings(output_sizes, kept, n),
-                    _strings(input_sizes, kept, n),
-                    _strings(output_sizes, summed, i),
-                    _strings(input_sizes, summed, i)):
-                outs = list(_extensions(
-                    _merge(kept, kept_outs, summed, pre_outs), out_span))
-                yield name, kept_outs, [
-                    (ins, [(o, ins) for o in outs]) for ins in _extensions(
-                        _merge(kept, kept_ins, summed, pre_ins), in_span)]
-
-
-def _strings(sizes, parties, rounds):
-    """Every tuple of the parties' encoded strings of ``rounds`` rounds."""
-    return itertools.product(*(range(sizes[p] ** rounds) for p in parties))
-
-
-def _merge(kept, kept_vals, summed, summed_vals):
-    """Values in party order from the kept and the summed parties' values."""
-    merged = dict(zip(kept, kept_vals)) | dict(zip(summed, summed_vals))
-    return [merged[p] for p in sorted(merged)]
-
-
-def _extensions(prefixes, spans):
-    """Every tuple of strings that extend the per-party prefixes."""
-    return itertools.product(*(range(pre * span, (pre + 1) * span)
-                               for pre, span in zip(prefixes, spans)))
+def _key_groups(outs, ins, families, rounds, time_ordered):
+    """``games.ns_index_groups`` read by ``Behavior.table`` key, in the
+    form of ``oracle_groups``."""
+    keys = list(itertools.product(*(
+        itertools.product(*(range(s ** rounds) for s in sizes))
+        for sizes in (outs, ins))))
+    for name, summed, index in G.ns_index_groups(outs, ins, families, rounds,
+                                                 time_ordered):
+        for group in index.tolist():
+            kept_outs = tuple(o for p, o in enumerate(keys[group[0][0]][0])
+                              if p not in summed)
+            yield name, kept_outs, [(keys[entry[0]][1],
+                                     [keys[f] for f in entry])
+                                    for entry in group]
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,6 +227,56 @@ def test_index_groups_match_the_oracle(data, parties, time_ordered):
     rounds = data.draw(st.integers(1, max(
         r for r in (1, 2, 3) if r == 1 or entries ** r <= 4096)))
     families = data.draw(st.permutations(G.ns_families(parties)))
-    assert list(G.ns_marginal_groups(outs, ins, families, rounds,
-                                     time_ordered)) == \
-        list(_oracle_groups(outs, ins, families, rounds, time_ordered))
+    assert list(_key_groups(outs, ins, families, rounds, time_ordered)) == \
+        list(oracle_groups(outs, ins, families, rounds, time_ordered))
+
+
+def _uniform_game(outs, ins):
+    """The game of the given shape with uniform inputs that always wins."""
+    inputs = list(itertools.product(*map(range, ins)))
+    pi = dict.fromkeys(inputs, F(1, len(inputs)))
+    return G.Game(len(outs), tuple(map(G.Alphabet, ins)),
+                  tuple(map(G.Alphabet, outs)), pi,
+                  {(o, i): 1 for o in itertools.product(*map(range, outs))
+                   for i in inputs})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), parties=st.sampled_from((2, 3)),
+       epsilon=st.fractions(0, 1, max_denominator=40))
+def test_single_round_rows_match_the_oracle(data, parties, epsilon):
+    """Random shapes, 1-3 symbols per alphabet: after the normalization
+    rows, ``_behavior_lp`` holds the oracle rows of the single-party
+    families with pairs (k, 0), and ``eps_ns_value`` those of every family
+    with every ordered pair, ``<= epsilon``, each keyed in ``tau_duals``
+    by its family, kept outputs and pair of inputs."""
+    sizes = st.lists(st.integers(1, 3), min_size=parties, max_size=parties)
+    outs, ins = tuple(data.draw(sizes)), tuple(data.draw(sizes))
+    game = _uniform_game(outs, ins)
+    prog, var = NV._behavior_lp(game, G.game_value_coefficients(game))
+    inputs = math.prod(ins)
+    assert prog.constraints[inputs:] == [
+        L.make_constraint({var[key]: c for key, c in row.items()}, "==", 0)
+        for row in oracle_rows(outs, ins, G.NS_FAMILIES[:parties])]
+
+    # A stand-in solve whose dual of row r is r shows each row's tau key.
+    built = []
+
+    def solve(prog, mode):
+        built.append(prog)
+        return L.LpSolution(L.LpSolution.OPTIMAL, 0, [],
+                            list(range(len(prog.constraints))), mode)
+
+    with mock.patch.object(L, "solve_certified", solve):
+        report = NV.eps_ns_value(game, epsilon)
+    families = G.ns_families(parties)
+    assert built[0].constraints[inputs:] == [
+        L.make_constraint({var[key]: c for key, c in row.items()}, "<=",
+                          epsilon)
+        for row in oracle_rows(outs, ins, families, all_pairs=True)]
+    tau, r = {}, inputs
+    for name, kept_outs, entries in oracle_groups(outs, ins, families):
+        for (ia, _), (ib, _) in itertools.permutations(entries, 2):
+            tau.setdefault(name, {})[(kept_outs, ia, ib)] = r
+            r += 1
+    assert report.tau_duals == tau

@@ -177,6 +177,24 @@ class TestCli:
         assert "key '7,0,1,1' at V: symbol 7 outside its alphabet" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["pi", "V", "P"])
+    def test_table_that_is_not_an_object_is_input_error(self, field,
+                                                        tmp_path, capsys):
+        """A game's pi or V, or a marginal's P, given as a JSON list exits
+        3 naming the field, not with a traceback."""
+        if field == "P":
+            data = S.behavior_to_dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))))
+            argv = ["tons", "--n", "1", "--marginal"]
+        else:
+            data = S.game_to_dict(G.make_chsh_game())
+            argv = ["ns-value"]
+        data[field] = [1]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(argv + [str(path)]) == cli.EXIT_INPUT_ERROR
+        assert f"field {field!r} must be a JSON object, not list" in \
+            capsys.readouterr().err
+
     def test_default_and_explicit_exact_mode_write_identical_files(
             self, tmp_path, capsys):
         """Naming the default mode changes no byte of the certificate."""

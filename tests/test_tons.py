@@ -17,6 +17,8 @@ from nsrand import lp as L
 from nsrand import nsvalues as NV
 from nsrand import tons as T
 
+from conftest import oracle_rows
+
 
 def _pr_product(v, n):
     return G.product_behavior(G.make_pr_v(G.NoisyPRParams(v)), n)
@@ -133,8 +135,9 @@ class TestCausalConstraints:
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 2, 3),
                                        (2, 3, 3, 1)])
     def test_index_rows_are_the_ns_equality_rows(self, sizes):
-        """The index blocks hold ``ns_equality_rows``, Bob's family first,
-        row by row and term by term."""
+        """The index blocks hold the no-signalling equality rows of the
+        oracle (``conftest.oracle_rows``), Bob's family first, row by row
+        and term by term."""
         na, nb, nx, ny = sizes
         for kind in (T.TONS, T.ABNS):
             for n in (1, 2):
@@ -147,9 +150,9 @@ class TestCausalConstraints:
                         T.build_causal_constraints(scenario).blocks
                         for row in index.tolist()]
                 assert rows == [list(row.items()) for row in
-                                G.ns_equality_rows((na, nb), (nx, ny),
-                                                   G.BLOCK_FAMILIES, n,
-                                                   kind == T.TONS)]
+                                oracle_rows((na, nb), (nx, ny),
+                                            G.BLOCK_FAMILIES, n,
+                                            kind == T.TONS)]
 
     def test_tons_points_are_abns_feasible(self, chsh_game):
         """Random mixtures of NS-vertex products satisfy both families."""
@@ -181,8 +184,8 @@ class TestNsRowProperties:
         families = G.ns_families(2)
         for n, behavior in ((1, box), (2, G.product_behavior(box, 2))):
             for time_ordered in (False, True):
-                for row in G.ns_equality_rows((2, 2), (2, 2), families, n,
-                                              time_ordered):
+                for row in oracle_rows((2, 2), (2, 2), families, n,
+                                       time_ordered):
                     assert sum(c * behavior.entry(*key)
                                for key, c in row.items()) == 0
             assert K.verify_behavior(behavior).all_passed
@@ -487,14 +490,6 @@ def _full_and_slice(game, marginal, scenario, mode="exact"):
     return full, sliced
 
 
-def _columns(built):
-    """``built.var`` in variable order: e, X, Y, A, B from major to minor."""
-    sa, sb, sx, sy = built.scenario.string_sizes
-    return np.array([built.var[(e, A, B, X, Y)] for e, X, Y, A, B in
-                     itertools.product(range(sa), range(sx), range(sy),
-                                       range(sa), range(sb))])
-
-
 def _rows(prog):
     return {(con.coeffs, con.rel, con.rhs) for con in prog.constraints}
 
@@ -656,7 +651,7 @@ class TestSymmetricSlice:
     @pytest.mark.parametrize("kind,n", SCENARIOS)
     def test_direct_slice_maps_each_key_to_its_orbit(self, chsh_game, kind,
                                                      n):
-        """``var`` is constant along every relabelling, output-only or
+        """``columns`` is constant along every relabelling, output-only or
         local (Alice's output permutation at x* acting on the guess too),
         and reaches every slice column."""
         scenario = T.CausalScenario.for_game(kind, n, chsh_game)
@@ -666,7 +661,7 @@ class TestSymmetricSlice:
                                                    (0,) * n)):
             built = T.build_guessing_lp(chsh_game, marginal, (0,) * n,
                                         scenario, relabellings=relabellings)
-            columns = _columns(built)
+            columns = built.columns
             assert set(columns) == set(range(built.program.num_vars))
             for r in relabellings:
                 image = T._variable_map(r, scenario, (0,) * n)
