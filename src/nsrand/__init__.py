@@ -24,8 +24,8 @@ from .ksattack import (Assignment, AttackBehavior, KSSet, OrthGraph,
                        bipartite_from_assignment, build_orth_graph,
                        find_assignment, load_bundled_ks, make_ks_game,
                        tripartite_attack, verify_behavior)
-from .lp import (InfeasibleError, LinProgram, LpSolution, Rational, dump_lp,
-                 solve, verify_certificate)
+from .lp import (InfeasibleError, LinProgram, LpSolution, dump_lp, solve,
+                 verify_certificate)
 from .nsvalues import (EpsNsReport, alpha_slope, chain_ns_guessing_curve,
                        eps_ns_value, ns_value, single_round_guessing)
 from .tons import (CausalScenario, TonsLp, build_causal_constraints,

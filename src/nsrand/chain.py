@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import CHAIN_I3_TERMS
+from .games import CHAIN_I3_TERMS, game_value_coefficients, make_chain_game
 
 log = logging.getLogger(__name__)
 
@@ -95,22 +95,6 @@ def reduced_state(theta: float) -> np.ndarray:
     return (np.kron(I2, I2) + np.kron(PAULI_Z, PAULI_Z)
             + s * np.kron(PAULI_X, PAULI_X)
             - s * np.kron(PAULI_Y, PAULI_Y)) / 4.0
-
-
-def purified_state(theta: float) -> np.ndarray:
-    """Three-qubit purification with Eve overlap <e0|e1> = sin(theta/2)."""
-    s = math.sin(theta / 2.0)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([s, math.sqrt(max(0.0, 1.0 - s * s))], dtype=complex)
-    psi = np.zeros(8, dtype=complex)
-    psi[:2] += e0 / math.sqrt(2.0)           # |0>_A |0>_B (e-components)
-    psi[6:] += e1 / math.sqrt(2.0)           # |1>_A |1>_B
-    return psi
-
-
-def trace_out_eve(psi: np.ndarray) -> np.ndarray:
-    full = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2, 2, 2)
-    return np.einsum("abkcdk->abcd", full).reshape(4, 4)
 
 
 def qubit_strategy(theta: float) -> QubitStrategy:
@@ -264,14 +248,7 @@ def chain_game_strategy() -> QubitStrategy:
 
 def chain_game_quantum_value() -> float:
     """Game value of the fixed strategy; equals (4 + sqrt(3)) / 6."""
-    from .games import make_chain_game
-
     strategy = chain_game_strategy()
-    game = make_chain_game()
-    value = 0.0
-    for (x, y), p_in in game.pi.items():
-        for a in range(2):
-            for b in range(2):
-                if game.predicate[((a, b), (x, y))]:
-                    value += float(p_in) * strategy.outcome_probability(a, b, x, y)
-    return value
+    return sum(float(p) * strategy.outcome_probability(*outs, *ins)
+               for (outs, ins), p in
+               game_value_coefficients(make_chain_game()).items())

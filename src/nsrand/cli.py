@@ -142,7 +142,7 @@ def _resolve_ks(spec: str, orth_tol: float) -> tuple[ksattack.KSSet, list[Path]]
     data = _read_json(spec, "KS file")
     try:
         ks = ksattack.ks_from_dict(data, orth_tol=orth_tol)
-    except ksattack.KsError as exc:
+    except (ksattack.KsError, serialize.InputFormatError) as exc:
         raise serialize.InputFormatError(f"KS file {spec}: {exc}")
     return ks, [Path(spec)]
 

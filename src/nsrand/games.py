@@ -4,21 +4,21 @@ Defines finite-alphabet games (input distribution plus 0/1 predicate),
 conditional-probability behaviors with exact rational entries, and the
 specific games used throughout the package: the 3-input chained game in
 its complete-support variant, CHSH, tripartite guessing games, and the
-Mermin-Peres magic square.  Multi-round strings are flattened with
-round-major mixed-radix indexing throughout.  ``ns_index_groups`` is
-the one source of no-signalling marginal rows, single-round and
-time-ordered, for every LP builder and verifier: flat index arrays into
-the behavior tensor, which ``ns_pair_rows`` turns into LP row blocks.
+Mermin-Peres magic square, all built in code (the game files in
+``nsrand.data`` are shipped copies, checked against these builders).
+Multi-round strings are flattened with round-major mixed-radix indexing
+throughout.  ``ns_index_groups`` is the one source of no-signalling
+marginal rows, single-round and time-ordered, for every LP builder and
+verifier: flat index arrays into the behavior tensor, which
+``ns_pair_rows`` turns into LP row blocks.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Sequence, Union
 
 import numpy as np
@@ -165,14 +165,6 @@ def encode_string(digits: Sequence[int], base: int) -> int:
     for d in digits:
         v = v * base + d
     return v
-
-
-def decode_string(value: int, base: int, rounds: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(rounds):
-        value, d = divmod(value, base)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +319,6 @@ def make_guessing_game(game: Game) -> Game:
                 name=(game.name + "-guess") if game.name else "guess")
 
 
-_MAGIC_SQUARE_RESOURCE = "magic_square_game.json"
-
-
 def magic_square_parity_triples() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Output encodings: Alice's even-parity and Bob's odd-parity bit triples."""
     alice = [t for t in itertools.product((0, 1), repeat=3) if sum(t) % 2 == 0]
@@ -337,38 +326,15 @@ def magic_square_parity_triples() -> tuple[list[tuple[int, ...]], list[tuple[int
     return alice, bob
 
 
-def _magic_square_table() -> dict:
-    """Regenerate the bundled magic-square data (kept for provenance tests)."""
-    alice, bob = magic_square_parity_triples()
-    entries = {}
-    for x in range(3):          # Alice fills row x
-        for y in range(3):      # Bob fills column y
-            for a, ta in enumerate(alice):
-                for b, tb in enumerate(bob):
-                    entries[f"{a},{b},{x},{y}"] = int(ta[y] == tb[x])
-    return {
-        "version": 1,
-        "convention": "mermin-peres; alice outputs even-parity bit triples "
-                      "(lexicographic), bob odd-parity; win iff shared cell agrees",
-        "parties": 2,
-        "inputs": [3, 3],
-        "outputs": [4, 4],
-        "pi": {f"{x},{y}": "1/9" for x in range(3) for y in range(3)},
-        "V": entries,
-    }
-
-
 def make_magic_square_game() -> Game:
-    """Load the standard Mermin-Peres magic square game from bundled data."""
-    data = json.loads(resources.files("nsrand.data")
-                      .joinpath(_MAGIC_SQUARE_RESOURCE).read_text())
+    """Mermin-Peres magic square: Alice fills row x with an even-parity
+    triple, Bob column y with an odd-parity one; win iff they agree."""
+    alice, bob = magic_square_parity_triples()
     three, four = Alphabet(3), Alphabet(4)
-    pi = {tuple(int(t) for t in key.split(",")): Fraction(val)
-          for key, val in data["pi"].items()}
-    predicate = {}
-    for key, val in data["V"].items():
-        a, b, x, y = (int(t) for t in key.split(","))
-        predicate[((a, b), (x, y))] = int(val)
+    pi = {(x, y): Fraction(1, 9) for x in range(3) for y in range(3)}
+    predicate = {((a, b), (x, y)): int(ta[y] == tb[x])
+                 for a, ta in enumerate(alice) for b, tb in enumerate(bob)
+                 for x in range(3) for y in range(3)}
     return Game(2, (three, three), (four, four), pi, predicate,
                 name="magic-square")
 
@@ -400,7 +366,7 @@ def uniform_behavior(output_sizes: tuple[int, ...],
 
 def product_behavior(behavior: Behavior, n: int) -> Behavior:
     """n-round product of a bipartite behavior over round-major strings,
-    taken over integer numerators; one ``Fraction`` per distinct entry."""
+    taken over Python-int numerators; one ``Fraction`` per distinct entry."""
     if behavior.parties != 2:
         raise GameError("product_behavior expects a bipartite behavior")
     if n < 1:
@@ -408,12 +374,10 @@ def product_behavior(behavior: Behavior, n: int) -> Behavior:
     behavior.check_valid()
     na, nb = behavior.output_sizes
     nx, ny = behavior.input_sizes
-    entries = [Fraction(behavior.entry((a, b), (x, y))) for x, y, a, b in
-               itertools.product(range(nx), range(ny), range(na), range(nb))]
-    den = math.lcm(*(p.denominator for p in entries))
-    nums = [p.numerator * (den // p.denominator) for p in entries]
-    dtype = np.int64 if max(nums) ** n < 2 ** 63 else object
-    box = np.array(nums, dtype=dtype).reshape(nx, ny, na, nb)
+    nums, den = integer_table(
+        behavior.entry((a, b), (x, y)) for x, y, a, b in
+        itertools.product(range(nx), range(ny), range(na), range(nb)))
+    box = nums.astype(object).reshape(nx, ny, na, nb)
     # Axes x_1, y_1, a_1, b_1, ..., x_n, y_n, a_n, b_n, reordered to
     # x_1..x_n, y_1..y_n, a_1..a_n, b_1..b_n: the (X, Y, A, B) order.
     product = box
@@ -452,6 +416,17 @@ def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
     return nums, den
 
 
+def dense_table(table: dict, shape: tuple, values: np.ndarray) -> np.ndarray:
+    """``values``, one per key of ``table`` in its order, as a dense array
+    indexed [outputs..., inputs...]; keys outside ``shape`` are left out."""
+    chain = itertools.chain.from_iterable
+    keys = np.fromiter(chain(chain(table)), np.int64).reshape(-1, len(shape))
+    inside = ((keys >= 0) & (keys < shape)).all(axis=1)
+    out = np.zeros(shape, dtype=values.dtype)
+    out[tuple(keys[inside].T)] = values[inside]
+    return out
+
+
 def is_finite(p) -> bool:
     """False for a NaN or infinite float; exact numbers are finite."""
     return type(p) is int or type(p) is Fraction or math.isfinite(p)
@@ -473,14 +448,9 @@ def check_game_shape(behavior: Behavior, game: Game) -> None:
 def bell_value(behavior: Behavior, game: Game) -> Number:
     """Game value sum(pi * V * P) of a behavior."""
     check_game_shape(behavior, game)
-    total = Fraction(0)
-    for ins, p_in in game.pi.items():
-        if not p_in:
-            continue
-        for outs in game.outputs():
-            if game.predicate[(outs, ins)]:
-                total += p_in * behavior.entry(outs, ins)
-    return total
+    return sum((p * behavior.entry(*key)
+                for key, p in game_value_coefficients(game).items()),
+               start=Fraction(0))
 
 
 def game_value_coefficients(game: Game) -> dict:
@@ -524,19 +494,13 @@ def chain_expression_value(behavior: Behavior) -> Number:
 
 def classical_value(game: Game) -> Fraction:
     """Best deterministic-strategy value, by exhaustive enumeration."""
-    strategy_spaces = []
-    for inp, out in zip(game.input_alphabets, game.output_alphabets):
-        strategy_spaces.append(list(
-            itertools.product(out.symbols(), repeat=inp.size)))
+    coeffs = game_value_coefficients(game)
+    spaces = [itertools.product(out.symbols(), repeat=inp.size)
+              for inp, out in zip(game.input_alphabets, game.output_alphabets)]
     best = Fraction(0)
-    for strategies in itertools.product(*strategy_spaces):
-        value = Fraction(0)
-        for ins, p_in in game.pi.items():
-            if not p_in:
-                continue
-            outs = tuple(strategies[k][ins[k]] for k in range(game.parties))
-            if game.predicate[(outs, ins)]:
-                value += p_in
-        if value > best:
-            best = value
+    for strategies in itertools.product(*spaces):
+        value = sum((coeffs.get((tuple(s[x] for s, x in zip(strategies, ins)),
+                                 ins), 0) for ins in game.pi),
+                    start=Fraction(0))
+        best = max(best, value)
     return best

@@ -27,9 +27,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .games import (Alphabet, Behavior, Game, check_game_shape,
+from .games import (Alphabet, Behavior, Game, check_game_shape, dense_table,
                     integer_table, is_finite, ns_families, ns_index_groups)
 from .lp import eliminate
+from .serialize import json_field, string, whole
 
 ComplexRational = tuple[Fraction, Fraction]
 
@@ -363,17 +364,8 @@ class VerificationReport:
                          for c in self.checks)
 
 
-def with_base_split(ks: KSSet, alice_bases: Sequence[int],
-                    bob_bases: Sequence[int]) -> KSSet:
-    """Project the augmented set onto a specific measurement split."""
-    restricted = KSSet(ks.dim, list(ks.vectors), list(ks.bases),
-                       list(alice_bases), list(bob_bases), name=ks.name)
-    restricted.validate()
-    return restricted
-
-
 def make_ks_game(ks: KSSet, graph: Optional[OrthGraph] = None) -> Game:
-    """Pseudotelepathy game of the set: losing events are orthogonal pairs."""
+    """Pseudotelepathy game of the set: distinct orthogonal outputs lose."""
     if graph is None:
         graph = build_orth_graph(ks)
     nx, ny = len(ks.alice_bases), len(ks.bob_bases)
@@ -398,14 +390,15 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
     """Bipartite no-signalling behavior with both marginals equal to f.
 
     For every input pair a transportation plan couples the two basis
-    marginals on non-orthogonal outcome pairs, which forces zero mass on
-    every orthogonal pair.  Where no plan exists the block falls back to
-    the bare product rule f(w) * [<u|w> != 0] and the defect shows up in
-    the verification report.
+    marginals on the winning outcome pairs of the set's game, which
+    forces zero mass on every losing pair.  Where no plan exists the
+    block falls back to f(w) on every winning pair and the defect shows
+    up in the verification report.
     """
     if graph is None:
         graph = build_orth_graph(ks)
     assignment.validate(graph)
+    game = make_ks_game(ks, graph)
     d = ks.dim
     f = assignment.values
     table = {}
@@ -413,13 +406,10 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
     fallback_pairs = []
     for x, bx in enumerate(ks.alice_bases):
         for y, by in enumerate(ks.bob_bases):
-            a_vecs = ks.bases[bx]
-            b_vecs = ks.bases[by]
-            supply = [f[v] for v in a_vecs]
-            demand = [f[v] for v in b_vecs]
+            supply = [f[v] for v in ks.bases[bx]]
+            demand = [f[v] for v in ks.bases[by]]
             allowed = {(i, j) for i in range(d) for j in range(d)
-                       if a_vecs[i] == b_vecs[j]
-                       or not graph.is_edge(a_vecs[i], b_vecs[j])}
+                       if game.wins((i, j), (x, y))}
             plan = _max_flow_coupling(supply, demand, allowed)
             if plan is None:
                 fallback_pairs.append((x, y))
@@ -434,7 +424,7 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
                   f"no marginal-preserving coupling for input pairs "
                   f"{fallback_pairs}" if fallback_pairs else "")
     behavior = Behavior((len(ks.alice_bases), len(ks.bob_bases)), (d, d), table)
-    inner = verify_behavior(behavior, game=make_ks_game(ks, graph))
+    inner = verify_behavior(behavior, game=game)
     report.checks.extend(inner.checks)
 
     # Marginals must reproduce the assignment on both sides; the detail
@@ -589,25 +579,14 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
                   f"mass on losing events {leaked[:3]}" if leaked else "")
     # The value is sum(pi * V * P): pi over its own denominator, the
     # winning mass per input over the behavior's.
-    wins = _dense(game.predicate, P.shape,
-                  np.fromiter(game.predicate.values(), bool))
+    wins = dense_table(game.predicate, P.shape,
+                       np.fromiter(game.predicate.values(), bool))
     won = np.where(wins, P, 0).sum(axis=tuple(range(behavior.parties)))
     pi, pi_den = integer_table(game.pi.values())
     total = sum(int(q) * int(won[ins]) for ins, q in zip(game.pi, pi))
     value = Fraction(total, pi_den * den)
     report.record("wins-game", value == 1, f"value {value}")
     return report
-
-
-def _dense(table: dict, shape: tuple, values: np.ndarray) -> np.ndarray:
-    """``values``, one per key of ``table`` in its order, as a dense array
-    indexed [outputs..., inputs...]; keys outside ``shape`` are left out."""
-    chain = itertools.chain.from_iterable
-    keys = np.fromiter(chain(chain(table)), np.int64).reshape(-1, len(shape))
-    inside = ((keys >= 0) & (keys < shape)).all(axis=1)
-    out = np.zeros(shape, dtype=values.dtype)
-    out[tuple(keys[inside].T)] = values[inside]
-    return out
 
 
 def _integer_checks(b: Behavior, report: VerificationReport):
@@ -631,7 +610,7 @@ def _integer_checks(b: Behavior, report: VerificationReport):
 
     parties = b.parties
     shape = (*b.output_sizes, *b.input_sizes)
-    P = _dense(b.table, shape, nums)
+    P = dense_table(b.table, shape, nums)
     sums = P.sum(axis=tuple(range(parties))).ravel()
     bad_norm = []
     for i in np.flatnonzero(sums != den)[:3]:
@@ -715,29 +694,16 @@ def attack_affine_dimension(attacks: Sequence[Behavior]) -> int:
 
 def ks_from_dict(data: dict, orth_tol: float = DEFAULT_ORTH_TOL) -> KSSet:
     """The KS set of a JSON object; a missing or malformed field raises
-    ``KsError`` naming it."""
-    def field(name, parse, default=None):
-        value = data.get(name, default) if isinstance(data, dict) else None
-        if value is None:
-            raise KsError(f"missing field {name!r}")
-        try:
-            return parse(value)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise KsError(f"bad field {name!r}: {exc}") from exc
-
-    def whole(value) -> int:
-        if int(value) != Fraction(value):
-            raise ValueError(f"{value!r} is not an integer")
-        return int(value)
-
-    vectors = field("vectors", lambda vs: [tuple(map(_to_component, vec))
-                                           for vec in vs])
-    bases = field("bases", lambda bs: [tuple(map(whole, b)) for b in bs])
-    alice, bob = (field(side, lambda bs: list(map(whole, bs)),
-                        range(len(bases)))
+    ``InputFormatError`` naming it, an inconsistent set ``KsError``."""
+    vectors = json_field(data, "vectors", lambda vs: [
+        tuple(map(_to_component, vec)) for vec in vs])
+    bases = json_field(data, "bases",
+                       lambda bs: [tuple(map(whole, b)) for b in bs])
+    alice, bob = (json_field(data, side, lambda bs: list(map(whole, bs)),
+                             range(len(bases)))
                   for side in ("alice_bases", "bob_bases"))
-    ks = KSSet(field("dim", whole), vectors, bases, alice, bob,
-               name=data.get("name", ""))
+    ks = KSSet(json_field(data, "dim", whole), vectors, bases, alice, bob,
+               name=json_field(data, "name", string, ""))
     ks.validate(orth_tol=orth_tol)
     return ks
 

@@ -28,8 +28,6 @@ import numpy as np
 
 from .games import integer_table, is_finite
 
-Rational = Fraction
-
 LE = "<="
 EQ = "=="
 GE = ">="

@@ -61,38 +61,55 @@ def _parse_key(key: str, sizes: Sequence[int], where: str) -> tuple[int, ...]:
 
 
 def _object(data: dict, name: str) -> dict:
-    """Field ``name`` of ``data``; TypeError unless it is a JSON object."""
-    if not isinstance(data[name], dict):
-        raise TypeError(f"field {name!r} must be a JSON object, not "
-                        f"{type(data[name]).__name__}")
-    return data[name]
+    """Field ``name`` of ``data``; InputFormatError unless an object."""
+    value = json_field(data, name, lambda v: v)
+    if not isinstance(value, dict):
+        raise InputFormatError(f"field {name!r} must be a JSON object, not "
+                               f"{type(value).__name__}")
+    return value
+
+
+def whole(value) -> int:
+    """``value`` as an ``int``; ValueError unless it is a whole number."""
+    if int(value) != Fraction(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def string(value) -> str:
+    """``value`` itself; TypeError unless it is a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def json_field(data, name: str, parse, default=None):
+    """``parse`` of field ``name`` of the JSON object ``data``, or of
+    ``default`` where that field is absent; a missing field, or one that
+    ``parse`` rejects, raises ``InputFormatError`` naming it."""
+    value = data.get(name, default) if isinstance(data, dict) else None
+    if value is None:
+        raise InputFormatError(f"missing field {name!r}")
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputFormatError(f"bad field {name!r}: {exc}") from exc
+
+
+def _alphabets(data) -> tuple[int, list[int], list[int]]:
+    """The party count and the input and output alphabet sizes."""
+    return (json_field(data, "parties", whole),
+            *(json_field(data, name, lambda sizes: [whole(s) for s in sizes])
+              for name in ("inputs", "outputs")))
 
 
 # ---------------------------------------------------------------------------
 # game and behavior schemas
 # ---------------------------------------------------------------------------
 
-def game_to_dict(game: Game) -> dict:
-    return {
-        "parties": game.parties,
-        "inputs": list(game.input_sizes),
-        "outputs": list(game.output_sizes),
-        "pi": {_key(ins): frac_str(p) for ins, p in sorted(game.pi.items())},
-        "V": {_key(outs + ins): v
-              for (outs, ins), v in sorted(game.predicate.items())},
-        "name": game.name,
-    }
-
-
 def game_from_dict(data: dict) -> Game:
-    try:
-        parties = int(data["parties"])
-        inputs = [int(s) for s in data["inputs"]]
-        outputs = [int(s) for s in data["outputs"]]
-        pi_raw = _object(data, "pi")
-        v_raw = _object(data, "V")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"game JSON missing/bad field: {exc}") from exc
+    parties, inputs, outputs = _alphabets(data)
+    pi_raw, v_raw = _object(data, "pi"), _object(data, "V")
     pi = {}
     for key, val in pi_raw.items():
         ins = _parse_key(key, inputs, "pi")
@@ -105,7 +122,7 @@ def game_from_dict(data: dict) -> Game:
         predicate[(sym[:parties], sym[parties:])] = int(val)
     return Game(parties, tuple(Alphabet(s) for s in inputs),
                 tuple(Alphabet(s) for s in outputs), pi, predicate,
-                name=data.get("name", ""))
+                name=json_field(data, "name", string, ""))
 
 
 def behavior_to_dict(behavior: Behavior) -> dict:
@@ -120,13 +137,8 @@ def behavior_to_dict(behavior: Behavior) -> dict:
 
 
 def behavior_from_dict(data: dict) -> Behavior:
-    try:
-        parties = int(data["parties"])
-        inputs = tuple(int(s) for s in data["inputs"])
-        outputs = tuple(int(s) for s in data["outputs"])
-        p_raw = _object(data, "P")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"behavior JSON missing/bad field: {exc}") from exc
+    parties, inputs, outputs = _alphabets(data)
+    p_raw = _object(data, "P")
     if len(inputs) != parties or len(outputs) != parties:
         raise InputFormatError(f"behavior declares {parties} parties but "
                                f"{len(inputs)} input and {len(outputs)} "
@@ -139,7 +151,7 @@ def behavior_from_dict(data: dict) -> Behavior:
         outs = _parse_key(out_key, outputs, "P")
         ins = _parse_key(in_key, inputs, "P")
         table[(outs, ins)] = parse_frac(val, f"P[{key}]")
-    return Behavior(inputs, outputs, table,
+    return Behavior(tuple(inputs), tuple(outputs), table,
                     subnormalized=bool(data.get("subnormalized", False)))
 
 

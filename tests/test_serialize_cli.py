@@ -14,9 +14,23 @@ import nsrand
 from nsrand import cli, games as G, lp as L, nsvalues as NV, serialize as S
 
 
+def game_to_dict(game):
+    """The game-file JSON object of ``game``."""
+    return {
+        "parties": game.parties,
+        "inputs": list(game.input_sizes),
+        "outputs": list(game.output_sizes),
+        "pi": {",".join(map(str, ins)): S.frac_str(p)
+               for ins, p in sorted(game.pi.items())},
+        "V": {",".join(map(str, outs + ins)): v
+              for (outs, ins), v in sorted(game.predicate.items())},
+        "name": game.name,
+    }
+
+
 class TestSerialization:
     def test_game_round_trip(self, chain_guessing_game):
-        data = S.game_to_dict(chain_guessing_game)
+        data = game_to_dict(chain_guessing_game)
         back = S.game_from_dict(data)
         assert back.pi == chain_guessing_game.pi
         assert back.predicate == chain_guessing_game.predicate
@@ -34,7 +48,7 @@ class TestSerialization:
             S.parse_frac("eight ninths")
 
     def test_bad_key_diagnostics(self):
-        data = S.game_to_dict(G.make_chsh_game())
+        data = game_to_dict(G.make_chsh_game())
         data["pi"]["0 0"] = "1/4"
         with pytest.raises(S.InputFormatError, match="0 0"):
             S.game_from_dict(data)
@@ -45,7 +59,8 @@ class TestSerialization:
         pairs = (("chain_game", G.make_chain_game()),
                  ("chsh_game", G.make_chsh_game()),
                  ("chain_guessing_game",
-                  G.make_guessing_game(G.make_chain_game())))
+                  G.make_guessing_game(G.make_chain_game())),
+                 ("magic_square_game", G.make_magic_square_game()))
         for name, built in pairs:
             raw = resources.files("nsrand.data").joinpath(f"{name}.json")
             loaded = S.game_from_dict(json.loads(raw.read_text()))
@@ -121,7 +136,7 @@ class TestCli:
 
     def test_ns_value_game_file(self, tmp_path, capsys):
         path = tmp_path / "game.json"
-        path.write_text(json.dumps(S.game_to_dict(G.make_chsh_game())))
+        path.write_text(json.dumps(game_to_dict(G.make_chsh_game())))
         code = cli.main(["ns-value", str(path),
                          "--certificate", str(tmp_path / "c.json")])
         assert code == 0
@@ -167,7 +182,7 @@ class TestCli:
                                                              capsys):
         """A game file whose V table swaps 1,1,1,1 for 7,0,1,1 keeps the
         entry count but not the alphabet: exit 3."""
-        data = S.game_to_dict(G.make_chsh_game())
+        data = game_to_dict(G.make_chsh_game())
         data["V"]["7,0,1,1"] = data["V"].pop("1,1,1,1")
         path = tmp_path / "game.json"
         path.write_text(json.dumps(data))
@@ -186,7 +201,7 @@ class TestCli:
             data = S.behavior_to_dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))))
             argv = ["tons", "--n", "1", "--marginal"]
         else:
-            data = S.game_to_dict(G.make_chsh_game())
+            data = game_to_dict(G.make_chsh_game())
             argv = ["ns-value"]
         data[field] = [1]
         path = tmp_path / "table.json"
@@ -194,6 +209,36 @@ class TestCli:
         assert cli.main(argv + [str(path)]) == cli.EXIT_INPUT_ERROR
         assert f"field {field!r} must be a JSON object, not list" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("game", "name", 7, "bad field 'name': 7 is not a string"),
+        ("game", "parties", 2.9, "bad field 'parties': 2.9 is not an integer"),
+        ("game", "inputs", [2.5, "2"],
+         "bad field 'inputs': 2.5 is not an integer"),
+        ("behavior", "parties", 2.9,
+         "bad field 'parties': 2.9 is not an integer"),
+        ("behavior", "outputs", [2, 2.5],
+         "bad field 'outputs': 2.5 is not an integer")],
+        ids=["game-name", "game-parties", "game-inputs", "behavior-parties",
+             "behavior-outputs"])
+    def test_malformed_game_or_behavior_field_is_input_error(
+            self, kind, field, value, message, tmp_path, capsys):
+        """A game whose name is not a string, or a game or behavior whose
+        sizes are not whole numbers, exits 3 naming the field: it is not
+        written into the certificate, nor truncated and solved."""
+        if kind == "behavior":
+            data = S.behavior_to_dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))))
+            argv = ["tons", "--n", "1", "--marginal"]
+        else:
+            data = game_to_dict(G.make_chsh_game())
+            argv = ["ns-value", "--certificate", str(tmp_path / "c.json")]
+        data[field] = value
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(argv + [str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR, err
+        assert message in err, err
 
     def test_default_and_explicit_exact_mode_write_identical_files(
             self, tmp_path, capsys):
@@ -404,9 +449,11 @@ class TestCli:
          "bad field 'dim': 3.5 is not an integer"),
         (lambda data: data.__setitem__("dim", "three"), "bad field 'dim'"),
         (lambda data: data.__setitem__("dim", math.inf), "bad field 'dim'"),
-        (lambda data: [data], "missing field 'vectors'")],
+        (lambda data: [data], "missing field 'vectors'"),
+        (lambda data: data.__setitem__("name", 5),
+         "bad field 'name': 5 is not a string")],
         ids=["no-bases", "non-numeric-component", "fractional-dim",
-             "text-dim", "infinite-dim", "not-an-object"])
+             "text-dim", "infinite-dim", "not-an-object", "non-string-name"])
     def test_malformed_ks_file_is_an_input_error(self, edit, message,
                                                  tmp_path, capsys):
         """A KS file with a missing or malformed field exits 3 naming the

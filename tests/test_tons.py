@@ -762,3 +762,102 @@ def test_two_round_values_on_the_rational_grid(chsh_game):
             chsh_game, marginal, (0, 0), tons2) == 1 - 3 * v / 4, v
         assert T.tons_guessing_probability(
             chsh_game, marginal, (0, 0), abns2) == abns, v
+
+
+class TestGeneratedInvariances:
+    """Invariances of the exact guessing probability on random NS boxes b
+    (``_random_ns_behavior``) and on their two-round products b (x) b."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), x_star=st.integers(0, 1))
+    def test_one_round_tons_equals_abns(self, chsh_game, seed, x_star):
+        """At n = 1 both families are bipartite no-signalling."""
+        box = _random_ns_behavior(random.Random(seed))
+        tons, abns = (T.tons_guessing_probability(
+            chsh_game, box, (x_star,),
+            T.CausalScenario.for_game(kind, 1, chsh_game))
+            for kind in (T.TONS, T.ABNS))
+        assert tons == abns
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from([T.TONS, T.ABNS]),
+           x_star=st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    def test_two_round_value_ignores_the_reference_input(
+            self, chsh_game, seed, kind, x_star):
+        """Every y_ref gives the same value: Alice's marginal, which the
+        objective reads at y_ref, does not depend on Bob's inputs."""
+        marginal = G.product_behavior(
+            _random_ns_behavior(random.Random(seed)), 2)
+        scenario = T.CausalScenario.for_game(kind, 2, chsh_game)
+        values = {T.tons_guessing_probability(chsh_game, marginal, x_star,
+                                              scenario, y_ref=y_ref)
+                  for y_ref in itertools.product(range(2), repeat=2)}
+        assert len(values) == 1, values
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), x1=st.integers(0, 1),
+           x2=st.integers(0, 1))
+    def test_two_round_abns_value_is_round_permutation_invariant(
+            self, chsh_game, seed, x1, x2):
+        """Swapping the rounds of x* leaves the ABNS value of b (x) b,
+        which the swap fixes, unchanged; TONS, a subset of ABNS, stays
+        below it in either order."""
+        marginal = G.product_behavior(
+            _random_ns_behavior(random.Random(seed)), 2)
+
+        def value(kind, x_star):
+            return T.tons_guessing_probability(
+                chsh_game, marginal, x_star,
+                T.CausalScenario.for_game(kind, 2, chsh_game))
+        abns = value(T.ABNS, (x1, x2))
+        assert value(T.ABNS, (x2, x1)) == abns
+        assert value(T.TONS, (x1, x2)) <= abns
+        assert value(T.TONS, (x2, x1)) <= abns
+
+    def test_tons_value_depends_on_the_round_order(self, chsh_game):
+        """The TONS rows are time-ordered, so swapping the rounds of x* is
+        no symmetry of the TONS LP: on this box's b (x) b the two orders
+        give different values (the full LP agrees with the slice)."""
+        marginal = G.product_behavior(
+            _random_ns_behavior(random.Random(163914)), 2)
+        scenario = T.CausalScenario.for_game(T.TONS, 2, chsh_game)
+        assert [T.tons_guessing_probability(chsh_game, marginal, x_star,
+                                            scenario)
+                for x_star in ((0, 1), (1, 0))] == [F(373, 432), F(121, 144)]
+
+
+@pytest.mark.parametrize("kind, value", [(T.TONS, F(25, 32)),
+                                         (T.ABNS, F(3557, 4096))])
+def test_three_round_slice_optimum_lifts_to_the_full_lp(chsh_game, kind,
+                                                        value):
+    """The exact three-round slice optimum at v = 1/4, lifted to the full
+    LP by x_full[v] = x_slice[columns[v]], satisfies every full-LP row
+    exactly and attains the slice value there.  Checked over integers:
+    the lifted point over one denominator against each row's
+    right-hand side, cross-multiplied."""
+    scenario = T.CausalScenario.for_game(kind, 3, chsh_game)
+    marginal = _pr_product(F(1, 4), 3)
+    x_star = (0, 0, 0)
+    sliced = T.build_guessing_lp(
+        chsh_game, marginal, x_star, scenario,
+        relabellings=T.marginal_symmetries(marginal, scenario, x_star))
+    sol = L.solve_certified(sliced.program, "exact")
+    assert sol.value == value
+    full = T.build_guessing_lp(chsh_game, marginal, x_star, scenario).program
+    nums, den = G.integer_table([sol.primal[c] for c in sliced.columns])
+    x = nums.astype(object)
+    assert len(x) == full.num_vars and (x >= 0).all()
+    assert not full.lower and not full.upper
+    rows = full.constraints
+    assert {con.rel for con in rows} == {L.EQ}
+    index = np.repeat(np.arange(len(rows)), [len(con.coeffs) for con in rows])
+    cols = np.array([j for con in rows for j, _ in con.coeffs])
+    coeffs = np.array([c for con in rows for _, c in con.coeffs], dtype=object)
+    lhs = np.zeros(len(rows), dtype=object)
+    np.add.at(lhs, index, coeffs * x[cols])
+    rhs, rhs_den = G.integer_table([con.rhs for con in rows])
+    residual = lhs * rhs_den - rhs.astype(object) * den
+    assert not residual.any(), np.flatnonzero(residual)[:5]
+    objective = sum(c * x[j] for j, c in full.objective.items())
+    assert F(objective, den) == value
