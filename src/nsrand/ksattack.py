@@ -13,13 +13,18 @@ solving one small exact transportation problem per input pair, supported
 on non-orthogonal outcome pairs.  Construction returns a verification
 report rather than a validity guarantee: sets where no such coupling
 exists are reported, not repaired.
+
+The attack is built over integers as well as checked over them:
+orthogonality comes from one exact Gram matrix of the vectors over a
+common denominator, assignments and couplings count half units (0, 1,
+2), and the blocks and the tripartite table are numpy arrays over one
+denominator, turned into ``Fraction`` entries only at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -62,22 +67,6 @@ def _to_component(value) -> ComplexRational:
     return (Fraction(re), Fraction(im))
 
 
-def inner_product(u: Sequence[ComplexRational],
-                  w: Sequence[ComplexRational]) -> ComplexRational:
-    """Exact <u|w> with the conjugate on the first argument."""
-    re = Fraction(0)
-    im = Fraction(0)
-    for (a, b), (c, d) in zip(u, w):
-        re += a * c + b * d
-        im += a * d - b * c
-    return (re, im)
-
-
-def norm_sq(u: Sequence[ComplexRational]) -> Fraction:
-    re, _ = inner_product(u, u)
-    return re
-
-
 @dataclass
 class KSSet:
     """Weak Kochen-Specker set: unit vectors with basis structure.
@@ -98,23 +87,33 @@ class KSSet:
                  require_unit: bool = True) -> None:
         if self.dim < 3:
             raise KsError(f"dimension must be >= 3, got {self.dim}")
-        for i, vec in enumerate(self.vectors):
-            if len(vec) != self.dim:
-                raise KsError(f"vector {i} has {len(vec)} components")
-            if require_unit and abs(norm_sq(vec) - 1) > DEFAULT_NORM_TOL:
-                raise KsError(f"vector {i} is not a unit vector "
-                              f"(|v|^2 = {float(norm_sq(vec)):.12g})")
+        n = len(self.vectors)
+        short = next((i for i, vec in enumerate(self.vectors)
+                      if len(vec) != self.dim), n)
+        norms, orth, den2 = _gram(self.vectors[:short], self.dim, orth_tol)
+        tol = Fraction(DEFAULT_NORM_TOL)
+        off = abs(norms - den2) * tol.denominator > tol.numerator * den2
+        if require_unit and off.any():
+            i = int(np.argmax(off))
+            raise KsError(f"vector {i} is not a unit vector (|v|^2 = "
+                          f"{float(Fraction(norms[i], den2)):.12g})")
+        if short < n:
+            raise KsError(f"vector {short} has "
+                          f"{len(self.vectors[short])} components")
         seen = set()
         for k, basis in enumerate(self.bases):
             if len(basis) != self.dim:
                 raise KsError(f"basis {k} has {len(basis)} members")
+            for v in basis:
+                if not 0 <= v < n:
+                    raise KsError(f"basis {k} names vector {v}, not one of "
+                                  f"0..{n - 1}")
             seen.update(basis)
             for i, j in itertools.combinations(basis, 2):
-                ip = inner_product(self.vectors[i], self.vectors[j])
-                if not _orthogonal(ip, orth_tol):
+                if not orth[i, j]:
                     raise KsError(f"basis {k} is not orthogonal: "
                                   f"vectors {i} and {j}")
-        if seen != set(range(len(self.vectors))):
+        if seen != set(range(n)):
             raise KsError("every vector must appear in at least one basis")
         for side in (self.alice_bases, self.bob_bases):
             for k in side:
@@ -122,9 +121,18 @@ class KSSet:
                     raise KsError(f"basis index {k} out of range")
 
 
-def _orthogonal(ip: ComplexRational, tol: float) -> bool:
-    re, im = ip
-    return re * re + im * im <= Fraction(tol) ** 2
+def _gram(vectors, dim: int, tol: float):
+    """Squared norms of ``vectors`` over ``den2``, and which pairs are
+    orthogonal (|<u|w>| <= tol), exactly: ``(norms, orth, den2)``.  The
+    components go over one denominator, so that the Gram matrix
+    <u|w> = (R R^T + I I^T) + i (R I^T - I R^T) is one over ``den2``."""
+    nums, den = integer_table(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(vectors)))
+    R, I = nums.astype(object).reshape(len(vectors), dim, 2).transpose(2, 0, 1)
+    re, im = R @ R.T + I @ I.T, R @ I.T - I @ R.T
+    t, den2 = Fraction(tol), den * den
+    orth = (re * re + im * im) * t.denominator ** 2 <= (t.numerator * den2) ** 2
+    return re.diagonal(), orth, den2
 
 
 @dataclass
@@ -153,11 +161,8 @@ def build_orth_graph(ks: KSSet, tol: float = DEFAULT_ORTH_TOL) -> OrthGraph:
     if tol < 0:
         raise KsError("tolerance must be nonnegative")
     n = len(ks.vectors)
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _orthogonal(inner_product(ks.vectors[i], ks.vectors[j]), tol):
-                edges.add((i, j))
+    orth = _gram(ks.vectors, ks.dim, tol)[1]
+    edges = set(map(tuple, np.argwhere(np.triu(orth, 1)).tolist()))
     graph = OrthGraph(n, edges, [tuple(b) for b in ks.bases])
     for k, basis in enumerate(graph.bases):
         for i, j in itertools.combinations(basis, 2):
@@ -192,17 +197,12 @@ def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
     """Exhaustive DFS over {0, 1/2, 1} labelings with f(target) = 1.
 
     Vertices are processed in basis-major order with lexicographic value
-    order; clique sums are unit-propagated.  Exhaustion without a yield
-    proves that no valid assignment exists.
+    order; clique sums are unit-propagated.  Values are counted in half
+    units (0, 1, 2) and yielded as ``ASSIGNMENT_VALUES``.  Exhaustion
+    without a yield proves that no valid assignment exists.
     """
-    order = []
-    seen = set()
-    for basis in graph.bases:
-        for v in basis:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    values: dict[int, Fraction] = {}
+    order = list(dict.fromkeys(itertools.chain.from_iterable(graph.bases)))
+    values: dict[int, int] = {}
 
     basis_of = {v: [] for v in range(graph.num_vertices)}
     for k, basis in enumerate(graph.bases):
@@ -211,21 +211,12 @@ def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
 
     def consistent(v: int) -> bool:
         val = values[v]
-        for w in graph.adjacency[v]:
-            if w in values and val + values[w] > 1:
-                return False
+        if any(val + values.get(w, 0) > 2 for w in graph.adjacency[v]):
+            return False
         for k in basis_of[v]:
-            basis = graph.bases[k]
-            total = Fraction(0)
-            unassigned = 0
-            for u in basis:
-                if u in values:
-                    total += values[u]
-                else:
-                    unassigned += 1
-            if total > 1 or (unassigned == 0 and total != 1):
-                return False
-            if total + unassigned < 1:
+            known = [values[u] for u in graph.bases[k] if u in values]
+            total = sum(known)
+            if total > 2 or total + 2 * (len(graph.bases[k]) - len(known)) < 2:
                 return False
         return True
 
@@ -233,16 +224,16 @@ def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
         while pos < len(order) and order[pos] in values:
             pos += 1
         if pos == len(order):
-            yield dict(values)
+            yield {v: ASSIGNMENT_VALUES[h] for v, h in values.items()}
             return
         v = order[pos]
-        for val in ASSIGNMENT_VALUES:
+        for val in range(3):
             values[v] = val
             if consistent(v):
                 yield from descend(pos + 1)
             del values[v]
 
-    values[target] = Fraction(1)
+    values[target] = 2
     if consistent(target):
         yield from descend(0)
 
@@ -267,70 +258,53 @@ def enumerate_assignments(graph: OrthGraph, target: int) -> Iterator[Assignment]
 # transportation couplings
 # ---------------------------------------------------------------------------
 
-def _max_flow_coupling(supply: list[Fraction], demand: list[Fraction],
-                       allowed: set[tuple[int, int]]) -> Optional[dict]:
-    """Exact transportation plan on allowed arcs, or None if infeasible."""
-    scale = math.lcm(*(f.denominator for f in supply + demand))
-    src = [int(f * scale) for f in supply]
-    snk = [int(f * scale) for f in demand]
-    if sum(src) != sum(snk):
+def _max_flow_coupling(supply: Sequence[int], demand: Sequence[int],
+                       allowed: np.ndarray) -> Optional[np.ndarray]:
+    """Integer transportation plan, indexed [supply, demand], on the
+    ``allowed`` arcs, or None if infeasible.
+
+    Breadth-first augmenting paths on one residual matrix over the nodes
+    source, supplies, demands, sink (in that order).  An allowed arc has
+    room for more than the total, so that only the supplies, the demands
+    and the flow a path cancels limit it.
+    """
+    left = sum(supply)
+    if left != sum(demand):
         return None
     n_u, n_w = len(supply), len(demand)
-    flow = {arc: 0 for arc in allowed}
-    # Augmenting paths on the bipartite residual network.
-    target_total = sum(src)
-    pushed = 0
-    src_left = list(src)
-    snk_left = list(snk)
-    while pushed < target_total:
-        # BFS from any unsaturated source.
-        parent: dict = {}
-        queue = []
-        for i in range(n_u):
-            if src_left[i] > 0:
-                parent[("u", i)] = None
-                queue.append(("u", i))
-        found = None
-        while queue and found is None:
-            node = queue.pop(0)
-            if node[0] == "u":
-                i = node[1]
-                for j in range(n_w):
-                    if (i, j) in allowed and ("w", j) not in parent:
-                        parent[("w", j)] = node
-                        if snk_left[j] > 0:
-                            found = ("w", j)
-                            break
-                        queue.append(("w", j))
-            else:
-                j = node[1]
-                for i in range(n_u):
-                    if (i, j) in allowed and flow[(i, j)] > 0 \
-                            and ("u", i) not in parent:
-                        parent[("u", i)] = node
-                        queue.append(("u", i))
-        if found is None:
+    sink = n_u + n_w + 1
+    cap = [[0] * (sink + 1) for _ in range(sink + 1)]
+    cap[0][1:n_u + 1] = supply
+    for i, row in enumerate(allowed.tolist()):
+        cap[i + 1][n_u + 1:sink] = [left + 1 if a else 0 for a in row]
+    for j, q in enumerate(demand):
+        cap[n_u + 1 + j][sink] = q
+    nodes = range(sink + 1)
+    while left:
+        parent = [-1] * (sink + 1)
+        parent[0] = 0
+        queue = [0]
+        for a in queue:
+            room = cap[a]
+            for b in nodes:
+                if room[b] and parent[b] < 0:
+                    parent[b] = a
+                    queue.append(b)
+            if parent[sink] >= 0:
+                break
+        else:
             return None
-        # Trace back the path and its bottleneck.
-        path = []
-        node = found
-        while parent[node] is not None:
-            path.append((parent[node], node))
-            node = parent[node]
-        path.reverse()
-        bottleneck = min(src_left[node[1]], snk_left[found[1]])
-        for a, b in path:
-            if a[0] == "w":  # backward arc (w -> u) cancels flow
-                bottleneck = min(bottleneck, flow[(b[1], a[1])])
-        for a, b in path:
-            if a[0] == "u":
-                flow[(a[1], b[1])] += bottleneck
-            else:
-                flow[(b[1], a[1])] -= bottleneck
-        src_left[node[1]] -= bottleneck
-        snk_left[found[1]] -= bottleneck
-        pushed += bottleneck
-    return {arc: Fraction(f, scale) for arc, f in flow.items() if f}
+        path = [sink]
+        while path[-1]:
+            path.append(parent[path[-1]])
+        arcs = list(zip(path[1:], path))
+        push = min(cap[a][b] for a, b in arcs)
+        for a, b in arcs:
+            cap[a][b] -= push
+            cap[b][a] += push
+        left -= push
+    return np.array([row[1:n_u + 1] for row in cap[n_u + 1:sink]],
+                    dtype=np.int64).T.reshape(n_u, n_w)
 
 
 # ---------------------------------------------------------------------------
@@ -393,59 +367,54 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
     marginals on the winning outcome pairs of the set's game, which
     forces zero mass on every losing pair.  Where no plan exists the
     block falls back to f(w) on every winning pair and the defect shows
-    up in the verification report.
+    up in the verification report.  The block is built in half units,
+    indexed [u, w, x, y].
     """
     if graph is None:
         graph = build_orth_graph(ks)
     assignment.validate(graph)
     game = make_ks_game(ks, graph)
-    d = ks.dim
-    f = assignment.values
-    table = {}
+    d, nx, ny = ks.dim, len(ks.alice_bases), len(ks.bob_bases)
+    half = {v: ASSIGNMENT_VALUES.index(val)
+            for v, val in assignment.values.items()}
+    alice, bob = (np.array([[half[v] for v in ks.bases[b]] for b in side],
+                           np.int64).reshape(-1, d)
+                  for side in (ks.alice_bases, ks.bob_bases))
+    wins = dense_table(game.predicate, (d, d, nx, ny),
+                       np.fromiter(game.predicate.values(), bool))
+    block = np.zeros((d, d, nx, ny), np.int64)
     report = VerificationReport()
     fallback_pairs = []
-    for x, bx in enumerate(ks.alice_bases):
-        for y, by in enumerate(ks.bob_bases):
-            supply = [f[v] for v in ks.bases[bx]]
-            demand = [f[v] for v in ks.bases[by]]
-            allowed = {(i, j) for i in range(d) for j in range(d)
-                       if game.wins((i, j), (x, y))}
-            plan = _max_flow_coupling(supply, demand, allowed)
-            if plan is None:
-                fallback_pairs.append((x, y))
-                for i in range(d):
-                    for j in range(d):
-                        if (i, j) in allowed:
-                            table[((i, j), (x, y))] = demand[j]
-            else:
-                for (i, j), q in plan.items():
-                    table[((i, j), (x, y))] = q
+    for x, y in itertools.product(range(nx), range(ny)):
+        plan = _max_flow_coupling(alice[x].tolist(), bob[y].tolist(),
+                                  wins[:, :, x, y])
+        if plan is None:
+            fallback_pairs.append((x, y))
+            plan = wins[:, :, x, y] * bob[y]
+        block[:, :, x, y] = plan
     report.record("coupling-exists", not fallback_pairs,
                   f"no marginal-preserving coupling for input pairs "
                   f"{fallback_pairs}" if fallback_pairs else "")
-    behavior = Behavior((len(ks.alice_bases), len(ks.bob_bases)), (d, d), table)
+    behavior = Behavior((nx, ny), (d, d), _table(
+        block.transpose(2, 3, 0, 1), 2, lambda x, y, u, w: ((u, w), (x, y))))
     inner = verify_behavior(behavior, game=game)
     report.checks.extend(inner.checks)
 
     # Marginals must reproduce the assignment on both sides; the detail
-    # names the first entry that does not.
-    ok = True
+    # names the first entry that does not, Bob's in (y, x, w) order, then
+    # Alice's in (x, y, u) order.
+    bob_miss = np.argwhere((block.sum(axis=0) != bob.T[:, None, :])
+                           .transpose(2, 1, 0))
+    alice_miss = np.argwhere((block.sum(axis=1) != alice.T[:, :, None])
+                             .transpose(1, 2, 0))
     detail = ""
-    for y, by in enumerate(ks.bob_bases):
-        for x in range(len(ks.alice_bases)):
-            for j, vec in enumerate(ks.bases[by]):
-                marg = sum((behavior.entry((i, j), (x, y)) for i in range(d)),
-                           start=Fraction(0))
-                if ok and marg != f[vec]:
-                    ok, detail = False, f"bob marginal at w={j}, ({x},{y})"
-    for x, bx in enumerate(ks.alice_bases):
-        for y in range(len(ks.bob_bases)):
-            for i, vec in enumerate(ks.bases[bx]):
-                marg = sum((behavior.entry((i, j), (x, y)) for j in range(d)),
-                           start=Fraction(0))
-                if ok and marg != f[vec]:
-                    ok, detail = False, f"alice marginal at u={i}, ({x},{y})"
-    report.record("marginals-equal-assignment", ok, detail)
+    if len(bob_miss):
+        y, x, j = bob_miss[0].tolist()
+        detail = f"bob marginal at w={j}, ({x},{y})"
+    elif len(alice_miss):
+        x, y, i = alice_miss[0].tolist()
+        detail = f"alice marginal at u={i}, ({x},{y})"
+    report.record("marginals-equal-assignment", not detail, detail)
     return behavior, report
 
 
@@ -513,37 +482,35 @@ def tripartite_attack(ks: KSSet, x_star: int,
             f"(searched up to {ASSIGNMENT_SEARCH_LIMIT} assignments each)",
             failures)
 
+    # Eve's blocks over one denominator, stacked [e, u, w, x, y]; the
+    # (u, w) marginal is their mean.
     nx, ny = len(ks.alice_bases), len(ks.bob_bases)
-    inv_d = Fraction(1, d)
-    ab_table: dict = {}
-    for key_out in itertools.product(range(d), range(d)):
-        for key_in in itertools.product(range(nx), range(ny)):
-            total = sum((blocks[e].entry(key_out, key_in) for e in range(d)),
-                        start=Fraction(0))
-            if total:
-                ab_table[(key_out, key_in)] = total * inv_d
-    ab_marginal = Behavior((nx, ny), (d, d), ab_table)
+    tables = [blocks[e].table for e in range(d)]
+    nums, den = integer_table(p for t in tables for p in t.values())
+    parts = np.split(nums, np.cumsum([len(t) for t in tables])[:-1])
+    stack = np.stack([dense_table(t, (d, d, nx, ny), part)
+                      for t, part in zip(tables, parts)])
+    ab = stack.sum(axis=0)
+    ab_marginal = Behavior((nx, ny), (d, d), _table(
+        ab, d * den, lambda u, w, x, y: ((u, w), (x, y))))
 
-    # Entries for z = x_star come from Eve's blocks, all others from the
-    # (u, w) marginal; each is scaled by 1/d once and reused across z.
-    def scaled(b: Behavior) -> dict:
-        return {key: inv_d * p for key, p in b.table.items() if p}
-
-    scaled_blocks = [scaled(blocks[e]) for e in range(d)]
-    scaled_ab = scaled(ab_marginal)
-    guessed, unguessed = {}, {}
-    for x, y, u, w, e in itertools.product(range(nx), range(ny), range(d),
-                                           range(d), range(d)):
-        key = ((u, w), (x, y))
-        if key in scaled_blocks[e]:
-            guessed[((u, w, e), (x, y))] = scaled_blocks[e][key]
-        if key in scaled_ab:
-            unguessed[((u, w, e), (x, y))] = scaled_ab[key]
-    table = {(outs, (x, y, z)): p for z in range(nx)
-             for (outs, (x, y)), p in
-             (guessed if z == x_star else unguessed).items()}
-    behavior = Behavior((nx, ny, nx), (d, d, d), table)
+    # P(u, w, e | x, y, z) over d * d * den, indexed [z, x, y, u, w, e]:
+    # Eve's block e times d at z = x_star, the (u, w) marginal elsewhere.
+    P = np.empty((nx, nx, ny, d, d, d), stack.dtype)
+    P[:] = ab.transpose(2, 3, 0, 1)[..., None]
+    P[x_star] = stack.transpose(3, 4, 1, 2, 0) * d
+    behavior = Behavior((nx, ny, nx), (d, d, d), _table(
+        P, d * d * den, lambda z, x, y, u, w, e: ((u, w, e), (x, y, z))))
     return AttackBehavior(behavior, x_star, chosen, blocks, ab_marginal)
+
+
+def _table(nums: np.ndarray, den: int, key) -> dict:
+    """The nonzero entries of ``nums`` over ``den``, in index order, keyed
+    by ``key`` of their index; one ``Fraction`` per distinct numerator."""
+    index = np.argwhere(nums)
+    values = nums[tuple(index.T)].tolist()
+    value = {q: Fraction(q, den) for q in set(values)}
+    return dict(zip(map(key, *index.T.tolist()), map(value.get, values)))
 
 
 # ---------------------------------------------------------------------------

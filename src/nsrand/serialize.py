@@ -76,11 +76,17 @@ def whole(value) -> int:
     return int(value)
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` itself; TypeError, naming ``what`` it should be, unless it
+    is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not {what}")
+    return value
+
+
 def string(value) -> str:
     """``value`` itself; TypeError unless it is a string."""
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
+    return _typed(value, str, "a string")
 
 
 def json_field(data, name: str, parse, default=None):
@@ -99,7 +105,8 @@ def json_field(data, name: str, parse, default=None):
 def _alphabets(data) -> tuple[int, list[int], list[int]]:
     """The party count and the input and output alphabet sizes."""
     return (json_field(data, "parties", whole),
-            *(json_field(data, name, lambda sizes: [whole(s) for s in sizes])
+            *(json_field(data, name, lambda sizes: [
+                whole(s) for s in _typed(sizes, list, "a list")])
               for name in ("inputs", "outputs")))
 
 
@@ -151,8 +158,10 @@ def behavior_from_dict(data: dict) -> Behavior:
         outs = _parse_key(out_key, outputs, "P")
         ins = _parse_key(in_key, inputs, "P")
         table[(outs, ins)] = parse_frac(val, f"P[{key}]")
+    subnormalized = json_field(data, "subnormalized",
+                               lambda v: _typed(v, bool, "a boolean"), False)
     return Behavior(tuple(inputs), tuple(outputs), table,
-                    subnormalized=bool(data.get("subnormalized", False)))
+                    subnormalized=subnormalized)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -505,3 +506,136 @@ def test_non_finite_entries_fail_without_raising():
     assert _checks(report) == [
         ("finite-entries", False,
          "non-finite entries at [((0, 0), (1, 1)), ((1, 1), (1, 1))]")]
+
+
+# ---------------------------------------------------------------------------
+# the half-unit coupling against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def _fraction_max_flow_coupling(supply, demand, allowed):
+    """Exact transportation plan on allowed arcs, or None if infeasible."""
+    scale = math.lcm(*(f.denominator for f in supply + demand))
+    src = [int(f * scale) for f in supply]
+    snk = [int(f * scale) for f in demand]
+    if sum(src) != sum(snk):
+        return None
+    n_u, n_w = len(supply), len(demand)
+    flow = {arc: 0 for arc in allowed}
+    # Augmenting paths on the bipartite residual network.
+    target_total = sum(src)
+    pushed = 0
+    src_left = list(src)
+    snk_left = list(snk)
+    while pushed < target_total:
+        # BFS from any unsaturated source.
+        parent: dict = {}
+        queue = []
+        for i in range(n_u):
+            if src_left[i] > 0:
+                parent[("u", i)] = None
+                queue.append(("u", i))
+        found = None
+        while queue and found is None:
+            node = queue.pop(0)
+            if node[0] == "u":
+                i = node[1]
+                for j in range(n_w):
+                    if (i, j) in allowed and ("w", j) not in parent:
+                        parent[("w", j)] = node
+                        if snk_left[j] > 0:
+                            found = ("w", j)
+                            break
+                        queue.append(("w", j))
+            else:
+                j = node[1]
+                for i in range(n_u):
+                    if (i, j) in allowed and flow[(i, j)] > 0 \
+                            and ("u", i) not in parent:
+                        parent[("u", i)] = node
+                        queue.append(("u", i))
+        if found is None:
+            return None
+        # Trace back the path and its bottleneck.
+        path = []
+        node = found
+        while parent[node] is not None:
+            path.append((parent[node], node))
+            node = parent[node]
+        path.reverse()
+        bottleneck = min(src_left[node[1]], snk_left[found[1]])
+        for a, b in path:
+            if a[0] == "w":  # backward arc (w -> u) cancels flow
+                bottleneck = min(bottleneck, flow[(b[1], a[1])])
+        for a, b in path:
+            if a[0] == "u":
+                flow[(a[1], b[1])] += bottleneck
+            else:
+                flow[(b[1], a[1])] -= bottleneck
+        src_left[node[1]] -= bottleneck
+        snk_left[found[1]] -= bottleneck
+        pushed += bottleneck
+    return {arc: F(f, scale) for arc, f in flow.items() if f}
+
+
+@st.composite
+def _transport_cases(draw):
+    """Supplies and demands up to 6 each, mostly the margins of a random
+    plan, sometimes with one total moved off; the allowed arcs are random,
+    sometimes widened to hold the plan."""
+    n_u, n_w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    plan = [[draw(st.integers(0, 2)) for _ in range(n_w)]
+            for _ in range(n_u)]
+    allowed = np.array([[draw(st.booleans()) for _ in range(n_w)]
+                        for _ in range(n_u)])
+    if draw(st.booleans()):
+        allowed |= np.array(plan) > 0
+    supply = [sum(row) for row in plan]
+    demand = [sum(col) for col in zip(*plan)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n_w - 1))
+        demand[j] = max(0, demand[j] + draw(st.sampled_from([-1, 1])))
+    return supply, demand, allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_transport_cases())
+def test_coupling_agrees_with_the_fraction_oracle(case):
+    """The residual-matrix coupling finds the oracle's plan, arc for arc,
+    and fails exactly where the oracle does."""
+    supply, demand, allowed = case
+    plan = K._max_flow_coupling(supply, demand, allowed)
+    expected = _fraction_max_flow_coupling(
+        [F(q) for q in supply], [F(q) for q in demand],
+        {(i, j) for i, j in np.argwhere(allowed).tolist()})
+    if expected is None:
+        assert plan is None
+    else:
+        assert {(i, j): F(q) for (i, j), q in np.ndenumerate(plan)
+                if q} == expected
+
+
+def test_alice_marginal_misses_are_named(monkeypatch):
+    """A coupling that puts each column's mass on its first row keeps
+    Bob's marginals and breaks Alice's: the detail names Alice's first
+    miss in (x, y, u) order."""
+    ks = K.load_bundled_ks("cabello18")
+    graph = K.build_orth_graph(ks)
+    assignment = K.find_assignment(graph, 0)
+
+    def first_row(supply, demand, allowed):
+        plan = np.zeros((len(supply), len(demand)), np.int64)
+        plan[0] = demand
+        return plan
+
+    monkeypatch.setattr(K, "_max_flow_coupling", first_row)
+    _, report = K.bipartite_from_assignment(ks, assignment, graph)
+    checks = {c.name: (c.passed, c.detail) for c in report.checks}
+    # Alice's marginal is now 1 at u = 0 and 0 elsewhere.
+    f = assignment.values
+    x, y, u = next((x, y, u) for x, bx in enumerate(ks.alice_bases)
+                   for y in range(len(ks.bob_bases))
+                   for u, v in enumerate(ks.bases[bx])
+                   if f[v] != (u == 0))
+    assert checks["marginals-equal-assignment"] == (
+        False, f"alice marginal at u={u}, ({x},{y})")
+    assert (x, y, u) == (2, 0, 0)

@@ -218,9 +218,17 @@ class TestCli:
         ("behavior", "parties", 2.9,
          "bad field 'parties': 2.9 is not an integer"),
         ("behavior", "outputs", [2, 2.5],
-         "bad field 'outputs': 2.5 is not an integer")],
+         "bad field 'outputs': 2.5 is not an integer"),
+        ("game", "inputs", "22", "bad field 'inputs': '22' is not a list"),
+        ("game", "outputs", {"2": 0, "3": 1},
+         "bad field 'outputs': {'2': 0, '3': 1} is not a list"),
+        ("behavior", "inputs", "22",
+         "bad field 'inputs': '22' is not a list"),
+        ("behavior", "subnormalized", "no",
+         "bad field 'subnormalized': 'no' is not a boolean")],
         ids=["game-name", "game-parties", "game-inputs", "behavior-parties",
-             "behavior-outputs"])
+             "behavior-outputs", "game-inputs-string", "game-outputs-object",
+             "behavior-inputs-string", "behavior-subnormalized-string"])
     def test_malformed_game_or_behavior_field_is_input_error(
             self, kind, field, value, message, tmp_path, capsys):
         """A game whose name is not a string, or a game or behavior whose
@@ -427,6 +435,49 @@ class TestCli:
         assert code == 0, captured.err
         assert "[PASS]" in captured.out and "[FAIL]" not in captured.out
 
+    @pytest.mark.parametrize("ks, xstar, digest", [
+        ("cabello18", 0, "3322769af0a8ee35c2379820a00055ad"
+                         "2b0f693ae59a33b33c620cc1bdc19b0b"),
+        ("cabello18", 1, "c43a6bd86ccc663b3653351b49c4ccf4"
+                         "7b6046ed305c212a51da959d69e49258"),
+        ("cabello18", 2, "3be1f7b075136251a36ff3c0ab67b0ad"
+                         "81753045507b3988a14a0aeb14d0a9e8"),
+        ("cabello18", 3, "21d78dffcc359ef16b58c633ab6fb6db"
+                         "bbbf8b8874323f4f368b20332d9873ab"),
+        ("cabello18", 4, "523ac0858683efa712298f48d514d3bc"
+                         "304ee4e1a1f687f67a3211752ceed33f"),
+        ("cabello18", 5, "ea1e536e0d17dbe0f9f7e4142f71007c"
+                         "f63b4e97a97ddd3473767f3f3bb16288"),
+        ("cabello18", 6, "1ad72858ad98a926e5e68b4832b72327"
+                         "ff5205a660da0494b793f0eb85946f0f"),
+        ("cabello18", 7, "a1bd1b3d372e0dacc48108b5f553ac5e"
+                         "23cf4724c6f8252b557b8d0dbc85c4df"),
+        ("cabello18", 8, "21c9e3924382583ff6e808494969fa55"
+                         "9b092021348dd52fb152e35d510cb0f4"),
+        ("peres24", 0, "49db22ece451f1bc90fb25429992bf89"
+                       "828a98a4a13b61bced54f49243a83a2d"),
+        ("peres24", 1, "e40c619674d5a2a72c952091034ce53c"
+                       "57b94162773ea6113105c288db099938"),
+        ("peres24", 2, "168a2654e1382bf7b455ac6b6ca6e85f"
+                       "674f66b39bdb44f72d70f81c85b3d76d"),
+        ("single_basis", 0, "ffe35cb9614655d327306913c7cce988"
+                            "6a364a338b12d799a2da4383be398c63")])
+    def test_ks_attack_bytes_are_pinned(self, ks, xstar, digest, tmp_path,
+                                        capsys):
+        """Each bundled set's attack file and report, byte for byte: the
+        blocks the search picks and the table they assemble may not
+        move.  Every d = 4 report is the same one."""
+        out = tmp_path / "attack.json"
+        code = cli.main(["ks-attack", "--ks", ks, "--xstar", str(xstar),
+                         "--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        assert S.sha256_hex(out.read_bytes()) == digest
+        assert S.sha256_hex(stdout.encode()) == (
+            "bf54681d79e3bee7e02ca10affed2029f36da52beb887fc03e800f625e278ca0"
+            if ks == "single_basis" else
+            "41fc21db133f3f994f76942d970b34227bebaf283926df8406982f097cf06aa0")
+
     def test_ks_attack_rejects_non_unit_vector(self, tmp_path, capsys):
         data = {
             "dim": 3,
@@ -451,9 +502,14 @@ class TestCli:
         (lambda data: data.__setitem__("dim", math.inf), "bad field 'dim'"),
         (lambda data: [data], "missing field 'vectors'"),
         (lambda data: data.__setitem__("name", 5),
-         "bad field 'name': 5 is not a string")],
+         "bad field 'name': 5 is not a string"),
+        (lambda data: data.__setitem__("bases", [[0, 1, 7]]),
+         "basis 0 names vector 7, not one of 0..2"),
+        (lambda data: data.__setitem__("bases", [[0, 1, -1]]),
+         "basis 0 names vector -1, not one of 0..2")],
         ids=["no-bases", "non-numeric-component", "fractional-dim",
-             "text-dim", "infinite-dim", "not-an-object", "non-string-name"])
+             "text-dim", "infinite-dim", "not-an-object", "non-string-name",
+             "basis-index-past-the-end", "negative-basis-index"])
     def test_malformed_ks_file_is_an_input_error(self, edit, message,
                                                  tmp_path, capsys):
         """A KS file with a missing or malformed field exits 3 naming the
