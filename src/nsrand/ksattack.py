@@ -35,7 +35,7 @@ import numpy as np
 from .games import (Alphabet, Behavior, Game, check_game_shape, dense_table,
                     integer_table, is_finite, ns_families, ns_index_groups)
 from .lp import eliminate
-from .serialize import json_field, string, whole
+from .serialize import json_field, json_list, string, whole
 
 ComplexRational = tuple[Fraction, Fraction]
 
@@ -178,18 +178,22 @@ class Assignment:
     values: dict[int, Fraction]
 
     def validate(self, graph: OrthGraph) -> None:
-        """Independent re-check, deliberately separate from the search."""
+        """Independent re-check, deliberately separate from the search;
+        sums are taken exactly in half units (0, 1, 2)."""
+        half = {}
         for v, val in self.values.items():
             if val not in ASSIGNMENT_VALUES:
                 raise KsError(f"value {val} at vertex {v} not in {{0, 1/2, 1}}")
-        if set(self.values) != set(range(graph.num_vertices)):
+            half[v] = ASSIGNMENT_VALUES.index(val)
+        if set(half) != set(range(graph.num_vertices)):
             raise KsError("assignment must cover every vertex")
         for k, basis in enumerate(graph.bases):
-            total = sum((self.values[v] for v in basis), start=Fraction(0))
-            if total != 1:
-                raise KsError(f"basis {k} sums to {total}, not 1")
+            total = sum(half[v] for v in basis)
+            if total != 2:
+                raise KsError(f"basis {k} sums to {Fraction(total, 2)}, "
+                              f"not 1")
         for i, j in graph.edges:
-            if self.values[i] + self.values[j] > 1:
+            if half[i] + half[j] > 2:
                 raise KsError(f"edge ({i}, {j}) violates f(u) + f(w) <= 1")
 
 
@@ -663,11 +667,12 @@ def ks_from_dict(data: dict, orth_tol: float = DEFAULT_ORTH_TOL) -> KSSet:
     """The KS set of a JSON object; a missing or malformed field raises
     ``InputFormatError`` naming it, an inconsistent set ``KsError``."""
     vectors = json_field(data, "vectors", lambda vs: [
-        tuple(map(_to_component, vec)) for vec in vs])
-    bases = json_field(data, "bases",
-                       lambda bs: [tuple(map(whole, b)) for b in bs])
-    alice, bob = (json_field(data, side, lambda bs: list(map(whole, bs)),
-                             range(len(bases)))
+        tuple(map(_to_component, json_list(vec))) for vec in json_list(vs)])
+    bases = json_field(data, "bases", lambda bs: [
+        tuple(map(whole, json_list(b))) for b in json_list(bs)])
+    alice, bob = (json_field(data, side,
+                             lambda bs: list(map(whole, json_list(bs))),
+                             list(range(len(bases))))
                   for side in ("alice_bases", "bob_bases"))
     ks = KSSet(json_field(data, "dim", whole), vectors, bases, alice, bob,
                name=json_field(data, "name", string, ""))

@@ -59,10 +59,11 @@ class InfeasibleError(RuntimeError):
     """The requested constraint set admits no behavior."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
     """One row, sum_j c_j x_j ``rel`` rhs.  Coefficients and right-hand
-    side are exact: an ``int`` where integral, else a ``Fraction``."""
+    side are exact: an ``int`` where integral, else a ``Fraction``.
+    Frozen, so that programs may share rows."""
 
     coeffs: tuple[tuple[int, Union[int, Fraction]], ...]
     rel: str

@@ -89,6 +89,12 @@ def string(value) -> str:
     return _typed(value, str, "a string")
 
 
+def json_list(value) -> list:
+    """``value`` itself; TypeError unless it is a list (a string would be
+    read symbol by symbol)."""
+    return _typed(value, list, "a list")
+
+
 def json_field(data, name: str, parse, default=None):
     """``parse`` of field ``name`` of the JSON object ``data``, or of
     ``default`` where that field is absent; a missing field, or one that
@@ -106,7 +112,7 @@ def _alphabets(data) -> tuple[int, list[int], list[int]]:
     """The party count and the input and output alphabet sizes."""
     return (json_field(data, "parties", whole),
             *(json_field(data, name, lambda sizes: [
-                whole(s) for s in _typed(sizes, list, "a list")])
+                whole(s) for s in json_list(sizes)])
               for name in ("inputs", "outputs")))
 
 

@@ -30,10 +30,24 @@ level tried.  Rounds are never permuted: the TONS rows are time-ordered.
 The slice is built directly, without the 2^n-block LP.  The full LP is
 built only when the marginal has no symmetry, in the value-constrained
 case, and as a test oracle.
+
+A sweep over the noise at a fixed scenario solves LPs that differ only in
+their right-hand sides, so two module-level caches of ``_CACHE_SIZE``
+entries each keep what does not depend on the marginal's values: the
+causal rows of ``build_causal_constraints``, keyed on the scenario, and
+the slice skeleton of ``build_guessing_lp`` (orbit columns, objective,
+de-duplicated causal rows and marginal-row columns), keyed on
+``(scenario, x_star, y_ref, relabellings)`` (a full LP's is rebuilt
+every call).  Per call, the build still reads the marginal's entries as
+right-hand sides, and ``marginal_symmetries`` still tests every
+candidate on the marginal's integer table.  Cached arrays are read-only
+and cached rows are frozen ``lp.Constraint``s; every call returns its
+own ``LinProgram``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -92,11 +106,12 @@ class CausalScenario:
                 self.alice_inputs ** n, self.bob_inputs ** n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CausalRows:
     """Rows over one behavior block P flattened in (A, B, X, Y) order, as
     blocks ``(index, coeffs)`` of one width each: a block's row r is
-    sum_k coeffs[k] P[index[r, k]] == 0, +1 entries then -1 entries."""
+    sum_k coeffs[k] P[index[r, k]] == 0, +1 entries then -1 entries.
+    The arrays are read-only; instances compare by identity."""
 
     blocks: tuple
 
@@ -104,18 +119,31 @@ class CausalRows:
         return sum(len(index) for index, _ in self.blocks)
 
 
+# Entries kept by each cache of this module: a noise sweep of one scenario
+# needs one causal row set and one slice skeleton, so a sweep of both kinds
+# needs two of each.
+_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def build_causal_constraints(scenario: CausalScenario) -> CausalRows:
     """The ``games.ns_pair_rows`` of the ``games.ns_index_groups``, Bob's
     family first, over one behavior block, with pairs (k, 0): each row
     states that a partial sum with a suffix of one party's inputs equals
     that with the all-zero reference suffix.  TONS emits both directions
-    of every prefix level i in 0..n-1; ABNS only the full-block level 0."""
-    return CausalRows(tuple(
+    of every prefix level i in 0..n-1; ABNS only the full-block level 0.
+    Kept per scenario in a ``_CACHE_SIZE``-entry cache, so repeated calls
+    return the same object."""
+    blocks = tuple(
         ns_pair_rows(index, [(k, 0) for k in range(1, index.shape[1])])
         for _, _, index in ns_index_groups(
             (scenario.alice_outputs, scenario.bob_outputs),
             (scenario.alice_inputs, scenario.bob_inputs), BLOCK_FAMILIES,
-            scenario.rounds, time_ordered=scenario.kind == TONS)))
+            scenario.rounds, time_ordered=scenario.kind == TONS))
+    for block in blocks:
+        for array in block:
+            array.setflags(write=False)
+    return CausalRows(blocks)
 
 
 @dataclass
@@ -270,6 +298,84 @@ def _orbit_minima(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
         labels = new
 
 
+@dataclass(frozen=True)
+class _Skeleton:
+    """What a guessing LP takes from its ``_guessing_skeleton`` key alone.
+
+    ``columns`` and ``by_block`` (the column of each key, indexed
+    [e, A, B, X, Y]) are read-only.  ``marginal`` holds, per marginal row,
+    its coefficients and the key (X, Y, A, B) whose entry is its
+    right-hand side.
+    """
+
+    num_vars: int
+    columns: np.ndarray
+    by_block: np.ndarray
+    objective: tuple
+    causal: tuple
+    marginal: tuple
+
+
+def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
+                       x_star: tuple, y_ref: tuple, relabellings: tuple,
+                       with_marginal: bool = True) -> _Skeleton:
+    """The orbit columns, objective, causal rows and, ``with_marginal``,
+    marginal-row columns of ``build_guessing_lp``'s LP, for valid
+    ``x_star`` and ``y_ref`` and the scenario's ``causal`` rows."""
+    SA, SB, SX, SY = scenario.string_sizes
+    x_enc = encode_string(list(x_star), scenario.alice_inputs)
+    y_enc = encode_string(list(y_ref), scenario.bob_inputs)
+    # Variables are numbered with e, X, Y, A, B from major to minor;
+    # labels[v] is the least variable of v's orbit.
+    block = SA * SB * SX * SY
+    labels = _orbit_minima(SA * block, [
+        _variable_map(r, scenario, x_star) for r in relabellings])
+    orbits, col = np.unique(labels, return_inverse=True)
+    col.setflags(write=False)
+    prog = L.LinProgram(len(orbits))
+    # by_block[e, A, B, X, Y] is the column of that key.
+    by_block = col.reshape(SA, SX, SY, SA, SB).transpose(0, 3, 4, 1, 2)
+
+    # Summed per orbit, the objective is exact on the invariant points.
+    objective: dict = {}
+    for e in range(SA):
+        for j in by_block[e, e, :, x_enc, y_enc].tolist():
+            objective[j] = objective.get(j, 0) + 1
+
+    # Causal rows come from the least guess of each guess orbit: the least
+    # variable of the orbit of (e, 0, 0, 0, 0) lies in that guess's block.
+    guesses = np.flatnonzero(labels[::block] >= np.arange(SA) * block)
+    by_key = by_block.reshape(SA, block)
+    rows = [(by_key[e][index], c) for e in guesses
+            for index, c in causal.blocks]
+    L.append_rows(prog, rows, [0] * (len(causal) * len(guesses)), L.EQ,
+                  distinct=bool(relabellings))
+    causal_rows = tuple(prog.constraints)
+    marginal_rows = ()
+    if with_marginal:
+        # Entries of one orbit, and only those, share their columns: one
+        # marginal row for the first entry of each.  Its coefficients are
+        # positive and sum to SA, so it equals no causal row (theirs sum
+        # to 0) and no other marginal row (their column multisets
+        # differ); no de-duplication is needed.
+        per_entry = col.reshape(SA, block).T
+        kept = np.sort(np.unique(np.sort(per_entry, axis=1), axis=0,
+                                 return_index=True)[1])
+        L.append_rows(prog, [(per_entry[kept], np.ones(SA, np.int64))],
+                      [0] * len(kept), L.EQ)
+        keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))
+        marginal_rows = tuple(
+            (con.coeffs, tuple(key)) for con, key in
+            zip(prog.constraints[len(causal_rows):], keys.tolist()))
+    return _Skeleton(len(orbits), col, by_block, tuple(objective.items()),
+                     causal_rows, marginal_rows)
+
+
+# Only slices are kept: a full three-round LP holds ~36 MB of rows, and
+# solving it costs far more than building it.
+_slice_skeleton = functools.lru_cache(maxsize=_CACHE_SIZE)(_guessing_skeleton)
+
+
 def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                       x_star: Sequence[int], scenario: CausalScenario,
                       y_ref: Optional[Sequence[int]] = None,
@@ -297,17 +403,29 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     e (under output-only relabellings they are the same rows).  With no
     relabellings (no symmetry, the value-constrained case, or the full LP
     as a test oracle) every variable is its own column.
+
+    Everything but the right-hand sides depends only on ``(scenario,
+    x_star, y_ref, relabellings)``: the orbit columns, the objective, the
+    de-duplicated causal rows and the marginal rows' columns, with the
+    entry each row reads (``_guessing_skeleton``).  A slice's skeleton is
+    built once per such key, with the scenario's cached
+    ``build_causal_constraints``, and kept in a ``_CACHE_SIZE``-entry
+    cache, as read-only arrays and frozen ``lp.Constraint`` rows that
+    every program built from it shares; a full LP's is built afresh,
+    without marginal rows in the value-constrained case.  Each call
+    still checks its arguments and reads the marginal's entries as
+    right-hand sides; in the value-constrained case it builds the
+    normalization and value rows instead.  It returns a new
+    ``LinProgram`` with its own objective dict and row list.
     """
     n = scenario.rounds
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
                       scenario.alice_inputs, scenario.bob_inputs)
-    SA, SB, SX, SY = scenario.string_sizes
+    SA, SB, _, _ = scenario.string_sizes
     _check_x_star(x_star, scenario)
     if y_ref is not None and (len(y_ref) != n or
                               any(not 0 <= y < ny for y in y_ref)):
         raise GameError(f"y_ref must be {n} symbols below {ny}")
-    x_enc = encode_string(list(x_star), nx)
-    y_enc = 0 if y_ref is None else encode_string(list(y_ref), ny)
     if (marginal is None) == (omega_star is None):
         raise GameError("give exactly one of marginal and omega_star")
     if marginal is not None:
@@ -317,48 +435,22 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     elif relation not in (L.EQ, L.GE):
         raise GameError(f"relation must be '==' or '>=', got {relation!r}")
 
-    # Variables are numbered with e, X, Y, A, B from major to minor;
-    # labels[v] is the least variable of v's orbit.
-    block = SA * SB * SX * SY
-    labels = _orbit_minima(SA * block, [
-        _variable_map(r, scenario, x_star) for r in relabellings])
-    orbits, col = np.unique(labels, return_inverse=True)
-    built = TonsLp(L.LinProgram(len(orbits), "max"), col, scenario, 0, 0)
-    prog = built.program
-    # by_block[e, A, B, X, Y] is the column of that key.
-    by_block = col.reshape(SA, SX, SY, SA, SB).transpose(0, 3, 4, 1, 2)
-
-    # Summed per orbit, the objective is exact on the invariant points.
-    for e in range(SA):
-        for j in by_block[e, e, :, x_enc, y_enc].tolist():
-            prog.objective[j] = prog.objective.get(j, 0) + 1
-
-    # Causal rows come from the least guess of each guess orbit: the least
-    # variable of the orbit of (e, 0, 0, 0, 0) lies in that guess's block.
-    causal = build_causal_constraints(scenario)
-    guesses = np.flatnonzero(labels[::block] >= np.arange(SA) * block)
-    by_key = by_block.reshape(SA, block)
-    rows = [(by_key[e][index], c) for e in guesses
-            for index, c in causal.blocks]
-    rhs = [0] * (len(causal) * len(guesses))
+    key = (scenario, build_causal_constraints(scenario), tuple(x_star),
+           (0,) * n if y_ref is None else tuple(y_ref), tuple(relabellings))
+    skeleton = _slice_skeleton(*key) if relabellings \
+        else _guessing_skeleton(*key, with_marginal=marginal is not None)
+    prog = L.LinProgram(skeleton.num_vars, "max", dict(skeleton.objective),
+                        list(skeleton.causal))
+    built = TonsLp(prog, skeleton.columns, scenario, len(skeleton.causal), 0)
     if marginal is not None:
-        # Entries of one orbit, and only those, share their columns: one
-        # marginal row for the first entry of each.
-        per_entry = col.reshape(SA, block).T
-        kept = np.sort(np.unique(np.sort(per_entry, axis=1), axis=0,
-                                 return_index=True)[1])
-        rows.append((per_entry[kept], np.ones(SA, np.int64)))
-        keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))
-        rhs += [L.exact_number(marginal.entry((A, B), (X, Y)))
-                for X, Y, A, B in keys.tolist()]
-    added = L.append_rows(prog, rows, rhs, L.EQ,
-                          distinct=bool(relabellings))
-    built.num_causal_rows = int(np.count_nonzero(
-        added < len(causal) * len(guesses)))
-    built.num_marginal_rows = len(added) - built.num_causal_rows
-    if marginal is not None:
+        prog.constraints += [
+            L.Constraint(coeffs, L.EQ,
+                         L.exact_number(marginal.entry((A, B), (X, Y))))
+            for coeffs, (X, Y, A, B) in skeleton.marginal]
+        built.num_marginal_rows = len(skeleton.marginal)
         return built
 
+    by_block = skeleton.by_block
     coeffs_value = functional if functional is not None \
         else game_value_coefficients(game)
     # The summed blocks form a normalized behavior.
@@ -392,11 +484,10 @@ def _marginal_table(marginal: Behavior,
     return dense_table(marginal.table, scenario.string_sizes, nums)
 
 
-def _round_candidates(scenario: CausalScenario, k: int,
-                      x_k: Optional[int]):
-    """Non-identity relabellings of round k, Alice's side outermost: the
-    output-only ones when ``x_k`` is None, else the local ones whose Alice
-    input permutation fixes x_k."""
+def _party_moves(scenario: CausalScenario, x_k: Optional[int]):
+    """Each party's relabellings of one round as (input permutation,
+    output permutation per input), the identity first: output-only ones
+    when ``x_k`` is None, else local ones, Alice's fixing x_k."""
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
                       scenario.alice_inputs, scenario.bob_inputs)
     perms = itertools.permutations
@@ -408,29 +499,48 @@ def _round_candidates(scenario: CausalScenario, k: int,
                  for outs in itertools.product(perms(range(na)), repeat=nx)]
         bob = [(ys, outs) for ys in perms(range(ny))
                for outs in itertools.product(perms(range(nb)), repeat=ny)]
-    for a in alice:
-        for b in bob:
-            if (a, b) != (alice[0], bob[0]):   # the identity comes first
-                yield LocalRelabelling(k, *a, *b)
+    return alice, bob
 
 
-def _fixing(table: np.ndarray, scenario: CausalScenario, candidates):
-    """The candidates under which the marginal table is unchanged."""
+def _round_candidates(scenario: CausalScenario, k: int,
+                      x_k: Optional[int]) -> list[LocalRelabelling]:
+    """Non-identity relabellings of round k (see ``_party_moves``), Alice's
+    side outermost."""
+    alice, bob = _party_moves(scenario, x_k)
+    return [LocalRelabelling(k, *a, *b) for a in alice for b in bob][1:]
+
+
+def _round_search(scenario: CausalScenario, k: int, x_k: Optional[int]):
+    """Round k's ``_round_candidates`` with the flat-index offsets of
+    their images in the [A, B, X, Y] marginal table: Alice's indexed
+    [candidate, A, X], Bob's [candidate, B, Y].  Entry (A, B, X, Y) goes
+    to the sum of its Alice and its Bob offset."""
+    alice, bob = _party_moves(scenario, x_k)
     SA, SB, SX, SY = scenario.string_sizes
-    flat = table.ravel()
-    found = []
-    for r in candidates:
-        (A2, X2), (B2, Y2) = _string_images(r, scenario)
-        image = (((A2[:, None, :, None] * SB + B2[None, :, None, :]) * SX
-                  + X2[:, None, :, None]) * SY + Y2[None, :, None, :])
-        if (flat[image] == table).all():
-            found.append(r)
-    return found
+    n = scenario.rounds
+    # int32 halves the index array the search builds per call.
+    dtype = np.int32 if SA * SB * SX * SY <= 2 ** 31 else np.int64
+    alice_offsets = np.array([
+        (A2 * SB * SX + X2) * SY for A2, X2 in (
+            _party_images(*move, scenario.alice_outputs,
+                          scenario.alice_inputs, n, k) for move in alice)],
+        dtype)
+    bob_offsets = np.array([
+        B2 * SX * SY + Y2 for B2, Y2 in (
+            _party_images(*move, scenario.bob_outputs, scenario.bob_inputs,
+                          n, k) for move in bob)], dtype)
+    pick = np.arange(1, len(alice) * len(bob))
+    return (_round_candidates(scenario, k, x_k),
+            alice_offsets[pick // len(bob)], bob_offsets[pick % len(bob)])
 
 
 # Candidates per round above which the search keeps to output relabellings:
 # (nx - 1)! ny! na!^nx nb!^ny local ones, 32 for a 2x2x2x2 round.
 _LOCAL_SEARCH_LIMIT = 4096
+# Table entries gathered at once by the symmetry search: all 31 candidates
+# of a round of a 2x2x2x2 box up to four rounds (65,536 entries each);
+# beyond that the index and value arrays stay under 16 and 32 MB.
+_GATHER_LIMIT = 1 << 22
 
 
 def marginal_symmetries(marginal: Behavior, scenario: CausalScenario,
@@ -446,17 +556,30 @@ def marginal_symmetries(marginal: Behavior, scenario: CausalScenario,
     a float marginal only matches bit for bit.  Rounds with more than
     ``_LOCAL_SEARCH_LIMIT`` candidates are searched for output
     relabellings only.
+
+    A round's candidates are tested together, up to ``_GATHER_LIMIT``
+    table entries at a time: their images, each the sum of an Alice and
+    a Bob offset into the marginal's integer table (``_round_search``),
+    index the table in one gather.  Nothing is cached.
     """
     _check_x_star(x_star, scenario)
-    table = _marginal_table(marginal, scenario)
+    flat = _marginal_table(marginal, scenario).ravel()
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
                       scenario.alice_inputs, scenario.bob_inputs)
     f = math.factorial
     local = (f(nx - 1) * f(ny) * f(na) ** nx * f(nb) ** ny
              <= _LOCAL_SEARCH_LIMIT)
-    return [r for k in range(scenario.rounds)
-            for r in _fixing(table, scenario, _round_candidates(
-                scenario, k, x_star[k] if local else None))]
+    step = max(1, _GATHER_LIMIT // flat.size)
+    found = []
+    for k in range(scenario.rounds):
+        candidates, alice, bob = _round_search(
+            scenario, k, int(x_star[k]) if local else None)
+        for s in range(0, len(candidates), step):
+            a, b = alice[s:s + step], bob[s:s + step]
+            image = a[:, :, None, :, None] + b[:, None, :, None, :]
+            fixed = (flat[image.reshape(len(a), -1)] == flat).all(axis=1)
+            found += itertools.compress(candidates[s:s + step], fixed)
+    return found
 
 
 def tons_guessing_probability(game: Game, marginal: Optional[Behavior],

@@ -100,6 +100,26 @@ class TestAssignments:
         with pytest.raises(K.KsError, match="sums to"):
             K.Assignment(values).validate(cabello_graph)
 
+    @pytest.mark.parametrize("values, message", [
+        ({0: F(1), 1: F(1, 3), 2: F(0), 3: F(1), 4: F(0), 5: F(0)},
+         "value 1/3 at vertex 1 not in {0, 1/2, 1}"),
+        ({0: F(1), 1: F(0), 2: F(0), 3: F(1), 4: F(0)},
+         "assignment must cover every vertex"),
+        ({0: F(1, 2), 1: F(1), 2: F(0), 3: F(1), 4: F(0), 5: F(0)},
+         "basis 0 sums to 3/2, not 1"),
+        ({0: F(1), 1: F(0), 2: F(0), 3: F(0), 4: F(0), 5: F(0)},
+         "basis 1 sums to 0, not 1"),
+        ({0: F(1), 1: F(0), 2: F(0), 3: F(1), 4: F(0), 5: F(0)},
+         "edge (0, 3) violates f(u) + f(w) <= 1")],
+        ids=["value", "cover", "basis-over", "basis-under", "edge"])
+    def test_independent_validator_names_each_failure(self, values, message):
+        """Two bases joined by one edge; each check's message, exactly."""
+        edges = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3)}
+        graph = K.OrthGraph(6, edges, [(0, 1, 2), (3, 4, 5)])
+        with pytest.raises(K.KsError) as err:
+            K.Assignment(values).validate(graph)
+        assert str(err.value) == message
+
 
 class TestBipartiteConstruction:
     def test_cabello_block_properties(self, cabello, cabello_graph):

@@ -506,10 +506,20 @@ class TestCli:
         (lambda data: data.__setitem__("bases", [[0, 1, 7]]),
          "basis 0 names vector 7, not one of 0..2"),
         (lambda data: data.__setitem__("bases", [[0, 1, -1]]),
-         "basis 0 names vector -1, not one of 0..2")],
+         "basis 0 names vector -1, not one of 0..2"),
+        (lambda data: data.__setitem__("bases", ["012"]),
+         "bad field 'bases': '012' is not a list"),
+        (lambda data: data.__setitem__("alice_bases", "0"),
+         "bad field 'alice_bases': '0' is not a list"),
+        (lambda data: data.__setitem__("bob_bases", "0"),
+         "bad field 'bob_bases': '0' is not a list"),
+        (lambda data: data["vectors"].__setitem__(0, "100"),
+         "bad field 'vectors': '100' is not a list")],
         ids=["no-bases", "non-numeric-component", "fractional-dim",
              "text-dim", "infinite-dim", "not-an-object", "non-string-name",
-             "basis-index-past-the-end", "negative-basis-index"])
+             "basis-index-past-the-end", "negative-basis-index",
+             "basis-as-a-string", "alice-bases-as-a-string",
+             "bob-bases-as-a-string", "vector-as-a-string"])
     def test_malformed_ks_file_is_an_input_error(self, edit, message,
                                                  tmp_path, capsys):
         """A KS file with a missing or malformed field exits 3 naming the

@@ -1,6 +1,7 @@
 """Tests for multi-round causal constraint sets and guessing LPs."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -861,3 +862,191 @@ def test_three_round_slice_optimum_lifts_to_the_full_lp(chsh_game, kind,
     assert not residual.any(), np.flatnonzero(residual)[:5]
     objective = sum(c * x[j] for j, c in full.objective.items())
     assert F(objective, den) == value
+
+
+# ---------------------------------------------------------------------------
+# the per-scenario caches of the slice build, and the batched symmetry search
+# ---------------------------------------------------------------------------
+
+def _fixing_oracle(marginal, scenario, x_star):
+    """The symmetry search one candidate at a time, on the integer table
+    of every entry: each candidate's image of the whole table is gathered
+    and compared with it."""
+    nums, _ = G.integer_table(marginal.table.values())
+    table = G.dense_table(marginal.table, scenario.string_sizes, nums)
+    SA, SB, SX, SY = scenario.string_sizes
+    flat = table.ravel()
+    found = []
+    for k, x in enumerate(x_star):
+        for r in T._round_candidates(scenario, k, x):
+            (A2, X2), (B2, Y2) = T._string_images(r, scenario)
+            image = (((A2[:, None, :, None] * SB + B2[None, :, None, :]) * SX
+                      + X2[:, None, :, None]) * SY + Y2[None, :, None, :])
+            if (flat[image] == table).all():
+                found.append(r)
+    return found
+
+
+def _mixed_product(boxes):
+    """The product of one 2x2x2x2 box per round over round-major strings,
+    one ``Fraction`` per entry."""
+    table = {}
+    for items in itertools.product(*(box.table.items() for box in boxes)):
+        strings, p = (0, 0, 0, 0), F(1)
+        for ((a, b), (x, y)), q in items:
+            strings = tuple(2 * s + t for s, t in zip(strings, (a, b, x, y)))
+            p *= q
+        if p:
+            A, B, X, Y = strings
+            table[((A, B), (X, Y))] = p
+    size = 2 ** len(boxes)
+    return G.Behavior((size, size), (size, size), table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3),
+       moves=st.sets(st.sampled_from(LOCAL_MOVES), max_size=3),
+       shared=st.booleans(), data=st.data())
+def test_batched_symmetry_search_matches_the_candidate_loop(seeds, moves,
+                                                            shared, data):
+    """On products of random no-signalling boxes, each averaged over the
+    group of a random set of local relabellings so that some candidates
+    fix it, the batched search returns what the per-candidate search
+    returns, in its order.  ``shared`` takes the n-fold product of the
+    first box (``games.product_behavior``, one Fraction per value)."""
+    boxes = [_group_average(_random_ns_behavior(random.Random(seed)), moves)
+             for seed in seeds]
+    n = len(boxes)
+    marginal = G.product_behavior(boxes[0], n) if shared \
+        else _mixed_product(boxes)
+    x_star = data.draw(st.tuples(*[st.integers(0, 1)] * n))
+    scenario = T.CausalScenario.for_game(T.TONS, n, G.make_chsh_game())
+    assert T.marginal_symmetries(marginal, scenario, x_star) == \
+        _fixing_oracle(marginal, scenario, x_star)
+
+
+def _clear_caches():
+    T.build_causal_constraints.cache_clear()
+    T._slice_skeleton.cache_clear()
+
+
+def _slice_record(game, marginal, scenario, mode):
+    """What a slice build and solve produce: the relabellings, the
+    ``dump_lp`` digest, the column map, the row counts and the value."""
+    x_star = (0,) * scenario.rounds
+    relabellings = T.marginal_symmetries(marginal, scenario, x_star)
+    built = T.build_guessing_lp(game, marginal, x_star, scenario,
+                                relabellings=relabellings)
+    digest = hashlib.sha256(L.dump_lp(built.program).encode()).hexdigest()
+    value = L.solve_certified(built.program, mode).value
+    return (relabellings, digest, built.columns.tobytes(),
+            built.num_causal_rows, built.num_marginal_rows, repr(value))
+
+
+class TestScenarioCaches:
+
+    @pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_warm_builds_equal_cold_builds(self, chsh_game, kind, n):
+        """Along a noise sweep every build after the first is served by
+        both caches, and equals a build from empty caches."""
+        scenario = T.CausalScenario.for_game(kind, n, chsh_game)
+        mode = "exact" if n == 2 else "float"
+        sweep = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(11, 12)]
+        _clear_caches()
+        warm = [_slice_record(chsh_game, _pr_product(v, n), scenario, mode)
+                for v in sweep]
+        assert T.build_causal_constraints.cache_info().misses == 1
+        assert T._slice_skeleton.cache_info().hits == len(sweep) - 1
+        for v, record in zip(sweep, warm):
+            _clear_caches()
+            assert _slice_record(chsh_game, _pr_product(v, n), scenario,
+                                 mode) == record, v
+
+    def test_a_different_group_gets_its_own_skeleton(self, chsh_game):
+        """The PR box (v = 1) has the symmetries of v = 1/2 and shares its
+        skeleton; the uniform box, fixed by every candidate, gets its
+        own; a product with no symmetry builds the full LP, which is not
+        kept.  Each build equals its build from empty caches."""
+        scenario = T.CausalScenario.for_game(T.TONS, 2, chsh_game)
+        uniform = G.uniform_behavior((4, 4), (4, 4))
+        asymmetric = _mixed_product([
+            _random_ns_behavior(random.Random(seed)) for seed in (3, 4)])
+        marginals = [_pr_product(F(1, 2), 2), _pr_product(F(1), 2), uniform,
+                     asymmetric]
+        _clear_caches()
+        warm = [_slice_record(chsh_game, m, scenario, "exact")
+                for m in marginals]
+        assert [len(record[0]) for record in warm] == [6, 6, 62, 0]
+        assert warm[0][2] == warm[1][2] != warm[2][2]
+        info = T._slice_skeleton.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        for marginal, record in zip(marginals, warm):
+            _clear_caches()
+            assert _slice_record(chsh_game, marginal, scenario,
+                                 "exact") == record
+
+    def test_a_built_program_is_its_own(self, chsh_game):
+        """Rows are shared between builds but frozen, the column map is
+        read-only, and changing one program's rows or objective leaves
+        the next build as it was."""
+        scenario = T.CausalScenario.for_game(T.TONS, 2, chsh_game)
+        marginal = _pr_product(F(1, 2), 2)
+        relabellings = T.marginal_symmetries(marginal, scenario, (0, 0))
+
+        def build():
+            return T.build_guessing_lp(chsh_game, marginal, (0, 0), scenario,
+                                       relabellings=relabellings)
+        first = build()
+        dump = L.dump_lp(first.program)
+        prog = first.program
+        prog.add({0: 1}, L.LE, 0)
+        prog.objective[0] = 5
+        prog.constraints[0] = L.make_constraint({1: 1}, L.GE, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.constraints[1].rhs = 7
+        with pytest.raises(ValueError):
+            first.columns[0] = 1
+        assert L.dump_lp(prog) != dump
+        assert L.dump_lp(build().program) == dump
+
+
+def test_causal_rows_are_kept_per_scenario_and_read_only(chsh_game):
+    """Repeated calls return the same rows, which cannot be written; a
+    scenario of another kind or round count gets its own."""
+    T.build_causal_constraints.cache_clear()
+    scenario = T.CausalScenario.for_game(T.TONS, 2, chsh_game)
+    rows = T.build_causal_constraints(scenario)
+    assert T.build_causal_constraints(
+        T.CausalScenario.for_game(T.TONS, 2, chsh_game)) is rows
+    for other in (T.CausalScenario.for_game(T.ABNS, 2, chsh_game),
+                  T.CausalScenario.for_game(T.TONS, 3, chsh_game)):
+        assert T.build_causal_constraints(other) is not rows
+    index, coeffs = rows.blocks[0]
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    with pytest.raises(ValueError):
+        coeffs[0] = 0
+
+
+@pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
+def test_slice_marginal_rows_are_distinct_and_sum_to_the_blocks(chsh_game,
+                                                                kind):
+    """Each marginal row of a slice has positive coefficients summing to
+    the number of blocks, and no two are equal: none can repeat a causal
+    row (whose coefficients sum to 0) or another marginal row, so the
+    build appends them without a de-duplication pass."""
+    scenario = T.CausalScenario.for_game(kind, 3, chsh_game)
+    marginal = _pr_product(F(1, 2), 3)
+    relabellings = T.marginal_symmetries(marginal, scenario, (0, 0, 0))
+    built = T.build_guessing_lp(chsh_game, marginal, (0, 0, 0), scenario,
+                                relabellings=relabellings)
+    rows = built.program.constraints
+    causal, marginal_rows = (rows[:built.num_causal_rows],
+                             rows[built.num_causal_rows:])
+    assert len(marginal_rows) == built.num_marginal_rows > 0
+    SA = scenario.string_sizes[0]
+    assert all(sum(c for _, c in con.coeffs) == 0 for con in causal)
+    assert all(min(c for _, c in con.coeffs) > 0 and
+               sum(c for _, c in con.coeffs) == SA for con in marginal_rows)
+    assert len({con.coeffs for con in marginal_rows}) == len(marginal_rows)
