@@ -14,13 +14,16 @@ check a certificate with one residual evaluator: numpy sums over the LP
 data, primal and dual, compared with 0 over integers in exact mode and
 at the tolerance over floats in float mode.  Infeasible and unbounded
 verdicts are proved through the exact path, by auxiliary LPs.
+
+An LP keeps its rows in one format, CSR arrays of integer numerators
+over common denominators (``LinProgram``), from which every solve and
+check reads; ``Constraint`` is only a view of one row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -32,6 +35,8 @@ LE = "<="
 EQ = "=="
 GE = ">="
 _RELATIONS = (LE, EQ, GE)
+# A row's relation code in ``LinProgram.rel``: its index into _RELATIONS.
+_LE, _EQ, _GE = range(3)
 
 MAX = "max"
 MIN = "min"
@@ -61,67 +66,92 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One row, sum_j c_j x_j ``rel`` rhs.  Coefficients and right-hand
-    side are exact: an ``int`` where integral, else a ``Fraction``.
-    Frozen, so that programs may share rows."""
+    """A view of one row, sum_j c_j x_j ``rel`` rhs, in exact numbers: an
+    ``int`` where integral, else a ``Fraction``.  Built only by
+    ``make_constraint`` and ``LinProgram.constraints``.  Frozen."""
 
     coeffs: tuple[tuple[int, Union[int, Fraction]], ...]
     rel: str
     rhs: Union[int, Fraction]
 
 
-def exact_number(value) -> Union[int, Fraction]:
-    """``value`` exactly: an ``int`` where integral, else a ``Fraction``."""
-    if type(value) is int:
-        return value
-    q = Fraction(value)
-    return int(q.numerator) if q.denominator == 1 else q
+def _exact(num, den: int) -> Union[int, Fraction]:
+    """num / den: an ``int`` where integral, else a ``Fraction``."""
+    if den == 1:
+        return int(num)
+    q = Fraction(int(num), den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _finite(value, entry: str):
+    """``value``; LpError naming ``entry`` if it is NaN or infinite."""
+    if not is_finite(value):
+        raise LpError(f"{entry} is {value}, not finite")
+    return value
 
 
 def make_constraint(coeffs: Union[dict, Iterable], rel: str, rhs) -> Constraint:
     """The row of the nonzero ``coeffs``, by column, in exact numbers."""
-    if rel not in _RELATIONS:
-        raise LpError(f"unknown relation {rel!r}")
-    items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-    clean = tuple(sorted((int(j), exact_number(c)) for j, c in items if c))
-    return Constraint(clean, rel, exact_number(rhs))
+    prog = LinProgram(0)
+    prog.add(coeffs, rel, rhs)
+    return prog.constraints[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class LinProgram:
     """Sparse LP: optimize a linear objective over rational constraints.
 
     Objective coefficients and bounds are exact numbers, an ``int`` or a
     ``Fraction``.  Variables default to the bound 0 <= x < +inf; a lower
     bound of ``None`` marks the variable as free.  Finite upper bounds are
-    normalised into explicit rows before solving.
+    normalised into explicit rows before solving.  Row k is
+    sum_t (data[t] / den) x_indices[t] ``rel`` rhs[k] / rhs_den over t in
+    indptr[k]:indptr[k + 1], CSR arrays with sorted columns and no zero
+    coefficient.  Numerators are int64, or Python ints past int64; ``rel``
+    indexes (LE, EQ, GE).  ``add`` and ``append_rows`` replace the arrays
+    by longer read-only ones, so programs may share them;
+    ``constraints`` is a fresh list of views of the rows.
     """
 
     num_vars: int
     sense: str = MAX
     objective: dict[int, Union[int, Fraction]] = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
     lower: dict[int, Optional[Union[int, Fraction]]] = field(
         default_factory=dict)
     upper: dict[int, Union[int, Fraction]] = field(default_factory=dict)
+    indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
+    data: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    den: int = 1
+    rhs: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    rhs_den: int = 1
+    rel: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        ptr, cols = self.indptr.tolist(), self.indices.tolist()
+        coeffs = [_exact(a, self.den) for a in self.data.tolist()]
+        return [Constraint(tuple(zip(cols[s:e], coeffs[s:e])), _RELATIONS[c],
+                           _exact(b, self.rhs_den))
+                for s, e, c, b in zip(ptr, ptr[1:], self.rel.tolist(),
+                                      self.rhs.tolist())]
 
     def validate(self) -> None:
         if self.num_vars < 0:
             raise LpError("negative variable count")
         if self.sense not in (MAX, MIN):
             raise LpError(f"unknown sense {self.sense!r}")
-        for name, keys in (("objective", self.objective),
-                           ("lower bound", self.lower),
-                           ("upper bound", self.upper)):
-            for j in keys:
+        for name, entries in (("objective coefficient", self.objective),
+                              ("lower bound", self.lower),
+                              ("upper bound", self.upper)):
+            for j, v in entries.items():
                 if not 0 <= j < self.num_vars:
                     raise LpError(f"{name} index {j} out of range")
-        for k, con in enumerate(self.constraints):
-            if con.rel not in _RELATIONS:
-                raise LpError(f"constraint {k}: unknown relation {con.rel!r}")
-            for j, _ in con.coeffs:
-                if not 0 <= j < self.num_vars:
-                    raise LpError(f"constraint {k}: index {j} out of range")
+                if v is not None:
+                    _finite(v, f"{name} of x{j}")
+        outside = (self.indices < 0) | (self.indices >= self.num_vars)
+        if outside.any():
+            raise LpError(f"row index {self.indices[outside][0]} out of range")
         if any(lo is not None and lo != 0 for lo in self.lower.values()):
             raise LpError("only lower bounds 0 (default) or None (free) "
                           "are supported directly; shift the variable")
@@ -132,15 +162,63 @@ class LinProgram:
         return j in self.lower and self.lower[j] is None
 
     def add(self, coeffs, rel, rhs) -> None:
-        self.constraints.append(make_constraint(coeffs, rel, rhs))
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        terms = sorted((int(j), _finite(c, f"row coefficient of x{j}"))
+                       for j, c in items if c)
+        self._append([len(terms)], [j for j, _ in terms],
+                     *integer_table(c for _, c in terms),
+                     *integer_table([_finite(rhs, "right-hand side")]), rel)
+
+    def _append(self, sizes, indices, data: np.ndarray, den: int,
+                rhs: np.ndarray, rhs_den: int, rel: str) -> None:
+        """Append rows of ``sizes`` nonzeros: columns ``indices``,
+        numerators ``data`` over ``den``, right-hand sides ``rhs`` over
+        ``rhs_den``."""
+        if rel not in _RELATIONS:
+            raise LpError(f"unknown relation {rel!r}")
+        self.indptr = np.concatenate([
+            self.indptr, self.indptr[-1] + np.cumsum(sizes, dtype=np.int64)])
+        self.indices = np.concatenate([self.indices,
+                                       np.asarray(indices, np.intp)])
+        to, to_rhs = math.lcm(self.den, den), math.lcm(self.rhs_den, rhs_den)
+        self.data = np.concatenate([_scaled(self.data, to // self.den),
+                                    _scaled(data, to // den)])
+        self.rhs = np.concatenate([_scaled(self.rhs, to_rhs // self.rhs_den),
+                                   _scaled(rhs, to_rhs // rhs_den)])
+        self.den, self.rhs_den = to, to_rhs
+        self.rel = np.concatenate([
+            self.rel, np.full(len(sizes), _RELATIONS.index(rel), np.int8)])
+        for array in (self.indptr, self.indices, self.data, self.rhs,
+                      self.rel):
+            array.setflags(write=False)
 
     def normalized(self) -> "LinProgram":
         """Return an equivalent LP with finite upper bounds as rows."""
         if not self.upper:
             return self
-        extra = [make_constraint({j: 1}, LE, u) for j, u in sorted(self.upper.items())]
-        return LinProgram(self.num_vars, self.sense, dict(self.objective),
-                          list(self.constraints) + extra, dict(self.lower), {})
+        cols, bounds = zip(*sorted(self.upper.items()))
+        norm = replace(self, objective=dict(self.objective),
+                       lower=dict(self.lower), upper={})
+        norm._append([1] * len(cols), cols, np.ones(len(cols), np.int64), 1,
+                     *integer_table(bounds), LE)
+        return norm
+
+
+def _scaled(nums: np.ndarray, factor: int) -> np.ndarray:
+    """``nums`` times ``factor``, in Python ints past int64."""
+    if factor == 1:
+        return nums
+    if nums.dtype != object and _max_abs(nums) * factor >= 2 ** 63:
+        nums = nums.astype(object)
+    return nums * factor
+
+
+def _floats(nums: np.ndarray, den: int) -> np.ndarray:
+    """Each nums[i] / den rounded to the nearest float, as ``float`` does."""
+    if max(den, _max_abs(nums)) < 2 ** 53:
+        # Both are exact as floats, so one division rounds correctly.
+        return nums.astype(float) / den
+    return np.array([int(a) / den for a in nums.tolist()], float)
 
 
 def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
@@ -148,7 +226,8 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     """Append the rows sum_k c[k] x_{j[r, k]} ``rel`` rhs[r] of the blocks
     ``(j, c)``, in order, with each column's integer coefficients summed
     and zero terms dropped; if ``distinct``, without repeats (right-hand
-    side included).  Returns the indices of the rows appended."""
+    side included).  The sums go into ``prog``'s arrays in numpy.
+    Returns the indices of the rows appended."""
     count, num = sum(len(j) for j, _ in blocks), prog.num_vars
     row = np.repeat(np.arange(count), np.concatenate(
         [np.full(len(j), j.shape[1]) for j, _ in blocks]))
@@ -160,11 +239,11 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     row, col = np.divmod(key[sums != 0], num)
     sums = sums[sums != 0]
     sizes = np.bincount(row, minlength=count)
-    starts = np.cumsum(sizes) - sizes
+    rhs, rhs_den = integer_table(rhs)
     added = [np.arange(count)]
     if distinct:
-        codes: dict = {}
-        code = np.array([codes.setdefault(b, len(codes)) for b in rhs], int)
+        starts = np.cumsum(sizes) - sizes
+        code = np.unique(rhs, return_inverse=True)[1]
         added = [np.zeros(0, np.int64)]
         # Rows of one length as (rhs code, columns, coefficients); a stable
         # sort keeps equal rows in order, and the first of each is kept.
@@ -178,12 +257,10 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
             first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
             added.append(members[order[first]])
     added = np.sort(np.concatenate(added))
-    ends = (starts + sizes).tolist()
-    col, sums, starts = col.tolist(), sums.tolist(), starts.tolist()
-    for r in added.tolist():
-        terms = slice(starts[r], ends[r])
-        prog.constraints.append(Constraint(tuple(zip(
-            col[terms], sums[terms])), rel, rhs[r]))
+    kept = np.zeros(count, bool)
+    kept[added] = True
+    prog._append(sizes[added], col[kept[row]], sums[kept[row]], 1,
+                 rhs[added], rhs_den, rel)
     return added
 
 
@@ -253,7 +330,7 @@ def verify_certificate(lp: LinProgram, sol: LpSolution,
         return CertificateReport(False, [f"status is {sol.status}, not optimal"])
     if len(sol.primal) != lp.num_vars:
         return CertificateReport(False, ["primal length mismatch"])
-    if len(sol.dual) != len(norm.constraints):
+    if len(sol.dual) != len(norm.rhs):
         return CertificateReport(False, ["dual length mismatch"])
     x, y = sol.primal, sol.dual
     reasons = [f"x{j} = {v} is not finite"
@@ -282,21 +359,24 @@ def _residual_reasons(norm: LinProgram, x: list, y: list, value,
     s = d = e = 1, compared at ``tolerance``.  Every sum runs in its
     terms' order from 0, so a float one has the bits of Python's ``sum``.
     """
-    cons, n, m = norm.constraints, norm.num_vars, len(norm.constraints)
-    row, col, coeffs = _coo(cons)
+    n, m, col = norm.num_vars, len(norm.rhs), norm.indices
+    row = np.repeat(np.arange(m), np.diff(norm.indptr))
     obj_cols = list(norm.objective)
-    data = itertools.chain(coeffs, (con.rhs for con in cons),
-                           norm.objective.values())
     if exact:
-        (data, s), (X, d), (Y, e) = map(integer_table, (data, x, y))
-        size = len(coeffs) + n + m + 1
-        if _max_abs(data) * (_max_abs(X) + d + _max_abs(Y) + e) * size \
-                >= 2 ** 63:
-            data, X, Y = (v.astype(object) for v in (data, X, Y))
+        c_obj, c_den = integer_table(norm.objective.values())
+        s = math.lcm(norm.den, norm.rhs_den, c_den)
+        a, b, c_obj = (_scaled(v, s // den) for v, den in (
+            (norm.data, norm.den), (norm.rhs, norm.rhs_den), (c_obj, c_den)))
+        (X, d), (Y, e) = integer_table(x), integer_table(y)
+        size = len(col) + n + m + 1
+        if max(map(_max_abs, (a, b, c_obj))) * \
+                (_max_abs(X) + d + _max_abs(Y) + e) * size >= 2 ** 63:
+            a, b, c_obj, X, Y = (v.astype(object) for v in (a, b, c_obj, X, Y))
         tol, value = 0, None if value is None else Fraction(value)
     else:
-        data, X, Y = (np.fromiter(map(float, vs), float)
-                      for vs in (data, x, y))
+        a, b = _floats(norm.data, norm.den), _floats(norm.rhs, norm.rhs_den)
+        c_obj, X, Y = (np.fromiter(map(float, vs), float)
+                       for vs in (norm.objective.values(), x, y))
         s = d = e = 1
         tol = tolerance
 
@@ -308,12 +388,10 @@ def _residual_reasons(norm: LinProgram, x: list, y: list, value,
         np.add.at(out, index, terms)
         return out
 
-    a, b, c_obj = np.split(data, [len(coeffs), len(coeffs) + m])
-    c = np.zeros(n, dtype=data.dtype)
+    c = np.zeros(n, dtype=c_obj.dtype)
     c[obj_cols] = c_obj
     free = np.array([norm.is_free(j) for j in range(n)], dtype=bool)
-    rel = np.array([con.rel for con in cons], dtype=object)
-    le, eq, ge = rel == LE, rel == EQ, rel == GE
+    le, eq, ge = (norm.rel == code for code in (_LE, _EQ, _GE))
     sign = 1 if norm.sense == MAX else -1
 
     reasons = [f"x{j} = {number(X[j], d)} violates x >= 0"
@@ -322,13 +400,15 @@ def _residual_reasons(norm: LinProgram, x: list, y: list, value,
     delta = ax - b * d
     for k in np.flatnonzero(eq & (abs(delta) > tol) | le & (delta > tol)
                             | ge & (delta < -tol)):
-        op = {EQ: "!=", LE: ">", GE: "<"}[rel[k]]
-        reasons.append(f"row {k}: {number(ax[k], s * d)} {op} {cons[k].rhs}")
+        op = (">", "!=", "<")[norm.rel[k]]
+        reasons.append(f"row {k}: {number(ax[k], s * d)} {op} "
+                       f"{_exact(norm.rhs[k], norm.rhs_den)}")
 
     # Dual sign conventions: for a max problem y >= 0 on <= rows and
     # y <= 0 on >= rows (mirrored for min); equality rows are free.
     for k in np.flatnonzero(le & (sign * Y < -tol) | ge & (sign * Y > tol)):
-        reasons.append(f"dual {k}: wrong sign for {rel[k]} row")
+        reasons.append(f"dual {k}: wrong sign for {_RELATIONS[norm.rel[k]]} "
+                       f"row")
 
     # Reduced costs: A^T y - c >= 0 for max (<= 0 for min) on x >= 0
     # variables, with equality on free variables.
@@ -353,15 +433,6 @@ def _residual_reasons(norm: LinProgram, x: list, y: list, value,
 
 def _max_abs(values: np.ndarray) -> int:
     return int(abs(values).max(initial=0))
-
-
-def _coo(cons: list[Constraint]) -> tuple[np.ndarray, np.ndarray, list]:
-    """The nonzeros of the rows, row by row: row indices, column indices
-    and the exact coefficients."""
-    row = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-    col = np.fromiter((j for con in cons for j, _ in con.coeffs), np.intp,
-                      len(row))
-    return row, col, [c for con in cons for _, c in con.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +479,18 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
         c[j] = sign * float(cj)
 
     # linprog takes A_ub x <= b_ub, so >= rows enter negated.
-    cons = norm.constraints
-    flip = np.array([-1.0 if con.rel == GE else 1.0 for con in cons])
-    row, col, coeffs = _coo(cons)
-    a = sparse.csr_matrix((flip[row] * np.array(coeffs, float), (row, col)),
-                          shape=(len(cons), n))
-    b = flip * np.array([con.rhs for con in cons], float)
-    is_eq = np.array([con.rel == EQ for con in cons], dtype=bool)
-    ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
+    m = len(norm.rhs)
+    flip = np.where(norm.rel == _GE, -1.0, 1.0)
+    row = np.repeat(np.arange(m), np.diff(norm.indptr))
+    a = sparse.csr_matrix((flip[row] * _floats(norm.data, norm.den),
+                           norm.indices, norm.indptr), shape=(m, n))
+    b = flip * _floats(norm.rhs, norm.rhs_den)
+    ub, eq = np.flatnonzero(norm.rel != _EQ), np.flatnonzero(norm.rel == _EQ)
 
     def part(m, rows):
         return m[rows] if len(rows) else None
 
-    method = "highs-ipm" if len(cons) > _IPM_ROW_THRESHOLD else "highs-ds"
+    method = "highs-ipm" if m > _IPM_ROW_THRESHOLD else "highs-ds"
     res = linprog(c, A_ub=part(a, ub), b_ub=part(b, ub), A_eq=part(a, eq),
                   b_eq=part(b, eq),
                   bounds=[(None, None) if norm.is_free(j) else (0, None)
@@ -433,10 +503,10 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
 
     # HiGHS marginals belong to the minimised, <=-form problem; undo the
     # objective sign and the row negation.
-    dual = np.zeros(len(cons))
+    dual = np.zeros(m)
     dual[ub], dual[eq] = res.ineqlin.marginals, res.eqlin.marginals
     dual = (sign * flip * dual).tolist()
-    slack = np.zeros(len(cons))
+    slack = np.zeros(m)
     slack[ub], slack[eq] = res.ineqlin.residual, res.eqlin.residual
     value = -res.fun if norm.sense == MAX else res.fun
     return (LpSolution(LpSolution.OPTIMAL, value, list(map(float, res.x)),
@@ -494,15 +564,23 @@ def _solve_active_set(norm: LinProgram, sol: LpSolution, slack: list,
     rows with |y_k| above it; all else is 0.  Returns the exact optimum
     if its certificate verifies, else None.
     """
-    tol, cons = _FLOAT_ZERO_SNAP, norm.constraints
+    tol, m, den = _FLOAT_ZERO_SNAP, len(norm.rhs), norm.den
+    ptr, col, data = (v.tolist() for v in (norm.indptr, norm.indices,
+                                           norm.data))
+    # Both systems are taken times den: their coefficients are then the
+    # integer numerators, and their solutions are as they were.
     support = {j for j, v in enumerate(sol.primal) if abs(v) > tol}
-    rows = [{**{j: c for j, c in con.coeffs if j in support}, RHS: con.rhs}
-            for con, s in zip(cons, slack) if con.rel == EQ or abs(s) <= tol]
-    cols = [{RHS: norm.objective.get(j, 0)} for j in range(norm.num_vars)]
+    rows = [{**{j: a for j, a in zip(col[s:e], data[s:e]) if j in support},
+             RHS: _exact(b * den, norm.rhs_den)}
+            for s, e, b, rel, sk in zip(ptr, ptr[1:], norm.rhs.tolist(),
+                                        norm.rel.tolist(), slack)
+            if rel == _EQ or abs(sk) <= tol]
+    cols = [{RHS: norm.objective.get(j, 0) * den}
+            for j in range(norm.num_vars)]
     for k, yk in enumerate(sol.dual):
         if abs(yk) > tol:
-            for j, c in cons[k].coeffs:
-                cols[j][k] = c
+            for j, a in zip(col[ptr[k]:ptr[k + 1]], data[ptr[k]:ptr[k + 1]]):
+                cols[j][k] = a
     cols = [col for j, col in enumerate(cols)
             if norm.is_free(j) or abs(reduced[j]) <= tol]
     pivots = [eliminate(rows), eliminate(cols)]
@@ -510,7 +588,7 @@ def _solve_active_set(norm: LinProgram, sol: LpSolution, slack: list,
         return None
     x, y = ([piv[i].get(RHS, Fraction(0)) if i in piv else Fraction(0)
              for i in range(size)]
-            for piv, size in zip(pivots, (norm.num_vars, len(cons))))
+            for piv, size in zip(pivots, (norm.num_vars, m)))
     value = sum((c * x[j] for j, c in norm.objective.items()),
                 start=Fraction(0))
     exact = LpSolution(LpSolution.OPTIMAL, value, x, y, "exact")
@@ -522,13 +600,17 @@ def _exact_highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
                                             Optional[tuple[list, list]]]:
     """``_highs`` on an LP for exact mode, which refuses one with more
     than ``_FALLBACK_CELL_LIMIT`` nonzeros before HiGHS runs."""
-    nnz = sum(len(con.coeffs) for con in norm.constraints)
-    if nnz > _FALLBACK_CELL_LIMIT:
+    if len(norm.indices) > _FALLBACK_CELL_LIMIT:
         raise CertificationError(
             f"no exact certificate: the exact basis solve is capped at "
-            f"{_FALLBACK_CELL_LIMIT} nonzeros ({len(norm.constraints)} rows "
-            f"x {norm.num_vars} vars, {nnz} nonzeros); use float mode")
+            f"{_FALLBACK_CELL_LIMIT} nonzeros ({_size(norm)}); use float "
+            f"mode")
     return _highs(norm)
+
+
+def _size(norm: LinProgram) -> str:
+    return (f"{len(norm.rhs)} rows x {norm.num_vars} vars, "
+            f"{len(norm.indices)} nonzeros")
 
 
 def _certified_optimum(norm: LinProgram, sol: Optional[LpSolution],
@@ -543,11 +625,9 @@ def _certified_optimum(norm: LinProgram, sol: Optional[LpSolution],
                                  f"optimum ({message})")
     exact = _solve_active_set(norm, sol, *tight)
     if exact is None:
-        nnz = sum(len(con.coeffs) for con in norm.constraints)
         raise CertificationError(
             f"no exact certificate: the exact basis solve did not verify "
-            f"({len(norm.constraints)} rows x {norm.num_vars} vars, {nnz} "
-            f"nonzeros); use float mode")
+            f"({_size(norm)}); use float mode")
     return exact
 
 
@@ -563,20 +643,21 @@ def _certified_verdict(norm: LinProgram, status: str) -> LpSolution:
     Both are feasible and bounded.  CertificationError if neither proof
     holds.
     """
-    n, m = norm.num_vars, len(norm.constraints)
-    phase_one = LinProgram(
-        n + 2 * m, MIN, dict.fromkeys(range(n, n + 2 * m), 1),
-        [Constraint(con.coeffs + ((n + 2 * k, 1), (n + 2 * k + 1, -1)),
-                    con.rel, con.rhs)
-         for k, con in enumerate(norm.constraints)], dict(norm.lower))
+    n, m, den = norm.num_vars, len(norm.rhs), norm.den
+    # Row k's artificials, coefficients +1 and -1 over den, end the row.
+    at = np.repeat(norm.indptr[1:], 2)
+    data = norm.data if den < 2 ** 63 else norm.data.astype(object)
+    phase_one = replace(
+        norm, num_vars=n + 2 * m, sense=MIN,
+        objective=dict.fromkeys(range(n, n + 2 * m), 1),
+        indptr=norm.indptr + 2 * np.arange(m + 1),
+        indices=np.insert(norm.indices, at, np.arange(n, n + 2 * m)),
+        data=np.insert(data, at, np.tile([den, -den], m)))
     if _certified_optimum(phase_one, *_exact_highs(phase_one)).value != 0:
         return LpSolution(LpSolution.INFEASIBLE, None, [], [], "exact", True)
     sign = 1 if norm.sense == MAX else -1
-    cap = make_constraint({j: sign * c for j, c in norm.objective.items()},
-                          LE, 1)
-    ray = LinProgram(n, norm.sense, dict(norm.objective),
-                     [Constraint(con.coeffs, con.rel, 0)
-                      for con in norm.constraints] + [cap], dict(norm.lower))
+    ray = replace(norm, rhs=np.zeros(m, np.int64), rhs_den=1)
+    ray.add({j: sign * c for j, c in norm.objective.items()}, LE, 1)
     if _certified_optimum(ray, *_exact_highs(ray)).value != 0:
         return LpSolution(LpSolution.UNBOUNDED, None, [], [], "exact", True)
     raise CertificationError(f"HiGHS reports the LP {status}, but it is "
@@ -612,7 +693,7 @@ def solve(lp: LinProgram, mode: str = "exact",
     if not norm.num_vars:
         zero = Fraction(0) if exact else 0.0
         sol = LpSolution(LpSolution.OPTIMAL, zero, [],
-                         [zero] * len(norm.constraints), mode, exact)
+                         [zero] * len(norm.rhs), mode, exact)
         if verify_certificate(norm, sol, float_tolerance):
             return sol
         return LpSolution(LpSolution.INFEASIBLE, None, [], [], mode, exact)

@@ -108,8 +108,7 @@ def eps_ns_value(game: Game, epsilon, mode: str = "exact") -> EpsNsReport:
             kept_outs = tuple(o for p, o in enumerate(outs) if p not in summed)
             tau_rows += [(name, kept_outs, keys[group[a]][1],
                           keys[group[b]][1]) for a, b in pairs]
-    L.append_rows(prog, blocks, [L.exact_number(epsilon)] * len(tau_rows),
-                  L.LE)
+    L.append_rows(prog, blocks, [epsilon] * len(tau_rows), L.LE)
 
     sol = L.solve_certified(prog, mode)
     normalization = dict(zip(game.inputs(), sol.dual))

@@ -40,9 +40,8 @@ de-duplicated causal rows and marginal-row columns), keyed on
 ``(scenario, x_star, y_ref, relabellings)`` (a full LP's is rebuilt
 every call).  Per call, the build still reads the marginal's entries as
 right-hand sides, and ``marginal_symmetries`` still tests every
-candidate on the marginal's integer table.  Cached arrays are read-only
-and cached rows are frozen ``lp.Constraint``s; every call returns its
-own ``LinProgram``.
+candidate on the marginal's integer table.  Cached arrays, the rows'
+among them, are read-only; every call returns its own ``LinProgram``.
 """
 
 from __future__ import annotations
@@ -302,18 +301,19 @@ def _orbit_minima(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
 class _Skeleton:
     """What a guessing LP takes from its ``_guessing_skeleton`` key alone.
 
-    ``columns`` and ``by_block`` (the column of each key, indexed
-    [e, A, B, X, Y]) are read-only.  ``marginal`` holds, per marginal row,
-    its coefficients and the key (X, Y, A, B) whose entry is its
-    right-hand side.
+    ``program`` has the LP's columns, objective and rows: the
+    ``num_causal`` causal rows, then the marginal rows, all with
+    right-hand side 0.  ``keys`` holds, per marginal row, the key
+    (X, Y, A, B) whose entry is its right-hand side.  The arrays, the
+    program's among them, are read-only; ``by_block`` is the column of
+    each key, indexed [e, A, B, X, Y].
     """
 
-    num_vars: int
+    program: L.LinProgram
     columns: np.ndarray
     by_block: np.ndarray
-    objective: tuple
-    causal: tuple
-    marginal: tuple
+    num_causal: int
+    keys: np.ndarray
 
 
 def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
@@ -337,7 +337,7 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
     by_block = col.reshape(SA, SX, SY, SA, SB).transpose(0, 3, 4, 1, 2)
 
     # Summed per orbit, the objective is exact on the invariant points.
-    objective: dict = {}
+    objective = prog.objective
     for e in range(SA):
         for j in by_block[e, e, :, x_enc, y_enc].tolist():
             objective[j] = objective.get(j, 0) + 1
@@ -350,8 +350,8 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
             for index, c in causal.blocks]
     L.append_rows(prog, rows, [0] * (len(causal) * len(guesses)), L.EQ,
                   distinct=bool(relabellings))
-    causal_rows = tuple(prog.constraints)
-    marginal_rows = ()
+    num_causal = len(prog.rhs)
+    keys = np.zeros((0, 4), np.int64)
     if with_marginal:
         # Entries of one orbit, and only those, share their columns: one
         # marginal row for the first entry of each.  Its coefficients are
@@ -364,11 +364,8 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
         L.append_rows(prog, [(per_entry[kept], np.ones(SA, np.int64))],
                       [0] * len(kept), L.EQ)
         keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))
-        marginal_rows = tuple(
-            (con.coeffs, tuple(key)) for con, key in
-            zip(prog.constraints[len(causal_rows):], keys.tolist()))
-    return _Skeleton(len(orbits), col, by_block, tuple(objective.items()),
-                     causal_rows, marginal_rows)
+    keys.setflags(write=False)
+    return _Skeleton(prog, col, by_block, num_causal, keys)
 
 
 # Only slices are kept: a full three-round LP holds ~36 MB of rows, and
@@ -410,13 +407,13 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     entry each row reads (``_guessing_skeleton``).  A slice's skeleton is
     built once per such key, with the scenario's cached
     ``build_causal_constraints``, and kept in a ``_CACHE_SIZE``-entry
-    cache, as read-only arrays and frozen ``lp.Constraint`` rows that
-    every program built from it shares; a full LP's is built afresh,
-    without marginal rows in the value-constrained case.  Each call
-    still checks its arguments and reads the marginal's entries as
-    right-hand sides; in the value-constrained case it builds the
+    cache, as read-only arrays that every program built from it shares;
+    a full LP's is built afresh, without marginal rows in the
+    value-constrained case.  Each call still checks its arguments and
+    gathers the marginal's entries at the marginal rows' keys as their
+    right-hand sides; in the value-constrained case it adds the
     normalization and value rows instead.  It returns a new
-    ``LinProgram`` with its own objective dict and row list.
+    ``LinProgram`` with its own objective dict and right-hand sides.
     """
     n = scenario.rounds
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
@@ -439,15 +436,16 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
            (0,) * n if y_ref is None else tuple(y_ref), tuple(relabellings))
     skeleton = _slice_skeleton(*key) if relabellings \
         else _guessing_skeleton(*key, with_marginal=marginal is not None)
-    prog = L.LinProgram(skeleton.num_vars, "max", dict(skeleton.objective),
-                        list(skeleton.causal))
-    built = TonsLp(prog, skeleton.columns, scenario, len(skeleton.causal), 0)
+    prog = replace(skeleton.program, lower={}, upper={},
+                   objective=dict(skeleton.program.objective))
+    built = TonsLp(prog, skeleton.columns, scenario, skeleton.num_causal,
+                   len(skeleton.keys))
     if marginal is not None:
-        prog.constraints += [
-            L.Constraint(coeffs, L.EQ,
-                         L.exact_number(marginal.entry((A, B), (X, Y))))
-            for coeffs, (X, Y, A, B) in skeleton.marginal]
-        built.num_marginal_rows = len(skeleton.marginal)
+        rhs, prog.rhs_den = integer_table([
+            marginal.entry((A, B), (X, Y))
+            for X, Y, A, B in skeleton.keys.tolist()])
+        prog.rhs = np.concatenate([np.zeros(skeleton.num_causal, rhs.dtype),
+                                   rhs])
         return built
 
     by_block = skeleton.by_block

@@ -528,6 +528,62 @@ def test_integral_data_is_kept_as_int():
     assert type(con.rhs) is int and con.rhs == 3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("entry", ["row coefficient", "right-hand side",
+                                   "objective coefficient", "upper bound"])
+def test_non_finite_lp_data_is_an_lp_error(entry, bad):
+    """NaN or an infinity in a row is refused by ``make_constraint`` and
+    ``add``, in the objective or a bound by ``validate`` and so by
+    ``solve``: an ``LpError`` naming the entry, in both modes."""
+    named = rf"^{entry}\b.* is {bad}, not finite$"
+    if entry in ("row coefficient", "right-hand side"):
+        coeffs, rhs = ({0: bad}, 1) if entry == "row coefficient" \
+            else ({0: 1}, bad)
+        lp = L.LinProgram(1, "max", {0: 1})
+        with pytest.raises(L.LpError, match=named):
+            L.make_constraint(coeffs, "<=", rhs)
+        with pytest.raises(L.LpError, match=named):
+            lp.add(coeffs, "<=", rhs)
+        assert not len(lp.rhs)
+        return
+    lp = L.LinProgram(1, "max", {0: bad} if entry == "objective coefficient"
+                      else {0: 1},
+                      upper={0: bad} if entry == "upper bound" else {})
+    lp.add({0: 1}, "<=", 1)
+    with pytest.raises(L.LpError, match=named):
+        lp.validate()
+    for mode in ("float", "exact"):
+        with pytest.raises(L.LpError, match=named):
+            L.solve(lp, mode)
+
+
+def test_no_solve_path_builds_row_objects(monkeypatch):
+    """Rows stay arrays from the build to the certificate: with
+    ``Constraint`` made to raise, the three-round float and the two-round
+    exact TONS slices, the chain guessing game's ns-value and its eps-NS
+    value at 1/20 are built and solved, from empty TONS caches."""
+    guessing = G.make_guessing_game(G.make_chain_game())
+    eps_value = NV.eps_ns_value(guessing, F(1, 20)).value
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-row Constraint was built")
+    monkeypatch.setattr(L, "Constraint", refuse)
+    T.build_causal_constraints.cache_clear()
+    T._slice_skeleton.cache_clear()
+    chsh = G.make_chsh_game()
+    for n, mode, value in ((3, "float", "0.5624999999999999"),
+                           (2, "exact", "Fraction(5, 8)")):
+        scenario = T.CausalScenario.for_game(T.TONS, n, chsh)
+        marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 2))),
+                                      n)
+        assert repr(T.tons_guessing_probability(
+            chsh, marginal, (0,) * n, scenario, mode=mode)) == value
+    assert NV.ns_value(guessing) == F(8, 9)
+    report = NV.eps_ns_value(guessing, F(1, 20))
+    assert report.value == eps_value and report.solution.certified
+
+
 def _certificate_lp():
     """max x0 + x2 over x0 + x1 <= 2, x0 - x1 >= 0, x2 - x0 == 0, with x2
     free: the optimum 4 at x = (2, 0, 2), y = (2, 0, 1)."""

@@ -463,8 +463,7 @@ def orbit_quotient(prog, images):
                con.rel, con.rhs)
         if key not in seen:
             seen.add(key)
-            quotient.constraints.append(L.Constraint(
-                tuple((q, F(s, den)) for q, s in key[0]), con.rel, con.rhs))
+            quotient.add({q: F(s, den) for q, s in key[0]}, con.rel, con.rhs)
     return quotient
 
 
@@ -1002,11 +1001,16 @@ class TestScenarioCaches:
         prog = first.program
         prog.add({0: 1}, L.LE, 0)
         prog.objective[0] = 5
-        prog.constraints[0] = L.make_constraint({1: 1}, L.GE, 2)
+        prog.rhs = prog.rhs + 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             prog.constraints[1].rhs = 7
         with pytest.raises(ValueError):
             first.columns[0] = 1
+        shared = build().program
+        assert shared.indices is build().program.indices
+        for array in (shared.indptr, shared.indices, shared.data):
+            with pytest.raises(ValueError):
+                array[0] = 1
         assert L.dump_lp(prog) != dump
         assert L.dump_lp(build().program) == dump
 
