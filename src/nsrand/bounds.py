@@ -88,7 +88,6 @@ class DecayParams:
     kappa: float
     gamma: float
     mu: float = float(MU_CHAIN)
-    pi_min: float = float(PI_MIN_CHAIN)
 
     def __post_init__(self):
         if not 0 < self.delta < float(DELTA_MAX):
@@ -204,23 +203,19 @@ class MuReport:
     consistent: bool
 
 
-def mu_consistency_check(recompute_alpha: bool = True) -> MuReport:
+def mu_consistency_check() -> MuReport:
     """Check mu = pi_min^2 / (alpha^2 6^7) = 1/(6^9 5^2) in exact rationals.
 
     ``pi_min`` is read off the constructed guessing game and ``alpha`` is
-    reproduced by the LP slope of the epsilon-relaxed value unless
-    ``recompute_alpha`` is disabled (then the stored 10/9 is used).
+    reproduced by the LP slope of the epsilon-relaxed value.
     """
     from .games import make_chain_game, make_guessing_game
     from .nsvalues import alpha_slope
 
     guessing = make_guessing_game(make_chain_game())
     pi_min = min(guessing.pi.values())
-    if recompute_alpha:
-        alpha = alpha_slope(guessing,
-                            [Fraction(0), Fraction(1, 40), Fraction(1, 20)])
-    else:
-        alpha = ALPHA_CHAIN
+    alpha = alpha_slope(guessing,
+                        [Fraction(0), Fraction(1, 40), Fraction(1, 20)])
     mu = pi_min ** 2 / (alpha ** 2 * 6 ** 7)
     return MuReport(pi_min=pi_min, alpha=alpha, mu_from_formula=mu,
                     mu_expected=MU_CHAIN,

@@ -15,9 +15,9 @@ data, primal and dual, compared with 0 over integers in exact mode and
 at the tolerance over floats in float mode.  Infeasible and unbounded
 verdicts are proved through the exact path, by auxiliary LPs.
 
-An LP keeps its rows in one format, CSR arrays of integer numerators
-over common denominators (``LinProgram``), from which every solve and
-check reads; ``Constraint`` is only a view of one row.
+An LP keeps its rows as CSR arrays of integer numerators over common
+denominators (``LinProgram``), written in blocks by ``append_rows`` with
+exact sums; every solve and check reads them, ``Constraint`` views one.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def _finite(value, entry: str):
     return value
 
 
-def make_constraint(coeffs: Union[dict, Iterable], rel: str, rhs) -> Constraint:
-    """The row of the nonzero ``coeffs``, by column, in exact numbers."""
+def make_constraint(coeffs: dict, rel: str, rhs) -> Constraint:
+    """The row of the nonzero ``coeffs`` {column: c}, in exact numbers."""
     prog = LinProgram(0)
     prog.add(coeffs, rel, rhs)
     return prog.constraints[0]
@@ -108,9 +108,9 @@ class LinProgram:
     sum_t (data[t] / den) x_indices[t] ``rel`` rhs[k] / rhs_den over t in
     indptr[k]:indptr[k + 1], CSR arrays with sorted columns and no zero
     coefficient.  Numerators are int64, or Python ints past int64; ``rel``
-    indexes (LE, EQ, GE).  ``add`` and ``append_rows`` replace the arrays
-    by longer read-only ones, so programs may share them;
-    ``constraints`` is a fresh list of views of the rows.
+    indexes (LE, EQ, GE).  ``add`` (one row) and ``append_rows`` (blocks
+    of rows) replace the arrays by longer read-only ones, so programs may
+    share them; ``constraints`` is a fresh list of views of the rows.
     """
 
     num_vars: int
@@ -161,10 +161,10 @@ class LinProgram:
     def is_free(self, j: int) -> bool:
         return j in self.lower and self.lower[j] is None
 
-    def add(self, coeffs, rel, rhs) -> None:
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+    def add(self, coeffs: dict, rel: str, rhs) -> None:
+        """Append the row of the nonzero ``coeffs`` {column: c}."""
         terms = sorted((int(j), _finite(c, f"row coefficient of x{j}"))
-                       for j, c in items if c)
+                       for j, c in coeffs.items() if c)
         self._append([len(terms)], [j for j, _ in terms],
                      *integer_table(c for _, c in terms),
                      *integer_table([_finite(rhs, "right-hand side")]), rel)
@@ -199,16 +199,15 @@ class LinProgram:
         cols, bounds = zip(*sorted(self.upper.items()))
         norm = replace(self, objective=dict(self.objective),
                        lower=dict(self.lower), upper={})
-        norm._append([1] * len(cols), cols, np.ones(len(cols), np.int64), 1,
-                     *integer_table(bounds), LE)
+        append_rows(norm, [(np.array(cols)[:, None], [1])], bounds, LE)
         return norm
 
 
 def _scaled(nums: np.ndarray, factor: int) -> np.ndarray:
-    """``nums`` times ``factor``, in Python ints past int64."""
+    """``nums`` times ``factor``; Python ints once either passes int64."""
     if factor == 1:
         return nums
-    if nums.dtype != object and _max_abs(nums) * factor >= 2 ** 63:
+    if nums.dtype != object and max(_max_abs(nums), 1) * factor >= 2 ** 63:
         nums = nums.astype(object)
     return nums * factor
 
@@ -224,18 +223,25 @@ def _floats(nums: np.ndarray, den: int) -> np.ndarray:
 def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
                 distinct: bool = False) -> np.ndarray:
     """Append the rows sum_k c[k] x_{j[r, k]} ``rel`` rhs[r] of the blocks
-    ``(j, c)``, in order, with each column's integer coefficients summed
-    and zero terms dropped; if ``distinct``, without repeats (right-hand
-    side included).  The sums go into ``prog``'s arrays in numpy.
-    Returns the indices of the rows appended."""
+    ``(j, c)``, in order, with each column's coefficients summed and zero
+    terms dropped; if ``distinct``, without repeats (right-hand side
+    included).  Coefficients (int arrays, ints or ``Fraction``s) go over
+    one denominator and sum exactly: in int64, or in Python ints past its
+    bound.  Returns the indices of the rows appended."""
     count, num = sum(len(j) for j, _ in blocks), prog.num_vars
+    widths = [j.shape[1] for j, _ in blocks]
+    # A row's sum is at most its width times its largest coefficient.
+    nums, den = integer_table(np.concatenate(
+        [c for _, c in blocks]).tolist(), max(widths))
+    coeffs = np.split(nums, np.cumsum(widths)[:-1])
     row = np.repeat(np.arange(count), np.concatenate(
         [np.full(len(j), j.shape[1]) for j, _ in blocks]))
     key, inverse = np.unique(
         row * num + np.concatenate([j.ravel() for j, _ in blocks]),
         return_inverse=True)
-    sums = np.bincount(inverse, np.concatenate(
-        [np.tile(c, len(j)) for j, c in blocks]), len(key)).astype(np.int64)
+    sums = np.zeros(len(key), nums.dtype)
+    np.add.at(sums, inverse, np.concatenate(
+        [np.tile(c, len(j)) for (j, _), c in zip(blocks, coeffs)]))
     row, col = np.divmod(key[sums != 0], num)
     sums = sums[sums != 0]
     sizes = np.bincount(row, minlength=count)
@@ -259,7 +265,7 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     added = np.sort(np.concatenate(added))
     kept = np.zeros(count, bool)
     kept[added] = True
-    prog._append(sizes[added], col[kept[row]], sums[kept[row]], 1,
+    prog._append(sizes[added], col[kept[row]], sums[kept[row]], den,
                  rhs[added], rhs_den, rel)
     return added
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from . import lp as L
 from . import tons as T
 from .games import (NS_FAMILIES, Game, GameError, chain_i3_coefficients,
@@ -30,15 +32,14 @@ Number = Union[Fraction, float]
 
 def _normalized_lp(game: Game, objective) -> tuple[L.LinProgram, dict]:
     """LP over normalized behaviors of the game's shape, one row per input."""
-    var = {}
-    for ins in game.inputs():
-        for outs in game.outputs():
-            var[(outs, ins)] = len(var)
+    var = {(outs, ins): v for v, (ins, outs) in enumerate(
+        itertools.product(game.inputs(), game.outputs()))}
     prog = L.LinProgram(len(var), "max",
                         {var[key]: Fraction(c)
                          for key, c in objective.items()})
-    for ins in game.inputs():
-        prog.add({var[(outs, ins)]: 1 for outs in game.outputs()}, "==", 1)
+    n_out = math.prod(game.output_sizes)
+    L.append_rows(prog, [(np.arange(len(var)).reshape(-1, n_out),
+                          [1] * n_out)], [1] * (len(var) // n_out), L.EQ)
     return prog, var
 
 

@@ -337,10 +337,8 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
     by_block = col.reshape(SA, SX, SY, SA, SB).transpose(0, 3, 4, 1, 2)
 
     # Summed per orbit, the objective is exact on the invariant points.
-    objective = prog.objective
-    for e in range(SA):
-        for j in by_block[e, e, :, x_enc, y_enc].tolist():
-            objective[j] = objective.get(j, 0) + 1
+    prog.objective.update(Counter(by_block[
+        range(SA), range(SA), :, x_enc, y_enc].ravel().tolist()))
 
     # Causal rows come from the least guess of each guess orbit: the least
     # variable of the orbit of (e, 0, 0, 0, 0) lies in that guess's block.
@@ -448,27 +446,27 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                                    rhs])
         return built
 
-    by_block = skeleton.by_block
     coeffs_value = functional if functional is not None \
         else game_value_coefficients(game)
     # The summed blocks form a normalized behavior.
-    prog.add(dict.fromkeys(by_block[..., 0, 0].ravel().tolist(), 1), L.EQ, 1)
-    built.num_marginal_rows += 1
+    total = skeleton.by_block[..., 0, 0].reshape(1, -1)
+    L.append_rows(prog, [(total, [1] * total.size)], [1], L.EQ)
     for i in range(n):
-        # Round i's output symbol of every output string.
+        # Round i's output symbol of every output string, and one row per
+        # past input history (x_past major): its inputs, round i's, then 0s.
         a_i = np.arange(SA) // na ** (n - 1 - i) % na
         b_i = np.arange(SB) // nb ** (n - 1 - i) % nb
-        for x_past in itertools.product(range(nx), repeat=i):
-            for y_past in itertools.product(range(ny), repeat=i):
-                row: dict[int, Fraction] = {}
-                for ((ai, bi), (xi, yi)), c in coeffs_value.items():
-                    X = encode_string([*x_past, xi] + [0] * (n - i - 1), nx)
-                    Y = encode_string([*y_past, yi] + [0] * (n - i - 1), ny)
-                    for j in by_block[:, a_i == ai][:, :, b_i == bi, X, Y] \
-                            .ravel().tolist():
-                        row[j] = row.get(j, 0) + c
-                prog.add(row, relation, omega_star)
-                built.num_marginal_rows += 1
+        X = np.arange(nx ** i)[:, None] * nx ** (n - i)
+        Y = np.arange(ny ** i)[None, :] * ny ** (n - i)
+        columns, coeffs = [], []
+        for ((ai, bi), (xi, yi)), c in coeffs_value.items():
+            j = skeleton.by_block[:, a_i == ai][:, :, b_i == bi][
+                ..., X + xi * nx ** (n - 1 - i), Y + yi * ny ** (n - 1 - i)]
+            columns.append(j.reshape(-1, X.size * Y.size).T)
+            coeffs += [c] * columns[-1].shape[1]
+        L.append_rows(prog, [(np.hstack(columns), coeffs)],
+                      [omega_star] * (X.size * Y.size), relation)
+    built.num_marginal_rows = len(prog.rhs) - skeleton.num_causal
     return built
 
 

@@ -18,6 +18,7 @@ from scipy.optimize import OptimizeResult
 import nsrand.lp as L
 from nsrand import cli, games as G, nsvalues as NV, tons as T
 from nsrand.lp import EQ, GE, LE, MAX, LinProgram, LpSolution
+from nsrand.serialize import frac_str
 
 
 def _solve(lp, mode="exact"):
@@ -1095,3 +1096,156 @@ def _exact_simplex(norm: LinProgram) -> LpSolution:
     if not maximize:
         dual = [-yi for yi in dual]
     return LpSolution(LpSolution.OPTIMAL, value, primal, dual, "exact")
+
+
+# ---------------------------------------------------------------------------
+# the row writer
+# ---------------------------------------------------------------------------
+
+def test_append_rows_keeps_a_coefficient_past_two_to_the_53_exact():
+    """2**53 + 1 has no float; the row holds it as it was given."""
+    lp = LinProgram(2, "max", {0: 1})
+    L.append_rows(lp, [(np.array([[0, 1]]), [2 ** 53 + 1, 1])], [1], LE)
+    assert lp.constraints[0].coeffs == ((0, 2 ** 53 + 1), (1, 1))
+
+
+def test_append_rows_sums_past_int64_in_python_ints():
+    """Two 2**62 terms in one column sum to 2**63, one past int64."""
+    lp = LinProgram(1, "max", {0: 1})
+    L.append_rows(lp, [(np.array([[0, 0]]), np.array([2 ** 62, 2 ** 62]))],
+                  [1], LE)
+    assert lp.data.tolist() == [2 ** 63]
+    assert type(lp.data[0]) is int
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_append_rows_sums_a_repeated_column(mode):
+    """max x0 s.t. x0 + 2 x0 <= 3 is the row 3 x0 <= 3 in both modes."""
+    lp = LinProgram(1, "max", {0: 1})
+    L.append_rows(lp, [(np.array([[0, 0]]), [1, 2])], [3], LE)
+    assert lp.constraints[0].coeffs == ((0, 3),)
+    assert _solve(lp, mode).value == 1
+
+
+def test_append_rows_puts_fractions_over_one_denominator():
+    """Blocks of ints, Fractions and int arrays share one denominator."""
+    lp = LinProgram(2, "max", {0: 1})
+    L.append_rows(lp, [(np.array([[0, 1], [1, 0]]), [F(1, 3), F(1, 2)]),
+                       (np.array([[1]]), np.array([3]))], [1, 2, 3], LE)
+    assert [c.coeffs for c in lp.constraints] == [
+        ((0, F(1, 3)), (1, F(1, 2))), ((0, F(1, 2)), (1, F(1, 3))), ((1, 3),)]
+    assert lp.den == 6
+
+
+def test_rows_given_as_pairs_are_refused():
+    """A row is a dict {column: coefficient}, so it names a column once;
+    a list of pairs, which could name one twice, has no ``items``."""
+    lp = LinProgram(1, "max", {0: 1})
+    pairs = [(0, 1), (0, 2)]
+    with pytest.raises(AttributeError):
+        lp.add(pairs, "<=", 3)
+    with pytest.raises(AttributeError):
+        L.make_constraint(pairs, "<=", 3)
+    assert not len(lp.rhs)
+
+
+@pytest.mark.parametrize("where", ["rhs", "coefficient"])
+def test_first_row_over_a_denominator_past_int64(where):
+    """The first row of an empty program may carry a denominator past
+    int64, 3**41, on its right-hand side or in a coefficient."""
+    q = F(3 ** 41 + 1, 3 ** 41)
+    lp = LinProgram(1, "max", {0: 1})
+    if where == "rhs":
+        lp.add({0: 1}, "<=", q)
+    else:
+        lp.add({0: q}, "<=", 2)
+    sol = _solve(lp)
+    assert sol.certified
+    assert sol.value == (q if where == "rhs" else F(2 * 3 ** 41, 3 ** 41 + 1))
+
+
+def test_library_builders_write_rows_without_add(monkeypatch, chsh_game,
+                                                 chain_game,
+                                                 chain_guessing_game):
+    """Every library LP builder appends its rows as index blocks: with
+    ``LinProgram.add`` broken, the NS and eps-NS LPs of chain-guessing,
+    a chain-line LP and the two-round value-constrained CHSH LP build and
+    solve."""
+    def broken(*args, **kwargs):
+        raise AssertionError("LinProgram.add called")
+    monkeypatch.setattr(LinProgram, "add", broken)
+    prog, _ = NV._behavior_lp(chain_guessing_game, G.game_value_coefficients(
+        chain_guessing_game))
+    assert L.solve_certified(prog, "exact").value == F(8, 9)
+    assert NV.eps_ns_value(chain_guessing_game, F(1, 20)).value == F(17, 18)
+    assert NV.single_round_guessing(chain_game, 0, 5, functional=(
+        G.chain_i3_coefficients())) == F(3, 4)
+    scenario = T.CausalScenario.for_game(T.TONS, 2, chsh_game)
+    assert T.tons_guessing_probability(chsh_game, None, (0, 0), scenario,
+                                       omega_star=F(7, 8)) == F(5, 8)
+
+
+def _pinned_solution(label):
+    """The exact optimum of one certificate pin: kind, then parameter."""
+    kind, _, arg = label.partition(":")
+    chain, chsh = G.make_chain_game(), G.make_chsh_game()
+    if kind == "chain-line":
+        return NV.single_round_guessing(
+            chain, 0, F(arg), functional=G.chain_i3_coefficients(),
+            with_solution=True)[1]
+    if kind == "magic-square":
+        return NV.single_round_guessing(G.make_magic_square_game(), int(arg),
+                                        1, with_solution=True)[1]
+    guessing = G.make_guessing_game(chain)
+    if kind == "eps-ns":
+        return NV.eps_ns_value(guessing, F(arg)).solution
+    if kind == "ns-value":
+        prog = NV._behavior_lp(guessing,
+                               G.game_value_coefficients(guessing))[0]
+    elif kind == "value":
+        scenario = T.CausalScenario.for_game(arg, 2, chsh)
+        prog = T.build_guessing_lp(chsh, None, (0, 0), scenario,
+                                   omega_star=F(7, 8)).program
+    else:
+        scenario = T.CausalScenario.for_game(arg, 2, chsh)
+        marginal = G.product_behavior(
+            G.make_pr_v(G.NoisyPRParams(F(1, 2))), 2)
+        prog = T.build_guessing_lp(
+            chsh, marginal, (0, 0), scenario,
+            relabellings=T.marginal_symmetries(marginal, scenario,
+                                               (0, 0))).program
+    return L.solve_certified(prog, "exact")
+
+
+@pytest.mark.parametrize("label, value, digest", [
+    ("chain-line:9/2", F(7, 8),
+     "e2b2b008d3e6c4701ae8f6221fd0db70d3ac4baa72a3b736df0fd3f70bdcd8ec"),
+    ("chain-line:5", F(3, 4),
+     "2cea961454c806803e0b36f8da52a5b1dc8335e54dd3055c119ed941cf03a56b"),
+    ("chain-line:17/3", F(7, 12),
+     "047d6b14e020b53c202650e3147a08fbc1c2920a92bb4d328152ece3d67d6bb4"),
+    ("magic-square:0", F(1),
+     "9fb1172ab1b99b28b2c9352eccb90f82df7652479b5e938fa12e429a4fb0fa78"),
+    ("eps-ns:1/20", F(17, 18),
+     "52fbfe3641641b1839d2e08a8ac48dfebd6f05f5ed11876290db23f675dc44fe"),
+    ("eps-ns:1/37", F(34, 37),
+     "90165509bd88ac51bced4a26f7745ff625d1cb07f4a37c3ec97a95acb89153ce"),
+    ("ns-value:", F(8, 9),
+     "61ab92e16df227d4ecf1180f8e4efc27345bae7a89bae56087f8d5d36de45905"),
+    ("slice:tons", F(5, 8),
+     "cce446fe9fcb6b2bd047495ddcb3c4a46f245dce589d1e767acb86db040e5bcd"),
+    ("slice:abns", F(23, 32),
+     "ad7d8836e3efede3aa8835205d988773b20f87889698276d5157a80a1f2830a8"),
+    ("value:tons", F(5, 8),
+     "3cc827e73f1c575d7d543ee6a85f4c474fe4eb78a522ae7df9ba885bccbe0406"),
+])
+def test_exact_certificates_are_pinned(label, value, digest):
+    """The certified optimum of each LP, not just its value, stays the
+    same: the sha256 of the value, the primal and the dual as p/q lines.
+    The n = 2 slices are of the noisy PR box at v = 1/2."""
+    sol = _pinned_solution(label)
+    assert sol.certified and sol.value == value
+    text = "".join(line + "\n" for line in (
+        frac_str(sol.value), " ".join(map(frac_str, sol.primal)),
+        " ".join(map(frac_str, sol.dual))))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
