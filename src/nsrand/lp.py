@@ -3,17 +3,18 @@
 Both modes make one HiGHS call through scipy: dual simplex, or interior
 point with crossover on instances above ``_IPM_ROW_THRESHOLD`` rows.
 Float mode checks the HiGHS optimum against its certificate at a
-tolerance.  Exact mode has one path: it solves exactly (``eliminate``)
-the rows and columns that HiGHS reports tight at its float optimum, and
-accepts the rational pair only if primal feasibility, dual feasibility
-and equality of both objectives hold in exact arithmetic (the
-lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash & Espinoza,
-Oper. Res. Lett. 35 (2007), finished by an exact basis solve as in
-Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  Both modes
-check a certificate with one residual evaluator: numpy sums over the LP
-data, primal and dual, compared with 0 over integers in exact mode and
-at the tolerance over floats in float mode.  Infeasible and unbounded
-verdicts are proved through the exact path, by auxiliary LPs.
+tolerance.  Exact mode has one path: it solves the rows and columns that
+HiGHS reports tight at its float optimum over the integers, by
+fraction-free elimination (``_echelon``; rows past full rank are only
+checked), and accepts the rational pair only if primal feasibility, dual
+feasibility and equality of both objectives hold in exact arithmetic
+(the lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 35 (2007), finished by an exact basis solve
+as in Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  Both
+modes check a certificate with one residual evaluator: numpy sums over
+the LP data, primal and dual, compared with 0 over integers in exact
+mode and at the tolerance over floats in float mode.  Infeasible and
+unbounded verdicts are proved through the exact path, by auxiliary LPs.
 
 An LP keeps its rows as CSR arrays of integer numerators over common
 denominators (``LinProgram``), written in blocks by ``append_rows`` with
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -220,6 +222,12 @@ def _floats(nums: np.ndarray, den: int) -> np.ndarray:
     return np.array([int(a) / den for a in nums.tolist()], float)
 
 
+def _free_columns(norm: LinProgram) -> np.ndarray:
+    """Mask of the LP's free columns, those with lower bound None."""
+    return np.isin(np.arange(norm.num_vars),
+                   [j for j, lo in norm.lower.items() if lo is None])
+
+
 def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
                 distinct: bool = False) -> np.ndarray:
     """Append the rows sum_k c[k] x_{j[r, k]} ``rel`` rhs[r] of the blocks
@@ -396,7 +404,7 @@ def _residual_reasons(norm: LinProgram, x: list, y: list, value,
 
     c = np.zeros(n, dtype=c_obj.dtype)
     c[obj_cols] = c_obj
-    free = np.array([norm.is_free(j) for j in range(n)], dtype=bool)
+    free = _free_columns(norm)
     le, eq, ge = (norm.rel == code for code in (_LE, _EQ, _GE))
     sign = 1 if norm.sense == MAX else -1
 
@@ -459,7 +467,7 @@ _FALLBACK_CELL_LIMIT = 100_000
 # HiGHS statuses with a verdict; any other status is a solver failure.
 _HIGHS_STATUS = {0: LpSolution.OPTIMAL, 2: LpSolution.INFEASIBLE,
                  3: LpSolution.UNBOUNDED}
-# Column key of a linear system's right-hand side in ``eliminate``.
+# Column key of a linear system's right-hand side; never a pivot.
 RHS = -1
 
 
@@ -496,12 +504,11 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
     def part(m, rows):
         return m[rows] if len(rows) else None
 
+    bounds = np.where(_free_columns(norm)[:, None], [-np.inf, np.inf],
+                      [0, np.inf])
     method = "highs-ipm" if m > _IPM_ROW_THRESHOLD else "highs-ds"
     res = linprog(c, A_ub=part(a, ub), b_ub=part(b, ub), A_eq=part(a, eq),
-                  b_eq=part(b, eq),
-                  bounds=[(None, None) if norm.is_free(j) else (0, None)
-                          for j in range(n)],
-                  method=method)
+                  b_eq=part(b, eq), bounds=bounds, method=method)
     status = _HIGHS_STATUS.get(res.status)
     if status != LpSolution.OPTIMAL:
         return (None if status is None else
@@ -521,43 +528,77 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
 
 
 def eliminate(rows: Iterable[dict]) -> Optional[dict[int, dict]]:
-    """Reduced row echelon form of sparse rational rows {column: value}
-    by exact Gauss-Jordan elimination.  Column ``RHS`` holds a system's
-    right-hand side and is never a pivot.  Returns the nonzero rows keyed
-    by pivot column, each 1 at its pivot (their count is the rank), or
-    None when a row reduces to 0 = nonzero: the system is inconsistent.
-    """
+    """Reduced row echelon form of sparse rational rows {column: value}:
+    ``_echelon`` of the rows, shortest first, each scaled to integers.
+    Returns the nonzero rows by pivot column, each 1 at its pivot (their
+    count is the rank), or None when the system is inconsistent."""
+    pivots = _echelon([dict(zip(row, integer_table(row.values())[0].tolist()))
+                       for row in sorted(rows, key=len)])
+    return None if pivots is None else {
+        p: {j: Fraction(c, prow[p]) for j, c in prow.items()}
+        for p, prow in pivots.items()}
+
+
+def _echelon(rows: list[dict]) -> Optional[dict[int, dict]]:
+    """Gauss-Jordan elimination of integer rows {column: value} in their
+    order, each pivoting on its lowest nonzero column, fraction-free (cf.
+    Bareiss, Math. Comp. 22 (1968)): d row - f pivot_row over its gcd
+    stays a nonzero multiple of its rational counterpart, so pivots and
+    inconsistency are the rational ones.  Returns the pivot rows by pivot
+    column (nonzero there, not 1), or None at a row 0 = nonzero.  Once
+    every column has a pivot, the rows left are only checked."""
     pivots: dict[int, dict] = {}
-
-    def reduce(row: dict, p: int, prow: dict) -> None:
-        # row -= row[p] * prow, where prow is 1 at p.
-        f = row.pop(p)
-        for j, c in prow.items():
-            if j != p:
-                v = row.get(j, 0) - f * c
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-
-    for row in sorted(rows, key=len):
-        row = {j: Fraction(c) for j, c in row.items() if c}
-        # Pivot rows hold no other pivot column, so one pass reduces.
-        for p in [j for j in row if j in pivots]:
-            reduce(row, p, pivots[p])
-        cols = [j for j in row if j != RHS]
+    width = len(set().union(*rows) - {RHS})
+    rows = iter(rows)
+    for row in rows:
+        if len(pivots) == width:
+            # x_p = N_p / D; a row holds iff sum_j row_j N_j = row_RHS D.
+            den = math.lcm(*(prow[p] for p, prow in pivots.items()))
+            x = {p: prow.get(RHS, 0) * (den // prow[p])
+                 for p, prow in pivots.items()}
+            x[RHS] = -den
+            return None if any(sum(map(mul, r.values(), map(x.get, r)))
+                               for r in (row, *rows)) else pivots
+        row = _reduced(row, [p for p in row if p in pivots], pivots)
+        cols = row.keys() - {RHS}
         if not cols:
             if row:
                 return None
             continue
         p = min(cols)
-        inv = 1 / row[p]
-        row = {j: c * inv for j, c in row.items()}
-        for qrow in pivots.values():
+        for q, qrow in pivots.items():
             if p in qrow:
-                reduce(qrow, p, row)
+                pivots[q] = _reduced(qrow, [p], {p: row})
         pivots[p] = row
     return pivots
+
+
+def _reduced(row: dict, hits: list, pivots: dict) -> dict:
+    """The integer row s row - sum_p f_p pivots[p], 0 at each column p in
+    ``hits`` (pivot rows hold no other pivot column), over its gcd and
+    without zero entries."""
+    scale = math.lcm(*(pivots[p][p] // math.gcd(pivots[p][p], row[p])
+                       for p in hits))
+    out = {j: scale * c for j, c in row.items()} if scale > 1 else dict(row)
+    for p in hits:
+        f = out[p] // pivots[p][p]
+        for j, c in pivots[p].items():
+            out[j] = out.get(j, 0) - f * c
+    g = math.gcd(*out.values()) or 1
+    return {j: c // g for j, c in out.items() if c}
+
+
+def _tight_rows(major: np.ndarray, minor: np.ndarray, coeffs: np.ndarray,
+                tight: np.ndarray, live: np.ndarray, rhs: list) -> list[dict]:
+    """The rows {RHS: rhs[k], minor: coefficient} of the tight keys k of
+    ``major`` on its live ``minor`` keys, shortest first (``eliminate``'s
+    order); rows 0 = 0 are left out."""
+    rows = {k: {RHS: rhs[k]} for k in np.flatnonzero(tight).tolist()}
+    at = tight[major] & live[minor]
+    for k, j, c in zip(*(v[at].tolist() for v in (major, minor, coeffs))):
+        rows[k][j] = c
+    return sorted((row for row in rows.values() if len(row) > 1 or row[RHS]),
+                  key=len)
 
 
 def _solve_active_set(norm: LinProgram, sol: LpSolution, slack: list,
@@ -570,33 +611,26 @@ def _solve_active_set(norm: LinProgram, sol: LpSolution, slack: list,
     rows with |y_k| above it; all else is 0.  Returns the exact optimum
     if its certificate verifies, else None.
     """
-    tol, m, den = _FLOAT_ZERO_SNAP, len(norm.rhs), norm.den
-    ptr, col, data = (v.tolist() for v in (norm.indptr, norm.indices,
-                                           norm.data))
-    # Both systems are taken times den: their coefficients are then the
-    # integer numerators, and their solutions are as they were.
-    support = {j for j, v in enumerate(sol.primal) if abs(v) > tol}
-    rows = [{**{j: a for j, a in zip(col[s:e], data[s:e]) if j in support},
-             RHS: _exact(b * den, norm.rhs_den)}
-            for s, e, b, rel, sk in zip(ptr, ptr[1:], norm.rhs.tolist(),
-                                        norm.rel.tolist(), slack)
-            if rel == _EQ or abs(sk) <= tol]
-    cols = [{RHS: norm.objective.get(j, 0) * den}
-            for j in range(norm.num_vars)]
-    for k, yk in enumerate(sol.dual):
-        if abs(yk) > tol:
-            for j, a in zip(col[ptr[k]:ptr[k + 1]], data[ptr[k]:ptr[k + 1]]):
-                cols[j][k] = a
-    cols = [col for j, col in enumerate(cols)
-            if norm.is_free(j) or abs(reduced[j]) <= tol]
-    pivots = [eliminate(rows), eliminate(cols)]
+    tol, m, n, col = _FLOAT_ZERO_SNAP, len(norm.rhs), norm.num_vars, \
+        norm.indices
+    row = np.repeat(np.arange(m), np.diff(norm.indptr))
+    obj, obj_den = integer_table([norm.objective.get(j, 0) for j in range(n)])
+    # The primal is taken times den * rhs_den and the dual times
+    # den * obj_den: both are then integer, with the same solutions.
+    pivots = [_echelon(_tight_rows(
+        row, col, _scaled(norm.data, norm.rhs_den),
+        (norm.rel == _EQ) | (np.abs(slack) <= tol),
+        np.abs(sol.primal) > tol, _scaled(norm.rhs, norm.den).tolist())),
+        _echelon(_tight_rows(
+            col, row, _scaled(norm.data, obj_den),
+            _free_columns(norm) | (np.abs(reduced) <= tol),
+            np.abs(sol.dual) > tol, _scaled(obj, norm.den).tolist()))]
     if None in pivots:
         return None
-    x, y = ([piv[i].get(RHS, Fraction(0)) if i in piv else Fraction(0)
-             for i in range(size)]
-            for piv, size in zip(pivots, (norm.num_vars, m)))
-    value = sum((c * x[j] for j, c in norm.objective.items()),
-                start=Fraction(0))
+    zero = Fraction(0)
+    x, y = ([Fraction(piv[i][RHS], piv[i][i]) if RHS in piv.get(i, ()) else
+             zero for i in range(size)] for piv, size in zip(pivots, (n, m)))
+    value = sum((c * x[j] for j, c in norm.objective.items()), start=zero)
     exact = LpSolution(LpSolution.OPTIMAL, value, x, y, "exact")
     exact.certified = bool(verify_certificate(norm, exact))
     return exact if exact.certified else None

@@ -473,6 +473,163 @@ def test_eliminate_rank_and_consistency():
         == {0: {0: 1, L.RHS: 2}, 1: {1: 1, L.RHS: 1}}
 
 
+def _eliminate_oracle(rows):
+    """The rational Gauss-Jordan elimination that ``L.eliminate`` had
+    before its integer kernel, kept as the reference: rows shortest
+    first, each reduced by the pivot rows it meets, pivoting on its
+    lowest column and normalized to 1 there, with every earlier pivot
+    row cleared at the new pivot column; None at a row 0 = nonzero."""
+    pivots = {}
+
+    def reduce(row, p, prow):
+        # row -= row[p] * prow, where prow is 1 at p.
+        f = row.pop(p)
+        for j, c in prow.items():
+            if j != p:
+                v = row.get(j, 0) - f * c
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+
+    for row in sorted(rows, key=len):
+        row = {j: Fraction(c) for j, c in row.items() if c}
+        for p in [j for j in row if j in pivots]:
+            reduce(row, p, pivots[p])
+        cols = [j for j in row if j != L.RHS]
+        if not cols:
+            if row:
+                return None
+            continue
+        p = min(cols)
+        inv = 1 / row[p]
+        row = {j: c * inv for j, c in row.items()}
+        for qrow in pivots.values():
+            if p in qrow:
+                reduce(qrow, p, row)
+        pivots[p] = row
+    return pivots
+
+
+_ENTRY = st.one_of(_RATIONAL, st.integers(-9, 9),
+                   st.integers(-2 ** 70, 2 ** 70),
+                   st.builds(F, st.integers(-2 ** 70, 2 ** 70),
+                             st.integers(1, 2 ** 66)))
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Up to 9 sparse rows on up to 6 columns, some with a right-hand
+    side, then up to 3 rational combinations of them (rank-deficient
+    systems); entries are small rationals, ints, and ints or fractions
+    past 2^63, zeros included."""
+    keys = st.integers(0, draw(st.integers(1, 6)) - 1) | st.just(L.RHS)
+    rows = draw(st.lists(st.dictionaries(keys, _ENTRY, max_size=4),
+                         max_size=9))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        combo = {}
+        for row in draw(st.lists(st.sampled_from(rows), min_size=1,
+                                 max_size=3)):
+            f = draw(_RATIONAL)
+            for j, c in row.items():
+                combo[j] = combo.get(j, 0) + f * c
+        rows.append(combo)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_sparse_systems())
+@example(rows=[{0: 1, L.RHS: 1}, {1: 1, L.RHS: 2}, {0: 1, 1: 1, L.RHS: 4}])
+@example(rows=[{0: 2 ** 64 + 1, 1: F(1, 3), L.RHS: 2 ** 65},
+               {0: -(2 ** 63), 1: 2 ** 70 - 1}, {1: 0, L.RHS: 0}])
+def test_eliminate_agrees_with_the_fraction_oracle(rows):
+    """The integer kernel gives exactly the rational elimination's pivots,
+    in order, and rows, or None where it does."""
+    expected = _eliminate_oracle([dict(row) for row in rows])
+    got = L.eliminate([dict(row) for row in rows])
+    assert got == expected
+    if got is not None:
+        assert list(got) == list(expected)
+        assert {type(c) for row in got.values() for c in row.values()} \
+            <= {Fraction}
+
+
+def test_eliminate_checks_rows_past_full_rank():
+    """Once every column has a pivot the rows left are only checked, and
+    a row that fails only then makes the system inconsistent."""
+    pivots = [{0: 1, L.RHS: 1}, {1: 1, L.RHS: 2}]
+    assert L.eliminate(pivots + [{0: 1, 1: 1, L.RHS: 4}]) is None
+    assert L.eliminate(pivots + [{0: 2, 1: 1, L.RHS: 4},
+                                 {0: 3, 1: 1, L.RHS: 4}]) is None
+    assert L.eliminate(pivots + [{0: F(1, 2), 1: 1, L.RHS: F(5, 2)}]) == \
+        {0: {0: 1, L.RHS: 1}, 1: {1: 1, L.RHS: 2}}
+
+
+def test_echelon_runs_on_integers():
+    """The kernel reduces integer rows to integer rows, past int64 too:
+    each pivot row is a multiple of the rational one, not 1 at the
+    pivot."""
+    rows = [{0: 3, 1: 2, L.RHS: 2 ** 64}, {0: 2, 1: -5, L.RHS: 7},
+            {0: 6, 1: 4, 2: 9}]
+    expected = _eliminate_oracle(rows)
+    pivots = L._echelon(rows)
+    assert {type(c) for row in pivots.values() for c in row.values()} \
+        == {int}
+    assert {p: {j: F(c, row[p]) for j, c in row.items()}
+            for p, row in pivots.items()} == expected
+
+
+def test_exact_solves_use_no_fraction_elimination(monkeypatch):
+    """The exact basis solve and the verdict LPs reach ``_echelon``
+    directly; the public ``Fraction`` ``eliminate`` is not on the path."""
+    monkeypatch.setattr(L, "eliminate", None)
+    assert _solve(_three_var_lp()).certified
+    for lp in _infeasible_and_unbounded():
+        assert _solve(lp).certified
+
+
+@pytest.mark.xfail(strict=True, raises=L.CertificationError)
+def test_tiny_equality_dual_certifies():
+    """max x0 + (1 - e) x1 s.t. (1 + e) x0 + x1 <= 1, x0 - x1 = e, with
+    e = 10^-12: the optimum (1 + e)/(2 + e) at x0 needs the equality
+    row's dual, e^2/(2 + e) ~ 5e-25, which HiGHS reports as 0.0.  The
+    lift reads the tight set at ``_FLOAT_ZERO_SNAP``, drops that row from
+    the dual system, finds it inconsistent and raises CertificationError
+    ("the exact basis solve did not verify"); float mode solves it.  A
+    basis solve reads no tolerance (ROADMAP item 3) and should make this
+    pass."""
+    e = F(1, 10 ** 12)
+    lp = LinProgram(2, MAX, {0: 1, 1: 1 - e})
+    lp.add({0: 1 + e, 1: 1}, LE, 1)
+    lp.add({0: 1, 1: -1}, EQ, e)
+    assert _solve(lp, mode="float").value == pytest.approx(1, abs=1e-9)
+    x0 = (1 + e) / (2 + e)
+    sol = _solve(lp)
+    assert sol.certified and L.verify_certificate(lp, sol)
+    assert sol.value == x0 + (1 - e) * (x0 - e)
+
+
+def test_highs_gets_one_bounds_array(monkeypatch):
+    """``_highs`` passes ``linprog`` one (n, 2) float bounds array from the
+    free-column mask: [-inf, inf] on free columns, [0, inf] else."""
+    seen = []
+    real = scipy.optimize.linprog
+
+    def spy(*args, bounds=None, **kwargs):
+        seen.append(bounds)
+        return real(*args, bounds=bounds, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    lp = LinProgram(3, MAX, {0: 1, 1: 1, 2: -1}, lower={1: None, 2: 0})
+    lp.add({0: 1, 1: 1}, LE, 2)
+    lp.add({1: 1, 2: -1}, LE, 1)
+    lp.add({1: 1}, GE, -1)
+    _solve(lp, mode="float")
+    assert len(seen) == 1
+    assert isinstance(seen[0], np.ndarray) and seen[0].dtype == float
+    assert seen[0].tolist() == [[0, math.inf], [-math.inf, math.inf],
+                                [0, math.inf]]
+
+
 def test_random_cross_check_against_float_solver():
     """Exact solve, the dense exact simplex and HiGHS agree in status and
     value on random LPs."""
