@@ -1,20 +1,21 @@
 """Nonlocal games and behaviors.
 
 Defines finite-alphabet games (input distribution plus 0/1 predicate),
-conditional-probability behaviors with exact rational entries, and the
-specific games used throughout the package: the 3-input chained game in
-its complete-support variant, CHSH, tripartite guessing games, and the
-Mermin-Peres magic square, all built in code (the game files in
-``nsrand.data`` are shipped copies, checked against these builders).
-Multi-round strings are flattened with round-major mixed-radix indexing
-throughout.  ``ns_index_groups`` is the one source of no-signalling
-marginal rows, single-round and time-ordered, for every LP builder and
-verifier: flat index arrays into the behavior tensor, which
-``ns_pair_rows`` turns into LP row blocks.
+conditional-probability behaviors with exact rational entries, read
+through one integer form (``Behavior.integers``), and the games used
+throughout the package: the complete-support 3-input chained game, CHSH,
+tripartite guessing games and the Mermin-Peres magic square, all built
+in code (the game files in ``nsrand.data`` are shipped copies, checked
+against these builders).  Multi-round strings are flattened with
+round-major mixed-radix indexing throughout.  ``ns_index_groups`` is the
+one source of no-signalling marginal rows, single-round and
+time-ordered, for every LP builder and verifier: flat index arrays into
+the behavior tensor, which ``ns_pair_rows`` turns into LP row blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,9 +114,10 @@ class Game:
 class Behavior:
     """Conditional probabilities P(outputs | inputs) for 2 or 3 parties.
 
-    Entries are exact rationals (or floats in float mode).  For every
-    input tuple the entries sum to 1, or to a common subnormalization
-    constant when ``subnormalized`` is set.
+    Entries are exact rationals, or floats taken at their exact binary
+    values.  For every input tuple the entries sum exactly to 1, or to a
+    common subnormalization constant when ``subnormalized`` is set.  The
+    table must not change once ``integers`` has been read.
     """
 
     input_sizes: tuple[int, ...]
@@ -133,6 +135,26 @@ class Behavior:
     def outputs(self):
         return itertools.product(*(range(s) for s in self.output_sizes))
 
+    @functools.cached_property
+    def integers(self) -> tuple[np.ndarray, int]:
+        """``(P, den)``: numerators over the entries' least common denominator,
+        P indexed [outputs..., inputs...] without keys outside the alphabets;
+        int64 while every sum of entries times the largest output alphabet
+        fits, else Python ints.  Kept once read.  Keys without one symbol per
+        party and non-finite entries raise GameError."""
+        m, chain = self.parties, itertools.chain.from_iterable
+        if not (set(map(len, self.table)) <= {2} and
+                set(map(len, chain(self.table))) <= {m}):
+            bad = [k for k in self.table if tuple(map(len, k)) != (m, m)]
+            raise GameError(f"keys without one symbol per party: {bad[:3]}")
+        try:
+            nums, den = integer_table(self.table.values(), bound=(
+                len(self.table) + 1) * max(self.output_sizes))
+        except (ValueError, OverflowError):  # Fraction of a NaN or an inf
+            raise GameError("behavior entries must be finite") from None
+        return dense_table(self.table, (*self.output_sizes,
+                                        *self.input_sizes), nums), den
+
     def entry(self, outputs: tuple[int, ...], inputs: tuple[int, ...]) -> Number:
         return self.table.get((outputs, inputs), 0)
 
@@ -141,18 +163,13 @@ class Behavior:
 
     def check_valid(self) -> None:
         """Raise unless entries are nonnegative and per-input sums agree
-        exactly."""
-        sums = []
-        for ins in self.inputs():
-            for outs in self.outputs():
-                p = self.entry(outs, ins)
-                if p < 0:
-                    raise GameError(f"negative probability {p} at {outs}|{ins}")
-            sums.append(self.normalization(ins))
-        target = Fraction(1) if not self.subnormalized else sums[0]
-        for s in sums:
-            if s != target:
-                raise GameError(f"per-input sums differ: {s} vs {target}")
+        exactly (equal 1 unless ``subnormalized``), on ``integers``."""
+        P, den = self.integers
+        sums = P.sum(axis=tuple(range(self.parties))).ravel()
+        target = sums[0] if self.subnormalized else den
+        if (P < 0).any() or (sums != target).any():
+            raise GameError(f"entries must be nonnegative with per-input "
+                            f"sums {Fraction(int(target), den)}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +383,15 @@ def uniform_behavior(output_sizes: tuple[int, ...],
 
 def product_behavior(behavior: Behavior, n: int) -> Behavior:
     """n-round product of a bipartite behavior over round-major strings,
-    taken over Python-int numerators; one ``Fraction`` per distinct entry."""
+    taken over the box's ``integers``; one ``Fraction`` per distinct entry."""
     if behavior.parties != 2:
         raise GameError("product_behavior expects a bipartite behavior")
     if n < 1:
         raise GameError("need at least one round")
     behavior.check_valid()
-    na, nb = behavior.output_sizes
-    nx, ny = behavior.input_sizes
-    nums, den = integer_table(
-        behavior.entry((a, b), (x, y)) for x, y, a, b in
-        itertools.product(range(nx), range(ny), range(na), range(nb)))
-    box = nums.astype(object).reshape(nx, ny, na, nb)
+    nums, den = behavior.integers
+    box = nums.astype(object).transpose(2, 3, 0, 1)
+    nx, ny, na, nb = box.shape
     # Axes x_1, y_1, a_1, b_1, ..., x_n, y_n, a_n, b_n, reordered to
     # x_1..x_n, y_1..y_n, a_1..a_n, b_1..b_n: the (X, Y, A, B) order.
     product = box
@@ -399,20 +413,20 @@ def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
     numerators are int64 when each of them times ``bound`` (a caller's
     bound on how much sums and products grow them) fits, else Python
     ints in an ``object`` array."""
-    exact = [p if isinstance(p, (int, Fraction)) else Fraction(p)
-             for p in values]
-    den = math.lcm(*{p.denominator for p in exact})
+    ratios = [(p if isinstance(p, (int, Fraction)) else Fraction(p))
+              .as_integer_ratio() for p in values]
+    den = math.lcm(*{d for _, d in ratios})
 
     def scaled():
-        return (p.numerator * (den // p.denominator) for p in exact)
+        return (n * (den // d) for n, d in ratios)
     # Filled from a generator, so that no list of Python ints is built.
     try:
-        nums = np.fromiter(scaled(), np.int64, len(exact))
+        nums = np.fromiter(scaled(), np.int64, len(ratios))
         top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
     except OverflowError:
         top = 2 ** 63
     if top * bound >= 2 ** 63:
-        nums = np.fromiter(scaled(), object, len(exact))
+        nums = np.fromiter(scaled(), object, len(ratios))
     return nums, den
 
 

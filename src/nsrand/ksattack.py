@@ -5,8 +5,8 @@ graph, search exhaustively for {0, 1/2, 1} assignments that place weight
 1 on a chosen vector, turn assignments into bipartite no-signalling
 behaviors winning the associated game, assemble the tripartite behavior
 that lets an eavesdropper guess one player's outputs perfectly, and
-verify every claimed property in exact arithmetic, over integer
-numerators (the no-signalling marginals through ``games.ns_index_groups``).
+verify every claimed property exactly on ``games.Behavior.integers``
+(the no-signalling marginals through ``games.ns_index_groups``).
 
 The bipartite behavior realizes the assignment as both marginals by
 solving one small exact transportation problem per input pair, supported
@@ -14,17 +14,18 @@ on non-orthogonal outcome pairs.  Construction returns a verification
 report rather than a validity guarantee: sets where no such coupling
 exists are reported, not repaired.
 
-The attack is built over integers as well as checked over them:
-orthogonality comes from one exact Gram matrix of the vectors over a
-common denominator, assignments and couplings count half units (0, 1,
-2), and the blocks and the tripartite table are numpy arrays over one
-denominator, turned into ``Fraction`` entries only at the end.
+The attack is built over integers as well as checked over them: one
+exact Gram matrix of the vectors over a common denominator gives
+orthogonality, assignments and couplings count half units (0, 1, 2), and
+the blocks, stacked from their ``integers``, and the tripartite table
+are numpy arrays turned into ``Fraction`` entries only at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -32,8 +33,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .games import (Alphabet, Behavior, Game, check_game_shape, dense_table,
-                    integer_table, is_finite, ns_families, ns_index_groups)
+from .games import (Alphabet, Behavior, Game, GameError, check_game_shape,
+                    dense_table, integer_table, is_finite, ns_families,
+                    ns_index_groups)
 from .lp import eliminate
 from .serialize import json_field, json_list, string, whole
 
@@ -487,13 +489,11 @@ def tripartite_attack(ks: KSSet, x_star: int,
             failures)
 
     # Eve's blocks over one denominator, stacked [e, u, w, x, y]; the
-    # (u, w) marginal is their mean.
+    # (u, w) marginal is their mean.  Half units: the denominator is 1 or 2.
     nx, ny = len(ks.alice_bases), len(ks.bob_bases)
-    tables = [blocks[e].table for e in range(d)]
-    nums, den = integer_table(p for t in tables for p in t.values())
-    parts = np.split(nums, np.cumsum([len(t) for t in tables])[:-1])
-    stack = np.stack([dense_table(t, (d, d, nx, ny), part)
-                      for t, part in zip(tables, parts)])
+    forms = [blocks[e].integers for e in range(d)]
+    den = math.lcm(*(q for _, q in forms))
+    stack = np.stack([nums * (den // q) for nums, q in forms])
     ab = stack.sum(axis=0)
     ab_marginal = Behavior((nx, ny), (d, d), _table(
         ab, d * den, lambda u, w, x, y: ((u, w), (x, y))))
@@ -525,10 +525,10 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
     """Exhaustive exact property report; never raises on defects.
 
     Checks nonnegativity, per-input normalization, every no-signalling
-    marginal equality, optionally zero mass on the game's losing events,
-    and (for attack behaviors) the perfect-guessing condition.  Entries
-    are compared exactly over integers (``_integer_checks``); a NaN or
-    infinite entry fails the report by name.  A game whose alphabets
+    marginal equality, optionally zero mass on the game's losing events, and
+    (for attack behaviors) the perfect-guessing condition, exactly on
+    ``Behavior.integers``.  A NaN or infinite entry, or a key without one
+    symbol per party, fails the report by name.  A game whose alphabets
     differ from the behavior's raises GameError.
     """
     if isinstance(behavior, AttackBehavior):
@@ -539,19 +539,15 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
         return report
     check_game_shape(behavior, game)
     P, den = tensor
-    leaked = []
-    for ins, p_in in game.pi.items():
-        if not p_in:
-            continue
-        for outs in game.outputs():
-            if not game.predicate[(outs, ins)] and behavior.entry(outs, ins):
-                leaked.append((outs, ins))
+    wins = dense_table(game.predicate, P.shape,
+                       np.fromiter(game.predicate.values(), bool))
+    lost = ~wins & (P != 0)
+    leaked = [(tuple(outs), ins) for ins, p_in in game.pi.items() if p_in
+              for outs in np.argwhere(lost[(..., *ins)]).tolist()]
     report.record("zero-mass-on-losing-events", not leaked,
                   f"mass on losing events {leaked[:3]}" if leaked else "")
     # The value is sum(pi * V * P): pi over its own denominator, the
     # winning mass per input over the behavior's.
-    wins = dense_table(game.predicate, P.shape,
-                       np.fromiter(game.predicate.values(), bool))
     won = np.where(wins, P, 0).sum(axis=tuple(range(behavior.parties)))
     pi, pi_den = integer_table(game.pi.values())
     total = sum(int(q) * int(won[ins]) for ins, q in zip(game.pi, pi))
@@ -562,31 +558,29 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
 
 def _integer_checks(b: Behavior, report: VerificationReport):
     """Record nonnegativity, normalization and the no-signalling checks
-    of ``b``.  Returns its entries as integers over one denominator,
-    ``(tensor indexed [outputs..., inputs...], denominator)``, or None
-    after recording a failing ``finite-entries`` check."""
+    of ``b``.  Returns its ``integers``, or None after recording a
+    failing ``finite-entries`` or ``well-formed-keys`` check."""
     bad = [key for key, p in b.table.items() if not is_finite(p)]
     if bad:
         report.record("finite-entries", False,
                       f"non-finite entries at {bad[:3]}")
         return None
-    # Every check sums at most all entries, and Eve's marginal is then
-    # scaled by the size of her alphabet.
-    nums, den = integer_table(b.table.values(), bound=(len(b.table) + 1)
-                              * max(b.output_sizes))
-    keys = list(b.table)
-    neg = [keys[i] for i in np.flatnonzero(nums < 0)[:3]]
+    try:
+        P, den = b.integers
+    except GameError as error:
+        report.record("well-formed-keys", False, str(error))
+        return None
+    # The first negative entries, in the table's order.
+    negative = set(map(tuple, np.argwhere(P < 0).tolist()))
+    neg = [key for key in b.table
+           if (*key[0], *key[1]) in negative][:3] if negative else []
     report.record("nonnegativity", not neg,
                   f"negative entries at {neg}" if neg else "")
 
     parties = b.parties
-    shape = (*b.output_sizes, *b.input_sizes)
-    P = dense_table(b.table, shape, nums)
-    sums = P.sum(axis=tuple(range(parties))).ravel()
-    bad_norm = []
-    for i in np.flatnonzero(sums != den)[:3]:
-        ins = tuple(int(v) for v in np.unravel_index(i, b.input_sizes))
-        bad_norm.append((ins, b.normalization(ins)))
+    off = np.argwhere(P.sum(axis=tuple(range(parties))) != den)[:3]
+    bad_norm = [(ins, b.normalization(ins))
+                for ins in map(tuple, off.tolist())]
     report.record("normalization", not bad_norm,
                   f"per-input sums off at {bad_norm}" if bad_norm else "")
 
@@ -602,8 +596,8 @@ def _integer_checks(b: Behavior, report: VerificationReport):
         if off.any():
             g = int(np.argmax(off.any(axis=1)))
             e = int(np.argmax(off[g]))
-            outs = np.unravel_index(index[g, 0, 0], shape)[:parties]
-            ins = np.unravel_index(index[g, e, 0], shape)[parties:]
+            outs = np.unravel_index(index[g, 0, 0], P.shape)[:parties]
+            ins = np.unravel_index(index[g, e, 0], P.shape)[parties:]
             detail = "first violation at " + str((
                 tuple(int(o) for p, o in enumerate(outs) if p not in summed),
                 tuple(int(v) for p, v in enumerate(ins) if p not in summed),
@@ -649,14 +643,17 @@ def _verify_attack(attack: AttackBehavior,
 
 
 def attack_affine_dimension(attacks: Sequence[Behavior]) -> int:
-    """Affine dimension of a family of behaviors (exact rational rank)."""
+    """Affine dimension of a family of behaviors of one shape (exact rank)."""
     if len(attacks) < 2:
         raise KsAttackError("need at least two behaviors")
-    base = attacks[0]
-    keys = sorted(set().union(*(set(b.table) for b in attacks)))
-    return len(eliminate(
-        {i: Fraction(other.entry(*k)) - Fraction(base.entry(*k))
-         for i, k in enumerate(keys)} for other in attacks[1:]))
+    shapes = {(b.output_sizes, b.input_sizes) for b in attacks}
+    if len(shapes) > 1:
+        raise KsAttackError(f"behaviors of different shapes: {sorted(shapes)}")
+    forms = [b.integers for b in attacks]
+    den = math.lcm(*(q for _, q in forms))
+    rows = np.stack([P.astype(object).ravel() * (den // q) for P, q in forms])
+    return len(eliminate({j: c for j, c in enumerate(row) if c}
+                         for row in (rows[1:] - rows[0]).tolist()))
 
 
 # ---------------------------------------------------------------------------

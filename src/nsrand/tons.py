@@ -38,10 +38,10 @@ causal rows of ``build_causal_constraints``, keyed on the scenario, and
 the slice skeleton of ``build_guessing_lp`` (orbit columns, objective,
 de-duplicated causal rows and marginal-row columns), keyed on
 ``(scenario, x_star, y_ref, relabellings)`` (a full LP's is rebuilt
-every call).  Per call, the build still reads the marginal's entries as
-right-hand sides, and ``marginal_symmetries`` still tests every
-candidate on the marginal's integer table.  Cached arrays, the rows'
-among them, are read-only; every call returns its own ``LinProgram``.
+every call).  Per call, the build gathers its right-hand sides from the
+marginal's ``games.Behavior.integers``, on which ``marginal_symmetries``
+also tests every candidate.  Cached arrays, the rows' among them, are
+read-only; every call returns its own ``LinProgram``.
 """
 
 from __future__ import annotations
@@ -51,17 +51,14 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import lp as L
-from .games import (BLOCK_FAMILIES, Behavior, Game, GameError, dense_table,
-                    encode_string, game_value_coefficients, integer_table,
-                    ns_index_groups, ns_pair_rows)
-
-Number = Union[Fraction, float]
+from .games import (BLOCK_FAMILIES, Behavior, Game, GameError, Number,
+                    encode_string, game_value_coefficients, ns_index_groups,
+                    ns_pair_rows)
 
 TONS = "tons"
 ABNS = "abns"
@@ -408,8 +405,8 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     cache, as read-only arrays that every program built from it shares;
     a full LP's is built afresh, without marginal rows in the
     value-constrained case.  Each call still checks its arguments and
-    gathers the marginal's entries at the marginal rows' keys as their
-    right-hand sides; in the value-constrained case it adds the
+    gathers the marginal's ``integers`` at the marginal rows' keys as
+    their right-hand sides; in the value-constrained case it adds the
     normalization and value rows instead.  It returns a new
     ``LinProgram`` with its own objective dict and right-hand sides.
     """
@@ -439,9 +436,9 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
     built = TonsLp(prog, skeleton.columns, scenario, skeleton.num_causal,
                    len(skeleton.keys))
     if marginal is not None:
-        rhs, prog.rhs_den = integer_table([
-            marginal.entry((A, B), (X, Y))
-            for X, Y, A, B in skeleton.keys.tolist()])
+        nums, prog.rhs_den = marginal.integers
+        X, Y, A, B = skeleton.keys.T
+        rhs = nums[A, B, X, Y]
         prog.rhs = np.concatenate([np.zeros(skeleton.num_causal, rhs.dtype),
                                    rhs])
         return built
@@ -468,16 +465,6 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                       [omega_star] * (X.size * Y.size), relation)
     built.num_marginal_rows = len(prog.rhs) - skeleton.num_causal
     return built
-
-
-def _marginal_table(marginal: Behavior,
-                    scenario: CausalScenario) -> np.ndarray:
-    """The marginal indexed [A, B, X, Y] as integer numerators over their
-    common denominator (int64 when they fit): exact, and comparing it
-    is ten times faster than comparing Fractions."""
-    _check_marginal(marginal, scenario)
-    nums, _ = integer_table(marginal.table.values())
-    return dense_table(marginal.table, scenario.string_sizes, nums)
 
 
 def _party_moves(scenario: CausalScenario, x_k: Optional[int]):
@@ -555,11 +542,12 @@ def marginal_symmetries(marginal: Behavior, scenario: CausalScenario,
 
     A round's candidates are tested together, up to ``_GATHER_LIMIT``
     table entries at a time: their images, each the sum of an Alice and
-    a Bob offset into the marginal's integer table (``_round_search``),
-    index the table in one gather.  Nothing is cached.
+    a Bob offset into the marginal's ``integers`` (``_round_search``),
+    index it in one gather.  Nothing is cached.
     """
     _check_x_star(x_star, scenario)
-    flat = _marginal_table(marginal, scenario).ravel()
+    _check_marginal(marginal, scenario)
+    flat = marginal.integers[0].ravel()
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
                       scenario.alice_inputs, scenario.bob_inputs)
     f = math.factorial

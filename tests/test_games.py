@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +67,93 @@ def round_marginal(behavior, i, n, round_output_sizes, round_input_sizes):
                                  G.encode_string(bs, nb)), ins)
                     table[((a, b), (x, y))] = total
     return G.Behavior((nx, ny), (na, nb), table)
+
+
+@st.composite
+def _boxes(draw, weights=st.sampled_from((0, 0, 1, 2, 3, 7))):
+    """A random rational 2-party box with zero entries likely and 1-3
+    symbols per alphabet, each input's entries ``weights`` over their
+    sum, with a round count n of 1-3 whose product has at most 4,096
+    entries: ``(box, n)``."""
+    outs = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)))
+    ins = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)))
+    table = {}
+    for x, y in itertools.product(*map(range, ins)):
+        # Nonnegative weights, not all zero.
+        ws = draw(st.lists(weights, min_size=math.prod(outs),
+                           max_size=math.prod(outs)).filter(any))
+        for (a, b), w in zip(itertools.product(*map(range, outs)), ws):
+            table[((a, b), (x, y))] = F(w, sum(ws))
+    entries = math.prod(outs + ins)
+    n = draw(st.integers(1, max(
+        r for r in (1, 2, 3) if r == 1 or entries ** r <= 4096)))
+    return G.Behavior(ins, outs, table), n
+
+
+def _oracle_form(behavior):
+    """The integer form by the two table helpers: ``integer_table`` of
+    the values, with the int64 bound of every sum of entries times the
+    largest output alphabet, laid out by ``dense_table``."""
+    table = behavior.table
+    nums, den = G.integer_table(table.values(), bound=(len(table) + 1)
+                                * max(behavior.output_sizes))
+    return G.dense_table(table, (*behavior.output_sizes,
+                                 *behavior.input_sizes), nums), den
+
+
+def _assert_same_form(form, expected):
+    (P, den), (Q, expected_den) = form, expected
+    assert den == expected_den
+    assert P.dtype == Q.dtype and P.shape == Q.shape
+    assert np.array_equal(P, Q)
+
+
+# Entries of every kind a table may hold: ints, Fractions over small and
+# over huge denominators (numerators past int64 over their common one),
+# floats, and zeros.
+_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.fractions(-1, 1, max_denominator=60),
+    st.fractions(-1, 1), st.floats(-1, 1, allow_nan=False),
+    st.just(0), st.just(F(0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integers_match_the_table_conversion(data):
+    """``Behavior.integers`` equals ``integer_table`` plus ``dense_table``
+    of the table in values, denominator and int64/object choice, for 2
+    and 3 parties, keys in any order, zero entries sometimes left out,
+    normalized or not; a second read returns the same object."""
+    parties = data.draw(st.sampled_from([2, 3]))
+    top = 3 if parties == 2 else 2
+    ins = tuple(data.draw(st.integers(1, top)) for _ in range(parties))
+    outs = tuple(data.draw(st.integers(1, top)) for _ in range(parties))
+    keys = data.draw(st.permutations([
+        (o, i) for i in itertools.product(*map(range, ins))
+        for o in itertools.product(*map(range, outs))]))
+    table = {}
+    for key in keys:
+        p = data.draw(_ENTRIES)
+        if p or data.draw(st.booleans()):
+            table[key] = p
+    behavior = G.Behavior(ins, outs, table,
+                          subnormalized=data.draw(st.booleans()))
+    form = behavior.integers
+    _assert_same_form(form, _oracle_form(behavior))
+    assert behavior.integers is form
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entries_are_refused_by_the_form(bad):
+    """A NaN or infinite entry has no integer form: reading it, the
+    validity check and the product raise GameError."""
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))).table)
+    table[((0, 0), (1, 1))] = bad
+    behavior = G.Behavior((2, 2), (2, 2), table)
+    for read in (lambda: behavior.integers, behavior.check_valid,
+                 lambda: G.product_behavior(behavior, 2)):
+        with pytest.raises(G.GameError, match="finite"):
+            read()
 
 
 def test_game_tables_must_cover_the_alphabets(chsh_game):
@@ -217,33 +305,28 @@ class TestProductBehavior:
             G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1))), 0)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_product_matches_the_oracle(self, data):
+    @given(case=_boxes())
+    def test_product_matches_the_oracle(self, case):
         """Random rational boxes with zero entries, 1-3 symbols per
         alphabet and 1-3 rounds (at most 4,096 entries): equal tables with
         the same key order."""
-        outs = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2,
-                                        max_size=2)))
-        ins = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2,
-                                       max_size=2)))
-        table = {}
-        for x, y in itertools.product(*map(range, ins)):
-            # Nonnegative weights with zeros likely, not all zero.
-            weights = data.draw(st.lists(
-                st.sampled_from((0, 0, 1, 2, 3, 7)), min_size=math.prod(outs),
-                max_size=math.prod(outs)).filter(any))
-            for (a, b), w in zip(itertools.product(*map(range, outs)),
-                                 weights):
-                table[((a, b), (x, y))] = F(w, sum(weights))
-        box = G.Behavior(ins, outs, table)
-        entries = math.prod(outs + ins)
-        n = data.draw(st.integers(1, max(
-            r for r in (1, 2, 3) if r == 1 or entries ** r <= 4096)))
+        box, n = case
         product = G.product_behavior(box, n)
         expected = _oracle_product(box, n)
         assert (product.input_sizes, product.output_sizes) == \
             (expected.input_sizes, expected.output_sizes)
         assert list(product.table.items()) == list(expected.table.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_boxes(st.one_of(st.sampled_from((0, 0, 1, 2, 3, 7)),
+                                 st.integers(1, 2 ** 24))))
+    def test_product_form_matches_the_oracle(self, case):
+        """The integer form of a product equals the table conversion of
+        the entry-by-entry product: values, denominator and int64/object
+        choice, numerators past int64 included."""
+        box, n = case
+        _assert_same_form(G.product_behavior(box, n).integers,
+                          _oracle_form(_oracle_product(box, n)))
 
     def test_round_marginal_value_consistency(self, chsh_game):
         """Each round of the product behaves like the single-round box."""
@@ -343,6 +426,21 @@ class TestConstructedGameInvariants:
         G.Behavior((2, 2), (2, 2), table).check_valid()
         table[((0, 0), (0, 0))] = F(-1, 4)
         with pytest.raises(G.GameError):
+            G.Behavior((2, 2), (2, 2), table).check_valid()
+
+    def test_float_entries_must_sum_to_one_exactly(self):
+        """Float entries are taken at their exact binary values: inputs
+        summing to 1 in float arithmetic but not exactly (0.1 + 0.2 +
+        0.7) are refused, exactly dyadic ones are accepted."""
+        table = {((a, b), (x, y)): 0.25 for a in range(2) for b in range(2)
+                 for x in range(2) for y in range(2)}
+        G.Behavior((2, 2), (2, 2), table).check_valid()
+        for key, p in zip([(0, 0), (0, 1), (1, 0), (1, 1)],
+                          [0.1, 0.2, 0.7, 0.0]):
+            table[(key, (0, 0))] = p
+        assert sum(table[(key, (0, 0))] for key in
+                   [(0, 0), (0, 1), (1, 0), (1, 1)]) == 1.0
+        with pytest.raises(G.GameError, match="per-input sums 1"):
             G.Behavior((2, 2), (2, 2), table).check_valid()
 
     def test_round_major_encoding(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from nsrand import games as G
 from nsrand import ksattack as K
+from nsrand import lp as L
 
 from conftest import oracle_groups
 
@@ -659,3 +660,73 @@ def test_alice_marginal_misses_are_named(monkeypatch):
     assert checks["marginals-equal-assignment"] == (
         False, f"alice marginal at u={u}, ({x},{y})")
     assert (x, y, u) == (2, 0, 0)
+
+
+@pytest.mark.parametrize("old, new", [
+    (((0, 0), (0, 0)), ((0,), (0, 0, 0))), (None, ((0, 0, 0), (0, 0)))])
+def test_keys_without_one_symbol_per_party_fail_without_raising(old, new):
+    """A v = 1/2 PR box with one entry re-keyed, or one key added, with
+    the wrong symbol count per party: one failing check names the key,
+    with or without a game."""
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))).table)
+    table[new] = table.pop(old) if old else F(1, 4)
+    behavior = G.Behavior((2, 2), (2, 2), table)
+    for game in (None, G.make_chsh_game()):
+        assert _checks(K.verify_behavior(behavior, game)) == [
+            ("well-formed-keys", False,
+             f"keys without one symbol per party: [{new}]")]
+
+
+def _fraction_affine_dimension(behaviors):
+    """``attack_affine_dimension`` in Fractions, over the union of the
+    tables' keys."""
+    base = behaviors[0]
+    keys = sorted(set().union(*(set(b.table) for b in behaviors)))
+    return len(L.eliminate(
+        {i: F(other.entry(*k)) - F(base.entry(*k))
+         for i, k in enumerate(keys)} for other in behaviors[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_affine_dimension_agrees_with_the_fraction_oracle(data):
+    """Families of 2-5 behaviors of one shape, each over its own
+    denominator or an affine combination of earlier ones (so that the
+    rank falls short), zero entries left out."""
+    ins = tuple(data.draw(st.integers(1, 3)) for _ in range(2))
+    outs = tuple(data.draw(st.integers(1, 3)) for _ in range(2))
+    keys = [(o, i) for i in itertools.product(*map(range, ins))
+            for o in itertools.product(*map(range, outs))]
+    family = []
+    for _ in range(data.draw(st.integers(2, 5))):
+        if family and data.draw(st.booleans()):
+            b1, b2 = (data.draw(st.sampled_from(family)) for _ in range(2))
+            t = data.draw(_SHIFT)
+            table = {k: b1.entry(*k) + t * (b2.entry(*k) - b1.entry(*k))
+                     for k in keys}
+        else:
+            den = data.draw(st.integers(1, 50))
+            table = {k: F(data.draw(st.integers(-den, den)), den)
+                     for k in keys}
+        family.append(G.Behavior(ins, outs,
+                                 {k: p for k, p in table.items() if p}))
+    assert K.attack_affine_dimension(family) == \
+        _fraction_affine_dimension(family)
+
+
+def test_affine_dimension_refuses_behaviors_of_different_shapes():
+    """A 2-input × 3-input box and a 3 × 2 one have equally many entries
+    but no common coordinates."""
+    boxes = [G.Behavior(ins, (2, 2), {
+        ((0, 0), xy): 1 for xy in itertools.product(*map(range, ins))})
+        for ins in [(2, 3), (3, 2)]]
+    with pytest.raises(K.KsAttackError, match="different shapes"):
+        K.attack_affine_dimension(boxes)
+
+
+@pytest.mark.parametrize("name", ["cabello18", "peres24"])
+def test_attack_affine_dimension_pins_agree_with_the_fraction_oracle(name):
+    blocks = list(K.tripartite_attack(K.load_bundled_ks(name), 0)
+                  .blocks.values())
+    assert K.attack_affine_dimension(blocks) == \
+        _fraction_affine_dimension(blocks) == 3

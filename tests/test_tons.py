@@ -1054,3 +1054,37 @@ def test_slice_marginal_rows_are_distinct_and_sum_to_the_blocks(chsh_game,
     assert all(min(c for _, c in con.coeffs) > 0 and
                sum(c for _, c in con.coeffs) == SA for con in marginal_rows)
     assert len({con.coeffs for con in marginal_rows}) == len(marginal_rows)
+
+
+@pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_marginal_builds_what_its_dict_copy_builds(chsh_game, kind,
+                                                           n):
+    """A product marginal and a plain copy of its table give the same
+    relabellings, ``dump_lp`` digest, column map, row counts and value
+    (exact at n = 2, the same float ``repr`` at 3)."""
+    scenario = T.CausalScenario.for_game(kind, n, chsh_game)
+    product = _pr_product(F(2, 3), n)
+    copy = G.Behavior(product.input_sizes, product.output_sizes,
+                      dict(product.table))
+    mode = "exact" if n == 2 else "float"
+    assert _slice_record(chsh_game, product, scenario, mode) == \
+        _slice_record(chsh_game, copy, scenario, mode)
+
+
+@pytest.mark.parametrize("old, new", [
+    (((0, 0), (0, 0)), ((0,), (0, 0, 0))), (None, ((0, 0, 0), (0, 0)))])
+def test_keys_without_one_symbol_per_party_are_refused(chsh_game, old, new):
+    """A v = 1/2 PR box with one entry re-keyed, or one key added, with
+    the wrong symbol count per party: the key is refused by name, never
+    read as another entry or as a missing one."""
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))).table)
+    table[new] = table.pop(old) if old else F(1, 4)
+    marginal = G.Behavior((2, 2), (2, 2), table)
+    scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
+    for call in (T.marginal_symmetries, T.tons_guessing_probability,
+                 T.build_guessing_lp):
+        args = (marginal, scenario, (0,)) if call is T.marginal_symmetries \
+            else (chsh_game, marginal, (0,), scenario)
+        with pytest.raises(G.GameError, match="one symbol per party"):
+            call(*args)
