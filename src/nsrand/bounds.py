@@ -140,16 +140,6 @@ class BoundReport:
     hmin_rate: float                     # -log2(headline) / n
     useful_n_onset: int                  # first n with headline < 1
 
-    def csv_row(self) -> dict:
-        p = self.params
-        return {
-            "n": p.n, "delta": p.delta, "kappa": p.kappa, "gamma": p.gamma,
-            "abort_bound": self.abort_bound,
-            "guess_bound": self.guess_given_no_abort,
-            "headline": self.headline,
-            "hmin_rate": self.hmin_rate,
-        }
-
 
 def tons_decay_report(params: DecayParams) -> BoundReport:
     """Evaluate the full decay chain at one parameter point.

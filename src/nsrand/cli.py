@@ -305,11 +305,9 @@ def cmd_bounds(args, cfg: RunConfig) -> int:
             params = bounds_mod.DecayParams(n, args.delta, args.kappa,
                                             args.gamma)
         report = bounds_mod.tons_decay_report(params)
-        row = report.csv_row()
-        rows.append([row["n"], repr(row["delta"]), repr(row["kappa"]),
-                     repr(row["gamma"]), repr(row["abort_bound"]),
-                     repr(row["guess_bound"]), repr(row["headline"]),
-                     repr(row["hmin_rate"])])
+        rows.append([n, *map(repr, (
+            params.delta, params.kappa, params.gamma, report.abort_bound,
+            report.guess_given_no_abort, report.headline, report.hmin_rate))])
     manifest = serialize.build_manifest(
         cfg.hashed() | {"n": args.n, "delta": args.delta, "kappa": args.kappa,
                         "gamma": args.gamma, "omega_star": args.omega_star})

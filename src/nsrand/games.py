@@ -20,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -117,13 +118,16 @@ class Behavior:
     Entries are exact rationals, or floats taken at their exact binary
     values.  For every input tuple the entries sum exactly to 1, or to a
     common subnormalization constant when ``subnormalized`` is set.  The
-    table must not change once ``integers`` has been read.
+    table is kept as a read-only copy, so ``integers`` stays its form.
     """
 
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
-    table: dict[tuple[tuple[int, ...], tuple[int, ...]], Number]
+    table: Mapping[tuple[tuple[int, ...], tuple[int, ...]], Number]
     subnormalized: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     @property
     def parties(self) -> int:
@@ -138,10 +142,10 @@ class Behavior:
     @functools.cached_property
     def integers(self) -> tuple[np.ndarray, int]:
         """``(P, den)``: numerators over the entries' least common denominator,
-        P indexed [outputs..., inputs...] without keys outside the alphabets;
-        int64 while every sum of entries times the largest output alphabet
-        fits, else Python ints.  Kept once read.  Keys without one symbol per
-        party and non-finite entries raise GameError."""
+        P indexed [outputs..., inputs...]; int64 while every sum of entries
+        times the largest output alphabet fits, else Python ints.  Kept once
+        read.  Keys without one symbol per party or outside the alphabets,
+        and non-finite entries, raise GameError."""
         m, chain = self.parties, itertools.chain.from_iterable
         if not (set(map(len, self.table)) <= {2} and
                 set(map(len, chain(self.table))) <= {m}):
@@ -432,12 +436,15 @@ def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
 
 def dense_table(table: dict, shape: tuple, values: np.ndarray) -> np.ndarray:
     """``values``, one per key of ``table`` in its order, as a dense array
-    indexed [outputs..., inputs...]; keys outside ``shape`` are left out."""
+    indexed [outputs..., inputs...]; keys outside ``shape`` raise GameError."""
     chain = itertools.chain.from_iterable
     keys = np.fromiter(chain(chain(table)), np.int64).reshape(-1, len(shape))
-    inside = ((keys >= 0) & (keys < shape)).all(axis=1)
+    outside = ((keys < 0) | (keys >= shape)).any(axis=1)
+    if outside.any():
+        bad = [k for k, out in zip(table, outside.tolist()) if out]
+        raise GameError(f"keys outside the alphabets: {bad[:3]}")
     out = np.zeros(shape, dtype=values.dtype)
-    out[tuple(keys[inside].T)] = values[inside]
+    out[tuple(keys.T)] = values
     return out
 
 

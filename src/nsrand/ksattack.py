@@ -139,23 +139,23 @@ def _gram(vectors, dim: int, tol: float):
 
 @dataclass
 class OrthGraph:
-    """Orthogonality graph: one vertex per vector, edges for orthogonal pairs."""
+    """Orthogonality graph of a set; ``orth`` is its symmetric edge matrix."""
 
     num_vertices: int
     edges: set[tuple[int, int]]
     bases: list[tuple[int, ...]]
-    adjacency: dict[int, set[int]] = field(default_factory=dict)
+    orth: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.adjacency:
-            adj: dict[int, set[int]] = {v: set() for v in range(self.num_vertices)}
-            for i, j in self.edges:
-                adj[i].add(j)
-                adj[j].add(i)
-            self.adjacency = adj
+        i, j = ends = np.array(list(self.edges), np.intp).reshape(-1, 2).T
+        if ((ends < 0) | (ends >= self.num_vertices)).any():
+            raise KsError("edge endpoint out of range")
+        self.orth = np.zeros((self.num_vertices,) * 2, bool)
+        self.orth[i, j] = self.orth[j, i] = True
 
     def is_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        n = self.num_vertices
+        return 0 <= min(i, j) and max(i, j) < n and bool(self.orth[i, j])
 
 
 def build_orth_graph(ks: KSSet, tol: float = DEFAULT_ORTH_TOL) -> OrthGraph:
@@ -207,17 +207,17 @@ def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
     units (0, 1, 2) and yielded as ``ASSIGNMENT_VALUES``.  Exhaustion
     without a yield proves that no valid assignment exists.
     """
+    if not 0 <= target < graph.num_vertices:
+        raise KsError(f"target {target} out of range")
     order = list(dict.fromkeys(itertools.chain.from_iterable(graph.bases)))
+    neighbours = [np.flatnonzero(row).tolist() for row in graph.orth]
+    basis_of = [[k for k, basis in enumerate(graph.bases) if v in basis]
+                for v in range(graph.num_vertices)]
     values: dict[int, int] = {}
-
-    basis_of = {v: [] for v in range(graph.num_vertices)}
-    for k, basis in enumerate(graph.bases):
-        for v in basis:
-            basis_of[v].append(k)
 
     def consistent(v: int) -> bool:
         val = values[v]
-        if any(val + values.get(w, 0) > 2 for w in graph.adjacency[v]):
+        if any(val + values.get(w, 0) > 2 for w in neighbours[v]):
             return False
         for k in basis_of[v]:
             known = [values[u] for u in graph.bases[k] if u in values]
@@ -244,20 +244,18 @@ def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
         yield from descend(0)
 
 
-def find_assignment(graph: OrthGraph, target: int) -> Optional[Assignment]:
-    """First valid assignment with value 1 on ``target``, or None (a proof)."""
-    if not 0 <= target < graph.num_vertices:
-        raise KsError(f"target {target} out of range")
-    for values in _search_assignments(graph, target):
-        assignment = Assignment(values)
-        assignment.validate(graph)
-        return assignment
-    return None
-
-
 def enumerate_assignments(graph: OrthGraph, target: int) -> Iterator[Assignment]:
+    """Every valid assignment with value 1 on ``target``, in search order."""
     for values in _search_assignments(graph, target):
         yield Assignment(values)
+
+
+def find_assignment(graph: OrthGraph, target: int) -> Optional[Assignment]:
+    """First valid assignment with value 1 on ``target``, or None (a proof)."""
+    assignment = next(enumerate_assignments(graph, target), None)
+    if assignment is not None:
+        assignment.validate(graph)
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +346,14 @@ def make_ks_game(ks: KSSet, graph: Optional[OrthGraph] = None) -> Game:
     """Pseudotelepathy game of the set: distinct orthogonal outputs lose."""
     if graph is None:
         graph = build_orth_graph(ks)
-    nx, ny = len(ks.alice_bases), len(ks.bob_bases)
-    d = ks.dim
+    nx, ny, d = len(ks.alice_bases), len(ks.bob_bases), ks.dim
     pi = {(x, y): Fraction(1, nx * ny) for x in range(nx) for y in range(ny)}
-    predicate = {}
-    for x, bx in enumerate(ks.alice_bases):
-        for y, by in enumerate(ks.bob_bases):
-            for u in range(d):
-                for w in range(d):
-                    vu = ks.bases[bx][u]
-                    vw = ks.bases[by][w]
-                    lose = vu != vw and graph.is_edge(vu, vw)
-                    predicate[((u, w), (x, y))] = 0 if lose else 1
+    # Vector numbers indexed [x, y, u, w]; keys in that order.
+    vu = np.reshape([ks.bases[b] for b in ks.alice_bases], (nx, 1, d, 1))
+    vw = np.reshape([ks.bases[b] for b in ks.bob_bases], (1, ny, 1, d))
+    wins = ((vu == vw) | ~graph.orth[vu, vw]).astype(int)
+    x, y, u, w = np.indices(wins.shape).reshape(4, -1).tolist()
+    predicate = dict(zip(zip(zip(u, w), zip(x, y)), wins.ravel().tolist()))
     return Game(2, (Alphabet(nx), Alphabet(ny)), (Alphabet(d), Alphabet(d)),
                 pi, predicate, name=(ks.name + "-game") if ks.name else "ks-game")
 

@@ -92,6 +92,13 @@ def _finite(value, entry: str):
     return value
 
 
+def _check_columns(indices: np.ndarray, num_vars: int) -> None:
+    """LpError naming the first of ``indices`` outside [0, num_vars)."""
+    outside = (indices < 0) | (indices >= num_vars)
+    if outside.any():
+        raise LpError(f"row index {indices[outside][0]} out of range")
+
+
 def make_constraint(coeffs: dict, rel: str, rhs) -> Constraint:
     """The row of the nonzero ``coeffs`` {column: c}, in exact numbers."""
     prog = LinProgram(0)
@@ -151,9 +158,7 @@ class LinProgram:
                     raise LpError(f"{name} index {j} out of range")
                 if v is not None:
                     _finite(v, f"{name} of x{j}")
-        outside = (self.indices < 0) | (self.indices >= self.num_vars)
-        if outside.any():
-            raise LpError(f"row index {self.indices[outside][0]} out of range")
+        _check_columns(self.indices, self.num_vars)
         if any(lo is not None and lo != 0 for lo in self.lower.values()):
             raise LpError("only lower bounds 0 (default) or None (free) "
                           "are supported directly; shift the variable")
@@ -238,22 +243,31 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     bound.  Returns the indices of the rows appended."""
     count, num = sum(len(j) for j, _ in blocks), prog.num_vars
     widths = [j.shape[1] for j, _ in blocks]
-    # A row's sum is at most its width times its largest coefficient.
-    nums, den = integer_table(np.concatenate(
-        [c for _, c in blocks]).tolist(), max(widths))
+    columns = np.concatenate([j.ravel() for j, _ in blocks])
+    _check_columns(columns, num)
+    try:
+        # A row's sum is at most its width times its largest coefficient.
+        nums, den = integer_table(np.concatenate(
+            [c for _, c in blocks]).tolist(), max(widths))
+        rhs, rhs_den = integer_table(rhs)
+    except (ValueError, OverflowError):  # Fraction of a NaN or an inf
+        # The first entry that is not finite, named as ``add`` names it.
+        for col, c in zip(columns.tolist(), np.concatenate(
+                [np.tile(c, len(j)) for j, c in blocks]).tolist()):
+            _finite(c, f"row coefficient of x{col}")
+        for b in rhs:
+            _finite(b, "right-hand side")
+        raise LpError("row coefficients must be finite") from None
     coeffs = np.split(nums, np.cumsum(widths)[:-1])
     row = np.repeat(np.arange(count), np.concatenate(
         [np.full(len(j), j.shape[1]) for j, _ in blocks]))
-    key, inverse = np.unique(
-        row * num + np.concatenate([j.ravel() for j, _ in blocks]),
-        return_inverse=True)
+    key, inverse = np.unique(row * num + columns, return_inverse=True)
     sums = np.zeros(len(key), nums.dtype)
     np.add.at(sums, inverse, np.concatenate(
         [np.tile(c, len(j)) for (j, _), c in zip(blocks, coeffs)]))
     row, col = np.divmod(key[sums != 0], num)
     sums = sums[sums != 0]
     sizes = np.bincount(row, minlength=count)
-    rhs, rhs_den = integer_table(rhs)
     added = [np.arange(count)]
     if distinct:
         starts = np.cumsum(sizes) - sizes

@@ -447,3 +447,30 @@ class TestConstructedGameInvariants:
         assert G.encode_string((1, 0, 2), 3) == 11
         assert decode_string(11, 3, 3) == (1, 0, 2)
         assert decode_string(G.encode_string((0, 1), 2), 2, 2) == (0, 1)
+
+
+def test_behavior_table_is_a_read_only_copy():
+    """The table cannot change under ``integers``: writes to it raise,
+    and the dict it was built from is copied, so a later change to that
+    dict leaves the behavior and its checks as they were."""
+    source = dict(G.make_pr_v(G.NoisyPRParams(F(1))).table)
+    behavior = G.Behavior((2, 2), (2, 2), source)
+    behavior.check_valid()
+    with pytest.raises(TypeError):
+        behavior.table[((0, 0), (0, 0))] = -1
+    source[((0, 0), (0, 0))] = -1
+    assert behavior.entry((0, 0), (0, 0)) == F(1, 2)
+    behavior.check_valid()
+    with pytest.raises(G.GameError, match="nonnegative"):
+        G.Behavior((2, 2), (2, 2), source).check_valid()
+
+
+def test_dense_table_refuses_keys_outside_the_shape():
+    """Negative symbols and symbols past an alphabet are named, the
+    first three in table order."""
+    table = {((0, 0), (0, 0)): 1, ((2, 0), (0, 0)): 2, ((0, 0), (0, -1)): 3,
+             ((0, 1), (1, 0)): 4, ((0, 0), (5, 0)): 5, ((0, 3), (0, 0)): 6}
+    with pytest.raises(G.GameError) as err:
+        G.dense_table(table, (2, 2, 2, 2), np.arange(1, 7))
+    assert str(err.value) == ("keys outside the alphabets: [((2, 0), (0, 0)), "
+                              "((0, 0), (0, -1)), ((0, 0), (5, 0))]")

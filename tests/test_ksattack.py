@@ -730,3 +730,99 @@ def test_attack_affine_dimension_pins_agree_with_the_fraction_oracle(name):
                   .blocks.values())
     assert K.attack_affine_dimension(blocks) == \
         _fraction_affine_dimension(blocks) == 3
+
+
+def _loop_predicate(ks, graph):
+    """The game's predicate by four loops over the edge set, keyed in
+    x, y, u, w order: a pair loses iff its vectors differ and are
+    orthogonal."""
+    predicate = {}
+    for x, bx in enumerate(ks.alice_bases):
+        for y, by in enumerate(ks.bob_bases):
+            for u in range(ks.dim):
+                for w in range(ks.dim):
+                    vu, vw = ks.bases[bx][u], ks.bases[by][w]
+                    lose = vu != vw and (min(vu, vw), max(vu, vw)) in \
+                        graph.edges
+                    predicate[((u, w), (x, y))] = 0 if lose else 1
+    return predicate
+
+
+def _assert_orth_is_the_edge_set(graph):
+    """``orth`` is symmetric with an empty diagonal, and true exactly on
+    the edges."""
+    orth = graph.orth
+    assert orth.dtype == bool and orth.shape == (graph.num_vertices,) * 2
+    assert (orth == orth.T).all() and not orth.diagonal().any()
+    assert set(map(tuple, np.argwhere(np.triu(orth)).tolist())) == graph.edges
+
+
+@pytest.mark.parametrize("name", ["cabello18", "peres24", "single_basis"])
+def test_ks_game_matches_the_loop_predicate(name):
+    ks = K.load_bundled_ks(name)
+    graph = K.build_orth_graph(ks)
+    _assert_orth_is_the_edge_set(graph)
+    game = K.make_ks_game(ks, graph)
+    expected = _loop_predicate(ks, graph)
+    assert list(game.predicate.items()) == list(expected.items())
+    assert [type(v) for v in game.predicate.values()] == \
+        [int] * len(expected)
+    nx, ny = len(ks.alice_bases), len(ks.bob_bases)
+    assert list(game.pi.items()) == [
+        ((x, y), F(1, nx * ny)) for x in range(nx) for y in range(ny)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ks_game_matches_the_loop_predicate_on_generated_graphs(data):
+    """Random bases of distinct vertices, made cliques, plus random edges;
+    players measuring random bases (repeats allowed).  ``make_ks_game``
+    reads only the bases, so the vectors are left empty."""
+    n = data.draw(st.integers(3, 9))
+    d = data.draw(st.integers(2, min(n, 4)))
+    vertex = st.integers(0, n - 1)
+    bases = data.draw(st.lists(st.lists(vertex, min_size=d, max_size=d,
+                                        unique=True).map(tuple),
+                               min_size=1, max_size=4))
+    edges = {(min(i, j), max(i, j)) for b in bases
+             for i, j in itertools.combinations(b, 2)}
+    edges |= {(i, j) for i, j in data.draw(st.lists(st.tuples(vertex, vertex),
+                                                    max_size=12)) if i < j}
+    graph = K.OrthGraph(n, edges, bases)
+    _assert_orth_is_the_edge_set(graph)
+    side = st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=3)
+    ks = K.KSSet(d, [], bases, data.draw(side), data.draw(side))
+    assert list(K.make_ks_game(ks, graph).predicate.items()) == \
+        list(_loop_predicate(ks, graph).items())
+
+
+@pytest.mark.parametrize("target", [-1, 18])
+def test_assignment_targets_outside_the_graph_are_refused(cabello_graph,
+                                                          target):
+    for search in (K.find_assignment,
+                   lambda g, t: next(K.enumerate_assignments(g, t))):
+        with pytest.raises(K.KsError, match=rf"^target {target} out of range$"):
+            search(cabello_graph, target)
+
+
+def test_keys_outside_the_alphabets_fail_without_raising():
+    """The v = 1 PR box plus an entry at output 2 of a binary alphabet
+    passed every check against CHSH while the key was left out; now one
+    failing check names it, with or without a game."""
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1))).table)
+    table[((2, 0), (0, 0))] = F(1, 3)
+    behavior = G.Behavior((2, 2), (2, 2), table)
+    for game in (None, G.make_chsh_game()):
+        assert _checks(K.verify_behavior(behavior, game)) == [
+            ("well-formed-keys", False,
+             "keys outside the alphabets: [((2, 0), (0, 0))]")]
+
+
+@pytest.mark.parametrize("edge", [(0, 3), (-1, 0)])
+def test_orth_graph_refuses_edges_outside_its_vertices(edge):
+    """A negative endpoint would wrap around ``orth``; one past the last
+    vertex would not fit.  ``is_edge`` reads no vertex outside."""
+    with pytest.raises(K.KsError, match="^edge endpoint out of range$"):
+        K.OrthGraph(3, {(0, 1), edge}, [(0, 1, 2)])
+    graph = K.OrthGraph(3, {(0, 1), (0, 2), (1, 2)}, [(0, 1, 2)])
+    assert graph.is_edge(1, 0) and not graph.is_edge(*edge)

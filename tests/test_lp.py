@@ -716,6 +716,46 @@ def test_non_finite_lp_data_is_an_lp_error(entry, bad):
             L.solve(lp, mode)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+def test_non_finite_append_rows_data_is_named_as_add_names_it(bad):
+    """A non-finite coefficient or right-hand side in ``append_rows`` is
+    the ``LpError`` that ``add`` raises for the same row, and the program
+    is left as it was; a coefficient is named by its column in its
+    block's first row.  A guessing LP at a non-finite game value is
+    refused the same way."""
+    for blocks, rhs, coeffs in [
+            ([(np.array([[0, 1]]), [1, bad])], [1], {0: 1, 1: bad}),
+            ([(np.array([[0, 1]]), [1, 1])], [bad], {0: 1, 1: 1}),
+            ([(np.array([[0, 1], [1, 0]]), [1, 1]),
+              (np.array([[1, 0], [0, 1]]), [bad, 1])], [1, 1, 1],
+             {1: bad, 0: 1})]:
+        lp, rows = L.LinProgram(2), L.LinProgram(2)
+        with pytest.raises(L.LpError) as added:
+            lp.add(coeffs, LE, rhs[-1])
+        with pytest.raises(L.LpError) as appended:
+            L.append_rows(rows, blocks, rhs, LE)
+        assert str(appended.value) == str(added.value)
+        assert not len(rows.rhs) and not len(rows.indices)
+    with pytest.raises(L.LpError,
+                       match=rf"^right-hand side is {bad}, not finite$"):
+        NV.single_round_guessing(G.make_chsh_game(), 0, bad)
+
+
+@pytest.mark.parametrize("column", [2, 3, -1])
+def test_append_rows_refuses_columns_outside_the_program(column):
+    """A column outside [0, num_vars) would be keyed into another row
+    (x3 of row 0 of a 2-variable LP into x1 of row 1); it is refused in
+    ``validate``'s words before any array changes."""
+    prog = LinProgram(2)
+    L.append_rows(prog, [(np.array([[0, 1]]), [1, 1])], [1], LE)
+    before = L.dump_lp(prog)
+    with pytest.raises(L.LpError, match=rf"^row index {column} out of range$"):
+        L.append_rows(prog, [(np.array([[0, column]]), [1, 3]),
+                             (np.array([[1, 1]]), [1, 1])], [1, 2], LE)
+    assert L.dump_lp(prog) == before
+
+
 def test_no_solve_path_builds_row_objects(monkeypatch):
     """Rows stay arrays from the build to the certificate: with
     ``Constraint`` made to raise, the three-round float and the two-round

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -1088,3 +1089,16 @@ def test_keys_without_one_symbol_per_party_are_refused(chsh_game, old, new):
             else (chsh_game, marginal, (0,), scenario)
         with pytest.raises(G.GameError, match="one symbol per party"):
             call(*args)
+
+
+def test_keys_outside_the_alphabets_are_refused(chsh_game):
+    """The v = 1 PR box plus an entry at output 2 of a binary alphabet:
+    the key is refused by name, not left out of the marginal (which
+    gave a guessing probability of 1/2 at n = 1)."""
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1))).table)
+    table[((2, 0), (0, 0))] = F(1, 3)
+    marginal = G.Behavior((2, 2), (2, 2), table)
+    scenario = T.CausalScenario.for_game(T.TONS, 1, chsh_game)
+    with pytest.raises(G.GameError, match=re.escape(
+            "keys outside the alphabets: [((2, 0), (0, 0))]")):
+        T.tons_guessing_probability(chsh_game, marginal, (0,), scenario)
