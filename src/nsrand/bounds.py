@@ -203,7 +203,8 @@ def mu_consistency_check() -> MuReport:
     from .nsvalues import alpha_slope
 
     guessing = make_guessing_game(make_chain_game())
-    pi_min = min(guessing.pi.values())
+    _, pi, den = guessing.integers
+    pi_min = Fraction(int(pi.min()), den)
     alpha = alpha_slope(guessing,
                         [Fraction(0), Fraction(1, 40), Fraction(1, 20)])
     mu = pi_min ** 2 / (alpha ** 2 * 6 ** 7)

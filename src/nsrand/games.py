@@ -1,8 +1,9 @@
 """Nonlocal games and behaviors.
 
-Defines finite-alphabet games (input distribution plus 0/1 predicate),
-conditional-probability behaviors with exact rational entries, read
-through one integer form (``Behavior.integers``), and the games used
+Defines finite-alphabet games (input distribution plus 0/1 predicate)
+and conditional-probability behaviors with exact rational entries, each
+read through one integer form (``Game.integers``: pi and the game-value
+functional pi*V; ``Behavior.integers``), and the games used
 throughout the package: the complete-support 3-input chained game, CHSH,
 tripartite guessing games and the Mermin-Peres magic square, all built
 in code (the game files in ``nsrand.data`` are shipped copies, checked
@@ -65,14 +66,15 @@ class Game:
 
     ``pi`` maps full input tuples to exact rational probabilities and
     ``predicate`` maps (output tuple, input tuple) to 0/1.  Both tables
-    are total over their index space.
+    are total over their index space, and kept as read-only copies, so
+    ``integers`` stays their form.
     """
 
     parties: int
     input_alphabets: tuple[Alphabet, ...]
     output_alphabets: tuple[Alphabet, ...]
-    pi: dict[tuple[int, ...], Fraction]
-    predicate: dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+    pi: Mapping[tuple[int, ...], Fraction]
+    predicate: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int]
     name: str = ""
 
     def __post_init__(self):
@@ -81,17 +83,46 @@ class Game:
         if len(self.input_alphabets) != self.parties or \
                 len(self.output_alphabets) != self.parties:
             raise GameError("alphabet count does not match party count")
-        total = sum(self.pi.values(), start=Fraction(0))
-        if total != 1 or any(p < 0 for p in self.pi.values()):
+        for name in ("pi", "predicate"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
+        self.integers  # validates the tables
+
+    @functools.cached_property
+    def integers(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(W, pi, den)``: the game-value functional pi*V, indexed
+        [outputs..., inputs...], and pi, indexed [inputs...], as numerators
+        over pi's least common denominator; int64 while each times the
+        number of entries fits, else Python ints.  Read as the game is built,
+        so malformed tables raise GameError there."""
+        ins = list(self.inputs())
+        keys = itertools.product(self.outputs(), ins)
+        try:
+            p, v = [self.pi[k] for k in ins], [self.predicate[k] for k in keys]
+            total = (len(p), len(v)) == (len(self.pi), len(self.predicate))
+        except KeyError:
+            total = False
+        if not total:  # every entry is checked before totality is
+            p, v = list(self.pi.values()), list(self.predicate.values())
+        try:
+            pi, den = integer_table(p, bound=len(p) + len(v))
+            mass = Fraction(int(pi.sum()), den)
+        except (ValueError, OverflowError):  # a NaN or an inf
+            pi, mass = np.zeros(0), sum(self.pi.values(), start=Fraction(0))
+        if (pi < 0).any():
+            key = next(k for k, q in self.pi.items() if q < 0)
+            raise GameError(f"input probability pi[{key}] = {self.pi[key]} < 0")
+        if mass != 1:
             raise GameError(f"input distribution must be a probability "
-                            f"distribution (sums to {total})")
-        if any(v not in (0, 1) for v in self.predicate.values()):
+                            f"distribution (sums to {mass})")
+        if v.count(0) + v.count(1) != len(v):
             raise GameError("predicate entries must be 0 or 1")
-        inputs = set(self.inputs())
-        if self.pi.keys() != inputs or self.predicate.keys() != {
-                (outs, ins) for outs in self.outputs() for ins in inputs}:
+        if not total:
             raise GameError("pi/predicate tables must be total over the "
                             "alphabets")
+        pi = pi.reshape(self.input_sizes)
+        V = np.fromiter(v, bool, len(v)).reshape(self.output_sizes + pi.shape)
+        return V * pi, pi, den
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
@@ -270,13 +301,8 @@ def chain_correlated_pairs(m: int) -> dict[tuple[int, int], int]:
     """Constrained input pairs of the m-setting chain: a 2m-cycle with one
     flip.  A pair demands a xor b equal to its target; the other pairs
     always win."""
-    pairs = {}
-    for x in range(m):
-        pairs[(x, x)] = 0
-        if x + 1 < m:
-            pairs[(x + 1, x)] = 0
-    pairs[(0, m - 1)] = 1
-    return pairs
+    pairs = {(x + d, x): 0 for x in range(m) for d in (0, 1) if x + d < m}
+    return pairs | {(0, m - 1): 1}
 
 
 def make_chain_game(m: int = 3) -> Game:
@@ -290,14 +316,9 @@ def make_chain_game(m: int = 3) -> Game:
     two, inputs = Alphabet(2), Alphabet(m)
     correlated = chain_correlated_pairs(m)
     pi = {(x, y): Fraction(1, m * m) for x in range(m) for y in range(m)}
-    predicate = {}
-    for x, y in pi:
-        for a, b in itertools.product(range(2), repeat=2):
-            if (x, y) in correlated:
-                win = int(a ^ b == correlated[(x, y)])
-            else:
-                win = 1
-            predicate[((a, b), (x, y))] = win
+    # A pair outside ``correlated`` is won whatever a xor b is.
+    predicate = {((a, b), (x, y)): int(a ^ b == correlated.get((x, y), a ^ b))
+                 for x, y in pi for a in range(2) for b in range(2)}
     return Game(2, (inputs, inputs), (two, two), pi, predicate,
                 name=f"chain{m}")
 
@@ -331,11 +352,10 @@ def make_guessing_game(game: Game) -> Game:
     aa, ba = game.output_alphabets
     pi = {(x, y, z): game.pi[(x, y)] / ax.size
           for (x, y) in game.pi for z in ax.symbols()}
-    predicate = {}
-    for (x, y, z) in pi:
-        for a, b, e in itertools.product(aa.symbols(), ba.symbols(), aa.symbols()):
-            v = game.wins((a, b), (x, y)) * guess_predicate(a, e, x, z)
-            predicate[((a, b, e), (x, y, z))] = v
+    predicate = {((a, b, e), (x, y, z)):
+                 game.wins((a, b), (x, y)) * guess_predicate(a, e, x, z)
+                 for (x, y, z) in pi for a, b, e in itertools.product(
+                     aa.symbols(), ba.symbols(), aa.symbols())}
     return Game(3, (ax, bx, ax), (aa, ba, aa), pi, predicate,
                 name=(game.name + "-guess") if game.name else "guess")
 
@@ -368,21 +388,18 @@ def make_pr_v(params: NoisyPRParams) -> Behavior:
     """Noisy PR box: (3+v)/8 on winning CHSH events, (1-v)/8 otherwise."""
     v = params.v
     win, lose = (3 + v) / 8, (1 - v) / 8
-    table = {}
-    for x, y in itertools.product(range(2), repeat=2):
-        for a, b in itertools.product(range(2), repeat=2):
-            table[((a, b), (x, y))] = win if a ^ b == x & y else lose
-    return Behavior((2, 2), (2, 2), table)
+    return Behavior((2, 2), (2, 2), {
+        ((a, b), (x, y)): win if a ^ b == x & y else lose
+        for x, y in itertools.product(range(2), repeat=2)
+        for a, b in itertools.product(range(2), repeat=2)})
 
 
 def uniform_behavior(output_sizes: tuple[int, ...],
                      input_sizes: tuple[int, ...]) -> Behavior:
     p = Fraction(1, math.prod(output_sizes))
-    table = {}
-    for ins in itertools.product(*(range(s) for s in input_sizes)):
-        for outs in itertools.product(*(range(s) for s in output_sizes)):
-            table[(outs, ins)] = p
-    return Behavior(input_sizes, output_sizes, table)
+    return Behavior(input_sizes, output_sizes, {
+        (outs, ins): p for ins in itertools.product(*map(range, input_sizes))
+        for outs in itertools.product(*map(range, output_sizes))})
 
 
 def product_behavior(behavior: Behavior, n: int) -> Behavior:
@@ -453,37 +470,40 @@ def is_finite(p) -> bool:
     return type(p) is int or type(p) is Fraction or math.isfinite(p)
 
 
-def check_game_shape(behavior: Behavior, game: Game) -> None:
-    """Raise unless the behavior has the game's alphabets."""
-    if behavior.output_sizes != game.output_sizes or \
-            behavior.input_sizes != game.input_sizes:
-        raise GameError(
-            f"shape mismatch: behavior {behavior.output_sizes}|"
-            f"{behavior.input_sizes} vs game {game.output_sizes}|{game.input_sizes}")
-
-
 # ---------------------------------------------------------------------------
 # linear functionals on behaviors
 # ---------------------------------------------------------------------------
 
-def bell_value(behavior: Behavior, game: Game) -> Number:
-    """Game value sum(pi * V * P) of a behavior."""
-    check_game_shape(behavior, game)
-    return sum((p * behavior.entry(*key)
-                for key, p in game_value_coefficients(game).items()),
-               start=Fraction(0))
+def bell_value(behavior: Behavior, game: Game) -> Fraction:
+    """Game value sum(pi * V * P) of a behavior, exactly, from both integer
+    forms.  Other alphabets than the game's, a malformed behavior key or a
+    non-finite entry raise GameError."""
+    if (behavior.output_sizes, behavior.input_sizes) != (
+            game.output_sizes, game.input_sizes):
+        raise GameError(
+            f"shape mismatch: behavior {behavior.output_sizes}|"
+            f"{behavior.input_sizes} vs game {game.output_sizes}|{game.input_sizes}")
+    (W, _, den), (P, p_den) = game.integers, behavior.integers
+    # Two int64 numerators can multiply past 2^63: sum in Python ints.
+    return Fraction(int((W.astype(object) * P).sum()), den * p_den)
 
 
 def game_value_coefficients(game: Game) -> dict:
-    """Sparse coefficients of the game-value functional pi*V."""
-    coeffs = {}
-    for ins, p_in in game.pi.items():
-        if not p_in:
-            continue
-        for outs in game.outputs():
-            if game.predicate[(outs, ins)]:
-                coeffs[(outs, ins)] = p_in
-    return coeffs
+    """Sparse coefficients of the game-value functional pi*V: the nonzero
+    entries of ``Game.integers``' W, inputs major."""
+    W, _, den = game.integers
+    m = game.parties
+    return fraction_table(W.transpose(*range(m, 2 * m), *range(m)), den,
+                          lambda *i: (i[m:], i[:m]))
+
+
+def fraction_table(nums: np.ndarray, den: int, key) -> dict:
+    """The nonzero entries of ``nums`` over ``den``, in index order, keyed
+    by ``key`` of their index; one ``Fraction`` per distinct numerator."""
+    index = np.argwhere(nums)
+    values = nums[tuple(index.T)].tolist()
+    value = {q: Fraction(q, den) for q in set(values)}
+    return dict(zip(map(key, *index.T.tolist()), map(value.get, values)))
 
 
 # Correlator terms of the three-setting chained Bell expression: input
@@ -495,33 +515,27 @@ CHAIN_I3_TERMS: dict[tuple[int, int], int] = {
 
 def chain_i3_coefficients() -> dict:
     """Coefficients expressing the chained Bell combination on probabilities."""
-    coeffs = {}
-    for (x, y), sign in CHAIN_I3_TERMS.items():
-        for a in range(2):
-            for b in range(2):
-                coeffs[((a, b), (x, y))] = Fraction(sign * (-1) ** (a ^ b))
-    return coeffs
+    return {((a, b), (x, y)): Fraction(sign * (-1) ** (a ^ b))
+            for (x, y), sign in CHAIN_I3_TERMS.items()
+            for a in range(2) for b in range(2)}
 
 
 def chain_expression_value(behavior: Behavior) -> Number:
     """Chained Bell combination of correlators, outcomes mapped a -> (-1)^a."""
     if behavior.input_sizes != (3, 3) or behavior.output_sizes != (2, 2):
         raise GameError("chained expression needs a 3-input 2-output behavior")
-    total = Fraction(0)
-    for key, c in chain_i3_coefficients().items():
-        total += c * behavior.entry(*key)
-    return total
+    return sum((c * behavior.entry(*key) for key, c in
+                chain_i3_coefficients().items()), start=Fraction(0))
 
 
 def classical_value(game: Game) -> Fraction:
-    """Best deterministic-strategy value, by exhaustive enumeration."""
-    coeffs = game_value_coefficients(game)
-    spaces = [itertools.product(out.symbols(), repeat=inp.size)
-              for inp, out in zip(game.input_alphabets, game.output_alphabets)]
-    best = Fraction(0)
-    for strategies in itertools.product(*spaces):
-        value = sum((coeffs.get((tuple(s[x] for s, x in zip(strategies, ins)),
-                                 ins), 0) for ins in game.pi),
-                    start=Fraction(0))
-        best = max(best, value)
-    return best
+    """Best deterministic-strategy value, by exhaustive enumeration: W
+    gathered for every strategy profile at once, one input tuple at a
+    time."""
+    W, _, den = game.integers
+    # Each party's strategies, one row of outputs indexed by its input.
+    spaces = [np.array(list(itertools.product(range(out), repeat=inp)))
+              for inp, out in zip(game.input_sizes, game.output_sizes)]
+    value = sum(W[(*np.ix_(*(s[:, x] for s, x in zip(spaces, ins))), *ins)]
+                for ins in game.inputs())
+    return Fraction(int(value.max()), den)

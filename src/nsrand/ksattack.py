@@ -6,7 +6,8 @@ graph, search exhaustively for {0, 1/2, 1} assignments that place weight
 behaviors winning the associated game, assemble the tripartite behavior
 that lets an eavesdropper guess one player's outputs perfectly, and
 verify every claimed property exactly on ``games.Behavior.integers``
-(the no-signalling marginals through ``games.ns_index_groups``).
+and ``games.Game.integers`` (the no-signalling marginals through
+``games.ns_index_groups``).
 
 The bipartite behavior realizes the assignment as both marginals by
 solving one small exact transportation problem per input pair, supported
@@ -33,8 +34,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .games import (Alphabet, Behavior, Game, GameError, check_game_shape,
-                    dense_table, integer_table, is_finite, ns_families,
+from .games import (Alphabet, Behavior, Game, GameError, bell_value,
+                    fraction_table, integer_table, is_finite, ns_families,
                     ns_index_groups)
 from .lp import eliminate
 from .serialize import json_field, json_list, string, whole
@@ -347,13 +348,14 @@ def make_ks_game(ks: KSSet, graph: Optional[OrthGraph] = None) -> Game:
     if graph is None:
         graph = build_orth_graph(ks)
     nx, ny, d = len(ks.alice_bases), len(ks.bob_bases), ks.dim
-    pi = {(x, y): Fraction(1, nx * ny) for x in range(nx) for y in range(ny)}
+    pi = dict.fromkeys(itertools.product(range(nx), range(ny)),
+                       Fraction(1, nx * ny))
     # Vector numbers indexed [x, y, u, w]; keys in that order.
     vu = np.reshape([ks.bases[b] for b in ks.alice_bases], (nx, 1, d, 1))
     vw = np.reshape([ks.bases[b] for b in ks.bob_bases], (1, ny, 1, d))
-    wins = ((vu == vw) | ~graph.orth[vu, vw]).astype(int)
-    x, y, u, w = np.indices(wins.shape).reshape(4, -1).tolist()
-    predicate = dict(zip(zip(zip(u, w), zip(x, y)), wins.ravel().tolist()))
+    wins = ((vu == vw) | ~graph.orth[vu, vw]).astype(int).ravel().tolist()
+    outs = list(itertools.product(range(d), repeat=2))
+    predicate = dict(zip([(o, i) for i in pi for o in outs], wins))
     return Game(2, (Alphabet(nx), Alphabet(ny)), (Alphabet(d), Alphabet(d)),
                 pi, predicate, name=(ks.name + "-game") if ks.name else "ks-game")
 
@@ -380,8 +382,7 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
     alice, bob = (np.array([[half[v] for v in ks.bases[b]] for b in side],
                            np.int64).reshape(-1, d)
                   for side in (ks.alice_bases, ks.bob_bases))
-    wins = dense_table(game.predicate, (d, d, nx, ny),
-                       np.fromiter(game.predicate.values(), bool))
+    wins = game.integers[0] != 0  # pi is uniform: W is V
     block = np.zeros((d, d, nx, ny), np.int64)
     report = VerificationReport()
     fallback_pairs = []
@@ -395,7 +396,7 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
     report.record("coupling-exists", not fallback_pairs,
                   f"no marginal-preserving coupling for input pairs "
                   f"{fallback_pairs}" if fallback_pairs else "")
-    behavior = Behavior((nx, ny), (d, d), _table(
+    behavior = Behavior((nx, ny), (d, d), fraction_table(
         block.transpose(2, 3, 0, 1), 2, lambda x, y, u, w: ((u, w), (x, y))))
     inner = verify_behavior(behavior, game=game)
     report.checks.extend(inner.checks)
@@ -489,7 +490,7 @@ def tripartite_attack(ks: KSSet, x_star: int,
     den = math.lcm(*(q for _, q in forms))
     stack = np.stack([nums * (den // q) for nums, q in forms])
     ab = stack.sum(axis=0)
-    ab_marginal = Behavior((nx, ny), (d, d), _table(
+    ab_marginal = Behavior((nx, ny), (d, d), fraction_table(
         ab, d * den, lambda u, w, x, y: ((u, w), (x, y))))
 
     # P(u, w, e | x, y, z) over d * d * den, indexed [z, x, y, u, w, e]:
@@ -497,18 +498,9 @@ def tripartite_attack(ks: KSSet, x_star: int,
     P = np.empty((nx, nx, ny, d, d, d), stack.dtype)
     P[:] = ab.transpose(2, 3, 0, 1)[..., None]
     P[x_star] = stack.transpose(3, 4, 1, 2, 0) * d
-    behavior = Behavior((nx, ny, nx), (d, d, d), _table(
+    behavior = Behavior((nx, ny, nx), (d, d, d), fraction_table(
         P, d * d * den, lambda z, x, y, u, w, e: ((u, w, e), (x, y, z))))
     return AttackBehavior(behavior, x_star, chosen, blocks, ab_marginal)
-
-
-def _table(nums: np.ndarray, den: int, key) -> dict:
-    """The nonzero entries of ``nums`` over ``den``, in index order, keyed
-    by ``key`` of their index; one ``Fraction`` per distinct numerator."""
-    index = np.argwhere(nums)
-    values = nums[tuple(index.T)].tolist()
-    value = {q: Fraction(q, den) for q in set(values)}
-    return dict(zip(map(key, *index.T.tolist()), map(value.get, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +523,13 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
     tensor = _integer_checks(behavior, report)
     if tensor is None or game is None:
         return report
-    check_game_shape(behavior, game)
-    P, den = tensor
-    wins = dense_table(game.predicate, P.shape,
-                       np.fromiter(game.predicate.values(), bool))
-    lost = ~wins & (P != 0)
-    leaked = [(tuple(outs), ins) for ins, p_in in game.pi.items() if p_in
-              for outs in np.argwhere(lost[(..., *ins)]).tolist()]
+    value = bell_value(behavior, game)
+    (W, pi, _), (P, _), m = game.integers, tensor, behavior.parties
+    lost = ((W == 0) & (P != 0) & (pi != 0)).transpose(*range(m, 2 * m),
+                                                       *range(m))
+    leaked = [(tuple(i[m:]), tuple(i[:m])) for i in np.argwhere(lost).tolist()]
     report.record("zero-mass-on-losing-events", not leaked,
                   f"mass on losing events {leaked[:3]}" if leaked else "")
-    # The value is sum(pi * V * P): pi over its own denominator, the
-    # winning mass per input over the behavior's.
-    won = np.where(wins, P, 0).sum(axis=tuple(range(behavior.parties)))
-    pi, pi_den = integer_table(game.pi.values())
-    total = sum(int(q) * int(won[ins]) for ins, q in zip(game.pi, pi))
-    value = Fraction(total, pi_den * den)
     report.record("wins-game", value == 1, f"value {value}")
     return report
 

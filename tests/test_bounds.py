@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nsrand import bounds as B
+from nsrand import games as G
 
 
 class TestAzuma:
@@ -145,3 +146,11 @@ class TestMuConsistency:
         assert report.pi_min == F(1, 27)
         assert report.alpha == F(10, 9)
         assert report.mu_from_formula == B.MU_CHAIN
+
+    def test_pi_min_is_the_least_entry_of_the_integer_form(self):
+        """pi_min is read off ``Game.integers`` as an exact Fraction: the
+        least entry of the guessing game's pi dict."""
+        guessing = G.make_guessing_game(G.make_chain_game())
+        report = B.mu_consistency_check()
+        assert type(report.pi_min) is F
+        assert report.pi_min == min(guessing.pi.values()) == B.PI_MIN_CHAIN

@@ -1,8 +1,11 @@
 """Tests for game construction, behaviors and behavior functionals."""
 
+import ast
 import itertools
 import math
+import pathlib
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -474,3 +477,228 @@ def test_dense_table_refuses_keys_outside_the_shape():
         G.dense_table(table, (2, 2, 2, 2), np.arange(1, 7))
     assert str(err.value) == ("keys outside the alphabets: [((2, 0), (0, 0)), "
                               "((0, 0), (0, -1)), ((0, 0), (5, 0))]")
+
+
+# ---------------------------------------------------------------------------
+# the integer form of a game
+# ---------------------------------------------------------------------------
+
+def _oracle_coefficients(game):
+    """``game_value_coefficients`` as a loop over the pi and predicate
+    dicts, pi's order first."""
+    coeffs = {}
+    for ins, p_in in game.pi.items():
+        if not p_in:
+            continue
+        for outs in game.outputs():
+            if game.predicate[(outs, ins)]:
+                coeffs[(outs, ins)] = p_in
+    return coeffs
+
+
+def _oracle_classical_value(game):
+    """``classical_value`` one deterministic strategy at a time over the
+    dict coefficients."""
+    coeffs = _oracle_coefficients(game)
+    spaces = [itertools.product(out.symbols(), repeat=inp.size)
+              for inp, out in zip(game.input_alphabets, game.output_alphabets)]
+    best = F(0)
+    for strategies in itertools.product(*spaces):
+        value = sum((coeffs.get((tuple(s[x] for s, x in zip(strategies, ins)),
+                                 ins), 0) for ins in game.pi), start=F(0))
+        best = max(best, value)
+    return best
+
+
+def _oracle_game_checks(behavior, game):
+    """``verify_behavior``'s game checks as loops over the dicts: the
+    losing events with mass, pi's order first, and sum(pi * V * P)."""
+    leaked = [(outs, ins) for ins, p_in in game.pi.items() if p_in
+              for outs in game.outputs()
+              if not game.predicate[(outs, ins)] and behavior.entry(outs, ins)]
+    value = sum((p * behavior.entry(*key)
+                 for key, p in _oracle_coefficients(game).items()), start=F(0))
+    return leaked, value
+
+
+_VALUE_FORMS = ((0, 1), (False, True), (0.0, 1.0))
+
+
+@st.composite
+def _games_with_behaviors(draw):
+    """A 2- or 3-party game with small alphabets: pi rational with zero
+    entries, inserted in input order, and a random predicate, each entry
+    written as 0/1, False/True or 0.0/1.0, in shuffled key order.  With
+    it a behavior of its shape, nonnegative rational entries, zeros left
+    out (not normalized: the game checks read it as it is)."""
+    parties = draw(st.sampled_from((2, 3)))
+    top = 3 if parties == 2 else 2
+    ins = tuple(draw(st.integers(1, top)) for _ in range(parties))
+    outs = tuple(draw(st.integers(1, top)) for _ in range(parties))
+    inputs = list(itertools.product(*map(range, ins)))
+    weights = [draw(st.fractions(0, 1, max_denominator=6)) for _ in inputs]
+    weights[draw(st.integers(0, len(inputs) - 1))] += 1
+    pi = {i: w / sum(weights) for i, w in zip(inputs, weights)}
+    keys = draw(st.permutations([(o, i) for i in inputs for o in
+                                 itertools.product(*map(range, outs))]))
+    predicate = {key: draw(st.sampled_from(_VALUE_FORMS))[
+        draw(st.integers(0, 1))] for key in keys}
+    game = G.Game(parties, tuple(map(G.Alphabet, ins)),
+                  tuple(map(G.Alphabet, outs)), pi, predicate)
+    table = {key: draw(st.fractions(0, 1, max_denominator=8)) for key in keys}
+    return game, G.Behavior(ins, outs, {k: p for k, p in table.items() if p})
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_games_with_behaviors())
+def test_game_integers_agree_with_the_dict_oracles(case):
+    """``Game.integers`` holds pi and pi*V over one denominator, V taken
+    as 0/1 whatever its type; the coefficients (content and key order),
+    the classical value, the bell value and ``verify_behavior``'s game
+    checks read from it agree with loops over the dicts."""
+    from nsrand import ksattack as K
+    game, behavior = case
+    W, pi, den = game.integers
+    assert W.dtype == pi.dtype == np.int64
+    for ins, p in game.pi.items():
+        assert F(int(pi[ins]), den) == p
+    for (outs, ins), v in game.predicate.items():
+        assert F(int(W[(*outs, *ins)]), den) == (game.pi[ins] if v else 0)
+    assert list(G.game_value_coefficients(game).items()) == \
+        list(_oracle_coefficients(game).items())
+    assert G.classical_value(game) == _oracle_classical_value(game)
+    leaked, value = _oracle_game_checks(behavior, game)
+    assert G.bell_value(behavior, game) == value
+    checks = {c.name: (c.passed, c.detail)
+              for c in K.verify_behavior(behavior, game).checks}
+    assert checks["zero-mass-on-losing-events"] == (
+        not leaked, f"mass on losing events {leaked[:3]}" if leaked else "")
+    assert checks["wins-game"] == (value == 1, f"value {value}")
+
+
+def test_game_tables_are_read_only_copies():
+    """The tables cannot change under ``integers``.  Setting CHSH's
+    pi[(0, 0)] to 5 made ``classical_value`` 11/2 with no error; now
+    writes raise, and the dicts a game is built from are copied, so a
+    later change to them leaves the game as it was."""
+    chsh = G.make_chsh_game()
+    with pytest.raises(TypeError):
+        chsh.pi[(0, 0)] = F(5)
+    with pytest.raises(TypeError):
+        chsh.predicate[((0, 0), (1, 1))] = 1
+    pi, predicate = dict(chsh.pi), dict(chsh.predicate)
+    game = G.Game(2, chsh.input_alphabets, chsh.output_alphabets, pi,
+                  predicate)
+    pi[(0, 0)], predicate[((0, 0), (1, 1))] = F(5), 1
+    assert game.pi[(0, 0)] == F(1, 4) and game.wins((0, 0), (1, 1)) == 0
+    assert G.classical_value(game) == F(3, 4)
+    assert G.game_value_coefficients(game) == \
+        G.game_value_coefficients(G.make_chsh_game())
+
+
+def test_bell_value_refuses_what_the_verifier_refuses(chsh_game):
+    """The v = 1 PR box plus an entry at output 2 of a binary alphabet had
+    bell value 1 while ``verify_behavior`` refused it: the key is now
+    named, as is a NaN entry.  Float entries count at their exact binary
+    values, so the float box's value is the Fraction 1."""
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1))).table)
+    extra = G.Behavior((2, 2), (2, 2), {**table, ((2, 0), (0, 0)): F(1, 3)})
+    with pytest.raises(G.GameError, match=re.escape(
+            "keys outside the alphabets: [((2, 0), (0, 0))]")):
+        G.bell_value(extra, chsh_game)
+    nan = G.Behavior((2, 2), (2, 2), {**table, ((0, 0), (0, 0)): math.nan})
+    with pytest.raises(G.GameError, match="finite"):
+        G.bell_value(nan, chsh_game)
+    floats = G.Behavior((2, 2), (2, 2), {k: float(p) for k, p in table.items()})
+    value = G.bell_value(floats, chsh_game)
+    assert value == 1 and type(value) is F
+
+
+def test_negative_pi_entry_is_named(chsh_game):
+    """A pi summing to 1 with a negative entry was reported as "sums to
+    1"; the first negative entry is named instead."""
+    pi = {(0, 0): F(-1, 4), (0, 1): F(3, 4), (1, 0): F(1, 4), (1, 1): F(1, 4)}
+    with pytest.raises(G.GameError, match=re.escape(
+            "input probability pi[(0, 0)] = -1/4 < 0")):
+        G.Game(2, chsh_game.input_alphabets, chsh_game.output_alphabets, pi,
+               chsh_game.predicate)
+
+
+_SUM = "input distribution must be a probability distribution (sums to {})"
+_ZERO_ONE = "predicate entries must be 0 or 1"
+_TOTAL = "pi/predicate tables must be total over the alphabets"
+
+
+@pytest.mark.parametrize("pi_edit, predicate_edit, message", [
+    ({(1, 1): None}, {}, _SUM.format("3/4")),
+    ({(1, 1): None, (0, 0): F(1, 2)}, {}, _TOTAL),
+    ({(2, 0): F(0)}, {}, _TOTAL),
+    ({(0,): F(0)}, {}, _TOTAL),
+    ({(1, 1): None, (0, 2): F(1, 4)}, {}, _TOTAL),
+    ({}, {((0, 1), (1, 0)): None}, _TOTAL),
+    ({}, {((0, 0), (0, 2)): 1}, _TOTAL),
+    ({}, {((0,), (0, 0)): 1}, _TOTAL),
+    ({}, {((1, 1), (1, 1)): None, ((7, 0), (1, 1)): 0}, _TOTAL),
+    ({(1, 1): math.nan}, {}, _SUM.format("nan")),
+    ({(1, 1): math.inf}, {}, _SUM.format("inf")),
+    ({(1, 1): -math.inf}, {}, _SUM.format("-inf")),
+    ({}, {((0, 0), (1, 1)): 2}, _ZERO_ONE),
+    ({}, {((0, 0), (1, 1)): math.nan}, _ZERO_ONE),
+    ({}, {((0, 0), (1, 1)): "1"}, _ZERO_ONE),
+    ({}, {((0, 0), (1, 1)): [1]}, _ZERO_ONE),
+    ({(2, 0): F(0)}, {((0, 0), (1, 1)): 2}, _ZERO_ONE),
+    ({(1, 1): math.nan}, {((0, 0), (1, 1)): 2}, _SUM.format("nan")),
+    ({(1, 1): None}, {((0, 0), (1, 1)): 2}, _SUM.format("3/4")),
+    ({}, {((0, 1), (1, 0)): None, ((0, 0), (1, 1)): 0.5}, _ZERO_ONE),
+])
+def test_malformed_games_keep_their_messages(chsh_game, pi_edit,
+                                             predicate_edit, message):
+    """CHSH with entries dropped (None), added or changed: missing, extra,
+    short and out-of-range keys, NaN and infinite pi, predicate entries
+    off 0/1 (2, NaN, a string, a list), and two faults at once.  Each raises the message it raised
+    when the checks walked the dicts: the sum first, then the predicate
+    values, then totality."""
+    tables = []
+    for table, edit in ((chsh_game.pi, pi_edit),
+                        (chsh_game.predicate, predicate_edit)):
+        table = {**table, **edit}
+        tables.append({k: v for k, v in table.items() if v is not None})
+    with pytest.raises(G.GameError, match=f"^{re.escape(message)}$"):
+        G.Game(2, chsh_game.input_alphabets, chsh_game.output_alphabets,
+               *tables)
+
+
+def test_float_pi_is_taken_at_its_exact_binary_value(chsh_game):
+    """0.25 each is a distribution.  0.1, 0.2, 0.7 and 0, which sum to 1.0
+    in float arithmetic, are not, and the message gives the exact sum."""
+    alphabets = chsh_game.input_alphabets, chsh_game.output_alphabets
+    quarter = G.Game(2, *alphabets, dict.fromkeys(chsh_game.pi, 0.25),
+                     chsh_game.predicate)
+    assert G.classical_value(quarter) == F(3, 4)
+    pi = dict(zip(chsh_game.pi, [0.1, 0.2, 0.7, 0.0]))
+    assert sum(pi.values()) == 1.0
+    exact = sum(map(F, pi.values()))
+    with pytest.raises(G.GameError, match=re.escape(_SUM.format(exact))):
+        G.Game(2, *alphabets, pi, chsh_game.predicate)
+
+
+def _table_reads(source):
+    """Lines reading an attribute ``pi`` or ``predicate``, ``math.pi``
+    aside."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("pi", "predicate")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "math"))
+
+
+def test_only_games_and_serialize_read_the_game_dicts():
+    """Every other module reads a game through ``Game.integers``: no
+    ``.pi`` or ``.predicate`` outside ``games.py`` and ``serialize.py``."""
+    assert _table_reads("game.pi[(0, 0)]\nmath.pi\nx = g.predicate") == [1, 3]
+    src = pathlib.Path(G.__file__).parent
+    reads = {path.name: _table_reads(path.read_text())
+             for path in sorted(src.glob("*.py"))
+             if path.name not in ("games.py", "serialize.py")}
+    assert len(reads) > 5
+    assert {name: lines for name, lines in reads.items() if lines} == {}

@@ -826,3 +826,25 @@ def test_orth_graph_refuses_edges_outside_its_vertices(edge):
         K.OrthGraph(3, {(0, 1), edge}, [(0, 1, 2)])
     graph = K.OrthGraph(3, {(0, 1), (0, 2), (1, 2)}, [(0, 1, 2)])
     assert graph.is_edge(1, 0) and not graph.is_edge(*edge)
+
+
+def test_game_value_is_summed_past_int64():
+    """pi over the prime 2^31 - 1 and the PR box at v = 2^-40 over 2^43:
+    both integer forms are int64, but a product of their numerators
+    passes 2^63, where an int64 sum wraps.  The value (3 + v)/4 is summed
+    in Python ints."""
+    chsh, den = G.make_chsh_game(), 2 ** 31 - 1
+    pi = dict(zip(chsh.pi, [F(den // 4, den)] * 3 + [F(den - 3 * (den // 4),
+                                                       den)]))
+    game = G.Game(2, chsh.input_alphabets, chsh.output_alphabets, pi,
+                  chsh.predicate)
+    v = F(1, 2 ** 40)
+    box = G.make_pr_v(G.NoisyPRParams(v))
+    (W, _, w_den), (P, p_den) = game.integers, box.integers
+    assert W.dtype == P.dtype == np.int64 and w_den == den
+    assert int(W.max()) * int(P.max()) >= 2 ** 63
+    assert int((W * P).sum()) != (3 + v) / 4 * w_den * p_den
+    checks = {c.name: (c.passed, c.detail)
+              for c in K.verify_behavior(box, game).checks}
+    assert checks["wins-game"] == (False, f"value {(3 + v) / 4}")
+    assert G.bell_value(box, game) == (3 + v) / 4
