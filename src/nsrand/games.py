@@ -84,8 +84,7 @@ class Game:
                 len(self.output_alphabets) != self.parties:
             raise GameError("alphabet count does not match party count")
         for name in ("pi", "predicate"):
-            object.__setattr__(self, name,
-                               MappingProxyType(dict(getattr(self, name))))
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         self.integers  # validates the tables
 
     @functools.cached_property
@@ -93,8 +92,8 @@ class Game:
         """``(W, pi, den)``: the game-value functional pi*V, indexed
         [outputs..., inputs...], and pi, indexed [inputs...], as numerators
         over pi's least common denominator; int64 while each times the
-        number of entries fits, else Python ints.  Read as the game is built,
-        so malformed tables raise GameError there."""
+        number of entries fits, else Python ints; read-only.  Read as the
+        game is built, so malformed tables raise GameError there."""
         ins = list(self.inputs())
         keys = itertools.product(self.outputs(), ins)
         try:
@@ -122,7 +121,7 @@ class Game:
                             "alphabets")
         pi = pi.reshape(self.input_sizes)
         V = np.fromiter(v, bool, len(v)).reshape(self.output_sizes + pi.shape)
-        return V * pi, pi, den
+        return locked(V * pi), locked(pi), den
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
@@ -149,7 +148,7 @@ class Behavior:
     Entries are exact rationals, or floats taken at their exact binary
     values.  For every input tuple the entries sum exactly to 1, or to a
     common subnormalization constant when ``subnormalized`` is set.  The
-    table is kept as a read-only copy, so ``integers`` stays its form.
+    table is kept read-only: a copy, or a ``FractionView`` of ``integers``.
     """
 
     input_sizes: tuple[int, ...]
@@ -158,7 +157,10 @@ class Behavior:
     subnormalized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        if not isinstance(self.table, FractionView):
+            object.__setattr__(self, "table", read_only(self.table))
+        elif self.table.form[0].shape == self.output_sizes + self.input_sizes:
+            self.__dict__["integers"] = self.table.form
 
     @property
     def parties(self) -> int:
@@ -174,9 +176,9 @@ class Behavior:
     def integers(self) -> tuple[np.ndarray, int]:
         """``(P, den)``: numerators over the entries' least common denominator,
         P indexed [outputs..., inputs...]; int64 while every sum of entries
-        times the largest output alphabet fits, else Python ints.  Kept once
-        read.  Keys without one symbol per party or outside the alphabets,
-        and non-finite entries, raise GameError."""
+        times the largest output alphabet fits, else Python ints; read-only
+        and kept once read.  Keys without one symbol per party or outside
+        the alphabets, and non-finite entries, raise GameError."""
         m, chain = self.parties, itertools.chain.from_iterable
         if not (set(map(len, self.table)) <= {2} and
                 set(map(len, chain(self.table))) <= {m}):
@@ -187,8 +189,8 @@ class Behavior:
                 len(self.table) + 1) * max(self.output_sizes))
         except (ValueError, OverflowError):  # Fraction of a NaN or an inf
             raise GameError("behavior entries must be finite") from None
-        return dense_table(self.table, (*self.output_sizes,
-                                        *self.input_sizes), nums), den
+        return locked(dense_table(self.table, (*self.output_sizes,
+                                               *self.input_sizes), nums)), den
 
     def entry(self, outputs: tuple[int, ...], inputs: tuple[int, ...]) -> Number:
         return self.table.get((outputs, inputs), 0)
@@ -404,27 +406,50 @@ def uniform_behavior(output_sizes: tuple[int, ...],
 
 def product_behavior(behavior: Behavior, n: int) -> Behavior:
     """n-round product of a bipartite behavior over round-major strings,
-    taken over the box's ``integers``; one ``Fraction`` per distinct entry."""
+    subnormalized if the box is: its numerator products over den^n, divided
+    by their gcd (the entries' ``integers``), in a ``FractionView``."""
     if behavior.parties != 2:
         raise GameError("product_behavior expects a bipartite behavior")
     if n < 1:
         raise GameError("need at least one round")
     behavior.check_valid()
-    nums, den = behavior.integers
-    box = nums.astype(object).transpose(2, 3, 0, 1)
-    nx, ny, na, nb = box.shape
-    # Axes x_1, y_1, a_1, b_1, ..., x_n, y_n, a_n, b_n, reordered to
-    # x_1..x_n, y_1..y_n, a_1..a_n, b_1..b_n: the (X, Y, A, B) order.
-    product = box
-    for _ in range(n - 1):
-        product = np.multiply.outer(product, box)
+    box, den = behavior.integers
+    box = narrowed(box, int(box.max()) ** (n - 1))  # products fit int64
+    product = functools.reduce(np.multiply.outer, [box] * n)
+    # Axes a_1, b_1, x_1, y_1, ..., a_n, b_n, x_n, y_n, reordered to
+    # a_1..a_n, b_1..b_n, x_1..x_n, y_1..y_n: the (A, B, X, Y) order.
+    sizes = [size ** n for size in box.shape]
     product = product.transpose([4 * i + k for k in range(4)
-                                 for i in range(n)]).ravel().tolist()
-    value = {q: Fraction(q, den ** n) for q in set(product)}
-    return Behavior((nx ** n, ny ** n), (na ** n, nb ** n), {
-        ((A, B), (X, Y)): value[q] for (X, Y, A, B), q in zip(
-            itertools.product(range(nx ** n), range(ny ** n), range(na ** n),
-                              range(nb ** n)), product) if q})
+                                 for i in range(n)]).reshape(sizes)
+    g = math.gcd(den ** n, int(np.gcd.reduce(product, axis=None)))
+    product = narrowed(product // g, (int(np.count_nonzero(product)) + 1)
+                       * max(sizes[:2]))
+    return Behavior(tuple(sizes[2:]), tuple(sizes[:2]), FractionView(
+        (locked(product), den ** n // g)), behavior.subnormalized)
+
+
+@dataclass(frozen=True, eq=False)
+class FractionView(Mapping):
+    """A read-only behavior table over its ``integers`` ``(P, den)``: the
+    nonzero entries as ``Fraction``s, inputs major, built on first read."""
+
+    form: tuple[np.ndarray, int]
+
+    @functools.cached_property
+    def _table(self) -> dict:
+        P, den = self.form
+        m = P.ndim // 2
+        return fraction_table(P.transpose(*range(m, 2 * m), *range(m)), den,
+                              lambda *i: (i[m:], i[:m]))
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
 
 
 def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
@@ -438,17 +463,32 @@ def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
               .as_integer_ratio() for p in values]
     den = math.lcm(*{d for _, d in ratios})
 
-    def scaled():
-        return (n * (den // d) for n, d in ratios)
-    # Filled from a generator, so that no list of Python ints is built.
-    try:
-        nums = np.fromiter(scaled(), np.int64, len(ratios))
-        top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
+    def scaled(dtype):
+        return np.fromiter((n * (den // d) for n, d in ratios), dtype,
+                           len(ratios))
+    try:  # filled from a generator, so that no list of Python ints is built
+        return narrowed(scaled(np.int64), bound), den
     except OverflowError:
-        top = 2 ** 63
-    if top * bound >= 2 ** 63:
-        nums = np.fromiter(scaled(), object, len(ratios))
-    return nums, den
+        return scaled(object), den
+
+
+def narrowed(nums: np.ndarray, bound: int) -> np.ndarray:
+    """Numerators as int64 if each times ``bound`` fits, else Python ints."""
+    top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
+    return nums.astype(np.int64 if top * bound < 2 ** 63 else object,
+                       copy=False)
+
+
+def read_only(table: Mapping) -> MappingProxyType:
+    """A read-only copy of a table; a read-only one is copied as such."""
+    return MappingProxyType(table.copy() if isinstance(
+        table, MappingProxyType) else dict(table))
+
+
+def locked(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.setflags(write=False)
+    return array
 
 
 def dense_table(table: dict, shape: tuple, values: np.ndarray) -> np.ndarray:
@@ -492,9 +532,7 @@ def game_value_coefficients(game: Game) -> dict:
     """Sparse coefficients of the game-value functional pi*V: the nonzero
     entries of ``Game.integers``' W, inputs major."""
     W, _, den = game.integers
-    m = game.parties
-    return fraction_table(W.transpose(*range(m, 2 * m), *range(m)), den,
-                          lambda *i: (i[m:], i[:m]))
+    return dict(FractionView((W, den)))
 
 
 def fraction_table(nums: np.ndarray, den: int, key) -> dict:

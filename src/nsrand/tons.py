@@ -38,10 +38,10 @@ causal rows of ``build_causal_constraints``, keyed on the scenario, and
 the slice skeleton of ``build_guessing_lp`` (orbit columns, objective,
 de-duplicated causal rows and marginal-row columns), keyed on
 ``(scenario, x_star, y_ref, relabellings)`` (a full LP's is rebuilt
-every call).  Per call, the build gathers its right-hand sides from the
-marginal's ``games.Behavior.integers``, on which ``marginal_symmetries``
-also tests every candidate.  Cached arrays, the rows' among them, are
-read-only; every call returns its own ``LinProgram``.
+every call).  Per call, the symmetry search and the build read only the
+marginal's ``games.Behavior.integers`` (a product's as computed, with no
+``Fraction`` table).  Cached arrays, the rows' among them, are read-only;
+every call returns its own ``LinProgram``.
 """
 
 from __future__ import annotations
@@ -237,13 +237,14 @@ class LocalRelabelling:
 def _party_images(inputs, outputs, n_out: int, n_in: int, rounds: int,
                   k: int) -> tuple[np.ndarray, np.ndarray]:
     """Images of every (output string, input string) pair of one party
-    under a round-k relabelling, as two arrays indexed [output, input]."""
+    under a round-k relabelling, as two arrays indexed [output, input]
+    (for relabellings stacked on leading axes, with those axes first)."""
     w_out, w_in = n_out ** (rounds - 1 - k), n_in ** (rounds - 1 - k)
     strings_out = np.arange(n_out ** rounds)[:, None]
     strings_in = np.arange(n_in ** rounds)[None, :]
     o, i = strings_out // w_out % n_out, strings_in // w_in % n_in
-    image_out = strings_out + (np.asarray(outputs)[i, o] - o) * w_out
-    image_in = strings_in + (np.asarray(inputs)[i] - i) * w_in
+    image_out = strings_out + (np.asarray(outputs)[..., i, o] - o) * w_out
+    image_in = strings_in + (np.asarray(inputs)[..., i] - i) * w_in
     return image_out, np.broadcast_to(image_in, image_out.shape)
 
 
@@ -503,15 +504,12 @@ def _round_search(scenario: CausalScenario, k: int, x_k: Optional[int]):
     n = scenario.rounds
     # int32 halves the index array the search builds per call.
     dtype = np.int32 if SA * SB * SX * SY <= 2 ** 31 else np.int64
-    alice_offsets = np.array([
-        (A2 * SB * SX + X2) * SY for A2, X2 in (
-            _party_images(*move, scenario.alice_outputs,
-                          scenario.alice_inputs, n, k) for move in alice)],
-        dtype)
-    bob_offsets = np.array([
-        B2 * SX * SY + Y2 for B2, Y2 in (
-            _party_images(*move, scenario.bob_outputs, scenario.bob_inputs,
-                          n, k) for move in bob)], dtype)
+    A2, X2 = _party_images(*map(list, zip(*alice)), scenario.alice_outputs,
+                           scenario.alice_inputs, n, k)
+    B2, Y2 = _party_images(*map(list, zip(*bob)), scenario.bob_outputs,
+                           scenario.bob_inputs, n, k)
+    alice_offsets = ((A2 * SB * SX + X2) * SY).astype(dtype)
+    bob_offsets = (B2 * SX * SY + Y2).astype(dtype)
     pick = np.arange(1, len(alice) * len(bob))
     return (_round_candidates(scenario, k, x_k),
             alice_offsets[pick // len(bob)], bob_offsets[pick % len(bob)])
@@ -520,9 +518,9 @@ def _round_search(scenario: CausalScenario, k: int, x_k: Optional[int]):
 # Candidates per round above which the search keeps to output relabellings:
 # (nx - 1)! ny! na!^nx nb!^ny local ones, 32 for a 2x2x2x2 round.
 _LOCAL_SEARCH_LIMIT = 4096
-# Table entries gathered at once by the symmetry search: all 31 candidates
-# of a round of a 2x2x2x2 box up to four rounds (65,536 entries each);
-# beyond that the index and value arrays stay under 16 and 32 MB.
+# Table entries gathered at once for the candidates passing the symmetry
+# search's sieve: all 31 of a 2x2x2x2 round up to four rounds (65,536
+# entries each); beyond that the index and value arrays stay under 16/32 MB.
 _GATHER_LIMIT = 1 << 22
 
 
@@ -540,14 +538,16 @@ def marginal_symmetries(marginal: Behavior, scenario: CausalScenario,
     ``_LOCAL_SEARCH_LIMIT`` candidates are searched for output
     relabellings only.
 
-    A round's candidates are tested together, up to ``_GATHER_LIMIT``
-    table entries at a time: their images, each the sum of an Alice and
-    a Bob offset into the marginal's ``integers`` (``_round_search``),
-    index it in one gather.  Nothing is cached.
+    A round's candidates are tested together on the marginal's
+    ``integers``: their images, each the sum of an Alice and a Bob offset
+    (``_round_search``), index it in one gather, first on the A = B = 0
+    block (a subset of the same equalities); those that pass are tested
+    whole, up to ``_GATHER_LIMIT`` entries at a time.  Nothing is cached.
     """
     _check_x_star(x_star, scenario)
     _check_marginal(marginal, scenario)
-    flat = marginal.integers[0].ravel()
+    P = marginal.integers[0]
+    flat = P.ravel()
     na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
                       scenario.alice_inputs, scenario.bob_inputs)
     f = math.factorial
@@ -558,11 +558,13 @@ def marginal_symmetries(marginal: Behavior, scenario: CausalScenario,
     for k in range(scenario.rounds):
         candidates, alice, bob = _round_search(
             scenario, k, int(x_star[k]) if local else None)
-        for s in range(0, len(candidates), step):
-            a, b = alice[s:s + step], bob[s:s + step]
-            image = a[:, :, None, :, None] + b[:, None, :, None, :]
-            fixed = (flat[image.reshape(len(a), -1)] == flat).all(axis=1)
-            found += itertools.compress(candidates[s:s + step], fixed)
+        block = flat[alice[:, 0, :, None] + bob[:, 0, None, :]]  # A = B = 0
+        passed = np.flatnonzero((block == P[0, 0]).all(axis=(1, 2)))
+        for s in range(0, len(passed), step):
+            i = passed[s:s + step]
+            image = alice[i, :, None, :, None] + bob[i, None, :, None, :]
+            fixed = (flat[image] == P).all(axis=(1, 2, 3, 4))
+            found += [candidates[j] for j in i[fixed]]
     return found
 
 

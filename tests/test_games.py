@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsrand import games as G
+from nsrand import serialize as S
 
 
 def decode_string(value, base, rounds):
@@ -702,3 +704,104 @@ def test_only_games_and_serialize_read_the_game_dicts():
              if path.name not in ("games.py", "serialize.py")}
     assert len(reads) > 5
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_product_keeps_the_box_subnormalized():
+    """The v = 1/2 PR box with every entry halved, marked subnormalized,
+    passes its check; so does its two-round product, whose per-input sums
+    are 1/4.  The product was marked normalized, and its check raised."""
+    pr = G.make_pr_v(G.NoisyPRParams(F(1, 2)))
+    box = G.Behavior((2, 2), (2, 2), {k: p / 2 for k, p in pr.table.items()},
+                     subnormalized=True)
+    box.check_valid()
+    product = G.product_behavior(box, 2)
+    assert product.subnormalized
+    product.check_valid()
+    assert {product.normalization(ins) for ins in product.inputs()} == \
+        {F(1, 4)}
+
+
+def test_behavior_integers_are_read_only(chsh_game):
+    """The integer form of a table, and of a product, cannot be edited in
+    place: a write to it raises, and what is read from it stays."""
+    box = G.make_pr_v(G.NoisyPRParams(F(1, 2)))
+    for behavior in (box, G.product_behavior(box, 2)):
+        P, den = behavior.integers
+        with pytest.raises(ValueError, match="read-only"):
+            P[...] = 0
+        assert (P > 0).all() and behavior.integers[0] is P
+    assert G.bell_value(box, chsh_game) == F(7, 8)
+
+
+def test_game_integers_are_read_only():
+    """Zeroing CHSH's cached W made ``classical_value`` 0 while the
+    predicate still read 1; W and pi now refuse the write."""
+    chsh = G.make_chsh_game()
+    W, pi, _ = chsh.integers
+    for array in (W, pi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert G.classical_value(chsh) == F(3, 4)
+
+
+def test_tables_built_from_read_only_tables_are_copies():
+    """A game or behavior built from another's read-only tables holds
+    read-only copies of them: equal, in the same order, not shared."""
+    chsh, pr = G.make_chsh_game(), G.make_pr_v(G.NoisyPRParams(F(1, 3)))
+    game = G.Game(2, chsh.input_alphabets, chsh.output_alphabets, chsh.pi,
+                  chsh.predicate)
+    behavior = G.Behavior((2, 2), (2, 2), pr.table)
+    for copy, table in ((game.pi, chsh.pi), (game.predicate, chsh.predicate),
+                        (behavior.table, pr.table)):
+        assert list(copy.items()) == list(table.items())
+        assert copy is not table
+        with pytest.raises(TypeError):
+            copy[next(iter(copy))] = 0
+
+
+class TestProductTableView:
+    """A product's table is read from its integer form, on first read."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        """How often a view's ``Fraction`` dict is built."""
+        calls = []
+
+        def spy(nums, den, key):
+            calls.append(nums.shape)
+            return fraction_table(nums, den, key)
+        fraction_table = G.fraction_table
+        monkeypatch.setattr(G, "fraction_table", spy)
+        return calls
+
+    def test_the_dict_is_built_once_and_only_when_read(self, conversions):
+        product = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 2))), 3)
+        product.check_valid()
+        assert product.integers[1] == 4096 and not conversions
+        assert product.entry((0, 0), (0, 0)) == F(343, 4096)
+        assert len(product.table) == 4096
+        assert conversions == [(8, 8, 8, 8)]
+
+    def test_items_are_the_oracle_products_in_order(self):
+        box = G.make_pr_v(G.NoisyPRParams(F(1, 3)))
+        for n in (1, 2, 3):
+            assert list(G.product_behavior(box, n).table.items()) == \
+                list(_oracle_product(box, n).table.items())
+
+    def test_equal_both_ways_to_a_dict_copy(self):
+        product = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(2, 3))), 2)
+        copy = dict(product.table)
+        assert product.table == copy and copy == product.table
+        assert product == G.Behavior(product.input_sizes,
+                                     product.output_sizes, copy)
+        assert G.Behavior(product.input_sizes, product.output_sizes,
+                          copy) == product
+        copy[((0, 0), (0, 0))] += 1
+        assert product.table != copy and copy != product.table
+
+    def test_serialized_as_its_dict_copy(self):
+        product = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 4))), 2)
+        copy = G.Behavior(product.input_sizes, product.output_sizes,
+                          dict(product.table))
+        assert json.dumps(S.behavior_to_dict(product)) == \
+            json.dumps(S.behavior_to_dict(copy))

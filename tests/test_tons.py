@@ -925,6 +925,96 @@ def test_batched_symmetry_search_matches_the_candidate_loop(seeds, moves,
         _fixing_oracle(marginal, scenario, x_star)
 
 
+def _block_passes(marginal, scenario, x_star):
+    """Per round, the candidates whose image of the A = B = 0 block holds
+    the same values, one candidate at a time."""
+    table = marginal.integers[0]
+    passes = []
+    for k, x in enumerate(x_star):
+        passes.append(0)
+        for r in T._round_candidates(scenario, k, x):
+            (A2, X2), (B2, Y2) = T._string_images(r, scenario)
+            image = table[A2[0][:, None], B2[0][None, :], X2[0][:, None],
+                          Y2[0][None, :]]
+            passes[-1] += bool((image == table[0, 0]).all())
+    return passes
+
+
+def _distinct_entries_box():
+    """A 2x2x2x2 box whose 16 entries all differ: at input pair i = 2x + y,
+    output pair (a, b) has weight 4i + 2a + b + 1 over the pair's sum."""
+    return G.Behavior((2, 2), (2, 2), {
+        ((a, b), (x, y)): F(4 * (2 * x + y) + 2 * a + b + 1,
+                            16 * (2 * x + y) + 10)
+        for x in range(2) for y in range(2) for a in range(2)
+        for b in range(2)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_candidate_passes_the_sieve_of_an_asymmetric_marginal(n):
+    """No candidate of any round fixes the A = B = 0 block of a product
+    of a box with distinct entries, so the full gather gets none."""
+    box = _distinct_entries_box()
+    box.check_valid()
+    marginal = G.product_behavior(box, n)
+    scenario = T.CausalScenario.for_game(T.TONS, n, G.make_chsh_game())
+    x_star = (0, 1, 1)[:n]
+    assert _block_passes(marginal, scenario, x_star) == [0] * n
+    assert T.marginal_symmetries(marginal, scenario, x_star) == [] == \
+        _fixing_oracle(marginal, scenario, x_star)
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+@pytest.mark.parametrize("n, box", [
+    (3, G.make_pr_v(G.NoisyPRParams(F(1, 3)))),
+    (2, _group_average(_random_ns_behavior(random.Random(5)),
+                       LOCAL_MOVES[3:5]))])
+def test_the_gather_of_passing_candidates_in_small_chunks(monkeypatch, n,
+                                                         box, chunk):
+    """With ``_GATHER_LIMIT`` down to one or two candidates' tables, the
+    candidates that pass the sieve are gathered chunk by chunk, and what
+    fixes the marginal is found in the per-candidate search's order."""
+    marginal = G.product_behavior(box, n)
+    scenario = T.CausalScenario.for_game(T.TONS, n, G.make_chsh_game())
+    x_star = (0, 1, 0)[:n]
+    assert max(_block_passes(marginal, scenario, x_star)) > chunk
+    monkeypatch.setattr(T, "_GATHER_LIMIT", chunk * 4 ** (2 * n))
+    found = T.marginal_symmetries(marginal, scenario, x_star)
+    assert found and found == _fixing_oracle(marginal, scenario, x_star)
+
+
+@pytest.mark.parametrize("box", [
+    G.make_pr_v(G.NoisyPRParams(F(1, 3))),
+    _group_average(_random_ns_behavior(random.Random(11)), [Y_FLIP])])
+def test_four_round_symmetries_match_the_candidate_loop(box):
+    """A four-round product's symmetries, 65,536 entries a candidate."""
+    marginal = G.product_behavior(box, 4)
+    scenario = T.CausalScenario.for_game(T.ABNS, 4, G.make_chsh_game())
+    x_star = (0, 1, 1, 0)
+    found = T.marginal_symmetries(marginal, scenario, x_star)
+    assert found and found == _fixing_oracle(marginal, scenario, x_star)
+
+
+@pytest.mark.parametrize("n, mode", [(2, "exact"), (3, "float")])
+def test_a_product_is_solved_without_its_fraction_table(monkeypatch,
+                                                       chsh_game, n, mode):
+    """The symmetry search, the build and the solve of a product marginal
+    read its integer form alone; its dict copy gives the same value."""
+    marginal = _pr_product(F(1, 2), n)
+    copy = G.Behavior(marginal.input_sizes, marginal.output_sizes,
+                      dict(_pr_product(F(1, 2), n).table))
+
+    def refuse(*_):
+        raise AssertionError("the Fraction table was built")
+    monkeypatch.setattr(G, "fraction_table", refuse)
+    scenario = T.CausalScenario.for_game(T.TONS, n, chsh_game)
+    value = T.tons_guessing_probability(chsh_game, marginal, (0,) * n,
+                                        scenario, mode)
+    monkeypatch.undo()
+    assert repr(value) == repr(T.tons_guessing_probability(
+        chsh_game, copy, (0,) * n, scenario, mode))
+
+
 def _clear_caches():
     T.build_causal_constraints.cache_clear()
     T._slice_skeleton.cache_clear()
