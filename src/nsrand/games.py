@@ -84,7 +84,8 @@ class Game:
                 len(self.output_alphabets) != self.parties:
             raise GameError("alphabet count does not match party count")
         for name in ("pi", "predicate"):
-            object.__setattr__(self, name, read_only(getattr(self, name)))
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
         self.integers  # validates the tables
 
     @functools.cached_property
@@ -148,7 +149,8 @@ class Behavior:
     Entries are exact rationals, or floats taken at their exact binary
     values.  For every input tuple the entries sum exactly to 1, or to a
     common subnormalization constant when ``subnormalized`` is set.  The
-    table is kept read-only: a copy, or a ``FractionView`` of ``integers``.
+    table is kept read-only: a copy, or, for ``product_behavior``, a view
+    of ``integers`` that builds the ``Fraction`` dict when read.
     """
 
     input_sizes: tuple[int, ...]
@@ -157,10 +159,11 @@ class Behavior:
     subnormalized: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.table, FractionView):
-            object.__setattr__(self, "table", read_only(self.table))
-        elif self.table.form[0].shape == self.output_sizes + self.input_sizes:
+        if isinstance(self.table, _FractionView):
             self.__dict__["integers"] = self.table.form
+        else:
+            object.__setattr__(self, "table",
+                               MappingProxyType(dict(self.table)))
 
     @property
     def parties(self) -> int:
@@ -407,7 +410,8 @@ def uniform_behavior(output_sizes: tuple[int, ...],
 def product_behavior(behavior: Behavior, n: int) -> Behavior:
     """n-round product of a bipartite behavior over round-major strings,
     subnormalized if the box is: its numerator products over den^n, divided
-    by their gcd (the entries' ``integers``), in a ``FractionView``."""
+    by their gcd (the entries' ``integers``), in a read-only table view
+    that builds the ``Fraction`` dict only when read."""
     if behavior.parties != 2:
         raise GameError("product_behavior expects a bipartite behavior")
     if n < 1:
@@ -424,12 +428,12 @@ def product_behavior(behavior: Behavior, n: int) -> Behavior:
     g = math.gcd(den ** n, int(np.gcd.reduce(product, axis=None)))
     product = narrowed(product // g, (int(np.count_nonzero(product)) + 1)
                        * max(sizes[:2]))
-    return Behavior(tuple(sizes[2:]), tuple(sizes[:2]), FractionView(
+    return Behavior(tuple(sizes[2:]), tuple(sizes[:2]), _FractionView(
         (locked(product), den ** n // g)), behavior.subnormalized)
 
 
 @dataclass(frozen=True, eq=False)
-class FractionView(Mapping):
+class _FractionView(Mapping):
     """A read-only behavior table over its ``integers`` ``(P, den)``: the
     nonzero entries as ``Fraction``s, inputs major, built on first read."""
 
@@ -479,12 +483,6 @@ def narrowed(nums: np.ndarray, bound: int) -> np.ndarray:
                        copy=False)
 
 
-def read_only(table: Mapping) -> MappingProxyType:
-    """A read-only copy of a table; a read-only one is copied as such."""
-    return MappingProxyType(table.copy() if isinstance(
-        table, MappingProxyType) else dict(table))
-
-
 def locked(array: np.ndarray) -> np.ndarray:
     """``array``, made read-only."""
     array.setflags(write=False)
@@ -532,7 +530,7 @@ def game_value_coefficients(game: Game) -> dict:
     """Sparse coefficients of the game-value functional pi*V: the nonzero
     entries of ``Game.integers``' W, inputs major."""
     W, _, den = game.integers
-    return dict(FractionView((W, den)))
+    return dict(_FractionView((W, den)))
 
 
 def fraction_table(nums: np.ndarray, den: int, key) -> dict:

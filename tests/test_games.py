@@ -744,21 +744,6 @@ def test_game_integers_are_read_only():
     assert G.classical_value(chsh) == F(3, 4)
 
 
-def test_tables_built_from_read_only_tables_are_copies():
-    """A game or behavior built from another's read-only tables holds
-    read-only copies of them: equal, in the same order, not shared."""
-    chsh, pr = G.make_chsh_game(), G.make_pr_v(G.NoisyPRParams(F(1, 3)))
-    game = G.Game(2, chsh.input_alphabets, chsh.output_alphabets, chsh.pi,
-                  chsh.predicate)
-    behavior = G.Behavior((2, 2), (2, 2), pr.table)
-    for copy, table in ((game.pi, chsh.pi), (game.predicate, chsh.predicate),
-                        (behavior.table, pr.table)):
-        assert list(copy.items()) == list(table.items())
-        assert copy is not table
-        with pytest.raises(TypeError):
-            copy[next(iter(copy))] = 0
-
-
 class TestProductTableView:
     """A product's table is read from its integer form, on first read."""
 
