@@ -28,12 +28,20 @@ class InfeasibleParamsError(ValueError):
     """Parameter combination violates a stated inequality; says which."""
 
 
+def _check_finite(**values: float) -> None:
+    """Raise naming the first of ``values`` that is a NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InfeasibleParamsError(f"{name} must be finite, got {value}")
+
+
 def clamp_probability(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
 def azuma_abort_bound(n: int, kappa: float) -> float:
     """Abort probability bound 2 exp(-n kappa^2 / 2)."""
+    _check_finite(kappa=kappa)
     if kappa <= 0:
         raise InfeasibleParamsError(f"kappa must be positive, got {kappa}")
     if n < 0:
@@ -61,6 +69,7 @@ class ChernoffBound(NamedTuple):
 
 def chernoff_bound(t: float, gamma: float, zeta: float) -> ChernoffBound:
     """Generalized Chernoff bound for subset-correlated Boolean variables."""
+    _check_finite(t=t)
     if gamma < zeta:
         raise InfeasibleParamsError(
             f"need zeta <= gamma, got gamma={gamma} < zeta={zeta}")
@@ -74,6 +83,7 @@ def chernoff_bound(t: float, gamma: float, zeta: float) -> ChernoffBound:
 
 def parallel_rep_bound(n: int, delta: float, mu: float = float(MU_CHAIN)) -> float:
     """t-out-of-n parallel repetition decay 8 exp(-delta^4 mu n)."""
+    _check_finite(delta=delta, mu=mu)
     if delta <= 0 or mu <= 0:
         raise InfeasibleParamsError("delta and mu must be positive")
     return 8.0 * math.exp(-delta ** 4 * mu * n)
@@ -93,6 +103,7 @@ class DecayParams:
         if not 0 < self.delta < float(DELTA_MAX):
             raise InfeasibleParamsError(
                 f"delta must lie in (0, 1/10), got {self.delta}")
+        _check_finite(kappa=self.kappa, mu=self.mu)
         if self.kappa <= 0:
             raise InfeasibleParamsError(f"kappa must be positive, got {self.kappa}")
         if not 2.0 / 3.0 < self.gamma < 1.0:
@@ -115,6 +126,7 @@ class DecayParams:
     def from_omega_star(cls, n: int, omega_star: float, gamma: float = 0.75,
                         mu: float = float(MU_CHAIN)) -> "DecayParams":
         """Split the value budget omega_star - 8/9 evenly between kappa and delta."""
+        _check_finite(omega_star=omega_star)
         margin = omega_star - float(GUESSING_GAME_NS_VALUE)
         if margin <= 0:
             raise InfeasibleParamsError(

@@ -149,8 +149,8 @@ class Behavior:
     Entries are exact rationals, or floats taken at their exact binary
     values.  For every input tuple the entries sum exactly to 1, or to a
     common subnormalization constant when ``subnormalized`` is set.  The
-    table is kept read-only: a copy, or, for ``product_behavior``, a view
-    of ``integers`` that builds the ``Fraction`` dict when read.
+    table is kept read-only: a copy, or, for a computed behavior (a
+    product, a KS attack), a view of ``integers``.
     """
 
     input_sizes: tuple[int, ...]
@@ -409,9 +409,8 @@ def uniform_behavior(output_sizes: tuple[int, ...],
 
 def product_behavior(behavior: Behavior, n: int) -> Behavior:
     """n-round product of a bipartite behavior over round-major strings,
-    subnormalized if the box is: its numerator products over den^n, divided
-    by their gcd (the entries' ``integers``), in a read-only table view
-    that builds the ``Fraction`` dict only when read."""
+    subnormalized if the box is: its numerator products over den^n, handed
+    over as its ``integers`` by ``_integer_behavior``."""
     if behavior.parties != 2:
         raise GameError("product_behavior expects a bipartite behavior")
     if n < 1:
@@ -425,29 +424,49 @@ def product_behavior(behavior: Behavior, n: int) -> Behavior:
     sizes = [size ** n for size in box.shape]
     product = product.transpose([4 * i + k for k in range(4)
                                  for i in range(n)]).reshape(sizes)
-    g = math.gcd(den ** n, int(np.gcd.reduce(product, axis=None)))
-    product = narrowed(product // g, (int(np.count_nonzero(product)) + 1)
-                       * max(sizes[:2]))
-    return Behavior(tuple(sizes[2:]), tuple(sizes[:2]), _FractionView(
-        (locked(product), den ** n // g)), behavior.subnormalized)
+    return _integer_behavior(product, den ** n, (2, 3, 0, 1),
+                             behavior.subnormalized)
+
+
+def _integer_behavior(nums: np.ndarray, den: int, order: tuple[int, ...],
+                      subnormalized: bool = False) -> Behavior:
+    """The behavior of numerators ``nums`` over ``den``, indexed
+    [outputs..., inputs...]: reduced by their gcd to exactly the
+    ``integers`` its table would give, int64 by ``narrowed``'s rule, in a
+    read-only table view whose entries run over the axes in ``order``."""
+    m = nums.ndim // 2
+    g = math.gcd(den, int(np.gcd.reduce(nums, axis=None)))
+    nums = narrowed(nums // g, (int(np.count_nonzero(nums)) + 1)
+                    * max(nums.shape[:m]))
+    return Behavior(nums.shape[m:], nums.shape[:m], _FractionView(
+        (locked(nums), den // g), order), subnormalized)
 
 
 @dataclass(frozen=True, eq=False)
 class _FractionView(Mapping):
     """A read-only behavior table over its ``integers`` ``(P, den)``: the
-    nonzero entries as ``Fraction``s, inputs major, built on first read."""
+    nonzero entries as ``Fraction``s, running over P's axes in ``order``
+    (major first).  A key of in-range ints is looked up in P; the dict
+    is built on the first other read."""
 
     form: tuple[np.ndarray, int]
+    order: tuple[int, ...]
 
     @functools.cached_property
     def _table(self) -> dict:
-        P, den = self.form
-        m = P.ndim // 2
-        return fraction_table(P.transpose(*range(m, 2 * m), *range(m)), den,
-                              lambda *i: (i[m:], i[:m]))
+        return fraction_table(*self.form, self.order)
 
     def __getitem__(self, key):
-        return self._table[key]
+        P, den = self.form
+        if type(key) is tuple and [type(k) for k in key] == [tuple] * 2 and \
+                list(map(len, key)) == [P.ndim // 2] * 2 and all(
+                    type(i) is int and 0 <= i < size
+                    for i, size in zip(key[0] + key[1], P.shape)):
+            q = int(P[key[0] + key[1]])
+            if q:
+                return Fraction(q, den)
+            raise KeyError(key)
+        return self._table[key]  # any other key gets the dict's answer
 
     def __iter__(self):
         return iter(self._table)
@@ -530,16 +549,20 @@ def game_value_coefficients(game: Game) -> dict:
     """Sparse coefficients of the game-value functional pi*V: the nonzero
     entries of ``Game.integers``' W, inputs major."""
     W, _, den = game.integers
-    return dict(_FractionView((W, den)))
+    m = game.parties
+    return fraction_table(W, den, (*range(m, 2 * m), *range(m)))
 
 
-def fraction_table(nums: np.ndarray, den: int, key) -> dict:
-    """The nonzero entries of ``nums`` over ``den``, in index order, keyed
-    by ``key`` of their index; one ``Fraction`` per distinct numerator."""
-    index = np.argwhere(nums)
+def fraction_table(nums: np.ndarray, den: int, order: Sequence[int]) -> dict:
+    """The nonzero entries of ``nums``, indexed [outputs..., inputs...],
+    over ``den`` as a behavior table, running over its axes in ``order``,
+    major first; one ``Fraction`` per distinct numerator."""
+    index = np.argwhere(nums.transpose(order))[:, np.argsort(order)]
     values = nums[tuple(index.T)].tolist()
     value = {q: Fraction(q, den) for q in set(values)}
-    return dict(zip(map(key, *index.T.tolist()), map(value.get, values)))
+    m = nums.ndim // 2
+    return dict(zip([(tuple(i[:m]), tuple(i[m:])) for i in index.tolist()],
+                    map(value.get, values)))
 
 
 # Correlator terms of the three-setting chained Bell expression: input

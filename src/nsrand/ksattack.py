@@ -18,8 +18,9 @@ exists are reported, not repaired.
 The attack is built over integers as well as checked over them: one
 exact Gram matrix of the vectors over a common denominator gives
 orthogonality, assignments and couplings count half units (0, 1, 2), and
-the blocks, stacked from their ``integers``, and the tripartite table
-are numpy arrays turned into ``Fraction`` entries only at the end.
+the blocks, their (u, w) marginal and the tripartite behavior are numpy
+numerators handed to ``Behavior`` as its ``integers``, whose table
+builds ``Fraction`` entries only when read.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .games import (Alphabet, Behavior, Game, GameError, bell_value,
-                    fraction_table, integer_table, is_finite, ns_families,
+from .games import (Alphabet, Behavior, Game, GameError, _integer_behavior,
+                    bell_value, integer_table, is_finite, ns_families,
                     ns_index_groups)
-from .lp import eliminate
+from .lp import _echelon
 from .serialize import json_field, json_list, string, whole
 
 ComplexRational = tuple[Fraction, Fraction]
@@ -118,7 +119,10 @@ class KSSet:
                                   f"vectors {i} and {j}")
         if seen != set(range(n)):
             raise KsError("every vector must appear in at least one basis")
-        for side in (self.alice_bases, self.bob_bases):
+        for name in ("alice_bases", "bob_bases"):
+            side = getattr(self, name)
+            if not side:
+                raise KsError(f"{name} must name at least one basis")
             for k in side:
                 if not 0 <= k < len(self.bases):
                     raise KsError(f"basis index {k} out of range")
@@ -128,7 +132,11 @@ def _gram(vectors, dim: int, tol: float):
     """Squared norms of ``vectors`` over ``den2``, and which pairs are
     orthogonal (|<u|w>| <= tol), exactly: ``(norms, orth, den2)``.  The
     components go over one denominator, so that the Gram matrix
-    <u|w> = (R R^T + I I^T) + i (R I^T - I R^T) is one over ``den2``."""
+    <u|w> = (R R^T + I I^T) + i (R I^T - I R^T) is one over ``den2``.  A
+    negative or non-finite ``tol`` raises KsError."""
+    if not 0 <= tol < math.inf:  # a NaN fails both
+        raise KsError("tolerance must be nonnegative" if tol < 0 else
+                      f"tolerance must be finite, got {tol}")
     nums, den = integer_table(itertools.chain.from_iterable(
         itertools.chain.from_iterable(vectors)))
     R, I = nums.astype(object).reshape(len(vectors), dim, 2).transpose(2, 0, 1)
@@ -161,8 +169,6 @@ class OrthGraph:
 
 def build_orth_graph(ks: KSSet, tol: float = DEFAULT_ORTH_TOL) -> OrthGraph:
     """Edges exactly where |<u|w>| <= tol; all basis cliques verified."""
-    if tol < 0:
-        raise KsError("tolerance must be nonnegative")
     n = len(ks.vectors)
     orth = _gram(ks.vectors, ks.dim, tol)[1]
     edges = set(map(tuple, np.argwhere(np.triu(orth, 1)).tolist()))
@@ -396,8 +402,7 @@ def bipartite_from_assignment(ks: KSSet, assignment: Assignment,
     report.record("coupling-exists", not fallback_pairs,
                   f"no marginal-preserving coupling for input pairs "
                   f"{fallback_pairs}" if fallback_pairs else "")
-    behavior = Behavior((nx, ny), (d, d), fraction_table(
-        block.transpose(2, 3, 0, 1), 2, lambda x, y, u, w: ((u, w), (x, y))))
+    behavior = _integer_behavior(block, 2, (2, 3, 0, 1))
     inner = verify_behavior(behavior, game=game)
     report.checks.extend(inner.checks)
 
@@ -461,22 +466,17 @@ def tripartite_attack(ks: KSSet, x_star: int,
             candidates: Iterator[Assignment] = iter([assignments[e]])
         else:
             candidates = enumerate_assignments(graph, target)
-        found = None
-        for count, cand in enumerate(candidates):
-            if count >= ASSIGNMENT_SEARCH_LIMIT:
-                break
+        for cand in itertools.islice(candidates, ASSIGNMENT_SEARCH_LIMIT):
             if cand.values[target] != 1:
                 raise KsAttackError(
                     f"assignment for outcome {e} does not fix its vector to 1",
                     failures=[e])
             behavior, report = bipartite_from_assignment(ks, cand, graph)
             if report.all_passed:
-                found = (cand, behavior)
+                chosen[e], blocks[e] = cand, behavior
                 break
-        if found is None:
-            failures.append(e)
         else:
-            chosen[e], blocks[e] = found
+            failures.append(e)
     if failures:
         raise KsAttackError(
             f"no verified attack block for outcomes {failures} "
@@ -490,16 +490,15 @@ def tripartite_attack(ks: KSSet, x_star: int,
     den = math.lcm(*(q for _, q in forms))
     stack = np.stack([nums * (den // q) for nums, q in forms])
     ab = stack.sum(axis=0)
-    ab_marginal = Behavior((nx, ny), (d, d), fraction_table(
-        ab, d * den, lambda u, w, x, y: ((u, w), (x, y))))
+    ab_marginal = _integer_behavior(ab, d * den, (0, 1, 2, 3))
 
-    # P(u, w, e | x, y, z) over d * d * den, indexed [z, x, y, u, w, e]:
-    # Eve's block e times d at z = x_star, the (u, w) marginal elsewhere.
-    P = np.empty((nx, nx, ny, d, d, d), stack.dtype)
-    P[:] = ab.transpose(2, 3, 0, 1)[..., None]
-    P[x_star] = stack.transpose(3, 4, 1, 2, 0) * d
-    behavior = Behavior((nx, ny, nx), (d, d, d), fraction_table(
-        P, d * d * den, lambda z, x, y, u, w, e: ((u, w, e), (x, y, z))))
+    # P(u, w, e | x, y, z) over d * d * den, indexed [u, w, e, x, y, z]:
+    # Eve's block e times d at z = x_star, the (u, w) marginal elsewhere;
+    # its table runs z-major, then over x, y, u, w, e.
+    P = np.empty((d, d, d, nx, ny, nx), stack.dtype)
+    P[:] = ab[:, :, None, :, :, None]
+    P[..., x_star] = stack.transpose(1, 2, 0, 3, 4) * d
+    behavior = _integer_behavior(P, d * d * den, (5, 3, 4, 0, 1, 2))
     return AttackBehavior(behavior, x_star, chosen, blocks, ab_marginal)
 
 
@@ -537,16 +536,17 @@ def verify_behavior(behavior, game: Optional[Game] = None) -> VerificationReport
 def _integer_checks(b: Behavior, report: VerificationReport):
     """Record nonnegativity, normalization and the no-signalling checks
     of ``b``.  Returns its ``integers``, or None after recording a
-    failing ``finite-entries`` or ``well-formed-keys`` check."""
-    bad = [key for key, p in b.table.items() if not is_finite(p)]
-    if bad:
-        report.record("finite-entries", False,
-                      f"non-finite entries at {bad[:3]}")
-        return None
+    failing ``finite-entries`` or ``well-formed-keys`` check: the table
+    is scanned only when ``integers`` refuses it."""
     try:
         P, den = b.integers
     except GameError as error:
-        report.record("well-formed-keys", False, str(error))
+        bad = [key for key, p in b.table.items() if not is_finite(p)]
+        if bad:
+            report.record("finite-entries", False,
+                          f"non-finite entries at {bad[:3]}")
+        else:
+            report.record("well-formed-keys", False, str(error))
         return None
     # The first negative entries, in the table's order.
     negative = set(map(tuple, np.argwhere(P < 0).tolist()))
@@ -630,8 +630,8 @@ def attack_affine_dimension(attacks: Sequence[Behavior]) -> int:
     forms = [b.integers for b in attacks]
     den = math.lcm(*(q for _, q in forms))
     rows = np.stack([P.astype(object).ravel() * (den // q) for P, q in forms])
-    return len(eliminate({j: c for j, c in enumerate(row) if c}
-                         for row in (rows[1:] - rows[0]).tolist()))
+    return len(_echelon([{j: c for j, c in enumerate(row) if c}
+                         for row in (rows[1:] - rows[0]).tolist()]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -541,18 +541,6 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
             (slack.tolist(), res.lower.marginals.tolist()))
 
 
-def eliminate(rows: Iterable[dict]) -> Optional[dict[int, dict]]:
-    """Reduced row echelon form of sparse rational rows {column: value}:
-    ``_echelon`` of the rows, shortest first, each scaled to integers.
-    Returns the nonzero rows by pivot column, each 1 at its pivot (their
-    count is the rank), or None when the system is inconsistent."""
-    pivots = _echelon([dict(zip(row, integer_table(row.values())[0].tolist()))
-                       for row in sorted(rows, key=len)])
-    return None if pivots is None else {
-        p: {j: Fraction(c, prow[p]) for j, c in prow.items()}
-        for p, prow in pivots.items()}
-
-
 def _echelon(rows: list[dict]) -> Optional[dict[int, dict]]:
     """Gauss-Jordan elimination of integer rows {column: value} in their
     order, each pivoting on its lowest nonzero column, fraction-free (cf.
@@ -605,8 +593,8 @@ def _reduced(row: dict, hits: list, pivots: dict) -> dict:
 def _tight_rows(major: np.ndarray, minor: np.ndarray, coeffs: np.ndarray,
                 tight: np.ndarray, live: np.ndarray, rhs: list) -> list[dict]:
     """The rows {RHS: rhs[k], minor: coefficient} of the tight keys k of
-    ``major`` on its live ``minor`` keys, shortest first (``eliminate``'s
-    order); rows 0 = 0 are left out."""
+    ``major`` on its live ``minor`` keys, shortest first; rows 0 = 0 are
+    left out."""
     rows = {k: {RHS: rhs[k]} for k in np.flatnonzero(tight).tolist()}
     at = tight[major] & live[minor]
     for k, j, c in zip(*(v[at].tolist() for v in (major, minor, coeffs))):

@@ -154,3 +154,37 @@ class TestMuConsistency:
         report = B.mu_consistency_check()
         assert type(report.pi_min) is F
         assert report.pi_min == min(guessing.pi.values()) == B.PI_MIN_CHAIN
+
+
+class TestNonFiniteParameters:
+    """A NaN passed every ``<= 0`` check: the bounds returned NaN, and the
+    decay report raised from ``math.ceil``.  Non-finite inputs are refused
+    by name; finite ones keep their messages."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, call", [
+        ("kappa", lambda q: B.azuma_abort_bound(10, q)),
+        ("delta", lambda q: B.parallel_rep_bound(10, q)),
+        ("mu", lambda q: B.parallel_rep_bound(10, 0.05, mu=q)),
+        ("t", lambda q: B.chernoff_bound(q, 0.7, 0.6)),
+        ("kappa", lambda q: B.DecayParams(10, 0.03, q, 0.75)),
+        ("mu", lambda q: B.DecayParams(10, 0.03, 0.03, 0.75, mu=q)),
+        ("omega_star", lambda q: B.DecayParams.from_omega_star(10, q))])
+    def test_refused_by_name(self, name, call, value):
+        with pytest.raises(B.InfeasibleParamsError,
+                           match=f"^{name} must be finite, got {value}$"):
+            call(value)
+
+    def test_finite_messages_are_unchanged(self):
+        for call, message in [
+                (lambda: B.azuma_abort_bound(10, 0.0),
+                 "kappa must be positive, got 0.0"),
+                (lambda: B.parallel_rep_bound(10, 0.0),
+                 "delta and mu must be positive"),
+                (lambda: B.chernoff_bound(-1.0, 0.7, 0.6),
+                 "t must be nonnegative, got -1.0"),
+                (lambda: B.DecayParams(10, 0.03, 0.03, 0.75, mu=0.0),
+                 "mu must be positive, got 0.0")]:
+            with pytest.raises(B.InfeasibleParamsError) as error:
+                call()
+            assert str(error.value) == message

@@ -767,6 +767,33 @@ class TestProductTableView:
         assert len(product.table) == 4096
         assert conversions == [(8, 8, 8, 8)]
 
+    def test_lookups_match_the_dict_and_build_it_only_off_the_form(self):
+        """Keys of in-range ints are read off the integer form, without the
+        dict; zeros are absent.  Any other key gets the dict's answer."""
+        product = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1))), 2)
+        copy = dict(_oracle_product(G.make_pr_v(G.NoisyPRParams(F(1))),
+                                    2).table)
+
+        def lookup(table, key):
+            try:
+                return table[key], type(table[key]), key in table
+            except (KeyError, TypeError) as error:
+                return type(error), key in table if type(error) is \
+                    KeyError else None
+        ints = list(itertools.product(*map(range, (4, 4, 4, 4))))
+        keys = [(i[:2], i[2:]) for i in ints]
+        assert [lookup(product.table, k) for k in keys] == \
+            [lookup(copy, k) for k in keys]
+        assert len(copy) == 64 and "_table" not in product.table.__dict__
+        odd = [((0, -1), (0, 0)), ((4, 0), (0, 0)), ((0, 0), (0,)),
+               ((0, 0, 0), (0,)), (((0, 0), (0, 0)),), (0, 0, 0, 0),
+               ((True, 0), (0, 0)), ((0.0, 0), (0, 0)),
+               ((np.int64(0), 0), (0, 0)), ([0, 0], [0, 0]), "key",
+               ((1, 1), [0, 0])]
+        assert [lookup(product.table, k) for k in odd] == \
+            [lookup(copy, k) for k in odd]
+        assert product.entry((1, 0), (0, 0)) == 0
+
     def test_items_are_the_oracle_products_in_order(self):
         box = G.make_pr_v(G.NoisyPRParams(F(1, 3)))
         for n in (1, 2, 3):

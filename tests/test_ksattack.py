@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from nsrand import games as G
 from nsrand import ksattack as K
-from nsrand import lp as L
 
 from conftest import oracle_groups
+from test_lp import eliminate
 
 
 def with_base_split(ks, alice_bases, bob_bases):
@@ -682,7 +682,7 @@ def _fraction_affine_dimension(behaviors):
     tables' keys."""
     base = behaviors[0]
     keys = sorted(set().union(*(set(b.table) for b in behaviors)))
-    return len(L.eliminate(
+    return len(eliminate(
         {i: F(other.entry(*k)) - F(base.entry(*k))
          for i, k in enumerate(keys)} for other in behaviors[1:]))
 
@@ -848,3 +848,118 @@ def test_game_value_is_summed_past_int64():
               for c in K.verify_behavior(box, game).checks}
     assert checks["wins-game"] == (False, f"value {(3 + v) / 4}")
     assert G.bell_value(box, game) == (3 + v) / 4
+
+
+# ---------------------------------------------------------------------------
+# the attack behaviors' integer construction
+# ---------------------------------------------------------------------------
+
+def _refuse_fraction_tables(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a Fraction table was built")
+    monkeypatch.setattr(G, "fraction_table", refuse)
+
+
+@pytest.mark.parametrize("name", ["cabello18", "peres24", "single_basis"])
+def test_an_attack_is_built_and_checked_without_fraction_tables(
+        monkeypatch, name):
+    """Attack, verification with the game, and affine dimension read the
+    behaviors' integer forms alone."""
+    ks = K.load_bundled_ks(name)
+    graph = K.build_orth_graph(ks)
+    game = K.make_ks_game(ks, graph)
+    _refuse_fraction_tables(monkeypatch)
+    attack = K.tripartite_attack(ks, 0, graph=graph)
+    assert K.verify_behavior(attack, game).all_passed
+    assert K.attack_affine_dimension(list(attack.blocks.values())) == \
+        ks.dim - 1
+
+
+def test_a_product_is_verified_without_its_fraction_table(monkeypatch):
+    product = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 3))), 2)
+    _refuse_fraction_tables(monkeypatch)
+    assert K.verify_behavior(product).all_passed
+    assert "_table" not in product.table.__dict__
+
+
+@pytest.mark.parametrize("name", ["cabello18", "peres24", "single_basis"])
+def test_attack_integers_equal_those_of_their_dict_copies(name):
+    """Values, denominator and dtype of every attack behavior's integer
+    form are those that ``Behavior.integers`` gives from its table."""
+    ks = K.load_bundled_ks(name)
+    graph = K.build_orth_graph(ks)
+    for x_star in range(len(ks.alice_bases)):
+        attack = K.tripartite_attack(ks, x_star, graph=graph)
+        for b in (attack.behavior, attack.ab_marginal,
+                  *attack.blocks.values()):
+            (P, den), (Q, q_den) = b.integers, G.Behavior(
+                b.input_sizes, b.output_sizes, dict(b.table)).integers
+            assert (den, P.dtype, P.shape) == (q_den, Q.dtype, Q.shape)
+            assert np.array_equal(P, Q)
+
+
+def test_block_and_marginal_tables_follow_the_construction(cabello):
+    """A block's entries run over its inputs, then its outputs; the (u, w)
+    marginal's, the mean of the blocks, over outputs, then inputs."""
+    attack = K.tripartite_attack(cabello, 1)
+    d = cabello.dim
+    nx, ny = len(cabello.alice_bases), len(cabello.bob_bases)
+    for block in attack.blocks.values():
+        P, den = block.integers
+        expected = {((u, w), (x, y)): F(int(P[u, w, x, y]), den)
+                    for x, y, u, w in itertools.product(
+                        range(nx), range(ny), range(d), range(d))
+                    if P[u, w, x, y]}
+        assert list(block.table.items()) == list(expected.items())
+    expected = {}
+    for u, w, x, y in itertools.product(range(d), range(d), range(nx),
+                                        range(ny)):
+        p = sum(block.entry((u, w), (x, y))
+                for block in attack.blocks.values()) / d
+        if p:
+            expected[((u, w), (x, y))] = p
+    assert list(attack.ab_marginal.table.items()) == list(expected.items())
+
+
+def test_non_finite_entries_outrank_malformed_keys():
+    """A table with a NaN and a key without one symbol per party fails
+    ``finite-entries``, whichever check ``integers`` meets first."""
+    table = dict(G.make_pr_v(G.NoisyPRParams(F(1, 2))).table)
+    table[((0, 0), (1, 1))] = math.nan
+    table[((0, 0, 0), (1, 1))] = F(0)
+    report = K.verify_behavior(G.Behavior((2, 2), (2, 2), table))
+    assert _checks(report) == [
+        ("finite-entries", False, "non-finite entries at [((0, 0), (1, 1))]")]
+
+
+# ---------------------------------------------------------------------------
+# KS-set input checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("side", ["alice_bases", "bob_bases"])
+def test_an_empty_basis_list_is_refused(single_basis, side):
+    """No basis for Bob divided by zero in the game's pi; none for Alice
+    blamed x_star."""
+    data = {"dim": 3, "vectors": [[[int(i == j), 0] for j in range(3)]
+                                  for i in range(3)],
+            "bases": [[0, 1, 2]], side: []}
+    with pytest.raises(K.KsError, match=f"^{side} must name at least one "
+                       "basis$"):
+        K.ks_from_dict(data)
+    ks = K.KSSet(3, list(single_basis.vectors), [(0, 1, 2)], [0], [0])
+    setattr(ks, side, [])
+    with pytest.raises(K.KsError, match=side):
+        ks.validate()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_a_non_finite_orthogonality_tolerance_is_refused(cabello, tol):
+    """NaN and +inf escaped as ValueError and OverflowError from the
+    exact Gram test; both are refused where the tolerance is read."""
+    with pytest.raises(K.KsError, match=f"^tolerance must be finite, got {tol}$"):
+        K.build_orth_graph(cabello, tol)
+    with pytest.raises(K.KsError, match=f"^tolerance must be finite, got {tol}$"):
+        K.load_bundled_ks("peres24", orth_tol=tol)
+    for negative in (-1e-9, -math.inf):
+        with pytest.raises(K.KsError, match="^tolerance must be nonnegative$"):
+            K.build_orth_graph(cabello, negative)

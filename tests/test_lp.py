@@ -467,14 +467,26 @@ def test_exact_path_agrees_with_the_dense_oracle(lift, lp):
 def test_eliminate_rank_and_consistency():
     """``eliminate`` gives the rank, and None for 0 = nonzero."""
     rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: F(1, 3), 2: 1}]
-    assert len(L.eliminate(rows)) == 2
-    assert L.eliminate([{0: 1, L.RHS: 1}, {0: 2, L.RHS: 3}]) is None
-    assert L.eliminate([{0: 1, 1: 1, L.RHS: 3}, {0: 1, 1: -1, L.RHS: 1}]) \
+    assert len(eliminate(rows)) == 2
+    assert eliminate([{0: 1, L.RHS: 1}, {0: 2, L.RHS: 3}]) is None
+    assert eliminate([{0: 1, 1: 1, L.RHS: 3}, {0: 1, 1: -1, L.RHS: 1}]) \
         == {0: {0: 1, L.RHS: 2}, 1: {1: 1, L.RHS: 1}}
 
 
+def eliminate(rows):
+    """Reduced row echelon form of sparse rational rows {column: value}:
+    ``L._echelon`` of the rows, shortest first, each scaled to integers.
+    Returns the nonzero rows by pivot column, each 1 at its pivot (their
+    count is the rank), or None when the system is inconsistent."""
+    pivots = L._echelon([dict(zip(row, G.integer_table(row.values())[0]
+                                  .tolist())) for row in sorted(rows, key=len)])
+    return None if pivots is None else {
+        p: {j: Fraction(c, prow[p]) for j, c in prow.items()}
+        for p, prow in pivots.items()}
+
+
 def _eliminate_oracle(rows):
-    """The rational Gauss-Jordan elimination that ``L.eliminate`` had
+    """The rational Gauss-Jordan elimination that ``eliminate`` had
     before its integer kernel, kept as the reference: rows shortest
     first, each reduced by the pivot rows it meets, pivoting on its
     lowest column and normalized to 1 there, with every earlier pivot
@@ -546,7 +558,7 @@ def test_eliminate_agrees_with_the_fraction_oracle(rows):
     """The integer kernel gives exactly the rational elimination's pivots,
     in order, and rows, or None where it does."""
     expected = _eliminate_oracle([dict(row) for row in rows])
-    got = L.eliminate([dict(row) for row in rows])
+    got = eliminate([dict(row) for row in rows])
     assert got == expected
     if got is not None:
         assert list(got) == list(expected)
@@ -558,10 +570,10 @@ def test_eliminate_checks_rows_past_full_rank():
     """Once every column has a pivot the rows left are only checked, and
     a row that fails only then makes the system inconsistent."""
     pivots = [{0: 1, L.RHS: 1}, {1: 1, L.RHS: 2}]
-    assert L.eliminate(pivots + [{0: 1, 1: 1, L.RHS: 4}]) is None
-    assert L.eliminate(pivots + [{0: 2, 1: 1, L.RHS: 4},
+    assert eliminate(pivots + [{0: 1, 1: 1, L.RHS: 4}]) is None
+    assert eliminate(pivots + [{0: 2, 1: 1, L.RHS: 4},
                                  {0: 3, 1: 1, L.RHS: 4}]) is None
-    assert L.eliminate(pivots + [{0: F(1, 2), 1: 1, L.RHS: F(5, 2)}]) == \
+    assert eliminate(pivots + [{0: F(1, 2), 1: 1, L.RHS: F(5, 2)}]) == \
         {0: {0: 1, L.RHS: 1}, 1: {1: 1, L.RHS: 2}}
 
 
@@ -577,15 +589,6 @@ def test_echelon_runs_on_integers():
         == {int}
     assert {p: {j: F(c, row[p]) for j, c in row.items()}
             for p, row in pivots.items()} == expected
-
-
-def test_exact_solves_use_no_fraction_elimination(monkeypatch):
-    """The exact basis solve and the verdict LPs reach ``_echelon``
-    directly; the public ``Fraction`` ``eliminate`` is not on the path."""
-    monkeypatch.setattr(L, "eliminate", None)
-    assert _solve(_three_var_lp()).certified
-    for lp in _infeasible_and_unbounded():
-        assert _solve(lp).certified
 
 
 @pytest.mark.xfail(strict=True, raises=L.CertificationError)

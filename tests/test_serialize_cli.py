@@ -565,6 +565,39 @@ class TestCli:
         assert code == cli.EXIT_INFEASIBLE
         assert "kappa + delta + 8/9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name", [("--kappa", "kappa"),
+                                            ("--omega-star", "omega_star")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_bounds_parameter_is_infeasible(self, flag, name,
+                                                       value, tmp_path,
+                                                       capsys):
+        """``--kappa nan`` was blamed on omega_star and ``--omega-star
+        nan`` on delta; each now names its own parameter."""
+        out = tmp_path / "b.csv"
+        code = cli.main(["bounds", flag, value, "--out", str(out)])
+        assert code == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == \
+            f"infeasible: {name} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side", ["alice_bases", "bob_bases"])
+    def test_empty_basis_list_is_an_input_error(self, side, tmp_path,
+                                                capsys):
+        """An empty Bob list crashed with ZeroDivisionError, an empty Alice
+        list blamed x_star."""
+        data = {"dim": 3, "bases": [[0, 1, 2]], side: [],
+                "vectors": [[["1", "0"], ["0", "0"], ["0", "0"]],
+                            [["0", "0"], ["1", "0"], ["0", "0"]],
+                            [["0", "0"], ["0", "0"], ["1", "0"]]]}
+        path = tmp_path / "ks.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["ks-attack", "--ks", str(path),
+                         "--out", str(tmp_path / "attack.json")])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"input error: KS file {path}: " \
+            f"{side} must name at least one basis\n"
+        assert not (tmp_path / "attack.json").exists()
+
     def test_non_integer_xstar_is_input_error(self, capsys):
         code = cli.main(["tons", "--n", "2", "--xstar", "a1"])
         assert code == cli.EXIT_INPUT_ERROR
