@@ -41,7 +41,7 @@ def clamp_probability(value: float) -> float:
 
 def azuma_abort_bound(n: int, kappa: float) -> float:
     """Abort probability bound 2 exp(-n kappa^2 / 2)."""
-    _check_finite(kappa=kappa)
+    _check_finite(n=n, kappa=kappa)
     if kappa <= 0:
         raise InfeasibleParamsError(f"kappa must be positive, got {kappa}")
     if n < 0:
@@ -83,9 +83,11 @@ def chernoff_bound(t: float, gamma: float, zeta: float) -> ChernoffBound:
 
 def parallel_rep_bound(n: int, delta: float, mu: float = float(MU_CHAIN)) -> float:
     """t-out-of-n parallel repetition decay 8 exp(-delta^4 mu n)."""
-    _check_finite(delta=delta, mu=mu)
+    _check_finite(n=n, delta=delta, mu=mu)
     if delta <= 0 or mu <= 0:
         raise InfeasibleParamsError("delta and mu must be positive")
+    if n < 0:
+        raise InfeasibleParamsError(f"n must be nonnegative, got {n}")
     return 8.0 * math.exp(-delta ** 4 * mu * n)
 
 
@@ -103,7 +105,7 @@ class DecayParams:
         if not 0 < self.delta < float(DELTA_MAX):
             raise InfeasibleParamsError(
                 f"delta must lie in (0, 1/10), got {self.delta}")
-        _check_finite(kappa=self.kappa, mu=self.mu)
+        _check_finite(n=self.n, kappa=self.kappa, mu=self.mu)
         if self.kappa <= 0:
             raise InfeasibleParamsError(f"kappa must be positive, got {self.kappa}")
         if not 2.0 / 3.0 < self.gamma < 1.0:

@@ -119,13 +119,18 @@ class KSSet:
                                   f"vectors {i} and {j}")
         if seen != set(range(n)):
             raise KsError("every vector must appear in at least one basis")
-        for name in ("alice_bases", "bob_bases"):
-            side = getattr(self, name)
-            if not side:
-                raise KsError(f"{name} must name at least one basis")
-            for k in side:
-                if not 0 <= k < len(self.bases):
-                    raise KsError(f"basis index {k} out of range")
+        _check_sides(self)
+
+
+def _check_sides(ks: KSSet) -> None:
+    """KsError unless each player names one or more of the set's bases."""
+    for name in ("alice_bases", "bob_bases"):
+        side = getattr(ks, name)
+        if not side:
+            raise KsError(f"{name} must name at least one basis")
+        for k in side:
+            if not 0 <= k < len(ks.bases):
+                raise KsError(f"basis index {k} out of range")
 
 
 def _gram(vectors, dim: int, tol: float):
@@ -351,6 +356,7 @@ class VerificationReport:
 
 def make_ks_game(ks: KSSet, graph: Optional[OrthGraph] = None) -> Game:
     """Pseudotelepathy game of the set: distinct orthogonal outputs lose."""
+    _check_sides(ks)
     if graph is None:
         graph = build_orth_graph(ks)
     nx, ny, d = len(ks.alice_bases), len(ks.bob_bases), ks.dim

@@ -17,8 +17,8 @@ mode and at the tolerance over floats in float mode.  Infeasible and
 unbounded verdicts are proved through the exact path, by auxiliary LPs.
 
 An LP keeps its rows as CSR arrays of integer numerators over common
-denominators (``LinProgram``), written in blocks by ``append_rows`` with
-exact sums; every solve and check reads them, ``Constraint`` views one.
+denominators (``LinProgram``), which one writer, ``append_rows``, fills
+with exact sums; every solve and check reads them, ``Constraint`` views one.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _check_columns(indices: np.ndarray, num_vars: int) -> None:
 
 def make_constraint(coeffs: dict, rel: str, rhs) -> Constraint:
     """The row of the nonzero ``coeffs`` {column: c}, in exact numbers."""
-    prog = LinProgram(0)
+    prog = LinProgram(max(coeffs.keys(), default=-1) + 1)
     prog.add(coeffs, rel, rhs)
     return prog.constraints[0]
 
@@ -117,8 +117,8 @@ class LinProgram:
     sum_t (data[t] / den) x_indices[t] ``rel`` rhs[k] / rhs_den over t in
     indptr[k]:indptr[k + 1], CSR arrays with sorted columns and no zero
     coefficient.  Numerators are int64, or Python ints past int64; ``rel``
-    indexes (LE, EQ, GE).  ``add`` (one row) and ``append_rows`` (blocks
-    of rows) replace the arrays by longer read-only ones, so programs may
+    indexes (LE, EQ, GE).  One writer, ``append_rows`` (``add`` is a row
+    of it), replaces the arrays by longer read-only ones, so programs may
     share them; ``constraints`` is a fresh list of views of the rows.
     """
 
@@ -169,35 +169,10 @@ class LinProgram:
         return j in self.lower and self.lower[j] is None
 
     def add(self, coeffs: dict, rel: str, rhs) -> None:
-        """Append the row of the nonzero ``coeffs`` {column: c}."""
-        terms = sorted((int(j), _finite(c, f"row coefficient of x{j}"))
-                       for j, c in coeffs.items() if c)
-        self._append([len(terms)], [j for j, _ in terms],
-                     *integer_table(c for _, c in terms),
-                     *integer_table([_finite(rhs, "right-hand side")]), rel)
-
-    def _append(self, sizes, indices, data: np.ndarray, den: int,
-                rhs: np.ndarray, rhs_den: int, rel: str) -> None:
-        """Append rows of ``sizes`` nonzeros: columns ``indices``,
-        numerators ``data`` over ``den``, right-hand sides ``rhs`` over
-        ``rhs_den``."""
-        if rel not in _RELATIONS:
-            raise LpError(f"unknown relation {rel!r}")
-        self.indptr = np.concatenate([
-            self.indptr, self.indptr[-1] + np.cumsum(sizes, dtype=np.int64)])
-        self.indices = np.concatenate([self.indices,
-                                       np.asarray(indices, np.intp)])
-        to, to_rhs = math.lcm(self.den, den), math.lcm(self.rhs_den, rhs_den)
-        self.data = np.concatenate([_scaled(self.data, to // self.den),
-                                    _scaled(data, to // den)])
-        self.rhs = np.concatenate([_scaled(self.rhs, to_rhs // self.rhs_den),
-                                   _scaled(rhs, to_rhs // rhs_den)])
-        self.den, self.rhs_den = to, to_rhs
-        self.rel = np.concatenate([
-            self.rel, np.full(len(sizes), _RELATIONS.index(rel), np.int8)])
-        for array in (self.indptr, self.indices, self.data, self.rhs,
-                      self.rel):
-            array.setflags(write=False)
+        """Append the row of the nonzero ``coeffs`` {column: c}, written
+        by ``append_rows`` as a one-row block."""
+        append_rows(self, [(np.array([[*coeffs.keys()]], np.intp),
+                            [*coeffs.values()])], [rhs], rel)
 
     def normalized(self) -> "LinProgram":
         """Return an equivalent LP with finite upper bounds as rows."""
@@ -234,13 +209,23 @@ def _free_columns(norm: LinProgram) -> np.ndarray:
 
 
 def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
-                distinct: bool = False) -> np.ndarray:
+                distinct: bool = False) -> None:
     """Append the rows sum_k c[k] x_{j[r, k]} ``rel`` rhs[r] of the blocks
     ``(j, c)``, in order, with each column's coefficients summed and zero
     terms dropped; if ``distinct``, without repeats (right-hand side
     included).  Coefficients (int arrays, ints or ``Fraction``s) go over
     one denominator and sum exactly: in int64, or in Python ints past its
-    bound.  Returns the indices of the rows appended."""
+    bound.  A refused call leaves the program as it was."""
+    if rel not in _RELATIONS:
+        raise LpError(f"unknown relation {rel!r}")
+    for b, (j, c) in enumerate(blocks):
+        if len(c) != j.shape[1]:
+            raise LpError(f"block {b}: row width {j.shape[1]}, coefficient "
+                          f"count {len(c)}")
+    # A list is kept as its objects: numpy would round some mixes to floats
+    # (an int past 2**53 beside a float, one in [2**63, 2**64) beside 1).
+    blocks = [(j, c if isinstance(c, np.ndarray) else np.array(c, object))
+              for j, c in blocks]
     count, num = sum(len(j) for j, _ in blocks), prog.num_vars
     widths = [j.shape[1] for j, _ in blocks]
     columns = np.concatenate([j.ravel() for j, _ in blocks])
@@ -251,13 +236,15 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
             [c for _, c in blocks]).tolist(), max(widths))
         rhs, rhs_den = integer_table(rhs)
     except (ValueError, OverflowError):  # Fraction of a NaN or an inf
-        # The first entry that is not finite, named as ``add`` names it.
+        # The first entry that is not finite, named by its column.
         for col, c in zip(columns.tolist(), np.concatenate(
                 [np.tile(c, len(j)) for j, c in blocks]).tolist()):
             _finite(c, f"row coefficient of x{col}")
         for b in rhs:
             _finite(b, "right-hand side")
         raise LpError("row coefficients must be finite") from None
+    if len(rhs) != count:
+        raise LpError(f"row count {count}, right-hand side count {len(rhs)}")
     coeffs = np.split(nums, np.cumsum(widths)[:-1])
     row = np.repeat(np.arange(count), np.concatenate(
         [np.full(len(j), j.shape[1]) for j, _ in blocks]))
@@ -287,9 +274,20 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     added = np.sort(np.concatenate(added))
     kept = np.zeros(count, bool)
     kept[added] = True
-    prog._append(sizes[added], col[kept[row]], sums[kept[row]], den,
-                 rhs[added], rhs_den, rel)
-    return added
+    to, to_rhs = math.lcm(prog.den, den), math.lcm(prog.rhs_den, rhs_den)
+    prog.indptr = np.concatenate([prog.indptr, prog.indptr[-1] + np.cumsum(
+        sizes[added], dtype=np.int64)])
+    prog.indices = np.concatenate([prog.indices,
+                                   np.asarray(col[kept[row]], np.intp)])
+    prog.data = np.concatenate([_scaled(prog.data, to // prog.den),
+                                _scaled(sums[kept[row]], to // den)])
+    prog.rhs = np.concatenate([_scaled(prog.rhs, to_rhs // prog.rhs_den),
+                               _scaled(rhs[added], to_rhs // rhs_den)])
+    prog.den, prog.rhs_den = to, to_rhs
+    prog.rel = np.concatenate([
+        prog.rel, np.full(len(added), _RELATIONS.index(rel), np.int8)])
+    for array in (prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel):
+        array.setflags(write=False)
 
 
 @dataclass

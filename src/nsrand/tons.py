@@ -489,16 +489,15 @@ def _party_moves(scenario: CausalScenario, x_k: Optional[int]):
 def _round_candidates(scenario: CausalScenario, k: int,
                       x_k: Optional[int]) -> list[LocalRelabelling]:
     """Non-identity relabellings of round k (see ``_party_moves``), Alice's
-    side outermost."""
-    alice, bob = _party_moves(scenario, x_k)
-    return [LocalRelabelling(k, *a, *b) for a in alice for b in bob][1:]
+    side outermost: ``_round_search``'s list."""
+    return _round_search(scenario, k, x_k)[0]
 
 
 def _round_search(scenario: CausalScenario, k: int, x_k: Optional[int]):
-    """Round k's ``_round_candidates`` with the flat-index offsets of
-    their images in the [A, B, X, Y] marginal table: Alice's indexed
-    [candidate, A, X], Bob's [candidate, B, Y].  Entry (A, B, X, Y) goes
-    to the sum of its Alice and its Bob offset."""
+    """Round k's non-identity relabellings, Alice's side outermost, with
+    the flat-index offsets of their images in the [A, B, X, Y] marginal
+    table: Alice's indexed [candidate, A, X], Bob's [candidate, B, Y].
+    Entry (A, B, X, Y) goes to the sum of its Alice and its Bob offset."""
     alice, bob = _party_moves(scenario, x_k)
     SA, SB, SX, SY = scenario.string_sizes
     n = scenario.rounds
@@ -511,7 +510,7 @@ def _round_search(scenario: CausalScenario, k: int, x_k: Optional[int]):
     alice_offsets = ((A2 * SB * SX + X2) * SY).astype(dtype)
     bob_offsets = (B2 * SX * SY + Y2).astype(dtype)
     pick = np.arange(1, len(alice) * len(bob))
-    return (_round_candidates(scenario, k, x_k),
+    return ([LocalRelabelling(k, *a, *b) for a in alice for b in bob][1:],
             alice_offsets[pick // len(bob)], bob_offsets[pick % len(bob)])
 
 

@@ -175,6 +175,27 @@ class TestNonFiniteParameters:
                            match=f"^{name} must be finite, got {value}$"):
             call(value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda n: B.azuma_abort_bound(n, 0.1),
+        lambda n: B.parallel_rep_bound(n, 0.05),
+        lambda n: B.DecayParams(n, 0.03, 0.03, 0.75)],
+        ids=["azuma", "parallel-rep", "decay"])
+    def test_round_count_refused_by_name(self, call, value):
+        """A NaN round count gave a NaN bound and an infinite one 0 or
+        +inf; ``DecayParams`` took both."""
+        with pytest.raises(B.InfeasibleParamsError,
+                           match=f"^n must be finite, got {value}$"):
+            call(value)
+
+    def test_negative_round_count_refused(self):
+        """``parallel_rep_bound`` read no sign of n: at n = -5 it returned
+        a bound above 8; it is refused in ``azuma_abort_bound``'s words."""
+        for call in (B.azuma_abort_bound, B.parallel_rep_bound):
+            with pytest.raises(B.InfeasibleParamsError) as error:
+                call(-5, 0.05)
+            assert str(error.value) == "n must be nonnegative, got -5"
+
     def test_finite_messages_are_unchanged(self):
         for call, message in [
                 (lambda: B.azuma_abort_bound(10, 0.0),

@@ -952,6 +952,23 @@ def test_an_empty_basis_list_is_refused(single_basis, side):
         ks.validate()
 
 
+@pytest.mark.parametrize("side", ["alice_bases", "bob_bases"])
+def test_the_game_of_an_unvalidated_set_needs_both_sides(cabello, side):
+    """``make_ks_game`` of a set that was never validated, one of whose
+    players names no basis, is refused in ``validate``'s words, where it
+    divided by zero in the game's pi; so is Bob's case in
+    ``tripartite_attack``, which builds that game."""
+    bases = {"alice_bases": [0], "bob_bases": [0], side: []}
+    ks = K.KSSet(cabello.dim, cabello.vectors, cabello.bases,
+                 bases["alice_bases"], bases["bob_bases"])
+    refused = f"^{side} must name at least one basis$"
+    with pytest.raises(K.KsError, match=refused):
+        K.make_ks_game(ks)
+    if side == "bob_bases":
+        with pytest.raises(K.KsError, match=refused):
+            K.tripartite_attack(ks, 0)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_a_non_finite_orthogonality_tolerance_is_refused(cabello, tol):
     """NaN and +inf escaped as ValueError and OverflowError from the

@@ -749,13 +749,44 @@ def test_non_finite_append_rows_data_is_named_as_add_names_it(bad):
 def test_append_rows_refuses_columns_outside_the_program(column):
     """A column outside [0, num_vars) would be keyed into another row
     (x3 of row 0 of a 2-variable LP into x1 of row 1); it is refused in
-    ``validate``'s words before any array changes."""
+    ``validate``'s words before any array changes, by ``append_rows`` and
+    by ``add``, its one-row form."""
     prog = LinProgram(2)
     L.append_rows(prog, [(np.array([[0, 1]]), [1, 1])], [1], LE)
     before = L.dump_lp(prog)
     with pytest.raises(L.LpError, match=rf"^row index {column} out of range$"):
         L.append_rows(prog, [(np.array([[0, column]]), [1, 3]),
                              (np.array([[1, 1]]), [1, 1])], [1, 2], LE)
+    assert L.dump_lp(prog) == before
+    arrays = [prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel]
+    with pytest.raises(L.LpError, match=rf"^row index {column} out of range$"):
+        prog.add({0: 1, column: 3}, LE, 1)
+    assert L.dump_lp(prog) == before
+    assert all(new is old for new, old in zip(
+        [prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel], arrays))
+
+
+@pytest.mark.parametrize("blocks, rhs, message", [
+    ([(np.array([[0, 1]]), [1, 1])], [1, 2],
+     "row count 1, right-hand side count 2"),
+    ([(np.array([[0, 1], [1, 0]]), [1, 1])], [1],
+     "row count 2, right-hand side count 1"),
+    ([(np.array([[0, 1]]), [1, 1]), (np.array([[0, 1]]), [1, 1, 1])], [1, 1],
+     "block 1: row width 2, coefficient count 3"),
+    ([(np.array([[0, 1]]), [1])], [1],
+     "block 0: row width 2, coefficient count 1")],
+    ids=["extra-rhs", "missing-rhs", "long-coefficients",
+         "short-coefficients"])
+def test_append_rows_refuses_shapes_that_do_not_match(blocks, rhs, message):
+    """A right-hand side per row and a coefficient per column of a block's
+    rows, or an ``LpError`` naming both counts before any array changes:
+    an extra right-hand side was dropped, a missing one an ``IndexError``,
+    a coefficient list of the wrong length numpy's broadcast error."""
+    prog = LinProgram(2)
+    L.append_rows(prog, [(np.array([[0, 1]]), [1, 1])], [1], LE)
+    before = L.dump_lp(prog)
+    with pytest.raises(L.LpError, match=rf"^{message}$"):
+        L.append_rows(prog, blocks, rhs, LE)
     assert L.dump_lp(prog) == before
 
 
@@ -1307,6 +1338,19 @@ def test_append_rows_keeps_a_coefficient_past_two_to_the_53_exact():
     lp = LinProgram(2, "max", {0: 1})
     L.append_rows(lp, [(np.array([[0, 1]]), [2 ** 53 + 1, 1])], [1], LE)
     assert lp.constraints[0].coeffs == ((0, 2 ** 53 + 1), (1, 1))
+
+
+@pytest.mark.parametrize("coeffs", [[2 ** 53 + 1, 0.5], [2 ** 63 + 1, 1]],
+                         ids=["beside-a-float", "past-int64"])
+def test_append_rows_keeps_list_entries_as_given(coeffs):
+    """numpy reads each list as float64, which rounds its first entry to
+    2**53 or 2**63; the rows hold the entries given, as ``add``'s do."""
+    lp, added = LinProgram(2, "max", {0: 1}), LinProgram(2, "max", {0: 1})
+    L.append_rows(lp, [(np.array([[0, 1]]), coeffs)], [1], LE)
+    added.add(dict(enumerate(coeffs)), LE, 1)
+    assert np.array(coeffs).dtype == float
+    assert lp.constraints[0].coeffs == ((0, coeffs[0]), (1, F(coeffs[1])))
+    assert L.dump_lp(lp) == L.dump_lp(added)
 
 
 def test_append_rows_sums_past_int64_in_python_ints():

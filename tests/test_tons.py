@@ -964,6 +964,24 @@ def test_no_candidate_passes_the_sieve_of_an_asymmetric_marginal(n):
         _fixing_oracle(marginal, scenario, x_star)
 
 
+def test_each_round_enumerates_its_moves_once(monkeypatch):
+    """The symmetry search lists each round's party moves once, and builds
+    its candidates from them: three ``_party_moves`` calls for three
+    rounds, with the noisy PR box's symmetries found as before."""
+    calls = []
+    real = T._party_moves
+
+    def counting(scenario, x_k):
+        calls.append(x_k)
+        return real(scenario, x_k)
+    marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 3))), 3)
+    scenario = T.CausalScenario.for_game(T.TONS, 3, G.make_chsh_game())
+    expected = _fixing_oracle(marginal, scenario, (0, 1, 0))
+    monkeypatch.setattr(T, "_party_moves", counting)
+    assert T.marginal_symmetries(marginal, scenario, (0, 1, 0)) == expected
+    assert calls == [0, 1, 0]
+
+
 @pytest.mark.parametrize("chunk", [1, 2])
 @pytest.mark.parametrize("n, box", [
     (3, G.make_pr_v(G.NoisyPRParams(F(1, 3)))),
