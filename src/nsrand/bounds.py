@@ -171,7 +171,7 @@ def tons_decay_report(params: DecayParams) -> BoundReport:
     t = (params.omega_star - kappa) * n
     abort_raw = azuma_abort_bound(n, kappa)
     exponent = delta ** 4 * mu * n
-    parallel = 8.0 * math.exp(-exponent)
+    parallel = parallel_rep_bound(n, delta, mu)
     no_abort = 1.0 - abort_raw
     guess_raw = parallel / no_abort if no_abort > 0 else math.inf
     chern = chernoff_bound(t, gamma, 2.0 / 3.0)

@@ -13,8 +13,8 @@ Espinoza, Oper. Res. Lett. 35 (2007), finished by an exact basis solve
 as in Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  Both
 modes check a certificate with one residual evaluator: numpy sums over
 the LP data, primal and dual, compared with 0 over integers in exact
-mode and at the tolerance over floats in float mode.  Infeasible and
-unbounded verdicts are proved through the exact path, by auxiliary LPs.
+mode and at the tolerance over floats in float mode.  ``solve`` is the
+one exact entry, also for the auxiliary LPs that prove a verdict.
 
 An LP keeps its rows as CSR arrays of integer numerators over common
 denominators (``LinProgram``), which one writer, ``append_rows``, fills
@@ -55,11 +55,11 @@ class LpSizeError(LpError):
 
 
 class CertificationError(LpError):
-    """No verified certificate: HiGHS failed in exact mode, the exact
-    basis solve of an optimum did not verify or is over its size cap,
-    HiGHS found no optimum of an LP that the auxiliary LPs show feasible
-    and bounded, or a float optimum violates its certificate beyond the
-    float tolerance."""
+    """No verified certificate.  ``solve``, the one exact entry, raises it
+    for an LP or for an auxiliary LP of its verdict: HiGHS failed, the
+    exact basis solve did not verify or is over its size cap, or HiGHS
+    found no optimum of an LP its auxiliary LPs show feasible and bounded.
+    Float mode raises it when an optimum fails its certificate."""
 
 
 class InfeasibleError(RuntimeError):
@@ -219,9 +219,15 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     if rel not in _RELATIONS:
         raise LpError(f"unknown relation {rel!r}")
     for b, (j, c) in enumerate(blocks):
+        if np.ndim(j) != 2:
+            raise LpError(f"block {b}: column shape {np.shape(j)}, not 2-D")
         if len(c) != j.shape[1]:
             raise LpError(f"block {b}: row width {j.shape[1]}, coefficient "
                           f"count {len(c)}")
+    if not blocks:
+        if len(rhs):
+            raise LpError(f"row count 0, right-hand side count {len(rhs)}")
+        return
     # A list is kept as its objects: numpy would round some mixes to floats
     # (an int past 2**53 beside a float, one in [2**63, 2**64) beside 1).
     blocks = [(j, c if isinstance(c, np.ndarray) else np.array(c, object))
@@ -636,39 +642,9 @@ def _solve_active_set(norm: LinProgram, sol: LpSolution, slack: list,
     return exact if exact.certified else None
 
 
-def _exact_highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
-                                            Optional[tuple[list, list]]]:
-    """``_highs`` on an LP for exact mode, which refuses one with more
-    than ``_FALLBACK_CELL_LIMIT`` nonzeros before HiGHS runs."""
-    if len(norm.indices) > _FALLBACK_CELL_LIMIT:
-        raise CertificationError(
-            f"no exact certificate: the exact basis solve is capped at "
-            f"{_FALLBACK_CELL_LIMIT} nonzeros ({_size(norm)}); use float "
-            f"mode")
-    return _highs(norm)
-
-
 def _size(norm: LinProgram) -> str:
     return (f"{len(norm.rhs)} rows x {norm.num_vars} vars, "
             f"{len(norm.indices)} nonzeros")
-
-
-def _certified_optimum(norm: LinProgram, sol: Optional[LpSolution],
-                       message: str,
-                       tight: Optional[tuple[list, list]]) -> LpSolution:
-    """The exact optimum behind HiGHS's float one, by the exact basis
-    solve of the rows and columns HiGHS reports tight (``_exact_highs``'s
-    third value).  Raises CertificationError when HiGHS found no optimum
-    or the solve does not verify."""
-    if sol is None or sol.status != LpSolution.OPTIMAL:
-        raise CertificationError(f"no exact certificate: HiGHS found no "
-                                 f"optimum ({message})")
-    exact = _solve_active_set(norm, sol, *tight)
-    if exact is None:
-        raise CertificationError(
-            f"no exact certificate: the exact basis solve did not verify "
-            f"({_size(norm)}); use float mode")
-    return exact
 
 
 def _certified_verdict(norm: LinProgram, status: str) -> LpSolution:
@@ -680,8 +656,8 @@ def _certified_verdict(norm: LinProgram, status: str) -> LpSolution:
     added to row k): a certified value above 0 proves infeasibility.  The
     ray LP keeps the homogeneous rows and caps the objective at +1 (max)
     or -1 (min): a certified nonzero value then proves unboundedness.
-    Both are feasible and bounded.  CertificationError if neither proof
-    holds.
+    Both are feasible and bounded, and ``solve`` proves each optimum.
+    CertificationError if neither proof holds.
     """
     n, m, den = norm.num_vars, len(norm.rhs), norm.den
     # Row k's artificials, coefficients +1 and -1 over den, end the row.
@@ -693,12 +669,12 @@ def _certified_verdict(norm: LinProgram, status: str) -> LpSolution:
         indptr=norm.indptr + 2 * np.arange(m + 1),
         indices=np.insert(norm.indices, at, np.arange(n, n + 2 * m)),
         data=np.insert(data, at, np.tile([den, -den], m)))
-    if _certified_optimum(phase_one, *_exact_highs(phase_one)).value != 0:
+    if solve(phase_one).value != 0:
         return LpSolution(LpSolution.INFEASIBLE, None, [], [], "exact", True)
     sign = 1 if norm.sense == MAX else -1
     ray = replace(norm, rhs=np.zeros(m, np.int64), rhs_den=1)
     ray.add({j: sign * c for j, c in norm.objective.items()}, LE, 1)
-    if _certified_optimum(ray, *_exact_highs(ray)).value != 0:
+    if solve(ray).value != 0:
         return LpSolution(LpSolution.UNBOUNDED, None, [], [], "exact", True)
     raise CertificationError(f"HiGHS reports the LP {status}, but it is "
                              f"feasible and bounded")
@@ -706,7 +682,7 @@ def _certified_verdict(norm: LinProgram, status: str) -> LpSolution:
 
 def solve(lp: LinProgram, mode: str = "exact",
           float_tolerance: float = 1e-9) -> LpSolution:
-    """Solve the LP.
+    """Solve the LP; the one entry to exact mode.
 
     Both modes make one HiGHS call (``_highs``): dual simplex, or
     interior point with crossover above ``_IPM_ROW_THRESHOLD`` rows.  An
@@ -716,12 +692,11 @@ def solve(lp: LinProgram, mode: str = "exact",
     a HiGHS failure, or a tolerance that is not finite and positive,
     raises ``LpError``.
 
-    Exact mode has one path: the rows and columns tight at the HiGHS
-    optimum are solved exactly and the result verified exactly
-    (``_certified_optimum``), and an LP without an optimum is proved
-    infeasible or unbounded by two auxiliary LPs (``_certified_verdict``).
-    An LP, or auxiliary LP, with more than ``_FALLBACK_CELL_LIMIT``
-    nonzeros is refused before HiGHS runs (``_exact_highs``).  Every exact
+    Exact mode refuses an LP over ``_FALLBACK_CELL_LIMIT`` nonzeros
+    before HiGHS runs, solves the rows and columns tight at the HiGHS
+    optimum exactly and verifies the result (``_solve_active_set``), and
+    proves an LP without an optimum infeasible or unbounded by two
+    auxiliary LPs, solved here too (``_certified_verdict``).  Every exact
     answer has ``certified`` True, or ``CertificationError`` is raised.
     """
     lp.validate()
@@ -738,14 +713,24 @@ def solve(lp: LinProgram, mode: str = "exact",
             return sol
         return LpSolution(LpSolution.INFEASIBLE, None, [], [], mode, exact)
 
-    sol, message, tight = (_exact_highs if exact else _highs)(norm)
-    if exact:
-        if sol is not None and sol.status != LpSolution.OPTIMAL:
-            return _certified_verdict(norm, sol.status)
-        return _certified_optimum(norm, sol, message, tight)
+    if exact and len(norm.indices) > _FALLBACK_CELL_LIMIT:
+        raise CertificationError(
+            f"no exact certificate: the exact basis solve is capped at "
+            f"{_FALLBACK_CELL_LIMIT} nonzeros ({_size(norm)}); use float mode")
+    sol, message, tight = _highs(norm)
     if sol is None:
-        raise LpError(f"float solver failed: {message}")
-    if sol.status == LpSolution.OPTIMAL:
+        raise (CertificationError(f"no exact certificate: HiGHS found no "
+                                  f"optimum ({message})") if exact else
+               LpError(f"float solver failed: {message}"))
+    if exact and sol.status != LpSolution.OPTIMAL:
+        return _certified_verdict(norm, sol.status)
+    if exact:
+        sol = _solve_active_set(norm, sol, *tight)
+        if sol is None:
+            raise CertificationError(
+                f"no exact certificate: the exact basis solve did not "
+                f"verify ({_size(norm)}); use float mode")
+    elif sol.status == LpSolution.OPTIMAL:
         report = verify_certificate(norm, sol, float_tolerance)
         if not report:
             raise CertificationError(

@@ -486,13 +486,6 @@ def _party_moves(scenario: CausalScenario, x_k: Optional[int]):
     return alice, bob
 
 
-def _round_candidates(scenario: CausalScenario, k: int,
-                      x_k: Optional[int]) -> list[LocalRelabelling]:
-    """Non-identity relabellings of round k (see ``_party_moves``), Alice's
-    side outermost: ``_round_search``'s list."""
-    return _round_search(scenario, k, x_k)[0]
-
-
 def _round_search(scenario: CausalScenario, k: int, x_k: Optional[int]):
     """Round k's non-identity relabellings, Alice's side outermost, with
     the flat-index offsets of their images in the [A, B, X, Y] marginal

@@ -295,6 +295,56 @@ def test_auxiliary_lps_decide_infeasible_or_unbounded(monkeypatch):
     assert (sol.status, sol.certified) == ("unbounded", True)
 
 
+def test_verdict_auxiliary_lps_go_through_solve(monkeypatch):
+    """``solve`` is the one exact entry: an optimum is one call, an
+    infeasible verdict two (its phase-one LP), an unbounded one three
+    (phase one and the ray LP)."""
+    infeasible, unbounded = _infeasible_and_unbounded()
+    for lp, status, count in ((_three_var_lp(), "optimal", 1),
+                              (infeasible, "infeasible", 2),
+                              (unbounded, "unbounded", 3)):
+        calls = _spy(monkeypatch, "solve")
+        assert L.solve(lp).status == status
+        assert len(calls) == count, status
+        monkeypatch.undo()
+
+
+def _fake_statuses(monkeypatch, statuses):
+    """linprog answers ``statuses`` on its first calls, then really
+    solves."""
+    real = scipy.optimize.linprog
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= len(statuses):
+            return OptimizeResult(status=statuses[len(calls) - 1],
+                                  message=f"fake status {len(calls)}")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", fake)
+    return calls
+
+
+def test_failed_auxiliary_lp_raises_as_a_failed_lp(monkeypatch):
+    """A HiGHS failure on the phase-one LP of a verdict raises the words
+    of a failure on the LP itself, after the two HiGHS calls."""
+    calls = _fake_statuses(monkeypatch, [2, 4])
+    with pytest.raises(L.CertificationError,
+                       match=r"HiGHS found no optimum \(fake status 2\)"):
+        _solve(_three_var_lp())
+    assert len(calls) == 2
+
+
+def test_mislabelled_auxiliary_lp_still_raises(monkeypatch):
+    """HiGHS calling both a feasible LP and its phase-one LP infeasible
+    raises CertificationError: the phase-one LP is proved feasible and
+    bounded by its own auxiliary LPs, two more HiGHS calls."""
+    calls = _fake_statuses(monkeypatch, [2, 2])
+    with pytest.raises(L.CertificationError, match="feasible and bounded"):
+        _solve(_three_var_lp())
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
 def test_basis_solve_alone_certifies_two_round_guessing(kind, monkeypatch):
     """The basis solve certifies the two-round guessing LPs at their
@@ -787,6 +837,39 @@ def test_append_rows_refuses_shapes_that_do_not_match(blocks, rhs, message):
     before = L.dump_lp(prog)
     with pytest.raises(L.LpError, match=rf"^{message}$"):
         L.append_rows(prog, blocks, rhs, LE)
+    assert L.dump_lp(prog) == before
+
+
+def test_append_rows_of_no_blocks_appends_nothing():
+    """No blocks and no right-hand sides append nothing and keep every
+    array; no blocks with right-hand sides are refused by both counts."""
+    prog = LinProgram(2)
+    L.append_rows(prog, [(np.array([[0, 1]]), [1, 1])], [1], LE)
+    arrays = [prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel]
+    before = L.dump_lp(prog)
+    L.append_rows(prog, [], [], LE)
+    with pytest.raises(L.LpError,
+                       match=r"^row count 0, right-hand side count 2$"):
+        L.append_rows(prog, [], [1, 2], LE)
+    assert L.dump_lp(prog) == before
+    assert all(new is old for new, old in zip(
+        [prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel], arrays))
+
+
+@pytest.mark.parametrize("columns, shape", [
+    (np.array([0, 1]), r"\(2,\)"), (np.array(1), r"\(\)"),
+    (np.zeros((1, 2, 1), np.intp), r"\(1, 2, 1\)")],
+    ids=["1-d", "0-d", "3-d"])
+def test_append_rows_refuses_a_block_that_is_not_2_d(columns, shape):
+    """A block's columns are a (rows, width) array; any other shape is
+    refused by block and shape before any array changes."""
+    prog = LinProgram(2)
+    L.append_rows(prog, [(np.array([[0, 1]]), [1, 1])], [1], LE)
+    before = L.dump_lp(prog)
+    with pytest.raises(L.LpError,
+                       match=rf"^block 1: column shape {shape}, not 2-D$"):
+        L.append_rows(prog, [(np.array([[0, 1]]), [1, 1]),
+                             (columns, [1, 1])], [1, 1], LE)
     assert L.dump_lp(prog) == before
 
 

@@ -392,7 +392,7 @@ def _flip_average(box, flips):
 
 ROUND = T.CausalScenario(T.TONS, 1)
 # The 31 non-identity local relabellings of a 2x2x2x2 round fixing x* = 0.
-LOCAL_MOVES = list(T._round_candidates(ROUND, 0, 0))
+LOCAL_MOVES = list(T._round_search(ROUND, 0, 0)[0])
 # Flip Bob's input and shift Alice's output by her input: y -> y + 1,
 # a -> a + x.  It fixes the noisy PR box but moves no output at x* = 0.
 Y_FLIP = T.LocalRelabelling(0, (0, 1), ((0, 1), (1, 0)), (1, 0),
@@ -878,7 +878,7 @@ def _fixing_oracle(marginal, scenario, x_star):
     flat = table.ravel()
     found = []
     for k, x in enumerate(x_star):
-        for r in T._round_candidates(scenario, k, x):
+        for r in T._round_search(scenario, k, x)[0]:
             (A2, X2), (B2, Y2) = T._string_images(r, scenario)
             image = (((A2[:, None, :, None] * SB + B2[None, :, None, :]) * SX
                       + X2[:, None, :, None]) * SY + Y2[None, :, None, :])
@@ -932,7 +932,7 @@ def _block_passes(marginal, scenario, x_star):
     passes = []
     for k, x in enumerate(x_star):
         passes.append(0)
-        for r in T._round_candidates(scenario, k, x):
+        for r in T._round_search(scenario, k, x)[0]:
             (A2, X2), (B2, Y2) = T._string_images(r, scenario)
             image = table[A2[0][:, None], B2[0][None, :], X2[0][:, None],
                           Y2[0][None, :]]
