@@ -6,6 +6,12 @@ with verification report), curves (min-entropy curves CSV) and bounds
 (concentration-bound sweeps CSV).  Outputs are deterministic given the
 configuration and embed reproducibility manifests.
 
+Settings (flags on either side of the subcommand, or --config fields):
+ns-value, tons and curves read --mode and --float-tolerance, ks-attack
+--orth-tolerance, bounds none and no --config; the others are refused.
+Two still move only the config hash: --float-tolerance in exact mode,
+and curves' settings without --lp-samples.
+
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 infeasible parameters or size caps, 3 input errors, 4 certification
 failure (no exactly verified certificate, or a float optimum outside
@@ -50,22 +56,16 @@ BUILTIN_KS = ("cabello18", "peres24", "single_basis")
 
 @dataclass
 class RunConfig:
-    mode: str = "exact"
+    mode: Optional[str] = None  # None: the command's default
     float_tolerance: float = 1e-9
     orth_tolerance: float = 1e-9
-    mode_explicit: bool = False
 
     def hashed(self) -> dict:
-        """The manifest's config: every field that can change an output.
-
-        ``mode_explicit`` is left out: with it, the same run under the
-        default mode and under an explicit ``--mode exact`` would differ
-        only in the config hash.
-        """
-        return {k: v for k, v in asdict(self).items() if k != "mode_explicit"}
+        """The manifest's config; an unset mode hashes as "exact"."""
+        return asdict(self) | {"mode": self.mode or "exact"}
 
     def validate(self) -> None:
-        if self.mode not in ("exact", "float"):
+        if self.mode not in (None, "exact", "float"):
             raise serialize.InputFormatError(f"unknown mode {self.mode!r}")
         for name in ("float_tolerance", "orth_tolerance"):
             value = getattr(self, name)
@@ -81,6 +81,14 @@ _CONFIG_FIELDS = {"mode": (str, "a string"),
 
 
 def load_config(args) -> RunConfig:
+    """The settings ``args.command`` reads (``args.reads``).  Any other
+    flag, or --config where it reads none, is an input error; the config
+    file's other fields are type-checked, not applied."""
+    accepted = {"config", *args.reads} if args.reads else set()
+    for field in ("config", *_CONFIG_FIELDS):
+        if hasattr(args, field) and field not in accepted:
+            raise serialize.InputFormatError(
+                f"{args.command} does not read --{field.replace('_', '-')}")
     cfg = RunConfig()
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -95,15 +103,11 @@ def load_config(args) -> RunConfig:
                     raise serialize.InputFormatError(
                         f"config file {path}: {field} must be {name}, "
                         f"not {json.dumps(value)}")
-                setattr(cfg, field, value)
-                if field == "mode":
-                    cfg.mode_explicit = True
-    for field in _CONFIG_FIELDS:
-        value = getattr(args, field, None)
-        if value is not None:
-            setattr(cfg, field, value)
-            if field == "mode":
-                cfg.mode_explicit = True
+                if field in args.reads:
+                    setattr(cfg, field, value)
+    for field in args.reads:
+        if hasattr(args, field):
+            setattr(cfg, field, getattr(args, field))
     cfg.validate()
     return cfg
 
@@ -154,18 +158,19 @@ def _resolve_ks(spec: str, orth_tol: float) -> tuple[ksattack.KSSet, list[Path]]
 def cmd_ns_value(args, cfg: RunConfig) -> int:
     game, inputs = _resolve_game(args.game)
     prog, _ = nsvalues._behavior_lp(game, games.game_value_coefficients(game))
-    sol = solve_certified(prog, cfg.mode, cfg.float_tolerance)
+    mode = cfg.mode or "exact"
+    sol = solve_certified(prog, mode, cfg.float_tolerance)
     value = sol.value
-    print(serialize.frac_str(value) if cfg.mode == "exact" else repr(value))
+    print(serialize.frac_str(value) if mode == "exact" else repr(value))
     manifest = serialize.build_manifest(cfg.hashed() | {"game": args.game},
                                         inputs)
     certificate = {
         "game": game.name or args.game,
-        "value": serialize.frac_str(value) if cfg.mode == "exact" else value,
+        "value": serialize.frac_str(value) if mode == "exact" else value,
         "certified": sol.certified,
-        "primal": [serialize.frac_str(p) if cfg.mode == "exact" else p
+        "primal": [serialize.frac_str(p) if mode == "exact" else p
                    for p in sol.primal],
-        "dual": [serialize.frac_str(y) if cfg.mode == "exact" else y
+        "dual": [serialize.frac_str(y) if mode == "exact" else y
                  for y in sol.dual],
     }
     serialize.write_json(args.certificate, certificate, manifest)
@@ -191,13 +196,11 @@ def cmd_tons(args, cfg: RunConfig) -> int:
             "supply a behavior file via --marginal")
     box = games.make_pr_v(games.NoisyPRParams(v)) if marginal is None \
         else None
-    # Exact mode is the default for n <= 2; bigger instances fall back to
-    # float unless a mode is requested explicitly.
-    fallback = not cfg.mode_explicit and cfg.mode == "exact" and n >= 3
-    mode = "float" if fallback else cfg.mode
-    # Enforce the size cap of that mode before building the product.
+    # Unset, the mode is float from three rounds; its size cap is enforced
+    # before the product is built.
+    mode = cfg.mode or ("float" if n >= 3 else "exact")
     tons._check_caps(scenario, mode, marginal, x_star, round_box=box)
-    if fallback:
+    if cfg.mode is None and n >= 3:
         print(f"note: n = {n} solved in float mode (pass --mode exact "
               f"to insist)", file=sys.stderr)
     if box is not None:
@@ -271,7 +274,8 @@ def cmd_curves(args, cfg: RunConfig) -> int:
             if args.lp_samples > 1 else Fraction(0)
         samples = [4 + i * step_q for i in range(args.lp_samples)]
         lp_rows = nsvalues.chain_ns_guessing_curve(
-            samples, mode=cfg.mode, float_tolerance=cfg.float_tolerance)
+            samples, mode=cfg.mode or "exact",
+            float_tolerance=cfg.float_tolerance)
         header, rows_lp = serialize.guessing_curve_rows(lp_rows)
         lp_path = Path(args.out).with_suffix(".lp.csv")
         serialize.write_csv(lp_path, header, rows_lp, manifest)
@@ -319,18 +323,15 @@ def cmd_bounds(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Global flags are accepted before and after the subcommand.  Unset
-    # flags leave no attribute (SUPPRESS), so a flag given before the
-    # subcommand is not reset by the subcommand's defaults, and an unset
-    # one leaves the config file's value in place.
+    # Settings go before or after the subcommand.  Unset ones leave no
+    # attribute (SUPPRESS): they reset neither the other side nor the config.
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--config",
                         help=f"JSON config path (or ${CONFIG_ENV_VAR})")
     common.add_argument("--mode", choices=("exact", "float"))
-    common.add_argument("--float-tolerance", dest="float_tolerance",
-                        type=float)
-    common.add_argument("--orth-tolerance", dest="orth_tolerance", type=float)
+    common.add_argument("--float-tolerance", type=float)
+    common.add_argument("--orth-tolerance", type=float)
     parser = argparse.ArgumentParser(
         prog="nsrand", parents=[common],
         description="Device-independent randomness against no-signalling "
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="builtin name (%s) or JSON path"
                    % ", ".join(BUILTIN_GAMES))
     p.add_argument("--certificate", default="ns_value_certificate.json")
-    p.set_defaults(func=cmd_ns_value)
+    p.set_defaults(func=cmd_ns_value, reads=("mode", "float_tolerance"))
 
     p = sub.add_parser("tons", parents=[common],
                        help="multi-round guessing probability")
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xstar", default=None, help="digit string, e.g. 01")
     p.add_argument("--marginal", default=None,
                    help="behavior JSON overriding the bundled product marginal")
-    p.set_defaults(func=cmd_tons)
+    p.set_defaults(func=cmd_tons, reads=("mode", "float_tolerance"))
 
     p = sub.add_parser("ks-attack", parents=[common],
                        help="KS-set attack pipeline")
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="builtin name (%s) or JSON path" % ", ".join(BUILTIN_KS))
     p.add_argument("--xstar", type=int, default=0, help="Alice basis index")
     p.add_argument("--out", default="attack_behavior.json")
-    p.set_defaults(func=cmd_ks_attack)
+    p.set_defaults(func=cmd_ks_attack, reads=("orth_tolerance",))
 
     p = sub.add_parser("curves", parents=[common],
                        help="min-entropy curves CSV")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lp-samples", dest="lp_samples", type=int, default=0,
                    help="also LP-verify the NS line at this many rational w")
     p.add_argument("--out", default="curves.csv")
-    p.set_defaults(func=cmd_curves)
+    p.set_defaults(func=cmd_curves, reads=("mode", "float_tolerance"))
 
     p = sub.add_parser("bounds", parents=[common],
                        help="concentration bound sweep CSV")
@@ -383,13 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-star", dest="omega_star", type=float, default=None,
                    help="derive kappa = delta = (omega* - 8/9)/2")
     p.add_argument("--out", default="bounds.csv")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_bounds, reads=())
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         return args.func(args, cfg)

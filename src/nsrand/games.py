@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -31,6 +32,29 @@ Number = Union[Fraction, float]
 
 class GameError(ValueError):
     """Inconsistent game or behavior data."""
+
+
+def finite_rational(value, what: str) -> Fraction:
+    """``Fraction(value)``; a NaN, an infinity or a malformed string is a
+    GameError naming ``what``."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        raise GameError(f"{what} must be a finite rational, not "
+                        f"{value!r}") from None
+
+
+def positive_int(value, what: str) -> int:
+    """``value`` as an int; one that is not an integer (``operator.index``)
+    or is below 1 is a GameError naming ``what``."""
+    try:
+        n = operator.index(value)
+    except TypeError:  # not an integer: refused below
+        n = 0
+    if n < 1:
+        raise GameError(f"{what} must be an integer of at least 1, not "
+                        f"{value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -54,7 +78,7 @@ class NoisyPRParams:
     v: Fraction
 
     def __post_init__(self):
-        v = Fraction(self.v)
+        v = finite_rational(self.v, "v")
         object.__setattr__(self, "v", v)
         if not 0 <= v <= 1:
             raise GameError(f"v must lie in [0, 1], got {v}")
@@ -413,8 +437,7 @@ def product_behavior(behavior: Behavior, n: int) -> Behavior:
     over as its ``integers`` by ``_integer_behavior``."""
     if behavior.parties != 2:
         raise GameError("product_behavior expects a bipartite behavior")
-    if n < 1:
-        raise GameError("need at least one round")
+    n = positive_int(n, "round count")
     behavior.check_valid()
     box, den = behavior.integers
     box = narrowed(box, int(box.max()) ** (n - 1))  # products fit int64

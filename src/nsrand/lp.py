@@ -482,6 +482,10 @@ _IPM_ROW_THRESHOLD = 4000
 # random LPs with coefficients in [-9, 9], took 25 s at 85k nonzeros and
 # 60 s at 152k; the sparse four-round TONS slice (96k) takes 0.6 s.
 _FALLBACK_CELL_LIMIT = 100_000
+# HiGHS's feasibility tolerances on the retry after a failed certificate;
+# its defaults, 1e-7, can leave residuals above the checks' 1e-9.
+_TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10}
 # HiGHS statuses with a verdict; any other status is a solver failure.
 _HIGHS_STATUS = {0: LpSolution.OPTIMAL, 2: LpSolution.INFEASIBLE,
                  3: LpSolution.UNBOUNDED}
@@ -489,9 +493,10 @@ _HIGHS_STATUS = {0: LpSolution.OPTIMAL, 2: LpSolution.INFEASIBLE,
 RHS = -1
 
 
-def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
-                                      Optional[tuple[list, list]]]:
-    """One HiGHS solve of the normalized LP.
+def _highs(norm: LinProgram, options: Optional[dict] = None
+           ) -> tuple[Optional[LpSolution], str, Optional[tuple[list, list]]]:
+    """One HiGHS solve of the normalized LP, with ``linprog``'s
+    ``options`` if given.
 
     Returns a float ``LpSolution`` (primal and duals in this module's
     sign convention), HiGHS's message and, at an optimum, HiGHS's row
@@ -526,7 +531,8 @@ def _highs(norm: LinProgram) -> tuple[Optional[LpSolution], str,
                       [0, np.inf])
     method = "highs-ipm" if m > _IPM_ROW_THRESHOLD else "highs-ds"
     res = linprog(c, A_ub=part(a, ub), b_ub=part(b, ub), A_eq=part(a, eq),
-                  b_eq=part(b, eq), bounds=bounds, method=method)
+                  b_eq=part(b, eq), bounds=bounds, method=method,
+                  options=options)
     status = _HIGHS_STATUS.get(res.status)
     if status != LpSolution.OPTIMAL:
         return (None if status is None else
@@ -684,13 +690,15 @@ def solve(lp: LinProgram, mode: str = "exact",
           float_tolerance: float = 1e-9) -> LpSolution:
     """Solve the LP; the one entry to exact mode.
 
-    Both modes make one HiGHS call (``_highs``): dual simplex, or
+    Both modes start with one HiGHS call (``_highs``): dual simplex, or
     interior point with crossover above ``_IPM_ROW_THRESHOLD`` rows.  An
     LP without variables needs none: its rows are checked at x = [].  A
     float-mode optimum is checked with ``verify_certificate`` at
-    ``float_tolerance`` and raises ``CertificationError`` when it fails;
-    a HiGHS failure, or a tolerance that is not finite and positive,
-    raises ``LpError``.
+    ``float_tolerance``; a HiGHS failure, or a tolerance that is not
+    finite and positive, raises ``LpError``.  An optimum whose
+    certificate fails, in either mode, is solved once more by HiGHS at
+    the ``_TIGHT_HIGHS`` tolerances, and that optimum is checked the
+    same way; if it fails too, ``CertificationError`` is raised.
 
     Exact mode refuses an LP over ``_FALLBACK_CELL_LIMIT`` nonzeros
     before HiGHS runs, solves the rows and columns tight at the HiGHS
@@ -722,22 +730,32 @@ def solve(lp: LinProgram, mode: str = "exact",
         raise (CertificationError(f"no exact certificate: HiGHS found no "
                                   f"optimum ({message})") if exact else
                LpError(f"float solver failed: {message}"))
-    if exact and sol.status != LpSolution.OPTIMAL:
-        return _certified_verdict(norm, sol.status)
-    if exact:
-        sol = _solve_active_set(norm, sol, *tight)
-        if sol is None:
-            raise CertificationError(
-                f"no exact certificate: the exact basis solve did not "
-                f"verify ({_size(norm)}); use float mode")
-    elif sol.status == LpSolution.OPTIMAL:
+    if sol.status != LpSolution.OPTIMAL:
+        return _certified_verdict(norm, sol.status) if exact else sol
+
+    def certified(sol: LpSolution, tight: tuple[list, list]) -> LpSolution:
+        if exact:
+            sol = _solve_active_set(norm, sol, *tight)
+            if sol is None:
+                raise CertificationError(
+                    f"no exact certificate: the exact basis solve did not "
+                    f"verify ({_size(norm)}); use float mode")
+            return sol
         report = verify_certificate(norm, sol, float_tolerance)
         if not report:
             raise CertificationError(
                 f"float optimum fails its certificate at tolerance "
                 f"{float_tolerance:g} ({len(report.reasons)} residuals): "
                 + "; ".join(report.reasons[:3]))
-    return sol
+        return sol
+
+    try:
+        return certified(sol, tight)
+    except CertificationError:
+        retry, _, tight = _highs(norm, _TIGHT_HIGHS)
+        if retry is None or retry.status != LpSolution.OPTIMAL:
+            raise
+    return certified(retry, tight)
 
 
 def solve_certified(lp: LinProgram, mode: str,

@@ -23,8 +23,9 @@ import numpy as np
 from . import lp as L
 from . import tons as T
 from .games import (NS_FAMILIES, Game, GameError, chain_i3_coefficients,
-                    game_value_coefficients, make_chain_game, ns_families,
-                    ns_index_groups, ns_pair_rows)
+                    finite_rational, game_value_coefficients,
+                    make_chain_game, ns_families, ns_index_groups,
+                    ns_pair_rows)
 from .lp import InfeasibleError  # noqa: F401  (re-exported)
 
 Number = Union[Fraction, float]
@@ -95,7 +96,7 @@ def eps_ns_value(game: Game, epsilon, mode: str = "exact") -> EpsNsReport:
     and three two-party groups) are relaxed with the same slack; ordered
     input pairs give one inequality per direction of each absolute value.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = finite_rational(epsilon, "epsilon")
     if epsilon < 0:
         raise GameError("epsilon must be nonnegative")
     prog, var = _normalized_lp(game, game_value_coefficients(game))
@@ -134,7 +135,7 @@ def alpha_slope(game: Game, eps_grid: Sequence, mode: str = "exact") -> Fraction
     raises NonAffineSlopeError whose ``segments`` attribute reports the
     piecewise structure instead of a single slope.
     """
-    grid = sorted({Fraction(e) for e in eps_grid})
+    grid = sorted({finite_rational(e, "epsilon") for e in eps_grid})
     if len(grid) < 2:
         raise GameError("need at least two distinct grid points")
     values = [eps_ns_value(game, e, mode=mode).value for e in grid]
@@ -190,7 +191,7 @@ def chain_ns_guessing_curve(samples: Sequence, mode: str = "exact",
     functional = chain_i3_coefficients()
     rows = []
     for w in samples:
-        w = Fraction(w)
+        w = finite_rational(w, "sample")
         if not 4 <= w <= 6:
             raise GameError(f"sample {w} outside [4, 6]")
         pg = single_round_guessing(game, x_star, w, L.EQ,

@@ -58,15 +58,15 @@ import numpy as np
 from . import lp as L
 from .games import (BLOCK_FAMILIES, Behavior, Game, GameError, Number,
                     encode_string, game_value_coefficients, ns_index_groups,
-                    ns_pair_rows)
+                    ns_pair_rows, positive_int)
 
 TONS = "tons"
 ABNS = "abns"
 
 # Four rounds give a 4,096-variable slice for the noisy PR box (TONS:
-# 7,297 rows, built in 0.5 s and solved in 0.6-0.9 s on a 2-vCPU Xeon),
-# but at v = 11/12 both kinds' float optima miss the default tolerance
-# and their exact basis solve does not verify.
+# 7,297 rows, built in 0.5 s and solved in 0.6-0.9 s on a 2-vCPU Xeon);
+# at v = 11/12 both kinds certify only on ``lp.solve``'s tight retry.
+# The caps stay at 3 until the four-round values are pinned.
 EXACT_ROUND_CAP = 3
 FLOAT_ROUND_CAP = 3
 
@@ -85,8 +85,11 @@ class CausalScenario:
     def __post_init__(self):
         if self.kind not in (TONS, ABNS):
             raise GameError(f"unknown causal scenario kind {self.kind!r}")
-        if self.rounds < 1:
-            raise GameError("need at least one round")
+        for field in ("rounds", "alice_outputs", "bob_outputs",
+                      "alice_inputs", "bob_inputs"):
+            object.__setattr__(self, field, positive_int(
+                getattr(self, field), "round count" if field == "rounds"
+                else f"alphabet size {field}"))
 
     @classmethod
     def for_game(cls, kind: str, rounds: int, game: Game) -> "CausalScenario":
@@ -585,6 +588,7 @@ def tons_guessing_probability(game: Game, marginal: Optional[Behavior],
 def iid_guessing_baseline(game: Game, single_round_marginal: Behavior,
                           n: int, mode: str = "exact") -> Number:
     """The i.i.d. benchmark: (single-round guessing LP value) ** n."""
+    n = positive_int(n, "round count")
     scenario = CausalScenario.for_game(TONS, 1, game)
     single = tons_guessing_probability(game, single_round_marginal, (0,),
                                        scenario, mode=mode)

@@ -34,8 +34,8 @@ def perturbed_float_solver(monkeypatch):
     """HiGHS answers shifted by 1e-6 in every primal coordinate."""
     real = L._highs
 
-    def perturbed(norm):
-        sol, message, tight = real(norm)
+    def perturbed(norm, *options):
+        sol, message, tight = real(norm, *options)
         sol.primal = [x + 1e-6 for x in sol.primal]
         return sol, message, tight
 

@@ -817,3 +817,13 @@ class TestProductTableView:
                           dict(product.table))
         assert json.dumps(S.behavior_to_dict(product)) == \
             json.dumps(S.behavior_to_dict(copy))
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.5, F(2), "2"])
+def test_product_round_count_must_be_a_positive_integer(n):
+    """A round count that is not an integer, or is below 1, is a
+    GameError naming the value, not a TypeError or a fractional power."""
+    box = G.make_pr_v(G.NoisyPRParams(F(1, 2)))
+    with pytest.raises(G.GameError, match=re.escape(
+            f"round count must be an integer of at least 1, not {n!r}")):
+        G.product_behavior(box, n)

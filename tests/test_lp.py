@@ -452,6 +452,35 @@ def test_three_round_float_values_are_pinned(kind, v, value, digest,
     assert digests == [digest]
 
 
+@pytest.mark.parametrize("kind, value", [
+    (T.TONS, F(9, 64)), (T.ABNS, F(594623, 2654208))])
+def test_four_round_slices_certify_on_the_tight_retry(kind, value,
+                                                      monkeypatch):
+    """At v = 11/12 the four-round slices' optima fail their certificates
+    at HiGHS's default tolerances; the one retry, with both feasibility
+    tolerances at 1e-10, certifies them exactly and in float mode."""
+    chsh = G.make_chsh_game()
+    scenario = T.CausalScenario.for_game(kind, 4, chsh)
+    marginal = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(11, 12))), 4)
+    prog = T.build_guessing_lp(
+        chsh, marginal, (0,) * 4, scenario,
+        relabellings=T.marginal_symmetries(marginal, scenario, (0,) * 4)
+    ).program
+    real, options = scipy.optimize.linprog, []
+
+    def spy(*args, **kwargs):
+        options.append(kwargs.get("options"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    sol = L.solve(prog, "exact")
+    assert (sol.value, sol.certified) == (value, True)
+    assert L.solve(prog, "float").value == pytest.approx(float(value),
+                                                         abs=1e-9)
+    tight = {"primal_feasibility_tolerance": 1e-10,
+             "dual_feasibility_tolerance": 1e-10}
+    assert options == [None, tight] * 2
+
+
 def test_single_round_highs_inputs_are_pinned(monkeypatch):
     """The HiGHS input of the eps-NS LP of the chain guessing game at
     eps = 1/20 and of the magic-square guessing LP at value 1."""

@@ -1,6 +1,8 @@
 """Tests for single-round no-signalling values and guessing LPs."""
 
 import hashlib
+import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -236,3 +238,21 @@ def test_guessing_game_lp_value_from_raw_engine(chain_guessing_game):
     sol = L.solve(prog, mode="exact")
     assert sol.value == F(8, 9)
     assert sol.certified
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_rationals_are_refused_by_name(value,
+                                                  chain_guessing_game):
+    """A NaN or infinite epsilon, noise weight or curve sample is a
+    GameError naming the parameter; a finite one keeps its result."""
+    calls = ((lambda: NV.eps_ns_value(chain_guessing_game, value),
+              "epsilon"),
+             (lambda: NV.alpha_slope(chain_guessing_game, [0, value]),
+              "epsilon"),
+             (lambda: G.NoisyPRParams(value), "v"),
+             (lambda: NV.chain_ns_guessing_curve([value]), "sample"))
+    for call, name in calls:
+        with pytest.raises(G.GameError, match=re.escape(
+                f"{name} must be a finite rational, not {value!r}")):
+            call()
+    assert NV.eps_ns_value(chain_guessing_game, "1/20").value == F(17, 18)

@@ -1,5 +1,6 @@
 """Tests for JSON/CSV serialization and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -676,3 +677,68 @@ def test_python_m_nsrand_runs_the_cli():
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["n,v,scenario,pg,formula,match",
                                        "2,1/2,tons,5/8,5/8,yes"]
+
+
+# Each command and its arguments, and each setting with a value.
+_COMMANDS = {"ns-value": ["ns-value", "chsh"], "tons": ["tons"],
+             "ks-attack": ["ks-attack", "--ks", "cabello18"],
+             "curves": ["curves"], "bounds": ["bounds"]}
+_SETTINGS = {"--config": "cfg.json", "--mode": "float",
+             "--float-tolerance": "1e-3", "--orth-tolerance": "1e-3"}
+
+
+def test_each_command_takes_only_the_settings_it_reads(tmp_path, capsys,
+                                                       monkeypatch):
+    """Of the 20 (command, setting) pairs, the 11 a command reads are
+    accepted.  Each other one exits 3 naming the command and the flag,
+    before or after the subcommand, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    (tmp_path / "cfg.json").write_text("{}")
+    accepted = set()
+    for command, argv in _COMMANDS.items():
+        for flag, value in _SETTINGS.items():
+            for full in ([flag, value, *argv], [*argv, flag, value]):
+                try:
+                    cli.load_config(cli.build_parser().parse_args(full))
+                except S.InputFormatError:
+                    assert cli.main(full) == cli.EXIT_INPUT_ERROR, full
+                    assert capsys.readouterr().err == \
+                        f"input error: {command} does not read {flag}\n"
+                else:
+                    accepted.add((command, flag))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    solver = {"--config", "--mode", "--float-tolerance"}
+    assert accepted == {(c, f) for c in ("ns-value", "tons", "curves")
+                        for f in solver} | {("ks-attack", "--config"),
+                                            ("ks-attack", "--orth-tolerance")}
+
+
+def test_run_config_has_no_hidden_mode_field():
+    """Three fields; an unset mode, the command's default, hashes as an
+    explicit exact mode does."""
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == [
+        "mode", "float_tolerance", "orth_tolerance"]
+    assert cli.RunConfig().mode is None
+    assert cli.RunConfig().hashed() == cli.RunConfig("exact").hashed() == {
+        "mode": "exact", "float_tolerance": 1e-9, "orth_tolerance": 1e-9}
+
+
+@pytest.mark.parametrize("argv, out, fields", [
+    (["ns-value", "chsh"], "--certificate",
+     {"orth_tolerance": 1e-6, "mode": "exact"}),
+    (["ks-attack", "--ks", "cabello18"], "--out",
+     {"mode": "float", "float_tolerance": 1e-3})])
+def test_unread_config_fields_leave_the_default_bytes(argv, out, fields,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    """Config file fields a command does not read are type-checked, not
+    applied: the run writes the default run's bytes."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(argv + [out, str(a)]) == 0
+    assert cli.main(argv + [out, str(b), "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()

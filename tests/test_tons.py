@@ -816,6 +816,39 @@ class TestGeneratedInvariances:
         assert value(T.TONS, (x1, x2)) <= abns
         assert value(T.TONS, (x2, x1)) <= abns
 
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from([T.TONS, T.ABNS]), n=st.integers(1, 2),
+           data=st.data())
+    def test_value_is_local_relabelling_invariant(self, chsh_game, seed,
+                                                  kind, n, data):
+        """Relabelling the first round of b (x) ... (x) b locally (each
+        party's inputs by a permutation, its outputs by one permutation
+        per input) moves x*_1 to its image and keeps the exact value."""
+        perm = st.permutations([0, 1])
+        sx, sy, ax, by = (data.draw(perm), data.draw(perm),
+                          data.draw(st.tuples(perm, perm)),
+                          data.draw(st.tuples(perm, perm)))
+        x_star = data.draw(st.tuples(*[st.integers(0, 1)] * n))
+        product = G.product_behavior(
+            _random_ns_behavior(random.Random(seed)), n)
+        scale = 2 ** (n - 1)  # round 1 is the most significant symbol
+
+        def moved(key):
+            (a, b), (x, y) = ([divmod(s, scale) for s in pair]
+                              for pair in key)
+            return ((ax[x[0]][a[0]] * scale + a[1],
+                     by[y[0]][b[0]] * scale + b[1]),
+                    (sx[x[0]] * scale + x[1], sy[y[0]] * scale + y[1]))
+        relabelled = G.Behavior(
+            product.input_sizes, product.output_sizes,
+            {moved(k): p for k, p in product.table.items()})
+        scenario = T.CausalScenario.for_game(kind, n, chsh_game)
+        assert T.tons_guessing_probability(
+            chsh_game, relabelled, (sx[x_star[0]], *x_star[1:]), scenario) \
+            == T.tons_guessing_probability(chsh_game, product, x_star,
+                                           scenario)
+
     def test_tons_value_depends_on_the_round_order(self, chsh_game):
         """The TONS rows are time-ordered, so swapping the rounds of x* is
         no symmetry of the TONS LP: on this box's b (x) b the two orders
@@ -1210,3 +1243,27 @@ def test_keys_outside_the_alphabets_are_refused(chsh_game):
     with pytest.raises(G.GameError, match=re.escape(
             "keys outside the alphabets: [((2, 0), (0, 0))]")):
         T.tons_guessing_probability(chsh_game, marginal, (0,), scenario)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1.5, F(2), "2"])
+def test_iid_baseline_refuses_a_malformed_round_count(chsh_game, n):
+    """n = -1 gave 4/3, n = 0 gave 1 and n = 1.5 a float in exact mode."""
+    pr = G.make_pr_v(G.NoisyPRParams(F(1, 2)))
+    with pytest.raises(G.GameError, match=re.escape(
+            f"round count must be an integer of at least 1, not {n!r}")):
+        T.iid_guessing_baseline(chsh_game, pr, n)
+
+
+@pytest.mark.parametrize("sizes, name, value", [
+    ((1.5,), "round count", 1.5), ((0,), "round count", 0),
+    ((1, 0), "alphabet size alice_outputs", 0),
+    ((2, 2, 2, 2, F(3, 2)), "alphabet size bob_inputs", F(3, 2)),
+    ((2, 2, -1), "alphabet size bob_outputs", -1)])
+def test_scenario_sizes_must_be_positive_integers(sizes, name, value):
+    """A scenario's round count and alphabet sizes are integers of at least
+    1, refused by name at construction, not by a bare TypeError later."""
+    with pytest.raises(G.GameError, match=re.escape(
+            f"{name} must be an integer of at least 1, not {value!r}")):
+        T.CausalScenario(T.TONS, *sizes)
+    rounds = T.CausalScenario(T.ABNS, np.int64(2)).rounds
+    assert (rounds, type(rounds)) == (2, int)
