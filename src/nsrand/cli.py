@@ -90,7 +90,9 @@ def load_config(args) -> RunConfig:
             raise serialize.InputFormatError(
                 f"{args.command} does not read --{field.replace('_', '-')}")
     cfg = RunConfig()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    # A command that reads no setting reads no config file either.
+    path = args.reads and (getattr(args, "config", None)
+                           or os.environ.get(CONFIG_ENV_VAR))
     if path:
         data = _read_json(path, "config file")
         if not isinstance(data, dict):

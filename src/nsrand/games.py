@@ -64,8 +64,8 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise GameError(f"alphabet size must be >= 1, got {self.size}")
+        object.__setattr__(self, "size", positive_int(self.size,
+                                                      "alphabet size"))
 
     def symbols(self) -> range:
         return range(self.size)

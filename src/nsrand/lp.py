@@ -1,8 +1,8 @@
 """Exact rational-arithmetic linear programming.
 
-Both modes make one HiGHS call through scipy: dual simplex, or interior
-point with crossover on instances above ``_IPM_ROW_THRESHOLD`` rows.
-Float mode checks the HiGHS optimum against its certificate at a
+Both modes start with one HiGHS call through scipy: dual simplex, or
+interior point with crossover on instances above ``_IPM_ROW_THRESHOLD``
+rows.  Float mode checks the HiGHS optimum against its certificate at a
 tolerance.  Exact mode has one path: it solves the rows and columns that
 HiGHS reports tight at its float optimum over the integers, by
 fraction-free elimination (``_echelon``; rows past full rank are only
@@ -10,11 +10,14 @@ checked), and accepts the rational pair only if primal feasibility, dual
 feasibility and equality of both objectives hold in exact arithmetic
 (the lift-and-verify scheme of QSopt_ex; Applegate, Cook, Dash &
 Espinoza, Oper. Res. Lett. 35 (2007), finished by an exact basis solve
-as in Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  Both
-modes check a certificate with one residual evaluator: numpy sums over
-the LP data, primal and dual, compared with 0 over integers in exact
-mode and at the tolerance over floats in float mode.  ``solve`` is the
-one exact entry, also for the auxiliary LPs that prove a verdict.
+as in Gleixner, Steffy & Wolter, INFORMS J. Comput. 28 (2016)).  An
+optimum whose certificate fails, in either mode, gets one more HiGHS
+call at the tighter ``_TIGHT_HIGHS`` feasibility tolerances, and that
+optimum is checked the same way.  Both modes check a certificate with
+one residual evaluator: numpy sums over the LP data, primal and dual,
+compared with 0 over integers in exact mode and at the tolerance over
+floats in float mode.  ``solve`` is the one exact entry, also for the
+auxiliary LPs that prove a verdict.
 
 An LP keeps its rows as CSR arrays of integer numerators over common
 denominators (``LinProgram``), which one writer, ``append_rows``, fills

@@ -21,7 +21,11 @@ on the feasible set, though not term by term (a Bob input permutation
 moves the reference input, which Alice's marginal ignores).  An invariant
 LP has an invariant optimum, so the LP is solved on its symmetric slice:
 one variable per orbit of the generated group (Boedi, Herr & Joswig,
-Math. Program. 137 (2013)).  The noisy PR box is fixed per round by
+Math. Program. 137 (2013)).  The group is the product of the rounds'
+groups, so the orbits are labelled round by round (``_orbit_labels``):
+each round's one-round orbits, of na * nx * ny * na * nb variables, give
+its share of every orbit's least variable, and no permutation of the
+whole variable space is built.  The noisy PR box is fixed per round by
 flipping both outputs and by flipping Bob's input while Alice's output
 shifts by her input (y -> y + 1, a -> a + x): the three-round slice has
 512 columns instead of 32,768, and certifies exactly at every noise
@@ -64,7 +68,7 @@ TONS = "tons"
 ABNS = "abns"
 
 # Four rounds give a 4,096-variable slice for the noisy PR box (TONS:
-# 7,297 rows, built in 0.5 s and solved in 0.6-0.9 s on a 2-vCPU Xeon);
+# 7,297 rows, built in 0.3 s and solved in 0.6-0.9 s on a 2-vCPU Xeon);
 # at v = 11/12 both kinds certify only on ``lp.solve``'s tight retry.
 # The caps stay at 3 until the four-round values are pinned.
 EXACT_ROUND_CAP = 3
@@ -298,6 +302,43 @@ def _orbit_minima(size: int, maps: Sequence[np.ndarray]) -> np.ndarray:
         labels = new
 
 
+def _orbit_labels(scenario: CausalScenario, x_star: Sequence[int],
+                  relabellings: Sequence[LocalRelabelling]) -> np.ndarray:
+    """``_orbit_minima`` of the guessing LP's variables under the
+    single-round ``relabellings``, built from one-round orbits.
+
+    Relabellings of different rounds act on disjoint digits of a
+    variable, so the group is the product of the round groups.  Variable
+    v's index is the sum over rounds k of a term in v's round-k digits
+    (e_k, x_k, y_k, a_k, b_k) alone, increasing in them lexicographically,
+    so its orbit's least index is the sum of each round's least term.
+    Round k's is read off ``_orbit_minima`` on the one-round space (of
+    na * nx * ny * na * nb variables) under round k's relabellings; the n
+    shares are added by broadcasting over the 5n digit axes.
+    """
+    n = scenario.rounds
+    na, nb, nx, ny = (scenario.alice_outputs, scenario.bob_outputs,
+                      scenario.alice_inputs, scenario.bob_inputs)
+    SA, SB, SX, SY = scenario.string_sizes
+    one = replace(scenario, rounds=1)
+    sizes = (na, nx, ny, na, nb)
+    # Weight of the least significant digit of e, X, Y, A and B.
+    unit = np.array([SX * SY * SA * SB, SY * SA * SB, SA * SB, SB, 1])
+    labels = np.zeros(sum(((s,) * n for s in sizes), ()), np.int64)
+    for k in range(n):
+        minima = _orbit_minima(math.prod(sizes), [
+            _variable_map(replace(r, k=0), one, (x_star[k],))
+            for r in relabellings if r.k == k])
+        weights = unit * np.array(sizes) ** (n - 1 - k)
+        share = weights @ np.array(np.unravel_index(minima, sizes))
+        # Round k's digit of each string lies on axis k of its n axes.
+        shape = [1] * (5 * n)
+        for axis in range(k, 5 * n, n):
+            shape[axis] = sizes[axis // n]
+        labels += share.reshape(shape)
+    return labels.ravel()
+
+
 @dataclass(frozen=True)
 class _Skeleton:
     """What a guessing LP takes from its ``_guessing_skeleton`` key alone.
@@ -327,10 +368,10 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
     x_enc = encode_string(list(x_star), scenario.alice_inputs)
     y_enc = encode_string(list(y_ref), scenario.bob_inputs)
     # Variables are numbered with e, X, Y, A, B from major to minor;
-    # labels[v] is the least variable of v's orbit.
+    # labels[v] is the least variable of v's orbit, summed from the
+    # one-round orbits of each round's relabellings.
     block = SA * SB * SX * SY
-    labels = _orbit_minima(SA * block, [
-        _variable_map(r, scenario, x_star) for r in relabellings])
+    labels = _orbit_labels(scenario, x_star, relabellings)
     orbits, col = np.unique(labels, return_inverse=True)
     col.setflags(write=False)
     prog = L.LinProgram(len(orbits))

@@ -413,8 +413,18 @@ class TestConstructedGameInvariants:
             assert len(game.predicate) == n_in * n_out
 
     def test_alphabet_validation(self):
-        with pytest.raises(G.GameError):
-            G.Alphabet(0)
+        """A size that is not an integer of at least 1 is refused when the
+        alphabet is made, naming the alphabet size."""
+        for size in (1.5, 0, -1):
+            with pytest.raises(G.GameError, match=re.escape(
+                    f"alphabet size must be an integer of at least 1, not "
+                    f"{size!r}")):
+                G.Alphabet(size)
+
+    def test_alphabet_keeps_an_integer_size(self):
+        two = G.Alphabet(2)
+        assert two.size == 2 and type(two.size) is int
+        assert two.symbols() == range(2)
 
     def test_game_rejects_bad_distribution(self):
         two = G.Alphabet(2)

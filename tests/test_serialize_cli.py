@@ -742,3 +742,24 @@ def test_unread_config_fields_leave_the_default_bytes(argv, out, fields,
     assert cli.main(argv + [out, str(b), "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_command_that_reads_no_setting_ignores_the_config_variable(
+        tmp_path, capsys, monkeypatch):
+    """``bounds`` reads no setting, so it does not read the file that
+    $NSRAND_CONFIG names: with a malformed one it writes the default
+    run's bytes.  ``ns-value`` still refuses the same file."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["bounds", "--out", str(a)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
+    assert cli.main(["bounds", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["ns-value", "chsh", "--certificate",
+                     str(tmp_path / "c.json")]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"input error: config file {cfg}: the top level must be a JSON "
+        "object\n")

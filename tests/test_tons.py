@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -859,6 +860,107 @@ class TestGeneratedInvariances:
         assert [T.tons_guessing_probability(chsh_game, marginal, x_star,
                                             scenario)
                 for x_star in ((0, 1), (1, 0))] == [F(373, 432), F(121, 144)]
+
+
+def _full_space_labels(scenario, x_star, relabellings):
+    """The reference orbit labels: ``_orbit_minima`` over the full-space
+    permutations of every relabelling."""
+    sa, sb, sx, sy = scenario.string_sizes
+    return T._orbit_minima(sa * sa * sb * sx * sy, [
+        T._variable_map(r, scenario, x_star) for r in relabellings])
+
+
+def _correlation_box(d, nx, ny, weights, shifts):
+    """A box with uniform marginals over d outputs: at inputs (x, y),
+    b = a + shifts[x][y] (mod d) with weight weights[x][y], else
+    uniform noise."""
+    return G.Behavior((nx, ny), (d, d), {
+        ((a, b), (x, y)): (1 - weights[x][y]) / d ** 2
+        + weights[x][y] * ((b - a - shifts[x][y]) % d == 0) / d
+        for a in range(d) for b in range(d) for x in range(nx)
+        for y in range(ny)})
+
+
+class TestOrbitLabels:
+    """``_orbit_labels`` builds the slice's orbit labels from one-round
+    orbits; they equal the full-space ``_orbit_minima`` label for label."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                          max_size=3),
+           moves=st.lists(st.sets(st.sampled_from(LOCAL_MOVES), max_size=3),
+                          min_size=3, max_size=3),
+           shared=st.booleans(), kind=st.sampled_from([T.TONS, T.ABNS]),
+           data=st.data())
+    def test_labels_of_random_products(self, seeds, moves, shared, kind,
+                                       data):
+        """Products of random no-signalling boxes, each averaged over its
+        own random set of local relabellings, at n <= 3 and a random x*."""
+        boxes = [_group_average(_random_ns_behavior(random.Random(seed)), m)
+                 for seed, m in zip(seeds, moves)]
+        n = len(boxes)
+        marginal = G.product_behavior(boxes[0], n) if shared \
+            else _mixed_product(boxes)
+        x_star = data.draw(st.tuples(*[st.integers(0, 1)] * n))
+        scenario = T.CausalScenario.for_game(kind, n, G.make_chsh_game())
+        relabellings = T.marginal_symmetries(marginal, scenario, x_star)
+        labels = T._orbit_labels(scenario, x_star, relabellings)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, _full_space_labels(
+            scenario, x_star, relabellings))
+
+    @settings(max_examples=8, deadline=None)
+    @given(alphabets=st.sampled_from([(3, 2), (2, 3)]),
+           n=st.integers(1, 2), kind=st.sampled_from([T.TONS, T.ABNS]),
+           data=st.data())
+    def test_labels_on_three_symbol_alphabets(self, alphabets, n, kind,
+                                              data):
+        """Three outputs or three inputs per party: n-fold products of a
+        random correlation box with uniform marginals, which every joint
+        output shift fixes."""
+        d, m = alphabets
+
+        def grid(values):
+            row = st.lists(st.sampled_from(values), min_size=m, max_size=m)
+            return data.draw(st.lists(row, min_size=m, max_size=m))
+        box = _correlation_box(d, m, m, grid([F(0), F(1, 2), F(1)]),
+                               grid(range(d)))
+        marginal = G.product_behavior(box, n)
+        scenario = T.CausalScenario(kind, n, d, d, m, m)
+        x_star = data.draw(st.tuples(*[st.integers(0, m - 1)] * n))
+        relabellings = T.marginal_symmetries(marginal, scenario, x_star)
+        assert relabellings
+        assert np.array_equal(
+            T._orbit_labels(scenario, x_star, relabellings),
+            _full_space_labels(scenario, x_star, relabellings))
+
+    @pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
+    @pytest.mark.parametrize("v", [F(1, 2), F(11, 12)])
+    def test_four_round_noisy_pr_labels(self, kind, v):
+        """Both four-round noisy-PR slices, 1,048,576 variables."""
+        scenario = T.CausalScenario(kind, 4)
+        x_star = (0, 1, 1, 0)
+        relabellings = T.marginal_symmetries(_pr_product(v, 4), scenario,
+                                             x_star)
+        labels = T._orbit_labels(scenario, x_star, relabellings)
+        assert len(np.unique(labels)) == 4096
+        assert np.array_equal(labels, _full_space_labels(
+            scenario, x_star, relabellings))
+
+    def test_four_round_labels_stay_small(self):
+        """The four-round TONS orbit step allocates under 16 MB; the
+        full-space permutations took 134 MB."""
+        scenario = T.CausalScenario(T.TONS, 4)
+        x_star = (0,) * 4
+        relabellings = T.marginal_symmetries(_pr_product(F(1, 2), 4),
+                                             scenario, x_star)
+        tracemalloc.start()
+        try:
+            T._orbit_labels(scenario, x_star, relabellings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10 ** 6, peak
 
 
 @pytest.mark.parametrize("kind, value", [(T.TONS, F(25, 32)),
