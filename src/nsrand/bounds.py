@@ -11,6 +11,7 @@ reports while the raw formula values are kept alongside.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -113,6 +114,11 @@ class DecayParams:
                 f"gamma must lie in (2/3, 1), got {self.gamma}")
         if self.mu <= 0:
             raise InfeasibleParamsError(f"mu must be positive, got {self.mu}")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise InfeasibleParamsError(
+                f"n must be an integer, got {self.n}") from None
         if self.n < 1:
             raise InfeasibleParamsError(f"n must be at least 1, got {self.n}")
 

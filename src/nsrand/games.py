@@ -57,6 +57,13 @@ def positive_int(value, what: str) -> int:
     return n
 
 
+def _alphabet_sizes(sizes, what: str) -> tuple[int, ...]:
+    """``sizes`` as a tuple of ints, each through ``positive_int`` and
+    named as entry i of ``what``."""
+    return tuple(positive_int(size, f"alphabet size {what}[{i}]")
+                 for i, size in enumerate(sizes))
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Finite alphabet of symbols 0..size-1."""
@@ -183,6 +190,9 @@ class Behavior:
     subnormalized: bool = False
 
     def __post_init__(self):
+        for field in ("input_sizes", "output_sizes"):
+            object.__setattr__(self, field,
+                               _alphabet_sizes(getattr(self, field), field))
         if isinstance(self.table, _FractionView):
             self.__dict__["integers"] = self.table.form
         else:
@@ -425,6 +435,8 @@ def make_pr_v(params: NoisyPRParams) -> Behavior:
 
 def uniform_behavior(output_sizes: tuple[int, ...],
                      input_sizes: tuple[int, ...]) -> Behavior:
+    output_sizes = _alphabet_sizes(output_sizes, "output_sizes")
+    input_sizes = _alphabet_sizes(input_sizes, "input_sizes")
     p = Fraction(1, math.prod(output_sizes))
     return Behavior(input_sizes, output_sizes, {
         (outs, ins): p for ins in itertools.product(*map(range, input_sizes))

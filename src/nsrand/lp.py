@@ -211,6 +211,53 @@ def _free_columns(norm: LinProgram) -> np.ndarray:
                    [j for j, lo in norm.lower.items() if lo is None])
 
 
+def _summed_rows(j: np.ndarray, coeffs: np.ndarray):
+    """The rows sum_k coeffs[k] x_{j[r, k]} of one block as (row sizes,
+    columns, sums): each column's terms summed, zero sums dropped, each
+    row's columns ascending.  Every row has the block's width, so a sort
+    within rows lines each column's terms up for one ``np.add.reduceat``."""
+    count, width = j.shape
+    order = np.argsort(j, axis=1)
+    cols = np.take_along_axis(j, order, axis=1)
+    # A sum starts at each row's first term and at each change of column.
+    start = np.ones((count, width), bool)
+    start[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    at = np.flatnonzero(start)
+    sums = np.add.reduceat(coeffs[order].ravel(), at)
+    nonzero = sums != 0
+    at = at[nonzero]
+    return (np.bincount(at // width, minlength=count),
+            cols.ravel()[at], sums[nonzero])
+
+
+def _first_rows(sizes: np.ndarray, cols: np.ndarray, sums: np.ndarray,
+                code: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows, in ``_summed_rows``' form with a
+    right-hand-side ``code`` each, that equal no earlier row."""
+    starts = np.cumsum(sizes) - sizes
+    kept = [np.zeros(0, np.int64)]
+    # Rows of one length as (rhs code, columns, coefficients); a stable
+    # sort keeps equal rows in order, and the first of each is kept.
+    for size in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size)
+        terms = starts[members][:, None] + np.arange(size)
+        table = np.hstack([code[members][:, None], cols[terms], sums[terms]])
+        order = np.lexsort(table.T[::-1])
+        table = table[order]
+        first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
+        kept.append(members[order[first]])
+    return np.sort(np.concatenate(kept))
+
+
+def _rows_at(rows: np.ndarray, sizes: np.ndarray, cols: np.ndarray,
+             sums: np.ndarray):
+    """The rows at ascending indices ``rows``, in ``_summed_rows``' form."""
+    kept = np.zeros(len(sizes), bool)
+    kept[rows] = True
+    entries = np.repeat(kept, sizes)
+    return sizes[rows], cols[entries], sums[entries]
+
+
 def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
                 distinct: bool = False) -> None:
     """Append the rows sum_k c[k] x_{j[r, k]} ``rel`` rhs[r] of the blocks
@@ -218,7 +265,10 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     terms dropped; if ``distinct``, without repeats (right-hand side
     included).  Coefficients (int arrays, ints or ``Fraction``s) go over
     one denominator and sum exactly: in int64, or in Python ints past its
-    bound.  A refused call leaves the program as it was."""
+    bound.  Rows are summed, and with ``distinct`` de-duplicated, one block
+    at a time; the survivors of all blocks are then de-duplicated once,
+    keeping the first of equal rows.  A refused call leaves the program as
+    it was."""
     if rel not in _RELATIONS:
         raise LpError(f"unknown relation {rel!r}")
     for b, (j, c) in enumerate(blocks):
@@ -235,66 +285,52 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
     # (an int past 2**53 beside a float, one in [2**63, 2**64) beside 1).
     blocks = [(j, c if isinstance(c, np.ndarray) else np.array(c, object))
               for j, c in blocks]
-    count, num = sum(len(j) for j, _ in blocks), prog.num_vars
+    count = sum(len(j) for j, _ in blocks)
     widths = [j.shape[1] for j, _ in blocks]
-    columns = np.concatenate([j.ravel() for j, _ in blocks])
-    _check_columns(columns, num)
+    for j, _ in blocks:
+        _check_columns(j.ravel(), prog.num_vars)
     try:
         # A row's sum is at most its width times its largest coefficient.
         nums, den = integer_table(np.concatenate(
             [c for _, c in blocks]).tolist(), max(widths))
         rhs, rhs_den = integer_table(rhs)
     except (ValueError, OverflowError):  # Fraction of a NaN or an inf
-        # The first entry that is not finite, named by its column.
-        for col, c in zip(columns.tolist(), np.concatenate(
-                [np.tile(c, len(j)) for j, c in blocks]).tolist()):
-            _finite(c, f"row coefficient of x{col}")
+        # The first entry that is not finite, named by its column in its
+        # block's first row.
+        for j, c in blocks:
+            for col, value in zip(j[:1].ravel().tolist(), c.tolist()):
+                _finite(value, f"row coefficient of x{col}")
         for b in rhs:
             _finite(b, "right-hand side")
         raise LpError("row coefficients must be finite") from None
     if len(rhs) != count:
         raise LpError(f"row count {count}, right-hand side count {len(rhs)}")
-    coeffs = np.split(nums, np.cumsum(widths)[:-1])
-    row = np.repeat(np.arange(count), np.concatenate(
-        [np.full(len(j), j.shape[1]) for j, _ in blocks]))
-    key, inverse = np.unique(row * num + columns, return_inverse=True)
-    sums = np.zeros(len(key), nums.dtype)
-    np.add.at(sums, inverse, np.concatenate(
-        [np.tile(c, len(j)) for (j, _), c in zip(blocks, coeffs)]))
-    row, col = np.divmod(key[sums != 0], num)
-    sums = sums[sums != 0]
-    sizes = np.bincount(row, minlength=count)
-    added = [np.arange(count)]
     if distinct:
-        starts = np.cumsum(sizes) - sizes
         code = np.unique(rhs, return_inverse=True)[1]
-        added = [np.zeros(0, np.int64)]
-        # Rows of one length as (rhs code, columns, coefficients); a stable
-        # sort keeps equal rows in order, and the first of each is kept.
-        for size in np.unique(sizes).tolist():
-            members = np.flatnonzero(sizes == size)
-            terms = starts[members][:, None] + np.arange(size)
-            table = np.hstack([code[members][:, None], col[terms],
-                               sums[terms]])
-            order = np.lexsort(table.T[::-1])
-            table = table[order]
-            first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
-            added.append(members[order[first]])
-    added = np.sort(np.concatenate(added))
-    kept = np.zeros(count, bool)
-    kept[added] = True
+    parts, first = [], 0
+    for (j, _), c in zip(blocks, np.split(nums, np.cumsum(widths)[:-1])):
+        rows, part = np.arange(first, first + len(j)), _summed_rows(j, c)
+        first += len(j)
+        if distinct:
+            kept = _first_rows(*part, code[rows])
+            rows, part = rows[kept], _rows_at(kept, *part)
+        parts.append((rows, *part))
+    rows, sizes, cols, sums = (np.concatenate(p) for p in zip(*parts))
+    if distinct:
+        kept = _first_rows(sizes, cols, sums, code[rows])
+        rows, (sizes, cols, sums) = rows[kept], _rows_at(kept, sizes, cols,
+                                                         sums)
     to, to_rhs = math.lcm(prog.den, den), math.lcm(prog.rhs_den, rhs_den)
     prog.indptr = np.concatenate([prog.indptr, prog.indptr[-1] + np.cumsum(
-        sizes[added], dtype=np.int64)])
-    prog.indices = np.concatenate([prog.indices,
-                                   np.asarray(col[kept[row]], np.intp)])
+        sizes, dtype=np.int64)])
+    prog.indices = np.concatenate([prog.indices, np.asarray(cols, np.intp)])
     prog.data = np.concatenate([_scaled(prog.data, to // prog.den),
-                                _scaled(sums[kept[row]], to // den)])
+                                _scaled(sums, to // den)])
     prog.rhs = np.concatenate([_scaled(prog.rhs, to_rhs // prog.rhs_den),
-                               _scaled(rhs[added], to_rhs // rhs_den)])
+                               _scaled(rhs[rows], to_rhs // rhs_den)])
     prog.den, prog.rhs_den = to, to_rhs
     prog.rel = np.concatenate([
-        prog.rel, np.full(len(added), _RELATIONS.index(rel), np.int8)])
+        prog.rel, np.full(len(rows), _RELATIONS.index(rel), np.int8)])
     for array in (prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel):
         array.setflags(write=False)
 

@@ -25,7 +25,12 @@ Math. Program. 137 (2013)).  The group is the product of the rounds'
 groups, so the orbits are labelled round by round (``_orbit_labels``):
 each round's one-round orbits, of na * nx * ny * na * nb variables, give
 its share of every orbit's least variable, and no permutation of the
-whole variable space is built.  The noisy PR box is fixed per round by
+whole variable space is built.  Columns number the orbits in the order of
+their least variables, by a running count of the variables that are their
+own labels; nothing is sorted.  The causal rows are summed and
+de-duplicated one constraint block at a time (``lp.append_rows``), and a
+slice has one marginal row per entry orbit, that of the first entry
+holding each least column.  The noisy PR box is fixed per round by
 flipping both outputs and by flipping Bob's input while Alice's output
 shifts by her input (y -> y + 1, a -> a + x): the three-round slice has
 512 columns instead of 32,768, and certifies exactly at every noise
@@ -68,7 +73,7 @@ TONS = "tons"
 ABNS = "abns"
 
 # Four rounds give a 4,096-variable slice for the noisy PR box (TONS:
-# 7,297 rows, built in 0.3 s and solved in 0.6-0.9 s on a 2-vCPU Xeon);
+# 7,297 rows, built in 0.1 s and solved in 0.6-0.9 s on a 2-vCPU Xeon);
 # at v = 11/12 both kinds certify only on ``lp.solve``'s tight retry.
 # The caps stay at 3 until the four-round values are pinned.
 EXACT_ROUND_CAP = 3
@@ -372,9 +377,18 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
     # one-round orbits of each round's relabellings.
     block = SA * SB * SX * SY
     labels = _orbit_labels(scenario, x_star, relabellings)
-    orbits, col = np.unique(labels, return_inverse=True)
+    # Causal rows come from the least guess of each guess orbit: the least
+    # variable of the orbit of (e, 0, 0, 0, 0) lies in that guess's block.
+    guesses = np.flatnonzero(labels[::block] >= np.arange(SA) * block)
+    # Columns number the orbits in the order of their least variables.  A
+    # variable is its orbit's least exactly when it is its own label, so a
+    # running count of those ranks every label, and nothing is sorted.
+    rank = np.cumsum(labels == np.arange(labels.size))
+    col = rank[labels]
+    col -= 1
     col.setflags(write=False)
-    prog = L.LinProgram(len(orbits))
+    prog = L.LinProgram(int(rank[-1]))
+    del labels, rank  # 8 MB each at four rounds, not held through the rows
     # by_block[e, A, B, X, Y] is the column of that key.
     by_block = col.reshape(SA, SX, SY, SA, SB).transpose(0, 3, 4, 1, 2)
 
@@ -382,11 +396,8 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
     prog.objective.update(Counter(by_block[
         range(SA), range(SA), :, x_enc, y_enc].ravel().tolist()))
 
-    # Causal rows come from the least guess of each guess orbit: the least
-    # variable of the orbit of (e, 0, 0, 0, 0) lies in that guess's block.
-    guesses = np.flatnonzero(labels[::block] >= np.arange(SA) * block)
-    by_key = by_block.reshape(SA, block)
-    rows = [(by_key[e][index], c) for e in guesses
+    rows = [(by_key[index], c)
+            for by_key in by_block[guesses].reshape(len(guesses), block)
             for index, c in causal.blocks]
     L.append_rows(prog, rows, [0] * (len(causal) * len(guesses)), L.EQ,
                   distinct=bool(relabellings))
@@ -394,13 +405,17 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
     keys = np.zeros((0, 4), np.int64)
     if with_marginal:
         # Entries of one orbit, and only those, share their columns: one
-        # marginal row for the first entry of each.  Its coefficients are
-        # positive and sum to SA, so it equals no causal row (theirs sum
-        # to 0) and no other marginal row (their column multisets
-        # differ); no de-duplication is needed.
+        # marginal row for the first entry of each.  The entry orbits
+        # partition the columns, so an entry's least column names its
+        # orbit, and the first entry holding each least column is its
+        # orbit's first.  A row's coefficients are positive and sum to SA,
+        # so it equals no causal row (theirs sum to 0) and no other
+        # marginal row (their columns are disjoint); no de-duplication is
+        # needed.
         per_entry = col.reshape(SA, block).T
-        kept = np.sort(np.unique(np.sort(per_entry, axis=1), axis=0,
-                                 return_index=True)[1])
+        first = np.full(prog.num_vars, block)
+        np.minimum.at(first, per_entry.min(axis=1), np.arange(block))
+        kept = np.sort(first[first < block])
         L.append_rows(prog, [(per_entry[kept], np.ones(SA, np.int64))],
                       [0] * len(kept), L.EQ)
         keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))

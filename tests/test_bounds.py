@@ -196,6 +196,18 @@ class TestNonFiniteParameters:
                 call(-5, 0.05)
             assert str(error.value) == "n must be nonnegative, got -5"
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, F(21, 2)])
+    def test_decay_round_count_must_be_an_integer(self, n):
+        """``DecayParams(10.5, ...)`` was built, and its decay report gave
+        a min-entropy rate for 10.5 rounds; a round count that is not an
+        integer is refused by name."""
+        with pytest.raises(B.InfeasibleParamsError,
+                           match=rf"^n must be an integer, got {n}$"):
+            B.DecayParams(n, 0.03, 0.03, 0.75)
+        with pytest.raises(B.InfeasibleParamsError,
+                           match=rf"^n must be an integer, got {n}$"):
+            B.DecayParams.from_omega_star(n, 0.97)
+
     def test_finite_messages_are_unchanged(self):
         for call, message in [
                 (lambda: B.azuma_abort_bound(10, 0.0),

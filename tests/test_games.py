@@ -421,6 +421,28 @@ class TestConstructedGameInvariants:
                     f"{size!r}")):
                 G.Alphabet(size)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("output_sizes", (2, 0)), ("input_sizes", (-1, 2)),
+        ("input_sizes", (2, 2.5)), ("output_sizes", (2, "2"))])
+    def test_behavior_alphabet_sizes_are_positive_integers(self, field, bad):
+        """A behavior's alphabet size that is not an integer of at least 1
+        is refused by name: it built an empty behavior, and a uniform
+        one raised a bare ``ZeroDivisionError`` from ``Fraction(1, 0)``."""
+        i = next(i for i, size in enumerate(bad) if size != 2)
+        message = re.escape(f"alphabet size {field}[{i}] must be an integer "
+                            f"of at least 1, not {bad[i]!r}")
+        sizes = {"input_sizes": (2, 2), "output_sizes": (2, 2), field: bad}
+        with pytest.raises(G.GameError, match=f"^{message}$"):
+            G.Behavior(sizes["input_sizes"], sizes["output_sizes"], {})
+        with pytest.raises(G.GameError, match=f"^{message}$"):
+            G.uniform_behavior(sizes["output_sizes"], sizes["input_sizes"])
+
+    def test_behavior_keeps_integer_sizes_as_tuples(self):
+        box = G.uniform_behavior([np.int64(2), 3], [2, 2])
+        assert box.output_sizes == (2, 3) and box.input_sizes == (2, 2)
+        assert all(type(s) is int for s in box.output_sizes)
+        box.check_valid()
+
     def test_alphabet_keeps_an_integer_size(self):
         two = G.Alphabet(2)
         assert two.size == 2 and type(two.size) is int

@@ -1493,6 +1493,72 @@ def test_append_rows_puts_fractions_over_one_denominator():
     assert lp.den == 6
 
 
+# Coefficients that cancel (small ints, Fractions) and pass int64.
+_ROW_COEFFS = st.one_of(
+    st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3),
+    st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64 + 3, -2 ** 64 - 3]))
+
+
+@st.composite
+def _row_blocks(draw):
+    """(variable count, blocks, right-hand sides) for ``append_rows``:
+    blocks of empty rows, repeated columns within a row, and rows that
+    repeat within and across blocks."""
+    num_vars = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        width, rows = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+        columns = draw(st.lists(st.lists(
+            st.integers(0, num_vars - 1), min_size=width, max_size=width),
+            min_size=rows, max_size=rows))
+        coeffs = draw(st.lists(_ROW_COEFFS, min_size=width, max_size=width))
+        if draw(st.booleans()) and all(type(c) is int and abs(c) <= 2
+                                       for c in coeffs):
+            coeffs = np.array(coeffs, np.int64)
+        blocks.append((np.array(columns, np.intp).reshape(rows, width),
+                       coeffs))
+    count = sum(len(j) for j, _ in blocks)
+    rhs = draw(st.lists(st.sampled_from([0, 1, F(1, 2), 2 ** 64]),
+                        min_size=count, max_size=count))
+    return num_vars, blocks, rhs
+
+
+def _dict_rows(blocks, rhs, distinct):
+    """``append_rows``' rows by a dict per row: each column's terms summed
+    in ``Fraction``s, zero sums dropped, and, if ``distinct``, only the
+    first of equal rows (right-hand side included)."""
+    rows, rhs = [], iter(rhs)
+    for j, coeffs in blocks:
+        for columns in j.tolist():
+            sums = {}
+            for col, c in zip(columns, coeffs):
+                sums[col] = sums.get(col, 0) + F(int(c) if isinstance(
+                    c, np.integer) else c)
+            row = (tuple(sorted((col, c) for col, c in sums.items() if c)),
+                   F(next(rhs)))
+            if not (distinct and row in rows):
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(data=_row_blocks())
+def test_append_rows_matches_a_dict_per_row(distinct, data):
+    """Rows appended after one row with a Fraction coefficient are the
+    dict oracle's rows, in order, with columns ascending, and the first
+    row is kept as it was."""
+    num_vars, blocks, rhs = data
+    prog = LinProgram(num_vars)
+    prog.add({0: F(1, 5)}, GE, F(1, 7))
+    L.append_rows(prog, blocks, rhs, EQ, distinct=distinct)
+    rows = [(con.coeffs, con.rhs) for con in prog.constraints]
+    assert rows[0] == (((0, F(1, 5)),), F(1, 7))
+    assert rows[1:] == _dict_rows(blocks, rhs, distinct)
+    assert prog.rel.tolist() == [L._GE] + [L._EQ] * (len(rows) - 1)
+    assert prog.indptr[-1] == len(prog.indices) == len(prog.data)
+
+
 def test_rows_given_as_pairs_are_refused():
     """A row is a dict {column: coefficient}, so it names a column once;
     a list of pairs, which could name one twice, has no ``items``."""

@@ -1300,6 +1300,59 @@ def test_slice_marginal_rows_are_distinct_and_sum_to_the_blocks(chsh_game,
     assert len({con.coeffs for con in marginal_rows}) == len(marginal_rows)
 
 
+def _skeleton_digest(skeleton):
+    """sha256 of every number and array a ``_Skeleton`` holds."""
+    prog = skeleton.program
+    digest = hashlib.sha256(repr((
+        prog.num_vars, prog.den, prog.rhs_den, sorted(prog.objective.items()),
+        skeleton.num_causal)).encode())
+    for array in (prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel,
+                  skeleton.columns, skeleton.by_block, skeleton.keys):
+        assert array.dtype != object
+        digest.update(f"{array.dtype} {array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _four_round_skeleton_key(kind):
+    """The ``_guessing_skeleton`` arguments of the four-round noisy-PR
+    slice at v = 1/2, x* = 0000."""
+    scenario = T.CausalScenario(kind, 4)
+    x_star = (0,) * 4
+    relabellings = tuple(T.marginal_symmetries(_pr_product(F(1, 2), 4),
+                                               scenario, x_star))
+    return (scenario, T.build_causal_constraints(scenario), x_star, (0,) * 4,
+            relabellings)
+
+
+@pytest.mark.parametrize("kind, sizes, digest", [
+    (T.TONS, (4096, 7041, 256),
+     "ae02d0cea6d4954d56d26230f078fab0fb21be658038aa3b15b5f3c54b73c46c"),
+    (T.ABNS, (4096, 1281, 256),
+     "67e8116d26b364743620cba7b3aa4b43c00e9f19752d71e3b79d7b04b3f46f52")])
+def test_four_round_skeleton_digests(kind, sizes, digest):
+    """The four-round slice skeletons are pinned array for array: columns,
+    sizes, objective, causal and marginal rows, column map and keys.  No
+    pinned ``dump_lp`` reaches four rounds."""
+    skeleton = T._guessing_skeleton(*_four_round_skeleton_key(kind))
+    assert (skeleton.program.num_vars, skeleton.num_causal,
+            len(skeleton.keys)) == sizes
+    assert _skeleton_digest(skeleton) == digest
+
+
+def test_four_round_skeleton_build_stays_small():
+    """The four-round TONS skeleton build allocates under 48 MB; summing
+    and de-duplicating all 79,360 causal rows in one pass took 90 MB."""
+    key = _four_round_skeleton_key(T.TONS)
+    tracemalloc.start()
+    try:
+        T._guessing_skeleton(*key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 10 ** 6, peak
+
+
 @pytest.mark.parametrize("kind", [T.TONS, T.ABNS])
 @pytest.mark.parametrize("n", [2, 3])
 def test_product_marginal_builds_what_its_dict_copy_builds(chsh_game, kind,
