@@ -509,6 +509,9 @@ class _FractionView(Mapping):
     def __len__(self) -> int:
         return len(self._table)
 
+    def items(self):
+        return self._table.items()
+
 
 def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
     """Exact numbers as integer numerators over their least common
@@ -531,8 +534,10 @@ def integer_table(values, bound: int = 1) -> tuple[np.ndarray, int]:
 
 
 def narrowed(nums: np.ndarray, bound: int) -> np.ndarray:
-    """Numerators as int64 if each times ``bound`` fits, else Python ints."""
-    top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
+    """Numerators as int64 if each times ``bound`` fits, else Python ints.
+    The magnitude is taken as at least 1, so ``narrowed(nums, f) * f``
+    never overflows int64, also for an empty or all-zero array."""
+    top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)), 1)
     return nums.astype(np.int64 if top * bound < 2 ** 63 else object,
                        copy=False)
 

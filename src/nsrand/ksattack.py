@@ -211,12 +211,14 @@ class Assignment:
                 raise KsError(f"edge ({i}, {j}) violates f(u) + f(w) <= 1")
 
 
-def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
-    """Exhaustive DFS over {0, 1/2, 1} labelings with f(target) = 1.
+def enumerate_assignments(graph: OrthGraph, target: int) -> Iterator[Assignment]:
+    """Every valid assignment with value 1 on ``target``, in search order:
+    an exhaustive DFS over {0, 1/2, 1} labelings.
 
     Vertices are processed in basis-major order with lexicographic value
     order; clique sums are unit-propagated.  Values are counted in half
-    units (0, 1, 2) and yielded as ``ASSIGNMENT_VALUES``.  Exhaustion
+    units (0, 1, 2) and given to each ``Assignment`` as
+    ``ASSIGNMENT_VALUES``.  Exhaustion
     without a yield proves that no valid assignment exists.
     """
     if not 0 <= target < graph.num_vertices:
@@ -238,11 +240,12 @@ def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
                 return False
         return True
 
-    def descend(pos: int) -> Iterator[dict]:
+    def descend(pos: int) -> Iterator[Assignment]:
         while pos < len(order) and order[pos] in values:
             pos += 1
         if pos == len(order):
-            yield {v: ASSIGNMENT_VALUES[h] for v, h in values.items()}
+            yield Assignment({v: ASSIGNMENT_VALUES[h]
+                              for v, h in values.items()})
             return
         v = order[pos]
         for val in range(3):
@@ -254,12 +257,6 @@ def _search_assignments(graph: OrthGraph, target: int) -> Iterator[dict]:
     values[target] = 2
     if consistent(target):
         yield from descend(0)
-
-
-def enumerate_assignments(graph: OrthGraph, target: int) -> Iterator[Assignment]:
-    """Every valid assignment with value 1 on ``target``, in search order."""
-    for values in _search_assignments(graph, target):
-        yield Assignment(values)
 
 
 def find_assignment(graph: OrthGraph, target: int) -> Optional[Assignment]:

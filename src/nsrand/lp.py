@@ -20,8 +20,9 @@ floats in float mode.  ``solve`` is the one exact entry, also for the
 auxiliary LPs that prove a verdict.
 
 An LP keeps its rows as CSR arrays of integer numerators over common
-denominators (``LinProgram``), which one writer, ``append_rows``, fills
-with exact sums; every solve and check reads them, ``Constraint`` views one.
+denominators (``LinProgram``), int64 by ``games.narrowed``'s rule; one
+writer, ``append_rows``, fills them with exact sums, and every solve and
+check reads them, ``Constraint`` views one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .games import integer_table, is_finite
+from .games import integer_table, is_finite, narrowed
 
 LE = "<="
 EQ = "=="
@@ -189,12 +190,8 @@ class LinProgram:
 
 
 def _scaled(nums: np.ndarray, factor: int) -> np.ndarray:
-    """``nums`` times ``factor``; Python ints once either passes int64."""
-    if factor == 1:
-        return nums
-    if nums.dtype != object and max(_max_abs(nums), 1) * factor >= 2 ** 63:
-        nums = nums.astype(object)
-    return nums * factor
+    """``nums`` times ``factor``, int64 by ``narrowed``'s rule."""
+    return nums if factor == 1 else narrowed(nums, factor) * factor
 
 
 def _floats(nums: np.ndarray, den: int) -> np.ndarray:
@@ -230,45 +227,40 @@ def _summed_rows(j: np.ndarray, coeffs: np.ndarray):
             cols.ravel()[at], sums[nonzero])
 
 
-def _first_rows(sizes: np.ndarray, cols: np.ndarray, sums: np.ndarray,
-                code: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows, in ``_summed_rows``' form with a
-    right-hand-side ``code`` each, that equal no earlier row."""
+def _first_rows(code: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
+                cols: np.ndarray, sums: np.ndarray):
+    """The rows ``rows`` (ascending indices), in ``_summed_rows``' form,
+    less each that equals an earlier one, right-hand-side ``code[rows]``
+    included: ``(rows, sizes, cols, sums)`` of the first of each."""
     starts = np.cumsum(sizes) - sizes
-    kept = [np.zeros(0, np.int64)]
+    kept = np.zeros(len(sizes), bool)
     # Rows of one length as (rhs code, columns, coefficients); a stable
     # sort keeps equal rows in order, and the first of each is kept.
     for size in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == size)
         terms = starts[members][:, None] + np.arange(size)
-        table = np.hstack([code[members][:, None], cols[terms], sums[terms]])
+        table = np.hstack([code[rows[members]][:, None], cols[terms],
+                           sums[terms]])
         order = np.lexsort(table.T[::-1])
         table = table[order]
         first = np.r_[True, (table[1:] != table[:-1]).any(axis=1)]
-        kept.append(members[order[first]])
-    return np.sort(np.concatenate(kept))
-
-
-def _rows_at(rows: np.ndarray, sizes: np.ndarray, cols: np.ndarray,
-             sums: np.ndarray):
-    """The rows at ascending indices ``rows``, in ``_summed_rows``' form."""
-    kept = np.zeros(len(sizes), bool)
-    kept[rows] = True
+        kept[members[order[first]]] = True
     entries = np.repeat(kept, sizes)
-    return sizes[rows], cols[entries], sums[entries]
+    return rows[kept], sizes[kept], cols[entries], sums[entries]
 
 
-def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
+def append_rows(prog: LinProgram, blocks, rhs, rel: str,
                 distinct: bool = False) -> None:
     """Append the rows sum_k c[k] x_{j[r, k]} ``rel`` rhs[r] of the blocks
     ``(j, c)``, in order, with each column's coefficients summed and zero
     terms dropped; if ``distinct``, without repeats (right-hand side
-    included).  Coefficients (int arrays, ints or ``Fraction``s) go over
-    one denominator and sum exactly: in int64, or in Python ints past its
-    bound.  Rows are summed, and with ``distinct`` de-duplicated, one block
-    at a time; the survivors of all blocks are then de-duplicated once,
-    keeping the first of equal rows.  A refused call leaves the program as
-    it was."""
+    included).  ``rhs`` is a list, one exact number per row, or one exact
+    number for every row, converted once.  Coefficients (int arrays, ints
+    or ``Fraction``s) go over one denominator and sum exactly: in int64,
+    or in Python ints past its bound.  Rows are summed, and with
+    ``distinct`` de-duplicated, one block at a time; the survivors of all
+    blocks are then de-duplicated once, keeping the first of equal rows.
+    A refused call leaves the program as it was."""
     if rel not in _RELATIONS:
         raise LpError(f"unknown relation {rel!r}")
     for b, (j, c) in enumerate(blocks):
@@ -277,8 +269,9 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
         if len(c) != j.shape[1]:
             raise LpError(f"block {b}: row width {j.shape[1]}, coefficient "
                           f"count {len(c)}")
+    shared = np.ndim(rhs) == 0  # one number for every row
     if not blocks:
-        if len(rhs):
+        if not shared and len(rhs):
             raise LpError(f"row count 0, right-hand side count {len(rhs)}")
         return
     # A list is kept as its objects: numpy would round some mixes to floats
@@ -293,33 +286,30 @@ def append_rows(prog: LinProgram, blocks, rhs: list, rel: str,
         # A row's sum is at most its width times its largest coefficient.
         nums, den = integer_table(np.concatenate(
             [c for _, c in blocks]).tolist(), max(widths))
-        rhs, rhs_den = integer_table(rhs)
+        rhs, rhs_den = integer_table([rhs] if shared else rhs)
     except (ValueError, OverflowError):  # Fraction of a NaN or an inf
         # The first entry that is not finite, named by its column in its
         # block's first row.
         for j, c in blocks:
             for col, value in zip(j[:1].ravel().tolist(), c.tolist()):
                 _finite(value, f"row coefficient of x{col}")
-        for b in rhs:
+        for b in [rhs] if shared else rhs:
             _finite(b, "right-hand side")
         raise LpError("row coefficients must be finite") from None
-    if len(rhs) != count:
+    if shared:
+        rhs = np.repeat(rhs, count)
+    elif len(rhs) != count:
         raise LpError(f"row count {count}, right-hand side count {len(rhs)}")
     if distinct:
         code = np.unique(rhs, return_inverse=True)[1]
     parts, first = [], 0
     for (j, _), c in zip(blocks, np.split(nums, np.cumsum(widths)[:-1])):
-        rows, part = np.arange(first, first + len(j)), _summed_rows(j, c)
+        part = (np.arange(first, first + len(j)), *_summed_rows(j, c))
         first += len(j)
-        if distinct:
-            kept = _first_rows(*part, code[rows])
-            rows, part = rows[kept], _rows_at(kept, *part)
-        parts.append((rows, *part))
+        parts.append(_first_rows(code, *part) if distinct else part)
     rows, sizes, cols, sums = (np.concatenate(p) for p in zip(*parts))
     if distinct:
-        kept = _first_rows(sizes, cols, sums, code[rows])
-        rows, (sizes, cols, sums) = rows[kept], _rows_at(kept, sizes, cols,
-                                                         sums)
+        rows, sizes, cols, sums = _first_rows(code, rows, sizes, cols, sums)
     to, to_rhs = math.lcm(prog.den, den), math.lcm(prog.rhs_den, rhs_den)
     prog.indptr = np.concatenate([prog.indptr, prog.indptr[-1] + np.cumsum(
         sizes, dtype=np.int64)])

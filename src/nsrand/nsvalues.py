@@ -40,7 +40,7 @@ def _normalized_lp(game: Game, objective) -> tuple[L.LinProgram, dict]:
                          for key, c in objective.items()})
     n_out = math.prod(game.output_sizes)
     L.append_rows(prog, [(np.arange(len(var)).reshape(-1, n_out),
-                          [1] * n_out)], [1] * (len(var) // n_out), L.EQ)
+                          [1] * n_out)], 1, L.EQ)
     return prog, var
 
 
@@ -62,7 +62,7 @@ def _behavior_lp(game: Game, objective_coeffs) -> tuple[L.LinProgram, dict]:
     prog, var = _normalized_lp(game, objective_coeffs)
     blocks = [ns_pair_rows(index, [(k, 0) for k in range(1, index.shape[1])])
               for _, _, index in _ns_groups(game, NS_FAMILIES[:game.parties])]
-    L.append_rows(prog, blocks, [0] * sum(len(j) for j, _ in blocks), L.EQ)
+    L.append_rows(prog, blocks, 0, L.EQ)
     return prog, var
 
 
@@ -110,7 +110,7 @@ def eps_ns_value(game: Game, epsilon, mode: str = "exact") -> EpsNsReport:
             kept_outs = tuple(o for p, o in enumerate(outs) if p not in summed)
             tau_rows += [(name, kept_outs, keys[group[a]][1],
                           keys[group[b]][1]) for a, b in pairs]
-    L.append_rows(prog, blocks, [epsilon] * len(tau_rows), L.LE)
+    L.append_rows(prog, blocks, epsilon, L.LE)
 
     sol = L.solve_certified(prog, mode)
     normalization = dict(zip(game.inputs(), sol.dual))

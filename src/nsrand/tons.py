@@ -399,8 +399,7 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
     rows = [(by_key[index], c)
             for by_key in by_block[guesses].reshape(len(guesses), block)
             for index, c in causal.blocks]
-    L.append_rows(prog, rows, [0] * (len(causal) * len(guesses)), L.EQ,
-                  distinct=bool(relabellings))
+    L.append_rows(prog, rows, 0, L.EQ, distinct=bool(relabellings))
     num_causal = len(prog.rhs)
     keys = np.zeros((0, 4), np.int64)
     if with_marginal:
@@ -416,8 +415,8 @@ def _guessing_skeleton(scenario: CausalScenario, causal: CausalRows,
         first = np.full(prog.num_vars, block)
         np.minimum.at(first, per_entry.min(axis=1), np.arange(block))
         kept = np.sort(first[first < block])
-        L.append_rows(prog, [(per_entry[kept], np.ones(SA, np.int64))],
-                      [0] * len(kept), L.EQ)
+        L.append_rows(prog, [(per_entry[kept], np.ones(SA, np.int64))], 0,
+                      L.EQ)
         keys = np.transpose(np.unravel_index(kept, (SX, SY, SA, SB)))
     keys.setflags(write=False)
     return _Skeleton(prog, col, by_block, num_causal, keys)
@@ -507,7 +506,7 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
         else game_value_coefficients(game)
     # The summed blocks form a normalized behavior.
     total = skeleton.by_block[..., 0, 0].reshape(1, -1)
-    L.append_rows(prog, [(total, [1] * total.size)], [1], L.EQ)
+    L.append_rows(prog, [(total, [1] * total.size)], 1, L.EQ)
     for i in range(n):
         # Round i's output symbol of every output string, and one row per
         # past input history (x_past major): its inputs, round i's, then 0s.
@@ -521,8 +520,8 @@ def build_guessing_lp(game: Game, marginal: Optional[Behavior],
                 ..., X + xi * nx ** (n - 1 - i), Y + yi * ny ** (n - 1 - i)]
             columns.append(j.reshape(-1, X.size * Y.size).T)
             coeffs += [c] * columns[-1].shape[1]
-        L.append_rows(prog, [(np.hstack(columns), coeffs)],
-                      [omega_star] * (X.size * Y.size), relation)
+        L.append_rows(prog, [(np.hstack(columns), coeffs)], omega_star,
+                      relation)
     built.num_marginal_rows = len(prog.rhs) - skeleton.num_causal
     return built
 

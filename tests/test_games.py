@@ -832,6 +832,17 @@ class TestProductTableView:
             assert list(G.product_behavior(box, n).table.items()) == \
                 list(_oracle_product(box, n).table.items())
 
+    def test_items_build_the_dict_once_and_yield_its_pairs(self, conversions):
+        """``items()`` reads the built dict: one ``fraction_table`` call,
+        and the same value objects on every read, not a new ``Fraction``
+        per entry."""
+        product = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(1, 2))), 2)
+        first, again = list(product.table.items()), list(product.table.items())
+        assert conversions == [(4, 4, 4, 4)]
+        assert first == list(dict(product.table).items())
+        assert all(a is b for (_, a), (_, b) in zip(first, again))
+        assert conversions == [(4, 4, 4, 4)]
+
     def test_equal_both_ways_to_a_dict_copy(self):
         product = G.product_behavior(G.make_pr_v(G.NoisyPRParams(F(2, 3))), 2)
         copy = dict(product.table)

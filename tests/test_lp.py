@@ -1559,6 +1559,43 @@ def test_append_rows_matches_a_dict_per_row(distinct, data):
     assert prog.indptr[-1] == len(prog.indices) == len(prog.data)
 
 
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("b", [0, 1, F(1, 37), F(3 ** 41 + 1, 3 ** 41),
+                               2 ** 70],
+                         ids=["0", "1", "1/37", "past-int64-den", "2**70"])
+def test_one_right_hand_side_is_a_list_of_its_copies(b, distinct):
+    """One number as the right-hand side of every row gives the arrays,
+    denominators and dtypes of a list of one copy per row, on rows that
+    repeat within and across blocks, after a row over another
+    denominator."""
+    blocks = [(np.array([[0, 1], [1, 0], [0, 1]]), [F(1, 3), 2]),
+              (np.array([[2, 2], [0, 1]]), np.array([1, 1])),
+              (np.array([[0, 1]]), [F(1, 3), 2])]
+    count = sum(len(j) for j, _ in blocks)
+    shared, listed = LinProgram(3), LinProgram(3)
+    for prog, rhs in ((shared, b), (listed, [b] * count)):
+        prog.add({0: F(1, 5)}, GE, F(1, 7))
+        L.append_rows(prog, blocks, rhs, LE, distinct=distinct)
+    assert (shared.den, shared.rhs_den) == (listed.den, listed.rhs_den)
+    for name in ("indptr", "indices", "data", "rhs", "rel"):
+        got, want = getattr(shared, name), getattr(listed, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert len(shared.rhs) == (5 if distinct else 7)
+
+
+def test_one_right_hand_side_is_checked_and_needs_no_rows():
+    """A NaN right-hand side for every row is refused as a per-row one
+    is, and one number with no blocks appends nothing."""
+    prog = LinProgram(2)
+    L.append_rows(prog, [(np.array([[0, 1]]), [1, 1])], [1], LE)
+    arrays = [prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel]
+    with pytest.raises(L.LpError, match=r"^right-hand side is nan, not finite$"):
+        L.append_rows(prog, [(np.array([[0, 1]]), [1, 1])], math.nan, LE)
+    L.append_rows(prog, [], 1, LE)
+    assert all(new is old for new, old in zip(
+        [prog.indptr, prog.indices, prog.data, prog.rhs, prog.rel], arrays))
+
+
 def test_rows_given_as_pairs_are_refused():
     """A row is a dict {column: coefficient}, so it names a column once;
     a list of pairs, which could name one twice, has no ``items``."""
